@@ -1,21 +1,26 @@
 """Character rings of the dual side and their Demazure operators.
 
+* ``SparsePoly``: the immutable sparse core of every polynomial class in
+  the package, a dict from monomial keys to nonzero coefficients with the
+  ring operations and the product that adds exponent tuples.
 * ``GroupRingElement``: Laurent polynomials Z[Lambda] in e^{(a,b)}, the
   K-side model.  Invariants under the swap s are generated by
   xi1 = e^{(1,0)} + e^{(0,1)} and xi2 = e^{(1,1)} (invertible); the ring
   is free of rank 2 over the invariants on {1, e^{(-1,0)}}.
 * ``SymElement``: polynomials in eta1, eta2 localized at xi2' = eta1*eta2,
-  the Chow-side model.  Invariants are generated by xi1' = eta1 + eta2 and
-  xi2'; basis {1, (eta1 - eta2)/2} over the invariants (2 must be
-  invertible).
+  the Chow-side model.  Since eta1^{-1} = eta2 * xi2'^{-1}, this is the
+  full Laurent ring in eta1, eta2.  Invariants are generated by
+  xi1' = eta1 + eta2 and xi2'; basis {1, (eta1 - eta2)/2} over the
+  invariants (2 must be invertible).
 
 All Demazure quotients are computed by exact division with the remainder
-asserted to vanish; no rational-function arithmetic.
+checked to vanish; no rational-function arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .coeffs import FieldTower, GenericScalar, ZQ_ONE, ZQ_Q, ZQ_ZERO
 
@@ -89,103 +94,138 @@ class FieldRing:
         return f"GF({self.tower.q if self.level == 'base' else self.tower.q ** 2})"
 
 
+
 # ---------------------------------------------------------------------------
-# K-side: the group ring Z[Lambda]
+# the sparse core
 
 
-class GroupRingElement:
-    """Finite sum of c * e^{(a,b)} with coefficients in a fixed ring."""
+class SparsePoly:
+    """Immutable finite sum of coefficient * monomial.
+
+    ``terms`` maps monomial keys to nonzero coefficients; zero
+    coefficients are dropped on construction.  Keys are exponent tuples,
+    and the product adds them.  ``HeckeElement`` keys are basis labels
+    instead, and it brings its own product.  A subclass with more state
+    than ``ring`` overrides ``_new``.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if not c.is_zero():
-                    clean[(int(exp[0]), int(exp[1]))] = c
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", self._clean(terms) if terms else {})
+
+    @staticmethod
+    def _clean(terms: dict) -> dict:
+        return {key: c for key, c in terms.items() if not c.is_zero()}
+
+    def _new(self, terms: dict):
+        """An element of the same ring with the given terms."""
+        return type(self)(self.ring, terms)
 
     def __setattr__(self, name, value):
-        raise AttributeError("GroupRingElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # constructors -----------------------------------------------------
-    @staticmethod
-    def zero(ring) -> "GroupRingElement":
-        return GroupRingElement(ring, {})
+    # constructors of the two-variable Laurent rings ----------------------
+    @classmethod
+    def zero(cls, ring):
+        return cls(ring, {})
 
-    @staticmethod
-    def one(ring) -> "GroupRingElement":
-        return GroupRingElement(ring, {(0, 0): ring.one})
+    @classmethod
+    def one(cls, ring):
+        return cls(ring, {(0, 0): ring.one})
 
-    @staticmethod
-    def monomial(ring, a: int, b: int, coeff=None) -> "GroupRingElement":
-        return GroupRingElement(ring, {(a, b): coeff if coeff is not None else ring.one})
+    @classmethod
+    def monomial(cls, ring, a: int, b: int, coeff=None):
+        return cls(ring, {(a, b): coeff if coeff is not None else ring.one})
 
-    @staticmethod
-    def from_scalar(ring, c) -> "GroupRingElement":
-        return GroupRingElement(ring, {(0, 0): c})
+    @classmethod
+    def from_scalar(cls, ring, c):
+        return cls(ring, {(0, 0): c})
 
     # ring operations ---------------------------------------------------
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def __add__(self, other):
         out = dict(self.terms)
-        for exp, c in other.terms.items():
-            out[exp] = out[exp] + c if exp in out else c
-        return GroupRingElement(self.ring, out)
+        for key, c in other.terms.items():
+            out[key] = out[key] + c if key in out else c
+        return self._new(out)
 
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement(self.ring, {exp: -c for exp, c in self.terms.items()})
+    def __neg__(self):
+        return self._new({key: -c for key, c in self.terms.items()})
 
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
+    def __mul__(self, other):
         out: dict = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                exp = (a1 + a2, b1 + b2)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exp = tuple(map(add, e1, e2))
                 prod = c1 * c2
                 out[exp] = out[exp] + prod if exp in out else prod
-        return GroupRingElement(self.ring, out)
+        return self._new(out)
 
-    def scale(self, c) -> "GroupRingElement":
-        return GroupRingElement(self.ring, {exp: c * v for exp, v in self.terms.items()})
+    def scale(self, c):
+        return self._new({key: c * v for key, v in self.terms.items()})
+
+    def map_coeffs(self, fn):
+        """Apply ``fn`` to every coefficient, e.g. a specialization of q."""
+        return self._new({key: fn(c) for key, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupRingElement)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return type(other) is type(self) and self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
-    def s_action(self) -> "GroupRingElement":
-        return GroupRingElement(self.ring, {(b, a): c for (a, b), c in self.terms.items()})
 
-    def is_invariant(self) -> bool:
-        return self.s_action() == self
+def eval_laurent(poly: dict, zero, x1, x2_power):
+    """Evaluate sum c * x1^m * x2^k over poly = {(m, k): c}, m >= 0.
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = [f"({c})*e^{exp}" for exp, c in sorted(self.terms.items())]
-        return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        def coeff_json(c):
-            return list(c.coeffs)
-
-        return {f"({a},{b})": coeff_json(c) for (a, b), c in sorted(self.terms.items())}
+    ``x2_power(k)`` returns x2^k for any sign of k (x2 is a unit)."""
+    out = zero
+    for (m, k), c in poly.items():
+        if m < 0:
+            raise ValueError("the first variable is not invertible")
+        term = x2_power(k)
+        for _ in range(m):
+            term = term * x1
+        out = out + term.scale(c)
+    return out
 
 
-def _divide_by_one_minus_alpha(num: GroupRingElement) -> GroupRingElement:
-    """Exact division by (1 - e^{(1,-1)}) in the Laurent group ring.
+def to_xi_poly(a: SparsePoly) -> dict:
+    """Express an s-invariant element of either character ring as a
+    Laurent polynomial {(m, k): coeff} in xi1, xi2 (xi1', xi2').
+
+    Peels the extreme term: xi1^m * xi2^k has the unique maximal-spread
+    monomial of exponent (m+k, k), with coefficient 1.
+    """
+    if not a.is_invariant():
+        raise ValueError("to_xi_poly needs an s-invariant element")
+    cls, ring = type(a), a.ring
+    zero, x1 = cls.zero(ring), cls(ring, {(1, 0): ring.one, (0, 1): ring.one})
+    rest = a
+    out: dict = {}
+    while not rest.is_zero():
+        (i, j) = max(rest.terms, key=lambda e: (e[0] - e[1], e[0]))
+        if i < j:
+            raise ArithmeticError("invariant element has no dominant term; bug")
+        c = rest.terms[(i, j)]
+        key = (i - j, j)
+        out[key] = out[key] + c if key in out else c
+        rest = rest - eval_laurent({key: c}, zero, x1, lambda k: cls.monomial(ring, k, k))
+    return {key: c for key, c in out.items() if not c.is_zero()}
+
+
+to_xi_poly_ch = to_xi_poly
+
+
+def _divide_by_one_minus_alpha(num: SparsePoly) -> SparsePoly:
+    """Exact division by (1 - e^{(1,-1)}) in a two-variable Laurent ring.
 
     Multiplication by e^{(1,-1)} preserves the level n = a + b, so the
     division splits into independent one-dimensional problems per level.
@@ -208,7 +248,41 @@ def _divide_by_one_minus_alpha(num: GroupRingElement) -> GroupRingElement:
                 out[(t, n - t)] = acc
         if not acc.is_zero():
             raise ArithmeticError("division by 1 - e^{(1,-1)} left a remainder")
-    return GroupRingElement(ring, out)
+    return num._new(out)
+
+
+def _check_invariant_parts(a0, a1, name: str):
+    if not (a0.is_invariant() and a1.is_invariant()):
+        raise ArithmeticError(f"{name} produced non-invariant parts")
+    return a0, a1
+
+
+# ---------------------------------------------------------------------------
+# K-side: the group ring Z[Lambda]
+
+
+class GroupRingElement(SparsePoly):
+    """Finite sum of c * e^{(a,b)} with coefficients in a fixed ring."""
+
+    __slots__ = ()
+
+    # its own entry, so that perfbench/tracer.py can wrap this class's product
+    __mul__ = SparsePoly.__mul__
+
+    def s_action(self) -> "GroupRingElement":
+        return GroupRingElement(self.ring, {(b, a): c for (a, b), c in self.terms.items()})
+
+    def is_invariant(self) -> bool:
+        return self.s_action() == self
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = [f"({c})*e^{exp}" for exp, c in sorted(self.terms.items())]
+        return " + ".join(parts)
+
+    def to_json(self) -> dict:
+        return {f"({a},{b})": list(c.coeffs) for (a, b), c in sorted(self.terms.items())}
 
 
 def demazure_k(a: GroupRingElement, variant: str = "D") -> GroupRingElement:
@@ -226,12 +300,8 @@ def demazure_k(a: GroupRingElement, variant: str = "D") -> GroupRingElement:
 
 def decompose_k(a: GroupRingElement) -> tuple[GroupRingElement, GroupRingElement]:
     """Write a = a0 + a1*e^{(-1,0)} with a0, a1 invariant under s."""
-    ring = a.ring
     d = demazure_k(a, "D")
-    a1 = d * GroupRingElement.monomial(ring, 1, 0)
-    a0 = a - d
-    assert a0.is_invariant() and a1.is_invariant(), "decompose_k produced non-invariant parts"
-    return a0, a1
+    return _check_invariant_parts(a - d, d * GroupRingElement.monomial(a.ring, 1, 0), "decompose_k")
 
 
 def xi1_k(ring) -> GroupRingElement:
@@ -248,134 +318,38 @@ def xi_plus(ring, poly: dict) -> GroupRingElement:
     ``poly`` maps (m, k) to a coefficient, encoding the Laurent monomial
     e^{(1,0)}^m * e^{(1,1)}^k with m >= 0 and k arbitrary.
     """
-    out = GroupRingElement.zero(ring)
-    x1 = xi1_k(ring)
-    for (m, k), c in poly.items():
-        if m < 0:
-            raise ValueError("e^{(1,0)} is not invertible in the invariant ring")
-        term = GroupRingElement.from_scalar(ring, c) * xi2_k(ring, k)
-        for _ in range(m):
-            term = term * x1
-        out = out + term
-    return out
-
-
-def to_xi_poly(a: GroupRingElement) -> dict:
-    """Inverse of xi_plus on invariant elements: express a as a Laurent
-    polynomial {(m, k): coeff} in xi1, xi2.
-
-    Peels the extreme term: xi1^m * xi2^k has the unique maximal-spread
-    monomial e^{(m+k, k)} with coefficient 1.
-    """
-    if not a.is_invariant():
-        raise ValueError("to_xi_poly needs an s-invariant element")
-    ring = a.ring
-    rest = a
-    out: dict = {}
-    while not rest.is_zero():
-        (aa, bb) = max(rest.terms, key=lambda e: (e[0] - e[1], e[0]))
-        if aa < bb:
-            raise ArithmeticError("invariant element has no dominant term; bug")
-        c = rest.terms[(aa, bb)]
-        m, k = aa - bb, bb
-        key = (m, k)
-        out[key] = out[key] + c if key in out else c
-        rest = rest - xi_plus(ring, {key: c})
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return eval_laurent(poly, GroupRingElement.zero(ring), xi1_k(ring), lambda k: xi2_k(ring, k))
 
 
 # ---------------------------------------------------------------------------
 # Chow side: Sym(Lambda) localized at xi2' = eta1*eta2
 
 
-class SymElement:
-    """Polynomial in eta1, eta2 divided by (eta1*eta2)^denom.
+class SymElement(SparsePoly):
+    """Laurent polynomial in eta1, eta2.
 
-    terms: map (i, j) -> coeff for eta1^i * eta2^j of the numerator;
-    denom: the localization exponent, kept minimal.
+    terms: map (i, j) -> coeff of eta1^i * eta2^j, exponents of any sign.
+    ``SymElement(ring, terms, denom)`` divides the given terms by
+    (eta1*eta2)^denom.  The ``denom`` property is the least d >= 0 such
+    that (eta1*eta2)^d times the element is a polynomial.
     """
 
-    __slots__ = ("ring", "terms", "denom")
+    __slots__ = ()
+
+    # its own entry, so that perfbench/tracer.py can wrap this class's product
+    __mul__ = SparsePoly.__mul__
 
     def __init__(self, ring, terms: dict | None = None, denom: int = 0):
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if not c.is_zero():
-                    clean[(int(exp[0]), int(exp[1]))] = c
-        # canonical form: strip common eta1*eta2 factors into the denominator
-        while denom > 0 and clean and all(i > 0 and j > 0 for (i, j) in clean):
-            clean = {(i - 1, j - 1): c for (i, j), c in clean.items()}
-            denom -= 1
-        if not clean:
-            denom = 0
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "denom", denom)
+        if denom and terms:
+            terms = {(i - denom, j - denom): c for (i, j), c in terms.items()}
+        super().__init__(ring, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SymElement is immutable")
-
-    @staticmethod
-    def zero(ring) -> "SymElement":
-        return SymElement(ring, {})
-
-    @staticmethod
-    def one(ring) -> "SymElement":
-        return SymElement(ring, {(0, 0): ring.one})
-
-    @staticmethod
-    def monomial(ring, i: int, j: int, coeff=None) -> "SymElement":
-        return SymElement(ring, {(i, j): coeff if coeff is not None else ring.one})
-
-    @staticmethod
-    def from_scalar(ring, c) -> "SymElement":
-        return SymElement(ring, {(0, 0): c})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _raised(self, extra: int) -> dict:
-        return {(i + extra, j + extra): c for (i, j), c in self.terms.items()}
-
-    def __add__(self, other: "SymElement") -> "SymElement":
-        d = max(self.denom, other.denom)
-        out = self._raised(d - self.denom)
-        for exp, c in other._raised(d - other.denom).items():
-            out[exp] = out[exp] + c if exp in out else c
-        return SymElement(self.ring, out, d)
-
-    def __neg__(self) -> "SymElement":
-        return SymElement(self.ring, {e: -c for e, c in self.terms.items()}, self.denom)
-
-    def __sub__(self, other: "SymElement") -> "SymElement":
-        return self + (-other)
-
-    def __mul__(self, other: "SymElement") -> "SymElement":
-        out: dict = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                exp = (i1 + i2, j1 + j2)
-                prod = c1 * c2
-                out[exp] = out[exp] + prod if exp in out else prod
-        return SymElement(self.ring, out, self.denom + other.denom)
-
-    def scale(self, c) -> "SymElement":
-        return SymElement(self.ring, {e: c * v for e, v in self.terms.items()}, self.denom)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymElement)
-            and self.ring == other.ring
-            and self.denom == other.denom
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.denom, frozenset(self.terms.items())))
+    @property
+    def denom(self) -> int:
+        return max([0] + [-min(exp) for exp in self.terms])
 
     def s_action(self) -> "SymElement":
-        return SymElement(self.ring, {(j, i): c for (i, j), c in self.terms.items()}, self.denom)
+        return SymElement(self.ring, {(j, i): c for (i, j), c in self.terms.items()})
 
     def is_invariant(self) -> bool:
         return self.s_action() == self
@@ -383,39 +357,10 @@ class SymElement:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        parts = [f"({c})*n1^{i}*n2^{j}" for (i, j), c in sorted(self.terms.items())]
+        d = self.denom
+        parts = [f"({c})*n1^{i + d}*n2^{j + d}" for (i, j), c in sorted(self.terms.items())]
         body = " + ".join(parts)
-        return body if self.denom == 0 else f"({body}) / (n1*n2)^{self.denom}"
-
-
-def _divide_by_root(num_terms: dict, ring) -> dict:
-    """Exact division of a polynomial {(i,j): c} by (eta1 - eta2).
-
-    Synthetic division in eta1 over Z[eta2]; the remainder is the
-    evaluation at eta1 = eta2 and must vanish.
-    """
-    if not num_terms:
-        return {}
-    rows: dict[int, dict[int, object]] = {}
-    for (i, j), c in num_terms.items():
-        rows.setdefault(i, {})[j] = c
-    imax = max(rows)
-    quot: dict = {}
-    carry: dict[int, object] = {}  # coefficient row of eta1^i in the quotient
-    for i in range(imax, 0, -1):
-        row = dict(rows.get(i, {}))
-        for j, c in carry.items():
-            row[j] = row[j] + c if j in row else c
-        for j, c in row.items():
-            if not c.is_zero():
-                quot[(i - 1, j)] = c
-        carry = {j + 1: c for j, c in row.items() if not c.is_zero()}
-    rem = dict(rows.get(0, {}))
-    for j, c in carry.items():
-        rem[j] = rem[j] + c if j in rem else c
-    if any(not c.is_zero() for c in rem.values()):
-        raise ArithmeticError("division by eta1 - eta2 left a remainder")
-    return quot
+        return body if d == 0 else f"({body}) / (n1*n2)^{d}"
 
 
 def demazure_ch(a: SymElement, variant: str = "D") -> SymElement:
@@ -430,7 +375,8 @@ def demazure_ch(a: SymElement, variant: str = "D") -> SymElement:
         return demazure_ch(a, "D") - demazure_ch(a, "D'").scale(ring.q)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return SymElement(ring, _divide_by_root(num.terms, ring), num.denom)
+    # eta1 - eta2 = -eta2 * (1 - e^{(1,-1)}) with e^{(1,-1)} = eta1/eta2
+    return _divide_by_one_minus_alpha(SymElement(ring, {(i, j - 1): -c for (i, j), c in num.terms.items()}))
 
 
 def delta_ch(ring) -> SymElement:
@@ -451,9 +397,7 @@ def _half(ring):
 def decompose_ch(a: SymElement) -> tuple[SymElement, SymElement]:
     """Write a = a0 + a1*(eta1-eta2)/2 with a0, a1 invariant."""
     a1 = demazure_ch(a, "D")
-    a0 = a - a1 * delta_ch(a.ring)
-    assert a0.is_invariant() and a1.is_invariant(), "decompose_ch produced non-invariant parts"
-    return a0, a1
+    return _check_invariant_parts(a - a1 * delta_ch(a.ring), a1, "decompose_ch")
 
 
 def xi1_ch(ring) -> SymElement:
@@ -461,30 +405,4 @@ def xi1_ch(ring) -> SymElement:
 
 
 def xi2_ch(ring, power: int = 1) -> SymElement:
-    if power >= 0:
-        return SymElement(ring, {(power, power): ring.one})
-    return SymElement(ring, {(0, 0): ring.one}, -power)
-
-
-def to_xi_poly_ch(a: SymElement) -> dict:
-    """Express an invariant SymElement as {(m, k): coeff} for
-    xi1'^m * xi2'^k (k may be negative via the localization)."""
-    if not a.is_invariant():
-        raise ValueError("to_xi_poly_ch needs an s-invariant element")
-    ring = a.ring
-    rest = a
-    out: dict = {}
-    while not rest.is_zero():
-        (i, j) = max(rest.terms, key=lambda e: (e[0] - e[1], e[0]))
-        if i < j:
-            raise ArithmeticError("invariant element has no dominant term; bug")
-        c = rest.terms[(i, j)]
-        m, k = i - j, j - rest.denom
-        key = (m, k)
-        out[key] = out[key] + c if key in out else c
-        mono = xi2_ch(ring, k)
-        x1 = xi1_ch(ring)
-        for _ in range(m):
-            mono = mono * x1
-        rest = rest - mono.scale(c)
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return SymElement.monomial(ring, power, power)

@@ -21,19 +21,19 @@ series of dimensions [2, 4, 6, 8] and four isomorphic simple factors.
 
 from __future__ import annotations
 
-import sympy
-
 from . import linalg
-from .charrings import (
-    FieldRing,
-    SymElement,
-    decompose_ch,
-    delta_ch,
-    xi1_ch,
-    xi2_ch,
+from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, xi1_ch, xi2_ch
+from .hecke import HeckeElement
+from .krep import (
+    FiniteModule,
+    basis_matrices,
+    field_elements,
+    identity2,
+    invariant_matrix_flatten,
+    is_isomorphic,
+    rep_over_center,
+    standard_module_h2,
 )
-from .hecke import CenterElement, HeckeElement, normal_form_over_center
-from .krep import FiniteModule, _det_cofactor, gr_mat_add, gr_mat_mul, gr_mat_scale, standard_module_h2
 from .weyl import act_on_index
 
 
@@ -42,9 +42,7 @@ from .weyl import act_on_index
 
 
 def sym_identity(ring):
-    one = SymElement.one(ring)
-    zero = SymElement.zero(ring)
-    return ((one, zero), (zero, one))
+    return identity2(SymElement, ring)
 
 
 def rep_A0nil_S(ring):
@@ -74,44 +72,17 @@ def rep_Anil_U(ring: FieldRing):
     return ((a, b), (c, -a))
 
 
-def center_to_invariants_ch(z: CenterElement, ring) -> SymElement:
-    """zeta1 -> -xi1, zeta2 -> xi2^2 on the Chow side."""
-    out = SymElement.zero(ring)
-    x1 = xi1_ch(ring)
-    for (m, k), c in z.terms.items():
-        term = xi2_ch(ring, 2 * k)
-        for _ in range(m):
-            term = term * (-x1)
-        out = out + term.scale(c)
-    return out
-
-
 def rep_Anil(x: HeckeElement):
-    """The representation Anil on a general nil-flavor element over GF(p)."""
+    """The representation Anil on a general nil-flavor element over GF(p);
+    the center maps by zeta1 -> -xi1, zeta2 -> xi2^2."""
     if x.flavor != "nil":
         raise ValueError("rep_Anil is defined on the nil flavor")
     ring = x.ring
     if not ring.is_field or ring.from_int(2).is_zero():
         raise ValueError("Anil needs a coefficient field of odd characteristic")
-    MS = rep_A0nil_S(ring)
-    MU = rep_Anil_U(ring)
-    basis_mats = (sym_identity(ring), MS, MU, gr_mat_mul(MS, MU))
-    coords = normal_form_over_center(x)
-    zero = SymElement.zero(ring)
-    out = ((zero, zero), (zero, zero))
-    for cz, mat in zip(coords, basis_mats):
-        if cz.is_zero():
-            continue
-        out = gr_mat_add(out, gr_mat_scale(mat, center_to_invariants_ch(cz, ring)))
-    return out
-
-
-def apply_matrix_ch(M, a: SymElement) -> SymElement:
-    """Apply a 2x2 invariant matrix to a via the basis {1, delta}."""
-    a0, a1 = decompose_ch(a)
-    b0 = M[0][0] * a0 + M[0][1] * a1
-    b1 = M[1][0] * a0 + M[1][1] * a1
-    return b0 + b1 * delta_ch(a.ring)
+    return rep_over_center(
+        x, SymElement, rep_A0nil_S(ring), rep_Anil_U(ring), -xi1_ch(ring), lambda k: xi2_ch(ring, 2 * k)
+    )
 
 
 def eta1_squared_s_matrix(ring: FieldRing):
@@ -129,11 +100,8 @@ def eta1_squared_s_matrix(ring: FieldRing):
 def nil_independence_determinant(ring: FieldRing) -> SymElement:
     """Determinant of the 4x4 coordinate matrix of {1, Anil(S), Anil(U),
     Anil(SU)} over the (localized) invariant ring, a domain."""
-    MS = rep_A0nil_S(ring)
-    MU = rep_Anil_U(ring)
-    mats = [sym_identity(ring), MS, MU, gr_mat_mul(MS, MU)]
-    rows = tuple((M[0][0], M[0][1], M[1][0], M[1][1]) for M in mats)
-    return _det_cofactor(rows, SymElement.zero(ring))
+    mats = basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring))
+    return linalg.det(invariant_matrix_flatten(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +114,10 @@ def check_naive_obstruction() -> dict:
 
     The surviving equation a^2 = xi2 has no solution in GF(p)[xi2^{+-1}]:
     squares have even extreme degrees while xi2 is concentrated in the
-    odd degree 1.
+    odd degree 1.  Checks of the derivation raise ArithmeticError.
     """
+    import sympy  # imported here: nothing else needs it, and it dominates import time
+
     a, b, c, d, x1, x2 = sympy.symbols("a b c d xi1 xi2")
     S = sympy.Matrix([[0, -1], [0, 0]])
     U = sympy.Matrix([[a, b], [c, d]])
@@ -156,12 +126,15 @@ def check_naive_obstruction() -> dict:
     linear_eqs = [anti[i, j] for i in range(2) for j in range(2)]
     linear_eqs += [square[0, 1], square[1, 0]]
     sol = sympy.solve(linear_eqs, [c, d], dict=True)
-    assert len(sol) == 1, "constraint system should determine c and d"
+    if len(sol) != 1:
+        raise ArithmeticError("constraint system should determine c and d")
     sol = sol[0]
-    assert sol[d] == -a and sol[c] == x1, f"unexpected linear solution {sol}"
+    if sol[d] != -a or sol[c] != x1:
+        raise ArithmeticError(f"unexpected linear solution {sol}")
     residual = sympy.expand(square[0, 0].subs(sol))  # a^2 + b*xi1 - xi2
     at_zero = residual.subs(x1, 0)  # a^2 - xi2
-    assert at_zero == a**2 - x2
+    if at_zero != a**2 - x2:
+        raise ArithmeticError(f"unexpected residual at xi1 = 0: {at_zero}")
     return {
         "system": {"d": "-a", "c": "xi1", "residual": str(residual) + " = 0"},
         "specialized": "a^2 = xi2 in GF(p)[xi2^(+-1)]",
@@ -190,11 +163,6 @@ def square_has_even_extremes(coeff_exponents: dict, p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # the twisted representation A2
-
-
-def perm_block(w) -> bool:
-    """Does perm(w) swap the two components?"""
-    return w.finite == "s"
 
 
 def rep_A2(x: HeckeElement):
@@ -299,7 +267,8 @@ def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     )
     mod.validate()
     # the quadratic constant: xi2^2 acts as b
-    assert linalg.mat_mul(MU, MU) == linalg.mat_scale(linalg.mat_identity(ring, 8), b)
+    if linalg.mat_mul(MU, MU) != linalg.mat_scale(linalg.mat_identity(ring, 8), b):
+        raise ArithmeticError("U^2 != b on the 8-dimensional module")
     return mod
 
 
@@ -322,31 +291,6 @@ def explicit_chain(m: FiniteModule) -> list:
     return [linalg.rref(rows) for rows in chains]
 
 
-def _coords_in(rows, v, ring):
-    """Coordinates of v in the row basis (rows assumed independent)."""
-    cols = [list(r) for r in rows]
-    sol = linalg_solve_columns(cols, v, ring)
-    if sol is None:
-        raise ValueError("vector outside the subspace")
-    return sol
-
-
-def linalg_solve_columns(cols, target, ring):
-    """Solve sum_j x_j cols[j] = target; returns x or None."""
-    n = len(target)
-    m = len(cols)
-    aug = tuple(
-        tuple([cols[j][i] for j in range(m)] + [target[i]]) for i in range(n)
-    )
-    R, pivots = linalg.rref(aug)
-    if m in pivots:
-        return None
-    x = [ring.zero] * m
-    for row, p in zip(R, pivots):
-        x[p] = row[m]
-    return tuple(x)
-
-
 def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
     """The module big/small for invariant subspaces small <= big.
 
@@ -363,7 +307,7 @@ def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
         out = [[ring.zero] * dim for _ in range(dim)]
         for j, v in enumerate(q_basis):
             w = linalg.mat_vec(M, v)
-            sol = linalg_solve_columns(cols, w, ring)
+            sol = linalg.solve_columns(cols, w, ring)
             if sol is None:
                 raise ValueError("subspace is not invariant")
             for i in range(dim):
@@ -381,10 +325,8 @@ def composition_series(m: FiniteModule, b) -> dict:
     and that every subquotient is isomorphic to the standard rank-2
     module with U^2 = b.
     """
-    from .krep import is_isomorphic
-
     ring = m.ring
-    ops = m.operators()
+    ops = m.generator_matrices()
     chain = explicit_chain(m)
     dims = []
     for rows, piv in chain:
@@ -455,12 +397,15 @@ def semisimplify(m: FiniteModule, b) -> dict:
 
 
 def reduced_spin_seeds(ring, dim: int = 8):
-    """Spinning seeds: the basis lines plus all sums of two scaled basis
-    vectors.  Exhausting all of E^8 is out of reach; any submodule
-    contains a vector supported on at most ... every 2-dimensional
-    composition factor forces short vectors, and maximality of the found
-    lattice is verified separately by the chain checks."""
-    elements = [x for x in (ring.tower.base_elements() if ring.level == "base" else ring.tower.ext_elements()) if not x.is_zero()]
+    """Spinning seeds: the dim basis lines e_i plus every e_i + c*e_j with
+    i < j and c in E^x, so dim + C(dim, 2)*(|E| - 1) vectors.  For dim = 8
+    over E = GF(q^2) that is 8 + 28(q^2 - 1), 232 at q = 3.
+
+    Exhausting all of E^8 is out of reach.  The set makes no claim to
+    meet every submodule: the chain checks verify separately that the
+    members of the explicit composition chain are among the spun
+    subspaces."""
+    elements = [x for x in field_elements(ring) if not x.is_zero()]
     seeds = []
     for i in range(dim):
         seeds.append(_unit_vector(ring, dim, i))

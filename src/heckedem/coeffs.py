@@ -364,12 +364,9 @@ class FieldElement:
 
 
 @lru_cache(maxsize=None)
-def build_tower(p: int, f: int, seed: int | None = None) -> FieldTower:
-    """Construct GF(p) < GF(p^f) < GF(p^2f) deterministically.
-
-    The seed argument is accepted for interface stability; the search is
-    fully deterministic (lowest-lexicographic moduli, smallest generator).
-    """
+def build_tower(p: int, f: int) -> FieldTower:
+    """Construct GF(p) < GF(p^f) < GF(p^2f) deterministically: the
+    lowest-lexicographic moduli and the smallest generator."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
     if not _is_prime(p):

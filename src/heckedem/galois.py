@@ -104,7 +104,8 @@ def module_of(rho: GaloisParam, field_ring: FieldRing | None = None) -> FiniteMo
         return reduce_at_theta(theta, field_ring)
     m8 = reduce_regular_at_theta(theta, field_ring)
     series = composition_series(m8, rho.b)
-    assert series["all_factors_standard"]
+    if not series["all_factors_standard"]:
+        raise ArithmeticError("a composition factor of the 8-dimensional module is not standard")
     return series["factors"][0]
 
 

@@ -18,36 +18,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import weyl
-from .coeffs import FieldTower
+from . import linalg, weyl
+from .charrings import SparsePoly, eval_laurent
+from .coeffs import FieldTower, GenericScalar
 from .weyl import WeylElement, act_on_index, length, reduced_word
 
 FLAVORS = ("iwahori", "nil", "h2")
 
 
-class HeckeElement:
+class HeckeElement(SparsePoly):
     """Finite sum of coeff * T_w (times an idempotent index for h2).
 
     Term keys are WeylElements for iwahori/nil and pairs (i, WeylElement)
     with i in {1, 2} for h2.
     """
 
-    __slots__ = ("flavor", "ring", "terms")
+    __slots__ = ("flavor",)
 
     def __init__(self, flavor: str, ring, terms: dict | None = None):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
-        clean = {}
-        if terms:
-            for key, c in terms.items():
-                if not c.is_zero():
-                    clean[key] = c
         object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
+        super().__init__(ring, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HeckeElement is immutable")
+    def _new(self, terms: dict) -> "HeckeElement":
+        return HeckeElement(self.flavor, self.ring, terms)
 
     # constructors -------------------------------------------------------
     @staticmethod
@@ -67,40 +62,17 @@ class HeckeElement:
 
     @staticmethod
     def one(flavor: str, ring) -> "HeckeElement":
-        if flavor == "h2":
-            return HeckeElement(flavor, ring, {(1, weyl.E): ring.one, (2, weyl.E): ring.one})
-        return HeckeElement(flavor, ring, {weyl.E: ring.one})
+        return T_w(flavor, ring, weyl.E)
 
-    # linear structure ----------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
+    # linear structure: the sparse core, within one flavor and ring --------
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         self._check_compatible(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return HeckeElement(self.flavor, self.ring, out)
-
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement(self.flavor, self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
-
-    def scale(self, c) -> "HeckeElement":
-        return HeckeElement(self.flavor, self.ring, {k: c * v for k, v in self.terms.items()})
+        return super().__add__(other)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, HeckeElement)
-            and self.flavor == other.flavor
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return super().__eq__(other) and self.flavor == other.flavor
 
-    def __hash__(self) -> int:
-        return hash((self.flavor, frozenset(self.terms.items())))
+    __hash__ = SparsePoly.__hash__
 
     def _check_compatible(self, other: "HeckeElement"):
         if self.flavor != other.flavor:
@@ -192,23 +164,23 @@ def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:
 # distinguished elements ---------------------------------------------------
 
 
-def T_S(flavor: str, ring) -> HeckeElement:
-    if flavor == "h2":
-        return HeckeElement(flavor, ring, {(1, weyl.S): ring.one, (2, weyl.S): ring.one})
-    return HeckeElement.basis(flavor, ring, weyl.S)
-
-
-def T_U(flavor: str, ring, power: int = 1) -> HeckeElement:
-    w = weyl._u_power(power)
+def T_w(flavor: str, ring, w: WeylElement) -> HeckeElement:
+    """T_w, with both idempotent components e_1 T_w + e_2 T_w in the h2 flavor."""
     if flavor == "h2":
         return HeckeElement(flavor, ring, {(1, w): ring.one, (2, w): ring.one})
     return HeckeElement.basis(flavor, ring, w)
 
 
+def T_S(flavor: str, ring) -> HeckeElement:
+    return T_w(flavor, ring, weyl.S)
+
+
+def T_U(flavor: str, ring, power: int = 1) -> HeckeElement:
+    return T_w(flavor, ring, weyl._u_power(power))
+
+
 def T_S0(flavor: str, ring) -> HeckeElement:
-    if flavor == "h2":
-        return HeckeElement(flavor, ring, {(1, weyl.S0): ring.one, (2, weyl.S0): ring.one})
-    return HeckeElement.basis(flavor, ring, weyl.S0)
+    return T_w(flavor, ring, weyl.S0)
 
 
 def idem_element(ring, i: int) -> HeckeElement:
@@ -220,72 +192,19 @@ def idem_element(ring, i: int) -> HeckeElement:
 # center
 
 
-class CenterElement:
+class CenterElement(SparsePoly):
     """Laurent polynomial in zeta1, zeta2 (zeta2 invertible).
 
     terms: map (m, k) -> coeff for zeta1^m * zeta2^k, m >= 0, k in Z.
     """
 
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for (m, k), c in terms.items():
-                if m < 0:
-                    raise ValueError("zeta1 is not invertible")
-                if not c.is_zero():
-                    clean[(int(m), int(k))] = c
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CenterElement is immutable")
+    __slots__ = ()
 
     @staticmethod
-    def zero(ring) -> "CenterElement":
-        return CenterElement(ring, {})
-
-    @staticmethod
-    def one(ring) -> "CenterElement":
-        return CenterElement(ring, {(0, 0): ring.one})
-
-    @staticmethod
-    def monomial(ring, m: int, k: int, coeff=None) -> "CenterElement":
-        return CenterElement(ring, {(m, k): coeff if coeff is not None else ring.one})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "CenterElement") -> "CenterElement":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
-        return CenterElement(self.ring, out)
-
-    def __neg__(self) -> "CenterElement":
-        return CenterElement(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "CenterElement") -> "CenterElement":
-        return self + (-other)
-
-    def __mul__(self, other: "CenterElement") -> "CenterElement":
-        out: dict = {}
-        for (m1, k1), c1 in self.terms.items():
-            for (m2, k2), c2 in other.terms.items():
-                key = (m1 + m2, k1 + k2)
-                prod = c1 * c2
-                out[key] = out[key] + prod if key in out else prod
-        return CenterElement(self.ring, out)
-
-    def scale(self, c) -> "CenterElement":
-        return CenterElement(self.ring, {k: c * v for k, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CenterElement) and self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+    def _clean(terms: dict) -> dict:
+        if any(m < 0 for m, _ in terms):
+            raise ValueError("zeta1 is not invertible")
+        return SparsePoly._clean(terms)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -311,14 +230,8 @@ def center_embed(z: CenterElement, flavor: str, ring=None) -> HeckeElement:
     """Expand a zeta-polynomial into the T_w basis."""
     if ring is None:
         ring = z.ring
-    z1 = zeta1_embedded(flavor, ring)
-    out = HeckeElement.zero(flavor, ring)
-    for (m, k), c in z.terms.items():
-        term = T_U(flavor, ring, 2 * k)  # zeta2^k, any sign of k
-        for _ in range(m):
-            term = term * z1
-        out = out + term.scale(c)
-    return out
+    zero, zeta1 = HeckeElement.zero(flavor, ring), zeta1_embedded(flavor, ring)
+    return eval_laurent(z.terms, zero, zeta1, lambda k: T_U(flavor, ring, 2 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -426,26 +339,23 @@ def recompose_from_center(coords, flavor: str, ring) -> HeckeElement:
 # the 2x2 matrix model of h2 at q = 0
 
 
-class ZRingElement:
-    """Element of Z[X, Y, z2^{+-1}] / (XY).
+class ZRingElement(SparsePoly):
+    """Element of Z[X, Y, z2^{+-1}] / (XY) with integer coefficients.
 
     terms: map (dx, dy, dz) -> int with dx, dy >= 0 and dx*dy = 0.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict | None = None):
-        clean = {}
-        if terms:
-            for (dx, dy, dz), c in terms.items():
-                if dx > 0 and dy > 0:
-                    continue  # XY = 0
-                if c:
-                    clean[(dx, dy, dz)] = c
-        object.__setattr__(self, "terms", clean)
+        super().__init__(None, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ZRingElement is immutable")
+    @staticmethod
+    def _clean(terms: dict) -> dict:
+        return {key: c for key, c in terms.items() if c and not (key[0] > 0 and key[1] > 0)}  # XY = 0
+
+    def _new(self, terms: dict) -> "ZRingElement":
+        return ZRingElement(terms)
 
     @staticmethod
     def const(n: int) -> "ZRingElement":
@@ -461,46 +371,10 @@ class ZRingElement:
             return ZRingElement({(0, 0, power): 1})
         raise ValueError(name)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return ZRingElement(out)
-
-    def __neg__(self):
-        return ZRingElement({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        out: dict = {}
-        for (x1, y1, z1), c1 in self.terms.items():
-            for (x2, y2, z2), c2 in other.terms.items():
-                key = (x1 + x2, y1 + y2, z1 + z2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return ZRingElement(out)
-
-    def __eq__(self, other):
-        return isinstance(other, ZRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __repr__(self):
         if not self.terms:
             return "0"
         return " + ".join(f"{c}*X^{x}*Y^{y}*z2^{z}" for (x, y, z), c in sorted(self.terms.items()))
-
-
-def _zmat_mul(A, B):
-    return tuple(
-        tuple(sum((A[i][k] * B[k][j] for k in range(2)), ZRingElement()) for j in range(2))
-        for i in range(2)
-    )
 
 
 _ZM_S = (
@@ -511,16 +385,13 @@ _ZM_U = ((ZRingElement(), ZRingElement.gen("z2")), (ZRingElement.const(1), ZRing
 _ZM_U_INV = ((ZRingElement(), ZRingElement.const(1)), (ZRingElement.gen("z2", -1), ZRingElement()))
 _ZM_E1 = ((ZRingElement.const(1), ZRingElement()), (ZRingElement(), ZRingElement()))
 _ZM_E2 = ((ZRingElement(), ZRingElement()), (ZRingElement(), ZRingElement.const(1)))
+# s0 = u s u^{-1}
+_ZM_S0 = linalg.mat_mul(linalg.mat_mul(_ZM_U, _ZM_S), _ZM_U_INV)
 
 
-def specialize_q0(x: HeckeElement) -> HeckeElement:
-    """Set q = 0 in an element with Z[q] coefficients."""
-    from .coeffs import GenericScalar
-
-    terms = {}
-    for key, c in x.terms.items():
-        terms[key] = GenericScalar.const(c.coeffs[0] if c.coeffs else 0)
-    return HeckeElement(x.flavor, x.ring, terms)
+def specialize_q0(x: SparsePoly) -> SparsePoly:
+    """Set q = 0 in a Hecke or group-ring element with Z[q] coefficients."""
+    return x.map_coeffs(lambda c: GenericScalar.const(c.evaluate(0)))
 
 
 def h2_matrix_model(x: HeckeElement):
@@ -541,17 +412,11 @@ def h2_matrix_model(x: HeckeElement):
         word = reduced_word(w)
         m = _ZM_E1 if i == 1 else _ZM_E2
         for letter in word.letters:
-            if letter == "s":
-                m = _zmat_mul(m, _ZM_S)
-            else:  # s0 = U S U^{-1}
-                m = _zmat_mul(_zmat_mul(_zmat_mul(m, _ZM_U), _ZM_S), _ZM_U_INV)
+            m = linalg.mat_mul(m, _ZM_S if letter == "s" else _ZM_S0)
         step = _ZM_U if word.omega_power >= 0 else _ZM_U_INV
         for _ in range(abs(word.omega_power)):
-            m = _zmat_mul(m, step)
-        scaled = tuple(tuple(entry * ZRingElement.const(n) for entry in row) for row in m)
-        out = tuple(
-            tuple(out[r][s] + scaled[r][s] for s in range(2)) for r in range(2)
-        )
+            m = linalg.mat_mul(m, step)
+        out = linalg.mat_add(out, linalg.mat_scale(m, ZRingElement.const(n)))
     return out
 
 

@@ -19,48 +19,36 @@ from itertools import product
 
 from . import linalg
 from .charrings import (
+    ZQ,
     FieldRing,
     GroupRingElement,
     decompose_k,
+    eval_laurent,
     to_xi_poly,
     xi1_k,
     xi2_k,
 )
 from .coeffs import GenericScalar
-from .hecke import CenterElement, HeckeElement, T_S, T_U, normal_form_over_center
+from .hecke import HeckeElement, normal_form_over_center, specialize_q0
 
 
 # ---------------------------------------------------------------------------
 # generic 2x2 matrices over the group ring
 
 
-def gr_identity(ring):
-    one = GroupRingElement.one(ring)
-    zero = GroupRingElement.zero(ring)
+def identity2(cls, ring):
+    """The 2x2 identity matrix over the group or symmetric ring ``cls``."""
+    one, zero = cls.one(ring), cls.zero(ring)
     return ((one, zero), (zero, one))
 
 
-def gr_mat_mul(A, B):
-    n = len(A)
-    return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(1, n)), A[i][0] * B[0][j])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
+def gr_identity(ring):
+    return identity2(GroupRingElement, ring)
 
 
-def gr_mat_add(A, B):
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def gr_mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def gr_mat_scale(A, c: GroupRingElement):
-    return tuple(tuple(c * a for a in row) for row in A)
+def basis_matrices(cls, ring, MS, MU) -> tuple:
+    """{Id, MS, MU, MS MU}: the images of the basis {1, S, U, SU} over the center."""
+    return (identity2(cls, ring), MS, MU, linalg.mat_mul(MS, MU))
 
 
 def rep_A0_S(ring):
@@ -84,38 +72,30 @@ def rep_A_U(ring):
     return ((x1, b), (c, -x1))
 
 
-def center_to_invariants(z: CenterElement, ring) -> GroupRingElement:
-    """zeta1 -> xi1, zeta2 -> xi2 (Laurent in zeta2)."""
-    out = GroupRingElement.zero(ring)
-    x1 = xi1_k(ring)
-    for (m, k), c in z.terms.items():
-        term = xi2_k(ring, k)
-        for _ in range(m):
-            term = term * x1
-        out = out + term.scale(c)
+def rep_over_center(x: HeckeElement, cls, MS, MU, zeta1, zeta2_power):
+    """A 2x2 representation on a general element, given on generators.
+
+    Writes x = c_1 + c_S S + c_U U + c_SU SU over the center, maps each
+    central coordinate to ``cls`` by zeta1 -> ``zeta1`` and zeta2^k ->
+    ``zeta2_power(k)``, and sums against {Id, MS, MU, MS MU}.
+    """
+    zero = cls.zero(x.ring)
+    out = ((zero, zero), (zero, zero))
+    for cz, mat in zip(normal_form_over_center(x), basis_matrices(cls, x.ring, MS, MU)):
+        if not cz.is_zero():
+            out = linalg.mat_add(out, linalg.mat_scale(mat, eval_laurent(cz.terms, zero, zeta1, zeta2_power)))
     return out
 
 
 def rep_A(x: HeckeElement):
-    """The representation A(q) on a general iwahori-flavor element.
-
-    Writes x = c_1 + c_S S + c_U U + c_SU SU over the center, maps the
-    center into the invariant ring and the basis to products of the two
-    generator matrices.
-    """
+    """The representation A(q) on a general iwahori-flavor element; the
+    center maps by zeta1 -> xi1, zeta2 -> xi2."""
     if x.flavor != "iwahori":
         raise ValueError("rep_A is defined on the iwahori flavor")
     ring = x.ring
-    MS = rep_A0_S(ring)
-    MU = rep_A_U(ring)
-    basis_mats = (gr_identity(ring), MS, MU, gr_mat_mul(MS, MU))
-    coords = normal_form_over_center(x)
-    out = ((GroupRingElement.zero(ring),) * 2,) * 2
-    for cz, mat in zip(coords, basis_mats):
-        if cz.is_zero():
-            continue
-        out = gr_mat_add(out, gr_mat_scale(mat, center_to_invariants(cz, ring)))
-    return out
+    return rep_over_center(
+        x, GroupRingElement, rep_A0_S(ring), rep_A_U(ring), xi1_k(ring), lambda k: xi2_k(ring, k)
+    )
 
 
 def apply_matrix_k(M, a: GroupRingElement) -> GroupRingElement:
@@ -126,18 +106,6 @@ def apply_matrix_k(M, a: GroupRingElement) -> GroupRingElement:
     b0 = M[0][0] * a0 + M[0][1] * a1
     b1 = M[1][0] * a0 + M[1][1] * a1
     return b0 + b1 * e_minus
-
-
-def specialize_q0_gr(a: GroupRingElement) -> GroupRingElement:
-    """Set q = 0 in a group-ring element with Z[q] coefficients."""
-    out = {}
-    for exp, c in a.terms.items():
-        out[exp] = GenericScalar.const(c.coeffs[0] if c.coeffs else 0)
-    return GroupRingElement(a.ring, out)
-
-
-def gr_det(M) -> GroupRingElement:
-    return M[0][0] * M[1][1] - M[0][1] * M[1][0]
 
 
 def check_theorem_constraints(ring) -> dict:
@@ -173,25 +141,10 @@ def independence_determinant(ring, at_q0: bool = False) -> GroupRingElement:
     The group ring is an integral domain, so a nonzero determinant proves
     linear independence over the invariant ring.
     """
-    MS = rep_A0_S(ring)
-    MU = rep_A_U(ring)
-    mats = [gr_identity(ring), MS, MU, gr_mat_mul(MS, MU)]
-    rows = invariant_matrix_flatten(mats)
+    rows = invariant_matrix_flatten(basis_matrices(GroupRingElement, ring, rep_A0_S(ring), rep_A_U(ring)))
     if at_q0:
-        rows = tuple(tuple(specialize_q0_gr(x) for x in row) for row in rows)
-    return _det_cofactor(rows, GroupRingElement.zero(ring))
-
-
-def _det_cofactor(M, zero):
-    n = len(M)
-    if n == 1:
-        return M[0][0]
-    acc = zero
-    for j in range(n):
-        minor = tuple(tuple(row[t] for t in range(n) if t != j) for row in M[1:])
-        term = M[0][j] * _det_cofactor(minor, zero)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+        rows = tuple(tuple(specialize_q0(x) for x in row) for row in rows)
+    return linalg.det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -221,23 +174,25 @@ class FiniteModule:
         names = ("e1", "e2", "S", "U", "Uinv") if self.flavor == "h2" else ("S", "U", "Uinv")
         return [d[name] for name in names]
 
-    def operators(self) -> list:
-        return self.generator_matrices()
-
     def validate(self):
+        """Check the defining relations at q = 0; raises ValueError."""
         d = self.gen_dict()
         S, U, Uinv = d["S"], d["U"], d["Uinv"]
         ident = linalg.mat_identity(self.ring, self.dim)
-        assert linalg.mat_mul(U, Uinv) == ident, "U * Uinv != identity"
+        if linalg.mat_mul(U, Uinv) != ident:
+            raise ValueError("U * Uinv != identity")
         S2 = linalg.mat_mul(S, S)
         if self.flavor == "iwahori":
-            assert S2 == linalg.mat_scale(S, -self.ring.one), "S^2 != -S at q = 0"
-        else:
-            assert all(x.is_zero() for row in S2 for x in row), "S^2 != 0 at q = 0"
+            if S2 != linalg.mat_scale(S, -self.ring.one):
+                raise ValueError("S^2 != -S at q = 0")
+        elif any(not x.is_zero() for row in S2 for x in row):
+            raise ValueError("S^2 != 0 at q = 0")
         if self.flavor == "h2":
             e1, e2 = d["e1"], d["e2"]
-            assert linalg.mat_mul(e1, e1) == e1 and linalg.mat_mul(e2, e2) == e2
-            assert linalg.mat_add(e1, e2) == ident
+            if linalg.mat_mul(e1, e1) != e1 or linalg.mat_mul(e2, e2) != e2:
+                raise ValueError("e1, e2 are not idempotent")
+            if linalg.mat_add(e1, e2) != ident:
+                raise ValueError("e1 + e2 != identity")
         return self
 
 
@@ -272,8 +227,8 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     ring = field_ring
     zero, one = ring.zero, ring.one
 
-    MU_gen = rep_A_U(_zq_ring())
-    MU0 = tuple(tuple(specialize_q0_gr(x) for x in row) for row in MU_gen)
+    MU_gen = rep_A_U(ZQ)
+    MU0 = tuple(tuple(specialize_q0(x) for x in row) for row in MU_gen)
     MU = tuple(tuple(_substitute_invariant(x, tau1, tau2) for x in row) for row in MU0)
     # S at q = 0: [[0, 0], [0, -1]] (independent of theta)
     MS = ((zero, zero), (zero, -one))
@@ -292,12 +247,6 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
         labels=("1", "e^{(0,1)}"),
     )
     return mod.validate()
-
-
-def _zq_ring():
-    from .charrings import ZQ
-
-    return ZQ
 
 
 def standard_module(tau1, tau2, field_ring: FieldRing) -> FiniteModule:
@@ -347,13 +296,13 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule) -> bool:
     return X is not None
 
 
-def _field_elements(ring: FieldRing):
+def field_elements(ring: FieldRing):
     return ring.tower.base_elements() if ring.level == "base" else ring.tower.ext_elements()
 
 
 def projective_lines(ring: FieldRing, dim: int):
     """Representatives of all lines of E^dim: first nonzero coordinate 1."""
-    elements = _field_elements(ring)
+    elements = field_elements(ring)
     for lead in range(dim):
         for tail in product(elements, repeat=dim - lead - 1):
             yield (ring.zero,) * lead + (ring.one,) + tail
@@ -370,7 +319,7 @@ def submodule_lattice(m: FiniteModule, seeds=None) -> list:
         if m.dim > 4:
             raise ValueError("default exhaustive seeding is limited to dim <= 4; pass seeds")
         seeds = list(projective_lines(m.ring, m.dim))
-    ops = m.operators()
+    ops = m.generator_matrices()
     found = {(): ((), [])}
     for v in seeds:
         sub = linalg.spin([v], ops, m.ring)
@@ -392,7 +341,7 @@ def submodule_lattice(m: FiniteModule, seeds=None) -> list:
 
 def is_irreducible(m: FiniteModule) -> bool:
     """Exhaustive: every nonzero vector spins to the whole space."""
-    ops = m.operators()
+    ops = m.generator_matrices()
     for v in projective_lines(m.ring, m.dim):
         rows, _ = linalg.spin([v], ops, m.ring)
         if len(rows) != m.dim:

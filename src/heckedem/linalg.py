@@ -1,9 +1,11 @@
-"""Exact linear algebra over a finite field.
+"""Exact linear algebra.
 
-Matrices are tuples of tuples of FieldElements; vectors are tuples.
-Everything is deterministic and exact: row reduction, rank, nullspace,
-invariant-subspace spinning and intertwiner search for module
-isomorphism at desk scale.
+Matrices are tuples of tuples; vectors are tuples.  The matrix helpers
+(identity, sum, scaling, product, determinant) work over any ring whose
+elements support +, - and *: finite fields, and the group, symmetric,
+center and Hecke rings.  Row reduction, rank, nullspace, solving,
+invariant-subspace spinning and the intertwiner search for module
+isomorphism need a field.  Everything is deterministic and exact.
 """
 
 from __future__ import annotations
@@ -17,16 +19,8 @@ def mat_identity(ring, n: int):
     )
 
 
-def mat_zero(ring, rows: int, cols: int | None = None):
-    cols = rows if cols is None else cols
-    return tuple(tuple(ring.zero for _ in range(cols)) for _ in range(rows))
-
-
 def mat_add(A, B):
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-def mat_sub(A, B):
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def mat_scale(A, c):
@@ -60,20 +54,15 @@ def _dot(row, v):
     return acc
 
 
-def mat_pow(A, k: int):
-    assert k >= 0
-    n = len(A)
-    ring_one = A[0][0]  # only used for shape; identity built from elements
-    result = None
-    base = A
-    while k:
-        if k & 1:
-            result = base if result is None else mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    if result is None:
-        raise ValueError("mat_pow needs a ring handle for k = 0; use mat_identity")
-    return result
+def det(M):
+    """Determinant by cofactor expansion along the first row (no division)."""
+    if len(M) == 1:
+        return M[0][0]
+    terms = [a * det(tuple(row[:j] + row[j + 1 :] for row in M[1:])) for j, a in enumerate(M[0])]
+    acc = terms[0]
+    for j in range(1, len(terms)):
+        acc = acc - terms[j] if j % 2 else acc + terms[j]
+    return acc
 
 
 def rref(rows):
@@ -128,21 +117,21 @@ def nullspace(A, ring):
     return basis
 
 
-def mat_rank(A) -> int:
-    return rank(A)
-
-
 def is_invertible(A, ring) -> bool:
     return rank(A) == len(A)
 
 
-def mat_inverse(A, ring):
-    n = len(A)
-    aug = [list(A[i]) + [ring.one if j == i else ring.zero for j in range(n)] for i in range(n)]
+def solve_columns(cols, target, ring):
+    """Solve sum_j x_j cols[j] = target; returns x or None."""
+    n, m = len(target), len(cols)
+    aug = tuple(tuple([cols[j][i] for j in range(m)] + [target[i]]) for i in range(n))
     R, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return tuple(tuple(R[i][n:]) for i in range(n))
+    if m in pivots:
+        return None
+    x = [ring.zero] * m
+    for row, p in zip(R, pivots):
+        x[p] = row[m]
+    return tuple(x)
 
 
 def row_space_contains(basis_rref, v) -> bool:

@@ -17,8 +17,11 @@ from .charrings import (
     SymElement,
     decompose_ch,
     decompose_k,
+    delta_ch,
     demazure_ch,
     demazure_k,
+    xi1_ch,
+    xi2_ch,
 )
 from .coeffs import GenericScalar, build_tower
 from .hecke import (
@@ -26,7 +29,7 @@ from .hecke import (
     T_S,
     T_S0,
     T_U,
-    center_embed,
+    T_w,
     CenterElement,
     group_algebra_mul,
     idempotent,
@@ -59,32 +62,34 @@ def random_hecke(rng: random.Random, flavor: str, ring=ZQ, n_terms: int = 3) -> 
     for _ in range(rng.randint(1, n_terms)):
         w = random_weyl(rng)
         key = (rng.choice((1, 2)), w) if flavor == "h2" else w
-        c = random_scalar(rng) if ring is ZQ else _random_field_elt(rng, ring)
+        c = _random_coeff(rng, ring)
         terms[key] = terms[key] + c if key in terms else c
     return HeckeElement(flavor, ring, terms)
 
 
-def _random_field_elt(rng: random.Random, ring: FieldRing):
+def _random_coeff(rng: random.Random, ring):
+    if ring is ZQ:
+        return random_scalar(rng)
     deg = ring.tower.f * (1 if ring.level == "base" else 2)
     return ring.tower.element([rng.randrange(ring.tower.p) for _ in range(deg)], ring.level)
 
 
-def random_group_ring(rng: random.Random, ring=ZQ) -> GroupRingElement:
+def _random_laurent_terms(rng: random.Random, ring, lo: int, hi: int) -> dict:
+    """One to four terms with both exponents in [lo, hi]."""
     terms = {}
     for _ in range(rng.randint(1, 4)):
-        exp = (rng.randint(-3, 3), rng.randint(-3, 3))
-        c = random_scalar(rng) if ring is ZQ else _random_field_elt(rng, ring)
+        exp = (rng.randint(lo, hi), rng.randint(lo, hi))
+        c = _random_coeff(rng, ring)
         terms[exp] = terms[exp] + c if exp in terms else c
-    return GroupRingElement(ring, terms)
+    return terms
+
+
+def random_group_ring(rng: random.Random, ring=ZQ) -> GroupRingElement:
+    return GroupRingElement(ring, _random_laurent_terms(rng, ring, -3, 3))
 
 
 def random_sym(rng: random.Random, ring=ZQ) -> SymElement:
-    terms = {}
-    for _ in range(rng.randint(1, 4)):
-        exp = (rng.randint(0, 4), rng.randint(0, 4))
-        c = random_scalar(rng) if ring is ZQ else _random_field_elt(rng, ring)
-        terms[exp] = terms[exp] + c if exp in terms else c
-    return SymElement(ring, terms, denom=rng.randint(0, 1))
+    return SymElement(ring, _random_laurent_terms(rng, ring, 0, 4), denom=rng.randint(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +127,7 @@ def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
     for flavor in hecke.FLAVORS:
         # quadratic relations at the affine generators
         for g, name in ((weyl.S, "S"), (weyl.S0, "S0")):
-            T = _full_basis(flavor, ZQ, g)
+            T = T_w(flavor, ZQ, g)
             sq = T * T
             one = HeckeElement.one(flavor, ZQ)
             if flavor == "iwahori":
@@ -137,8 +142,8 @@ def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
             for g2 in gens:
                 checks += 1
                 if length(g1 * g2) == length(g1) + length(g2):
-                    lhs = _full_basis(flavor, ZQ, g1) * _full_basis(flavor, ZQ, g2)
-                    if lhs != _full_basis(flavor, ZQ, g1 * g2):
+                    lhs = T_w(flavor, ZQ, g1) * T_w(flavor, ZQ, g2)
+                    if lhs != T_w(flavor, ZQ, g1 * g2):
                         failures.append((flavor, "braid", g1.to_json(), g2.to_json()))
         # S0 = U S U^{-1}
         checks += 1
@@ -155,8 +160,8 @@ def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
                 continue
             done += 1
             checks += 1
-            lhs = _full_basis(flavor, ZQ, w1) * _full_basis(flavor, ZQ, w2)
-            if lhs != _full_basis(flavor, ZQ, w1 * w2):
+            lhs = T_w(flavor, ZQ, w1) * T_w(flavor, ZQ, w2)
+            if lhs != T_w(flavor, ZQ, w1 * w2):
                 failures.append((flavor, "braid-random", w1.to_json(), w2.to_json()))
     # associativity on random triples
     for flavor in hecke.FLAVORS:
@@ -166,13 +171,6 @@ def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
             if (x * y) * z != x * (y * z):
                 failures.append((flavor, "associativity"))
     return {"name": "relations", "passed": not failures, "checks": checks, "counterexamples": failures}
-
-
-def _full_basis(flavor: str, ring, w: WeylElement) -> HeckeElement:
-    """T_w, with both idempotent components in the h2 flavor."""
-    if flavor == "h2":
-        return HeckeElement(flavor, ring, {(1, w): ring.one, (2, w): ring.one})
-    return HeckeElement.basis(flavor, ring, w)
 
 
 def suite_center(seed: int = 0, n_random: int = 50) -> dict:
@@ -252,8 +250,6 @@ def suite_demazure(seed: int = 0, n_random: int = 40, p: int = 3) -> dict:
             if ring.is_field:
                 s0, s1 = decompose_ch(s)
                 checks += 1
-                from .charrings import delta_ch
-
                 if s0 + s1 * delta_ch(ring) != s:
                     failures.append(("Ch", "decompose_ch recomposition"))
     return {"name": "demazure", "passed": not failures, "checks": checks, "counterexamples": failures}
@@ -273,24 +269,24 @@ def suite_krep(seed: int = 0, n_random: int = 40) -> dict:
     q1 = GroupRingElement.from_scalar(ZQ, ZQ.one - ZQ.q)
     # U^2 = xi2 Id
     checks += 1
-    if krep.gr_mat_mul(MU, MU) != krep.gr_mat_scale(one, x2):
+    if linalg.mat_mul(MU, MU) != linalg.mat_scale(one, x2):
         failures.append("U^2 != xi2 Id")
     # US + (1-q)U + SU = xi1 Id
     checks += 1
-    lhs = krep.gr_mat_add(
-        krep.gr_mat_add(krep.gr_mat_mul(MU, MS), krep.gr_mat_scale(MU, q1)),
-        krep.gr_mat_mul(MS, MU),
+    lhs = linalg.mat_add(
+        linalg.mat_add(linalg.mat_mul(MU, MS), linalg.mat_scale(MU, q1)),
+        linalg.mat_mul(MS, MU),
     )
-    if lhs != krep.gr_mat_scale(one, x1):
+    if lhs != linalg.mat_scale(one, x1):
         failures.append("US + (1-q)U + SU != xi1 Id")
     # det A(U) = -e^{(1,1)}
     checks += 1
-    if krep.gr_det(MU) != GroupRingElement(ZQ, {(1, 1): -ZQ.one}):
+    if linalg.det(MU) != GroupRingElement(ZQ, {(1, 1): -ZQ.one}):
         failures.append("det A(U) != -e^{(1,1)}")
     # S^2 = (q-1) S + q
     checks += 1
-    if krep.gr_mat_mul(MS, MS) != krep.gr_mat_add(
-        krep.gr_mat_scale(MS, q - GroupRingElement.one(ZQ)), krep.gr_mat_scale(one, q)
+    if linalg.mat_mul(MS, MS) != linalg.mat_add(
+        linalg.mat_scale(MS, q - GroupRingElement.one(ZQ)), linalg.mat_scale(one, q)
     ):
         failures.append("S quadratic relation fails in A0")
     # constraint system of the extension theorem
@@ -312,7 +308,7 @@ def suite_krep(seed: int = 0, n_random: int = 40) -> dict:
         x = random_hecke(rng, "iwahori")
         y = random_hecke(rng, "iwahori")
         checks += 1
-        if krep.rep_A(x * y) != krep.gr_mat_mul(krep.rep_A(x), krep.rep_A(y)):
+        if krep.rep_A(x * y) != linalg.mat_mul(krep.rep_A(x), krep.rep_A(y)):
             failures.append(("rep_A not multiplicative", x.to_json(), y.to_json()))
     # matrix action matches operator action through decompose_k
     for _ in range(10):
@@ -398,24 +394,21 @@ def suite_obstruction(primes=(3, 5, 7)) -> dict:
         MS = chowrep.rep_A0nil_S(ring)
         MU = chowrep.rep_Anil_U(ring)
         ident = chowrep.sym_identity(ring)
-        from .charrings import xi1_ch, xi2_ch
-
         x1, x2 = xi1_ch(ring), xi2_ch(ring)
         checks += 3
         # condition 1: S^2 = 0 at q = 0
-        if any(not e.is_zero() for row in krep.gr_mat_mul(MS, MS) for e in row):
+        if any(not e.is_zero() for row in linalg.mat_mul(MS, MS) for e in row):
             failures.append((p, "S^2 != 0"))
         # condition 2: U^2 = xi2^2 Id
-        if krep.gr_mat_mul(MU, MU) != krep.gr_mat_scale(ident, x2 * x2):
+        if linalg.mat_mul(MU, MU) != linalg.mat_scale(ident, x2 * x2):
             failures.append((p, "U^2 != xi2^2 Id"))
         # condition 3: US + SU = -xi1 Id
-        anti = krep.gr_mat_add(krep.gr_mat_mul(MU, MS), krep.gr_mat_mul(MS, MU))
-        if anti != krep.gr_mat_scale(ident, -x1):
+        anti = linalg.mat_add(linalg.mat_mul(MU, MS), linalg.mat_mul(MS, MU))
+        if anti != linalg.mat_scale(ident, -x1):
             failures.append((p, "US + SU != -xi1 Id"))
         # det Anil(U) = -xi2^2
         checks += 1
-        det = MU[0][0] * MU[1][1] - MU[0][1] * MU[1][0]
-        if det != -(x2 * x2):
+        if linalg.det(MU) != -(x2 * x2):
             failures.append((p, "det Anil(U) != -xi2^2"))
         # cross-check: Anil(U) is multiplication by eta1^2 composed with s
         checks += 1
@@ -439,7 +432,7 @@ def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
         x = random_hecke(rng, "nil", ring)
         y = random_hecke(rng, "nil", ring)
         checks += 1
-        if chowrep.rep_Anil(x * y) != krep.gr_mat_mul(chowrep.rep_Anil(x), chowrep.rep_Anil(y)):
+        if chowrep.rep_Anil(x * y) != linalg.mat_mul(chowrep.rep_Anil(x), chowrep.rep_Anil(y)):
             failures.append(("rep_Anil not multiplicative", x.to_json(), y.to_json()))
     # nil freeness roundtrip
     for _ in range(30):
@@ -454,7 +447,7 @@ def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
         y = random_hecke(rng, "h2", ring, n_terms=2)
         checks += 1
         lhs = chowrep.rep_A2(x * y)
-        rhs = _mat4_mul(chowrep.rep_A2(x), chowrep.rep_A2(y), ring)
+        rhs = linalg.mat_mul(chowrep.rep_A2(x), chowrep.rep_A2(y))
         if lhs != rhs:
             failures.append(("rep_A2 not multiplicative", x.to_json(), y.to_json()))
     # A2 sends the identity to the identity and e_i to block projectors
@@ -504,20 +497,9 @@ def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
     return {"name": "chowrep", "passed": not failures, "checks": checks, "counterexamples": failures}
 
 
-def _mat4_mul(A, B, ring):
-    zero = SymElement.zero(ring)
-    return tuple(
-        tuple(
-            sum((A[i][k] * B[k][j] for k in range(4)), zero) for j in range(4)
-        )
-        for i in range(4)
-    )
-
-
 def suite_h2_model(seed: int = 0, n_random: int = 60) -> dict:
     """The 2x2 matrix model of h2 at q = 0."""
     rng = random.Random(seed)
-    tower = build_tower(3, 1)
     failures = []
     checks = 0
     Z = hecke.ZRingElement
@@ -550,7 +532,7 @@ def suite_h2_model(seed: int = 0, n_random: int = 60) -> dict:
         checks += 1
         lhs = hecke.h2_matrix_model(hecke.specialize_q0(x * y))
         mx, my = hecke.h2_matrix_model(x), hecke.h2_matrix_model(y)
-        rhs = hecke._zmat_mul(mx, my)
+        rhs = linalg.mat_mul(mx, my)
         if lhs != rhs:
             failures.append(("model not multiplicative", x.to_json(), y.to_json()))
     # nonzero generic q rejected
@@ -566,7 +548,6 @@ def suite_h2_model(seed: int = 0, n_random: int = 60) -> dict:
             checks += 1
             if z * g != g * z:
                 failures.append("h2 center does not commute")
-    _ = tower
     return {"name": "h2-model", "passed": not failures, "checks": checks, "counterexamples": failures}
 
 
@@ -603,11 +584,11 @@ def suite_regular_reduction(p: int = 3, f: int = 1) -> dict:
         seeds = chowrep.reduced_spin_seeds(ring)
         found = {}
         for v in seeds:
-            sub = linalg.spin([v], m8.operators(), ring)
+            sub = linalg.spin([v], m8.generator_matrices(), ring)
             found[sub[0]] = sub
         dims_found = sorted({len(rows) for rows in found})
         checks += 1
-        chain_rows = {c[0] for c in report_chain(m8)}
+        chain_rows = {c[0] for c in chowrep.explicit_chain(m8)}
         if not chain_rows <= set(found):
             failures.append((str(b), "chain member missed by reduced spinning"))
         checks += 1
@@ -619,10 +600,6 @@ def suite_regular_reduction(p: int = 3, f: int = 1) -> dict:
         "checks": checks,
         "counterexamples": failures,
     }
-
-
-def report_chain(m8):
-    return chowrep.explicit_chain(m8)
 
 
 def suite_bijection(p: int, f: int = 1) -> dict:

@@ -40,9 +40,6 @@ class WeylElement:
             return WeylElement(-self.n1, -self.n2, "e")
         return WeylElement(-self.n2, -self.n1, "s")
 
-    def act_on_lattice(self, mu: tuple[int, int]) -> tuple[int, int]:
-        return mu if self.finite == "e" else (mu[1], mu[0])
-
     def to_json(self) -> list:
         return [self.n1, self.n2, self.finite]
 
@@ -57,7 +54,8 @@ U = WeylElement(1, 0, "s")
 U_INV = U.inverse()
 S0 = WeylElement(1, -1, "s")
 
-assert S0 == U * S * U.inverse()
+if S0 != U * S * U.inverse():
+    raise RuntimeError("s0 != u s u^{-1}")
 
 
 def translation(n1: int, n2: int) -> WeylElement:
@@ -132,15 +130,12 @@ def reduced_word(w: WeylElement) -> ReducedWord:
         else:
             raise RuntimeError(f"no descent found at {x}, length {length(x)}")
     # x is now in Omega: x = u^k
-    if x.finite == "s":
-        k = 2 * x.n1 - 1
-        assert x == _u_power(k)
-    else:
-        assert x.n1 == x.n2
-        k = 2 * x.n1
-        assert x == _u_power(k)
+    k = 2 * x.n1 - 1 if x.finite == "s" else 2 * x.n1
+    if x != _u_power(k):
+        raise RuntimeError(f"length-zero remainder {x} is not a power of u")
     word = ReducedWord(tuple(letters), k)
-    assert _eval_word(word) == w
+    if _eval_word(word) != w:
+        raise RuntimeError(f"reduced word {word} does not evaluate to {w}")
     return word
 
 
