@@ -64,10 +64,10 @@ ZQ = ZqRing()
 
 @dataclass(frozen=True)
 class FieldRing:
-    """A level of a finite-field tower as a coefficient ring.
+    """The field E = GF(q^2) of a tower as a coefficient ring.
 
     The deformation variable q specializes to 0 here: q = p^f vanishes
-    in characteristic p.
+    in characteristic p.  ``level`` accepts only "ext": E is the one field.
     """
 
     tower: FieldTower
@@ -75,24 +75,27 @@ class FieldRing:
 
     is_field = True
 
+    def __post_init__(self):
+        if self.level != "ext":
+            raise ValueError(f"unknown field level {self.level!r}; GF(q^2) is the only field")
+
     @property
     def zero(self):
-        return self.tower.zero(self.level)
+        return self.tower.zero()
 
     @property
     def one(self):
-        return self.tower.one(self.level)
+        return self.tower.one()
 
     @property
     def q(self):
-        return self.tower.zero(self.level)
+        return self.tower.zero()
 
     def from_int(self, n: int):
-        return self.tower.from_int(n, self.level)
+        return self.tower.from_int(n)
 
     def __repr__(self):
-        return f"GF({self.tower.q if self.level == 'base' else self.tower.q ** 2})"
-
+        return f"GF({self.tower.q ** 2})"
 
 
 # ---------------------------------------------------------------------------

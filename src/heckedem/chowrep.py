@@ -27,7 +27,6 @@ from .hecke import HeckeElement
 from .krep import (
     FiniteModule,
     basis_matrices,
-    field_elements,
     identity2,
     invariant_matrix_flatten,
     is_isomorphic,
@@ -405,7 +404,7 @@ def reduced_spin_seeds(ring, dim: int = 8):
     meet every submodule: the chain checks verify separately that the
     members of the explicit composition chain are among the spun
     subspaces."""
-    elements = [x for x in field_elements(ring) if not x.is_zero()]
+    elements = ring.tower.ext_elements()[1:]
     seeds = []
     for i in range(dim):
         seeds.append(_unit_vector(ring, dim, i))

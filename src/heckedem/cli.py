@@ -25,14 +25,14 @@ def _field_str(x: FieldElement) -> str:
 def _parse_field(tower: FieldTower, text: str) -> FieldElement:
     text = text.strip()
     if text == "0":
-        return tower.zero("ext")
+        return tower.zero()
     if text in ("1", "g^0"):
-        return tower.one("ext")
+        return tower.one()
     if text == "g":
         return tower.gen()
     if text.startswith("g^"):
         return tower.gen_power(int(text[2:]))
-    return tower.from_int(int(text), "ext")
+    return tower.from_int(int(text))
 
 
 def _matrix_json(M) -> list:
@@ -65,7 +65,7 @@ def cmd_verify_relations(args) -> int:
 
 def cmd_module(args) -> int:
     tower = _tower_from(args)
-    ring = FieldRing(tower, "ext")
+    ring = FieldRing(tower)
     if args.theta is None and args.b is None:
         print("usage error: module needs --theta t1,t2 or --b for the regular case", file=sys.stderr)
         return 2
@@ -113,11 +113,7 @@ def cmd_module(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    tower = _tower_from(args)
-    if args.ext == "base":
-        print("usage error: E must contain GF(q^2); use --ext ext", file=sys.stderr)
-        return 2
-    report = galois.bijection_check(tower)
+    report = galois.bijection_check(_tower_from(args))
     _emit(report, args.out)
     return 0 if report["bijective"] else 1
 
@@ -155,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--p", type=int, default=3, help="odd prime")
     parser.add_argument("--f", type=int, default=1, help="degree of GF(q) over GF(p)")
-    parser.add_argument("--ext", choices=("base", "ext"), default="ext", help="coefficient field level E")
     parser.add_argument("--theta", type=str, default=None, help="central character tau1,tau2 (values 0, 1, g^k)")
     parser.add_argument("--b", type=str, default=None, help="theta(zeta2) for the regular component")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")

@@ -4,8 +4,10 @@ Two coefficient domains are provided:
 
 * ``GenericScalar``: integer polynomials in the deformation variable q,
   with arbitrary-precision coefficients.
-* ``FieldTower`` / ``FieldElement``: the tower GF(p) < GF(q) < GF(q^2)
-  with an explicit multiplicative generator of GF(q^2)^x.
+* ``FieldTower`` / ``FieldElement``: the field E = GF(q^2), q = p^f, as
+  GF(p)-coefficient vectors modulo one irreducible polynomial, with an
+  explicit multiplicative generator of E^x.  GF(q) is not encoded on its
+  own: it is the subfield of E fixed by Frobenius x -> x^q.
 
 Everything is immutable and deterministic.
 """
@@ -40,10 +42,6 @@ class GenericScalar:
     @staticmethod
     def const(n: int) -> "GenericScalar":
         return GenericScalar((n,))
-
-    @staticmethod
-    def q_power(k: int, c: int = 1) -> "GenericScalar":
-        return GenericScalar((0,) * k + (c,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -80,16 +78,11 @@ class GenericScalar:
     def __hash__(self) -> int:
         return hash(("GenericScalar", self.coeffs))
 
-    def evaluate(self, q_value):
-        """Evaluate at a concrete value of q (int or FieldElement)."""
-        if isinstance(q_value, int):
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = acc * q_value + c
-            return acc
-        acc = q_value.tower.zero(q_value.level)
+    def evaluate(self, q_value: int) -> int:
+        """Evaluate at an integer value of q."""
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = acc * q_value + q_value.tower.from_int(c, q_value.level)
+            acc = acc * q_value + c
         return acc
 
     def __repr__(self) -> str:
@@ -199,11 +192,10 @@ def _lowest_lex_irreducible(p: int, deg: int) -> tuple:
 
 @dataclass(frozen=True)
 class FieldTower:
-    """GF(p) < GF(q) < GF(q^2) with a fixed generator of GF(q^2)^x."""
+    """E = GF(q^2) over GF(p) with a fixed generator of E^x."""
 
     p: int
     f: int
-    modulus_f: tuple
     modulus_2f: tuple
     generator: tuple  # coefficient vector in GF(q^2), little-endian over GF(p)
 
@@ -211,34 +203,23 @@ class FieldTower:
     def q(self) -> int:
         return self.p**self.f
 
-    def zero(self, level: str = "ext") -> "FieldElement":
-        return FieldElement(self, level, ())
+    def zero(self) -> "FieldElement":
+        return FieldElement(self, ())
 
-    def one(self, level: str = "ext") -> "FieldElement":
-        return FieldElement(self, level, (1,))
+    def one(self) -> "FieldElement":
+        return FieldElement(self, (1,))
 
-    def from_int(self, n: int, level: str = "ext") -> "FieldElement":
-        return FieldElement(self, level, (n % self.p,))
+    def from_int(self, n: int) -> "FieldElement":
+        return FieldElement(self, (n,))
 
     def gen(self) -> "FieldElement":
-        return FieldElement(self, "ext", self.generator)
+        return FieldElement(self, self.generator)
 
-    def element(self, coeffs: Sequence[int], level: str = "ext") -> "FieldElement":
-        return FieldElement(self, level, tuple(c % self.p for c in coeffs))
+    def element(self, coeffs: Sequence[int]) -> "FieldElement":
+        return FieldElement(self, tuple(coeffs))
 
     def gen_power(self, k: int) -> "FieldElement":
         return self.gen() ** (k % (self.q**2 - 1))
-
-    def base_elements(self):
-        """All elements of GF(q), embedded in GF(q^2)."""
-        out = [self.zero()]
-        if self.q > 1:
-            g_base = self.gen_power(self.q + 1)
-            x = self.one()
-            for _ in range(self.q - 1):
-                out.append(x)
-                x = x * g_base
-        return out
 
     def ext_elements(self):
         """All elements of GF(q^2)."""
@@ -248,10 +229,6 @@ class FieldTower:
             out.append(x)
             x = x * self.gen()
         return out
-
-    def embed_base(self, k: int) -> "FieldElement":
-        """k-th power of the generator of GF(q)^x inside GF(q^2)."""
-        return self.gen_power((self.q + 1) * k)
 
     def to_json(self) -> dict:
         return {
@@ -263,22 +240,16 @@ class FieldTower:
 
 
 class FieldElement:
-    """Element of GF(q) or GF(q^2) as a GF(p)-coefficient vector."""
+    """Element of GF(q^2) as a GF(p)-coefficient vector."""
 
-    __slots__ = ("tower", "level", "coeffs")
+    __slots__ = ("tower", "coeffs")
 
-    def __init__(self, tower: FieldTower, level: str, coeffs: tuple):
-        if level not in ("base", "ext"):
-            raise ValueError(f"unknown level {level!r}")
+    def __init__(self, tower: FieldTower, coeffs: tuple):
         object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "level", level)
         object.__setattr__(self, "coeffs", _trim(tuple(c % tower.p for c in coeffs)))
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
-
-    def _modulus(self) -> tuple:
-        return self.tower.modulus_f if self.level == "base" else self.tower.modulus_2f
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -288,29 +259,27 @@ class FieldElement:
         n = max(len(a), len(b))
         return FieldElement(
             self.tower,
-            self.level,
             tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % self.tower.p for i in range(n)),
         )
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, self.level, tuple(-c % self.tower.p for c in self.coeffs))
+        return FieldElement(self.tower, tuple(-c % self.tower.p for c in self.coeffs))
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
         return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         return FieldElement(
-            self.tower, self.level, _poly_mod_mul(self.coeffs, other.coeffs, self._modulus(), self.tower.p)
+            self.tower, _poly_mod_mul(self.coeffs, other.coeffs, self.tower.modulus_2f, self.tower.p)
         )
 
     def __pow__(self, k: int) -> "FieldElement":
-        size = self.tower.q if self.level == "base" else self.tower.q**2
         if self.is_zero():
             if k <= 0:
                 raise ZeroDivisionError("0 cannot be raised to a nonpositive power")
             return self
-        k %= size - 1
-        result = self.tower.one(self.level)
+        k %= self.tower.q**2 - 1
+        result = self.tower.one()
         base = self
         while k:
             if k & 1:
@@ -322,42 +291,31 @@ class FieldElement:
     def inverse(self) -> "FieldElement":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        size = self.tower.q if self.level == "base" else self.tower.q**2
-        return self ** (size - 2)
+        return self ** (self.tower.q**2 - 2)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
 
     def frobenius(self) -> "FieldElement":
-        """x -> x^q; the identity on the base level."""
-        if self.level == "base":
-            return self
+        """x -> x^q, the generator of Gal(GF(q^2)/GF(q))."""
         return self**self.tower.q
 
     def in_base_field(self) -> bool:
-        """Is this ext-level element fixed by Frobenius?"""
+        """Is this element in GF(q), the subfield fixed by Frobenius?"""
         return self.frobenius() == self
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FieldElement)
             and self.tower == other.tower
-            and self.level == other.level
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.level, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        try:
-            if self.level == "ext":
-                return f"g^{discrete_log(self)}"
-        except ValueError:
-            pass
-        return f"[{','.join(str(c) for c in self.coeffs)}]"
+        return "0" if self.is_zero() else f"g^{discrete_log(self)}"
 
     def to_json(self) -> list:
         return list(self.coeffs)
@@ -365,8 +323,8 @@ class FieldElement:
 
 @lru_cache(maxsize=None)
 def build_tower(p: int, f: int) -> FieldTower:
-    """Construct GF(p) < GF(p^f) < GF(p^2f) deterministically: the
-    lowest-lexicographic moduli and the smallest generator."""
+    """Construct GF(p^2f) deterministically: the lowest-lexicographic
+    modulus and the smallest generator."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
     if not _is_prime(p):
@@ -377,7 +335,6 @@ def build_tower(p: int, f: int) -> FieldTower:
     if q * q > MAX_Q_SQUARED:
         raise ValueError(f"q^2 = {q * q} exceeds the guard {MAX_Q_SQUARED}")
 
-    modulus_f = _lowest_lex_irreducible(p, f) if f > 1 else (0, 1)
     modulus_2f = _lowest_lex_irreducible(p, 2 * f)
 
     # generator: the element with the smallest integer encoding that has
@@ -392,8 +349,8 @@ def build_tower(p: int, f: int) -> FieldTower:
             coeffs.append(t % p)
             t //= p
         cand = tuple(_trim(coeffs))
-        tower_stub = FieldTower(p, f, modulus_f, modulus_2f, cand)
-        x = FieldElement(tower_stub, "ext", cand)
+        tower_stub = FieldTower(p, f, modulus_2f, cand)
+        x = FieldElement(tower_stub, cand)
         if x.is_zero():
             continue
         if all(not (x ** (order // ell)) == tower_stub.one() for ell in prime_divisors):
@@ -401,15 +358,13 @@ def build_tower(p: int, f: int) -> FieldTower:
             break
     if generator is None:
         raise RuntimeError("no multiplicative generator found")
-    return FieldTower(p, f, modulus_f, modulus_2f, generator)
+    return FieldTower(p, f, modulus_2f, generator)
 
 
 def discrete_log(x: FieldElement) -> int:
     """Brute-force discrete log base the tower generator, in [0, q^2-2]."""
     if x.is_zero():
         raise ValueError("discrete log of zero")
-    if x.level != "ext":
-        raise ValueError("discrete_log expects an ext-level element")
     g = x.tower.gen()
     acc = x.tower.one()
     for k in range(x.tower.q**2 - 1):

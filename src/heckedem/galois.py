@@ -1,12 +1,14 @@
 """Tame 2-dimensional Galois parameters and the bijection with
 supersingular modules at small q.
 
-A parameter class is a pair (b, y) with b in E^x and y in GF(q^2)\\GF(q),
-taken up to the conjugation y ~ y^q.  Writing y = g^h for the fixed
-generator g, twisting normalizes the exponent to h + i(q+1) with
-1 <= h <= q-1, 0 <= i <= q-2; the attached torus character has exponent
-pair (h-1+i mod q-1, i), whose W0-orbit together with the supersingular
-central character theta = (0, b) pins down the module M(rho).
+All field elements live in E = GF(q^2); GF(q) appears only as the
+subfield fixed by Frobenius.  A parameter class is a pair (b, y) with
+b in E^x and y in E \\ GF(q), taken up to the conjugation y ~ y^q.
+Writing y = g^h for the fixed generator g, twisting normalizes the
+exponent to h + i(q+1) with 1 <= h <= q-1, 0 <= i <= q-2; the attached
+torus character has exponent pair (h-1+i mod q-1, i), whose W0-orbit
+together with the supersingular central character theta = (0, b) pins
+down the module M(rho).
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ class GaloisParam:
     def __post_init__(self):
         if self.b.is_zero():
             raise ValueError("b must be nonzero")
-        if self.y.level != "ext":
-            raise ValueError("y must live in GF(q^2)")
         if self.y.is_zero() or self.y.in_base_field():
             raise ValueError("y must lie outside GF(q) (irreducibility)")
 
@@ -90,7 +90,7 @@ def orbit_of(rho: GaloisParam) -> tuple:
 
 def theta_of(rho: GaloisParam) -> tuple:
     """The supersingular central character: zeta1 -> 0, zeta2 -> b."""
-    return (rho.tower.zero("ext"), rho.b)
+    return (rho.tower.zero(), rho.b)
 
 
 def module_of(rho: GaloisParam, field_ring: FieldRing | None = None) -> FiniteModule:
@@ -98,7 +98,7 @@ def module_of(rho: GaloisParam, field_ring: FieldRing | None = None) -> FiniteMo
     non-regular component, or a simple subquotient of the 8-dimensional
     module on a regular component."""
     if field_ring is None:
-        field_ring = FieldRing(rho.tower, "ext")
+        field_ring = FieldRing(rho.tower)
     theta = theta_of(rho)
     if len(orbit_of(rho)) == 1:
         return reduce_at_theta(theta, field_ring)
@@ -110,7 +110,7 @@ def module_of(rho: GaloisParam, field_ring: FieldRing | None = None) -> FiniteMo
 
 
 def enumerate_classes(tower: FieldTower) -> list:
-    """All equivalence classes of parameters: b in E^x, y in ext\\base
+    """All equivalence classes of parameters: b in E^x, y in E \\ GF(q)
     modulo conjugation.  Returns one representative per class."""
     q = tower.q
     n = q * q - 1

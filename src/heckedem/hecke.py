@@ -451,7 +451,7 @@ def group_algebra_mul(x: dict, y: dict, q: int) -> dict:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-def idempotent(tower: FieldTower, labels, level: str = "ext") -> ToralIdempotent:
+def idempotent(tower: FieldTower, labels) -> ToralIdempotent:
     """e_lambda (single exponent pair) or e_gamma (several) in E[T].
 
     e_lambda = |T|^{-1} sum_t lambda(t)^{-1} T_t, with lambda the character
@@ -463,7 +463,7 @@ def idempotent(tower: FieldTower, labels, level: str = "ext") -> ToralIdempotent
     q = tower.q
     n = q - 1
     size = n * n  # |T|
-    inv_size = tower.from_int(size, level).inverse()
+    inv_size = tower.from_int(size).inverse()
     elt: dict = {}
     for m1, m2 in labels:
         for a1 in range(n):

@@ -206,12 +206,12 @@ def _substitute_invariant(a: GroupRingElement, tau1, tau2):
         if isinstance(c, GenericScalar):
             if len(c.coeffs) > 1:
                 raise ValueError("substitution requires q = 0 coefficients")
-            cval = tau1.tower.from_int(c.coeffs[0] if c.coeffs else 0, tau1.level)
+            cval = tau1.tower.from_int(c.coeffs[0] if c.coeffs else 0)
         else:
             cval = c
-        term = cval * (tau1 ** m if m else tau1.tower.one(tau1.level)) * (tau2 ** k if k else tau2.tower.one(tau2.level))
+        term = cval * (tau1 ** m if m else tau1.tower.one()) * (tau2 ** k if k else tau2.tower.one())
         acc = term if acc is None else acc + term
-    return acc if acc is not None else tau1.tower.zero(tau1.level)
+    return acc if acc is not None else tau1.tower.zero()
 
 
 def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
@@ -296,13 +296,9 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule) -> bool:
     return X is not None
 
 
-def field_elements(ring: FieldRing):
-    return ring.tower.base_elements() if ring.level == "base" else ring.tower.ext_elements()
-
-
 def projective_lines(ring: FieldRing, dim: int):
     """Representatives of all lines of E^dim: first nonzero coordinate 1."""
-    elements = field_elements(ring)
+    elements = ring.tower.ext_elements()
     for lead in range(dim):
         for tail in product(elements, repeat=dim - lead - 1):
             yield (ring.zero,) * lead + (ring.one,) + tail

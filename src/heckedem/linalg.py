@@ -12,6 +12,10 @@ from __future__ import annotations
 
 from itertools import product
 
+# largest number of candidates the intertwiner scan will try: (q^2)^d for
+# a d-dimensional solution space over GF(q^2)
+MAX_INTERTWINER_SCAN = 1 << 22
+
 
 def mat_identity(ring, n: int):
     return tuple(
@@ -167,13 +171,14 @@ def subspace_eq(a, b) -> bool:
     return a[0] == b[0]
 
 
-def solve_intertwiner(gens1, gens2, ring, max_scan: int = 1 << 22):
+def solve_intertwiner(gens1, gens2, ring):
     """Find an invertible X with X A = B X for all generator pairs (A, B).
 
-    gens1 and gens2 are parallel lists of n x n matrices.  The solution
-    space of the linear constraints is computed exactly; then all
-    projective combinations of its basis are scanned for invertibility.
-    Returns X or None.
+    gens1 and gens2 are parallel lists of n x n matrices over GF(q^2).
+    The solution space of the linear constraints is computed exactly; then
+    all projective combinations of its basis are scanned for
+    invertibility.  Returns X or None; raises ValueError when the scan
+    would exceed MAX_INTERTWINER_SCAN candidates.
     """
     n = len(gens1[0])
     # unknown X with entries x[i*n+j]; constraint (X A - B X)[i][j] = 0
@@ -192,17 +197,13 @@ def solve_intertwiner(gens1, gens2, ring, max_scan: int = 1 << 22):
     basis = nullspace(tuple(rows), ring)
     if not basis:
         return None
-    scalars = [x for x in ring.tower.ext_elements() if not x.is_zero()] if hasattr(ring, "tower") else None
-    if scalars is None:
-        raise ValueError("intertwiner scan needs a finite coefficient field")
-    if ring.level == "base":
-        scalars = [x for x in ring.tower.base_elements() if not x.is_zero()]
+    elements = ring.tower.ext_elements()
     d = len(basis)
-    if (len(scalars) + 1) ** d > max_scan:
+    if len(elements) ** d > MAX_INTERTWINER_SCAN:
         raise ValueError("intertwiner solution space too large for an exhaustive scan")
     # projective scan: first nonzero coordinate normalized to 1
     for lead in range(d):
-        tails = product(*([[ring.zero] + scalars] * (d - lead - 1)))
+        tails = product(elements, repeat=d - lead - 1)
         for tail in tails:
             coeffs = (ring.zero,) * lead + (ring.one,) + tail
             X = [[ring.zero] * n for _ in range(n)]

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -73,17 +75,26 @@ def length_bfs(w: WeylElement, bound: int = 12) -> int:
     """BFS oracle: minimal number of {s0, s}-letters over all products of
     s0, s, u, u^{-1} reaching w; u-steps are free.
 
-    0-1 BFS from the identity, restricted to the box |n_i| <= bound.
+    Looked up in the distance table of ``bfs_distances(bound)``.
     """
     if max(abs(w.n1), abs(w.n2)) > bound:
         raise ValueError("target outside the BFS search box")
+    try:
+        return bfs_distances(bound)[w]
+    except KeyError:
+        raise RuntimeError("BFS exhausted without reaching the target") from None
+
+
+@lru_cache(maxsize=None)
+def bfs_distances(bound: int = 12) -> MappingProxyType:
+    """0-1 BFS from the identity over the box |n_i| <= bound + 2, run to
+    completion once per bound: the {s0, s}-letter distance of every
+    element reached, with u-steps free."""
     dist = {E: 0}
     dq = deque([E])
     while dq:
         x = dq.popleft()
         d = dist[x]
-        if x == w:
-            return d
         for gen, cost in ((S0, 1), (S, 1), (U, 0), (U_INV, 0)):
             y = x * gen
             if max(abs(y.n1), abs(y.n2)) > bound + 2:
@@ -94,7 +105,7 @@ def length_bfs(w: WeylElement, bound: int = 12) -> int:
                     dq.appendleft(y)
                 else:
                     dq.append(y)
-    raise RuntimeError("BFS exhausted without reaching the target")
+    return MappingProxyType(dist)
 
 
 @dataclass(frozen=True)

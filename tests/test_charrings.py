@@ -133,7 +133,7 @@ def test_demazure_ch_operator_identities():
 
 def test_decompose_ch_frozen_gf3():
     tower = build_tower(3, 1)
-    ring = FieldRing(tower, "base")
+    ring = FieldRing(tower)
     one = ring.one
     # eta1 = (eta1 + eta2)/2 + delta, delta = (eta1 - eta2)/2
     a0, a1 = decompose_ch(eta(1, 0, ring))

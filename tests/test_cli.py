@@ -75,7 +75,9 @@ def test_usage_errors(capsys):
     capsys.readouterr()
     assert main(["module", "--theta", "0,0"]) == 2  # tau2 = 0
     capsys.readouterr()
-    assert main(["bijection", "--ext", "base"]) == 2  # E too small
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--ext", "base"])  # no such option: E is always GF(q^2)
+    assert exc.value.code == 2
     capsys.readouterr()
     assert main(["module", "--b", "0"]) == 2  # b = 0
     capsys.readouterr()

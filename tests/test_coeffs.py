@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from heckedem.charrings import FieldRing
 from heckedem.coeffs import (
     GenericScalar,
     build_tower,
@@ -38,8 +39,8 @@ def test_tower_3_1_matches_known_values():
     assert t.modulus_2f == (1, 0, 1)  # x^2 + 1
     assert t.generator == (1, 1)  # g = x + 1
     # g has order 8: g^4 = -1
-    assert t.gen_power(4) == t.from_int(-1, "ext")
-    assert t.gen_power(8) == t.one("ext")
+    assert t.gen_power(4) == t.from_int(-1)
+    assert t.gen_power(8) == t.one()
 
 
 def test_frobenius_of_generator():
@@ -55,12 +56,12 @@ def test_frobenius_of_generator():
 def test_discrete_log():
     t = build_tower(3, 1)
     assert discrete_log(t.gen()) == 1
-    assert discrete_log(t.one("ext")) == 0
-    assert discrete_log(t.from_int(2, "ext")) == 4
+    assert discrete_log(t.one()) == 0
+    assert discrete_log(t.from_int(2)) == 4
     for k in range(8):
         assert discrete_log(t.gen_power(k)) == k
     with pytest.raises(ValueError):
-        discrete_log(t.zero("ext"))
+        discrete_log(t.zero())
 
 
 def test_tower_rejects_bad_p():
@@ -76,12 +77,50 @@ def test_field_arithmetic_and_inverse():
     t = build_tower(5, 1)
     for k in range(1, 24):
         x = t.gen_power(k)
-        assert x * x.inverse() == t.one("ext")
-    # embedding of GF(q) is fixed by frobenius
-    for x in t.base_elements():
-        assert x.frobenius() == x
+        assert x * x.inverse() == t.one()
+    # GF(q) is the subfield fixed by frobenius
+    assert sum(x.frobenius() == x for x in t.ext_elements()) == t.q
 
 
 def test_tower_json():
     t = build_tower(3, 1)
     assert t.to_json() == {"p": 3, "f": 1, "modulus_2f": [1, 0, 1], "generator": [1, 1]}
+
+
+ONE_FIELD_TOWERS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("p,f", ONE_FIELD_TOWERS)
+def test_frobenius_fixed_elements_form_gf_q(p, f):
+    t = build_tower(p, f)
+    fixed = [x for x in t.ext_elements() if x.frobenius() == x]
+    assert len(fixed) == t.q
+    fixed_set = set(fixed)
+    for x in fixed:
+        for y in fixed:
+            assert x + y in fixed_set
+            assert x * y in fixed_set
+
+
+@pytest.mark.parametrize("p,f", ONE_FIELD_TOWERS)
+def test_frobenius_has_order_two_on_generator(p, f):
+    g = build_tower(p, f).gen()
+    assert g.frobenius() != g
+    assert g.frobenius().frobenius() == g
+
+
+@pytest.mark.parametrize("p,f", ONE_FIELD_TOWERS)
+def test_discrete_log_inverts_gen_power(p, f):
+    t = build_tower(p, f)
+    for k in range(t.q**2 - 1):
+        assert discrete_log(t.gen_power(k)) == k
+
+
+@pytest.mark.parametrize("p,f", ONE_FIELD_TOWERS)
+def test_field_ring_has_no_base_level(p, f):
+    # GF(q) gets no encoding of its own: scalars in a second encoding,
+    # multiplied with GF(q^2) elements, give wrong products
+    t = build_tower(p, f)
+    assert FieldRing(t).one == t.one()
+    with pytest.raises(ValueError):
+        FieldRing(t, "base")

@@ -25,11 +25,11 @@ def param(y_power, b_power=0, p=3):
 def test_constructor_validation():
     tower = build_tower(3, 1)
     with pytest.raises(ValueError):
-        GaloisParam(tower, tower.zero("ext"), tower.gen())  # b = 0
+        GaloisParam(tower, tower.zero(), tower.gen())  # b = 0
     with pytest.raises(ValueError):
-        GaloisParam(tower, tower.one("ext"), tower.gen_power(4))  # y = -1 in GF(3)
+        GaloisParam(tower, tower.one(), tower.gen_power(4))  # y = -1 in GF(3)
     with pytest.raises(ValueError):
-        GaloisParam(tower, tower.one("ext"), tower.zero("ext"))  # y = 0
+        GaloisParam(tower, tower.one(), tower.zero())  # y = 0
 
 
 def test_exponent_sets_q3():

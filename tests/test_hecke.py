@@ -172,7 +172,7 @@ def test_toral_idempotents_q3():
         for k, c in e.items():
             total[k] = total[k] + c if k in total else c
     total = {k: c for k, c in total.items() if not c.is_zero()}
-    assert total == {(0, 0): tower.one("ext")}
+    assert total == {(0, 0): tower.one()}
 
 
 def test_orbits_q3():

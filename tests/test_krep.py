@@ -83,7 +83,7 @@ def test_matrix_action_matches_decomposition():
 def ps_module(tau1_k, tau2_k, p=3):
     tower = build_tower(p, 1)
     ring = FieldRing(tower, "ext")
-    tau1 = tower.zero("ext") if tau1_k is None else tower.gen_power(tau1_k)
+    tau1 = tower.zero() if tau1_k is None else tower.gen_power(tau1_k)
     tau2 = tower.gen_power(tau2_k)
     return krep.reduce_at_theta((tau1, tau2), ring), tau1, tau2, ring
 

@@ -93,6 +93,16 @@ def test_bfs_guards():
         length_bfs(translation(30, 0))
 
 
+def test_bfs_distance_table_is_built_once_per_bound():
+    table = weyl.bfs_distances(4)
+    assert weyl.bfs_distances(4) is table
+    assert table[E] == 0 and table[S] == 1 and table[U] == 0
+    # the table spans the box |n_i| <= bound + 2, both finite parts
+    assert len(table) == 2 * (2 * 6 + 1) ** 2
+    with pytest.raises(TypeError):
+        table[E] = 1
+
+
 def test_json_roundtrip():
     w = WeylElement(2, -1, "s")
     assert WeylElement.from_json(w.to_json()) == w
