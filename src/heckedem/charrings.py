@@ -224,9 +224,6 @@ def to_xi_poly(a: SparsePoly) -> dict:
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-to_xi_poly_ch = to_xi_poly
-
-
 def _divide_by_one_minus_alpha(num: SparsePoly) -> SparsePoly:
     """Exact division by (1 - e^{(1,-1)}) in a two-variable Laurent ring.
 

@@ -305,10 +305,11 @@ class FieldElement:
         return self.frobenius() == self
 
     def __eq__(self, other) -> bool:
+        # coeffs first: comparing the tower dataclass is the costly part
         return (
             isinstance(other, FieldElement)
-            and self.tower == other.tower
             and self.coeffs == other.coeffs
+            and (self.tower is other.tower or self.tower == other.tower)
         )
 
     def __hash__(self) -> int:

@@ -155,9 +155,14 @@ def independence_determinant(ring, at_q0: bool = False) -> GroupRingElement:
 class FiniteModule:
     """A finite-dimensional module over one algebra flavor.
 
-    gens maps generator names to dim x dim matrices over the field ring.
-    Canonical generator order (for isomorphism tests): e1, e2 (h2 only),
-    then S, U, Uinv.
+    gens maps generator names to dim x dim matrices over the field ring:
+    S, U, Uinv, and e1, e2 for the h2 flavor.  ``generator_matrices()``
+    returns the ones that generate the algebra, in canonical order (for
+    spinning and isomorphism tests): e1 (h2 only), S, U.  Uinv and e2 add
+    nothing there: a subspace (or intertwiner) compatible with an
+    invertible U is compatible with U^-1, and one compatible with e1 is
+    compatible with e2 = 1 - e1; ``validate()`` checks U Uinv = 1 and
+    e1 + e2 = 1, and quotients inherit both.
     """
 
     flavor: str
@@ -171,7 +176,7 @@ class FiniteModule:
 
     def generator_matrices(self) -> list:
         d = self.gen_dict()
-        names = ("e1", "e2", "S", "U", "Uinv") if self.flavor == "h2" else ("S", "U", "Uinv")
+        names = ("e1", "S", "U") if self.flavor == "h2" else ("S", "U")
         return [d[name] for name in names]
 
     def validate(self):
@@ -302,37 +307,6 @@ def projective_lines(ring: FieldRing, dim: int):
     for lead in range(dim):
         for tail in product(elements, repeat=dim - lead - 1):
             yield (ring.zero,) * lead + (ring.one,) + tail
-
-
-def submodule_lattice(m: FiniteModule, seeds=None) -> list:
-    """Invariant subspaces found by spinning seed vectors, closed under sums.
-
-    With seeds = all projective lines (the default for dim <= 4) the cyclic
-    submodules are all found, hence so is the full lattice after closing
-    under sums.  Returns RREF row-tuples, sorted by dimension.
-    """
-    if seeds is None:
-        if m.dim > 4:
-            raise ValueError("default exhaustive seeding is limited to dim <= 4; pass seeds")
-        seeds = list(projective_lines(m.ring, m.dim))
-    ops = m.generator_matrices()
-    found = {(): ((), [])}
-    for v in seeds:
-        sub = linalg.spin([v], ops, m.ring)
-        found[sub[0]] = sub
-    # close under sums
-    changed = True
-    while changed:
-        changed = False
-        items = list(found.values())
-        for a in items:
-            for b in items:
-                rows = list(a[0]) + list(b[0])
-                sub = linalg.rref(rows)
-                if sub[0] not in found:
-                    found[sub[0]] = sub
-                    changed = True
-    return sorted(found.values(), key=lambda s: (len(s[0]), s[0]))
 
 
 def is_irreducible(m: FiniteModule) -> bool:

@@ -1,8 +1,11 @@
 """Randomized and exhaustive verification suites.
 
-Each suite returns a dict {"name", "passed", "checks", ...} and never
-raises on mathematical failure; counterexamples are reported in the
-result.  The CLI and the acceptance tests drive these.
+Each suite counts its checks and collects its counterexamples in one
+``Tally``, whose ``report()`` is the suite's result: {"name", "passed",
+"checks", "counterexamples"}.  A suite never raises on mathematical
+failure; counterexamples are reported in the result.  ``suite_bijection``
+alone reports the bijection check's own dict under "report".  The CLI and
+the acceptance tests drive these.
 """
 
 from __future__ import annotations
@@ -92,26 +95,52 @@ def random_sym(rng: random.Random, ring=ZQ) -> SymElement:
 
 
 # ---------------------------------------------------------------------------
+# the one report format
+
+
+class Tally:
+    """The report of one suite: its name, how many checks ran and the
+    counterexamples of those that failed."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failures = []
+
+    def check(self, ok: bool, failure) -> bool:
+        """Count one check; if it failed, record ``failure``.
+
+        A callable ``failure`` is called only then, so a payload that is
+        costly to build (``x.to_json``, ``str`` of a field element) costs
+        nothing on the passing path.  Returns ``ok``.
+        """
+        self.checks += 1
+        if not ok:
+            self.failures.append(failure() if callable(failure) else failure)
+        return ok
+
+    def report(self) -> dict:
+        return {
+            "name": self.name,
+            "passed": not self.failures,
+            "checks": self.checks,
+            "counterexamples": self.failures,
+        }
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
 def suite_length_oracle() -> dict:
     """Closed-form length vs BFS on the box |n1|, |n2| <= 4."""
-    mismatches = []
-    count = 0
+    t = Tally("length-oracle")
     for n1 in range(-4, 5):
         for n2 in range(-4, 5):
             for fp in ("e", "s"):
                 w = WeylElement(n1, n2, fp)
-                count += 1
-                if length(w) != length_bfs(w):
-                    mismatches.append(w.to_json())
-    return {
-        "name": "length-oracle",
-        "passed": not mismatches,
-        "checks": count,
-        "counterexamples": mismatches,
-    }
+                t.check(length(w) == length_bfs(w), w.to_json)
+    return t.report()
 
 
 def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
@@ -120,35 +149,30 @@ def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
     Exhaustive over generator pairs plus randomized length-additive pairs.
     """
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    t = Tally("relations")
     gens = (weyl.S, weyl.S0, weyl.U, weyl.U_INV)
     for flavor in hecke.FLAVORS:
         # quadratic relations at the affine generators
         for g, name in ((weyl.S, "S"), (weyl.S0, "S0")):
             T = T_w(flavor, ZQ, g)
-            sq = T * T
             one = HeckeElement.one(flavor, ZQ)
             if flavor == "iwahori":
                 expected = T.scale(ZQ.q - ZQ.one) + one.scale(ZQ.q)
             else:
                 expected = one.scale(ZQ.q)
-            checks += 1
-            if sq != expected:
-                failures.append((flavor, f"quadratic at {name}"))
-        # braid/length-additive products over all generator pairs
+            t.check(T * T == expected, (flavor, f"quadratic at {name}"))
+        # braid/length-additive products over all generator pairs; a pair
+        # that is not length-additive counts as a (vacuous) check
         for g1 in gens:
             for g2 in gens:
-                checks += 1
-                if length(g1 * g2) == length(g1) + length(g2):
-                    lhs = T_w(flavor, ZQ, g1) * T_w(flavor, ZQ, g2)
-                    if lhs != T_w(flavor, ZQ, g1 * g2):
-                        failures.append((flavor, "braid", g1.to_json(), g2.to_json()))
+                t.check(
+                    length(g1 * g2) != length(g1) + length(g2)
+                    or T_w(flavor, ZQ, g1) * T_w(flavor, ZQ, g2) == T_w(flavor, ZQ, g1 * g2),
+                    lambda: (flavor, "braid", g1.to_json(), g2.to_json()),
+                )
         # S0 = U S U^{-1}
-        checks += 1
         lhs = T_U(flavor, ZQ) * T_S(flavor, ZQ) * T_U(flavor, ZQ, -1)
-        if lhs != T_S0(flavor, ZQ):
-            failures.append((flavor, "S0 != U S U^-1"))
+        t.check(lhs == T_S0(flavor, ZQ), (flavor, "S0 != U S U^-1"))
     # randomized length-additive pairs
     per_flavor = n_random // len(hecke.FLAVORS) + 1
     for flavor in hecke.FLAVORS:
@@ -158,60 +182,51 @@ def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
             if length(w1 * w2) != length(w1) + length(w2):
                 continue
             done += 1
-            checks += 1
-            lhs = T_w(flavor, ZQ, w1) * T_w(flavor, ZQ, w2)
-            if lhs != T_w(flavor, ZQ, w1 * w2):
-                failures.append((flavor, "braid-random", w1.to_json(), w2.to_json()))
+            t.check(
+                T_w(flavor, ZQ, w1) * T_w(flavor, ZQ, w2) == T_w(flavor, ZQ, w1 * w2),
+                lambda: (flavor, "braid-random", w1.to_json(), w2.to_json()),
+            )
     # associativity on random triples
     for flavor in hecke.FLAVORS:
         for _ in range(20):
             x, y, z = (random_hecke(rng, flavor) for _ in range(3))
-            checks += 1
-            if (x * y) * z != x * (y * z):
-                failures.append((flavor, "associativity"))
-    return {"name": "relations", "passed": not failures, "checks": checks, "counterexamples": failures}
+            t.check((x * y) * z == x * (y * z), (flavor, "associativity"))
+    return t.report()
 
 
 def suite_center(seed: int = 0, n_random: int = 50) -> dict:
     """Central elements commute; normal form over the center recomposes."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    t = Tally("center")
     for flavor in ("iwahori", "nil"):
         z1 = zeta1_embedded(flavor, ZQ)
         z2 = zeta2_embedded(flavor, ZQ)
         for z in (z1, z2):
             for g in (T_S(flavor, ZQ), T_U(flavor, ZQ)):
-                checks += 1
-                if z * g != g * z:
-                    failures.append((flavor, "center commutation"))
-        # zeta2 = U^2
-        checks += 1
-        if z2 != T_U(flavor, ZQ) * T_U(flavor, ZQ):
-            failures.append((flavor, "zeta2 != U^2"))
+                t.check(z * g == g * z, (flavor, "center commutation"))
+        t.check(z2 == T_U(flavor, ZQ) * T_U(flavor, ZQ), (flavor, "zeta2 != U^2"))
         # normal-form roundtrip
         for _ in range(n_random):
             x = random_hecke(rng, flavor)
-            checks += 1
             coords = normal_form_over_center(x)
-            if recompose_from_center(coords, flavor, ZQ) != x:
-                failures.append((flavor, "normal form roundtrip", x.to_json()))
+            t.check(
+                recompose_from_center(coords, flavor, ZQ) == x,
+                lambda: (flavor, "normal form roundtrip", x.to_json()),
+            )
         # central elements have coordinates (c, 0, 0, 0)
         coords = normal_form_over_center(z1)
-        checks += 1
-        if coords[0] != CenterElement.monomial(ZQ, 1, 0) or any(
-            not c.is_zero() for c in coords[1:]
-        ):
-            failures.append((flavor, "zeta1 coordinates"))
-    return {"name": "center", "passed": not failures, "checks": checks, "counterexamples": failures}
+        t.check(
+            coords[0] == CenterElement.monomial(ZQ, 1, 0) and all(c.is_zero() for c in coords[1:]),
+            (flavor, "zeta1 coordinates"),
+        )
+    return t.report()
 
 
 def suite_demazure(seed: int = 0, n_random: int = 40, p: int = 3) -> dict:
     """Projector and quadratic identities of the four Demazure operators."""
     rng = random.Random(seed)
     tower = build_tower(p, 1)
-    failures = []
-    checks = 0
+    t = Tally("demazure")
     rings = [ZQ, FieldRing(tower)]
     for ring in rings:
         for _ in range(n_random):
@@ -219,46 +234,31 @@ def suite_demazure(seed: int = 0, n_random: int = 40, p: int = 3) -> dict:
             D = lambda x: demazure_k(x, "D")
             Dp = lambda x: demazure_k(x, "D'")
             Dq = lambda x: demazure_k(x, "D(q)")
-            checks += 4
-            if D(D(a)) != D(a):
-                failures.append(("K", "D^2 = D"))
-            if Dp(Dp(a)) != Dp(a):
-                failures.append(("K", "D'^2 = D'"))
+            t.check(D(D(a)) == D(a), ("K", "D^2 = D"))
+            t.check(Dp(Dp(a)) == Dp(a), ("K", "D'^2 = D'"))
             # D(q)^2 = q - (q-1) D(q)
-            lhs = Dq(Dq(a))
-            rhs = a.scale(ring.q) - Dq(a).scale(ring.q - ring.one)
-            if lhs != rhs:
-                failures.append(("K", "D(q)^2 identity"))
+            t.check(Dq(Dq(a)) == a.scale(ring.q) - Dq(a).scale(ring.q - ring.one), ("K", "D(q)^2 identity"))
             a0, a1 = decompose_k(a)
-            if a0 + a1 * GroupRingElement.monomial(ring, -1, 0) != a:
-                failures.append(("K", "decompose_k recomposition"))
+            t.check(a0 + a1 * GroupRingElement.monomial(ring, -1, 0) == a, ("K", "decompose_k recomposition"))
         for _ in range(n_random):
             s = random_sym(rng, ring)
             D = lambda x: demazure_ch(x, "D")
             Dp = lambda x: demazure_ch(x, "D'")
             Dq = lambda x: demazure_ch(x, "D(q)")
-            checks += 4
-            if not D(D(s)).is_zero():
-                failures.append(("Ch", "D^2 = 0"))
-            if Dp(Dp(s)) != s:
-                failures.append(("Ch", "D'^2 = id"))
-            if Dq(Dq(s)) != s.scale(ring.q * ring.q):
-                failures.append(("Ch", "D(q)^2 = q^2"))
-            if (-D(s)) + Dp(s) != s.s_action():
-                failures.append(("Ch", "(-D) + D' = s"))
+            t.check(D(D(s)).is_zero(), ("Ch", "D^2 = 0"))
+            t.check(Dp(Dp(s)) == s, ("Ch", "D'^2 = id"))
+            t.check(Dq(Dq(s)) == s.scale(ring.q * ring.q), ("Ch", "D(q)^2 = q^2"))
+            t.check((-D(s)) + Dp(s) == s.s_action(), ("Ch", "(-D) + D' = s"))
             if ring.is_field:
                 s0, s1 = decompose_ch(s)
-                checks += 1
-                if s0 + s1 * delta_ch(ring) != s:
-                    failures.append(("Ch", "decompose_ch recomposition"))
-    return {"name": "demazure", "passed": not failures, "checks": checks, "counterexamples": failures}
+                t.check(s0 + s1 * delta_ch(ring) == s, ("Ch", "decompose_ch recomposition"))
+    return t.report()
 
 
 def suite_krep(seed: int = 0, n_random: int = 40) -> dict:
     """A(q) theorem identities, ring homomorphism, symbolic independence."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    t = Tally("krep")
     MS = krep.rep_A0_S(ZQ)
     MU = krep.rep_A_U(ZQ)
     one = krep.gr_identity(ZQ)
@@ -266,62 +266,50 @@ def suite_krep(seed: int = 0, n_random: int = 40) -> dict:
     x2 = GroupRingElement.monomial(ZQ, 1, 1)
     q = GroupRingElement.from_scalar(ZQ, ZQ.q)
     q1 = GroupRingElement.from_scalar(ZQ, ZQ.one - ZQ.q)
-    # U^2 = xi2 Id
-    checks += 1
-    if linalg.mat_mul(MU, MU) != linalg.mat_scale(one, x2):
-        failures.append("U^2 != xi2 Id")
+    t.check(linalg.mat_mul(MU, MU) == linalg.mat_scale(one, x2), "U^2 != xi2 Id")
     # US + (1-q)U + SU = xi1 Id
-    checks += 1
     lhs = linalg.mat_add(
         linalg.mat_add(linalg.mat_mul(MU, MS), linalg.mat_scale(MU, q1)),
         linalg.mat_mul(MS, MU),
     )
-    if lhs != linalg.mat_scale(one, x1):
-        failures.append("US + (1-q)U + SU != xi1 Id")
-    # det A(U) = -e^{(1,1)}
-    checks += 1
-    if linalg.det(MU) != GroupRingElement(ZQ, {(1, 1): -ZQ.one}):
-        failures.append("det A(U) != -e^{(1,1)}")
+    t.check(lhs == linalg.mat_scale(one, x1), "US + (1-q)U + SU != xi1 Id")
+    t.check(linalg.det(MU) == GroupRingElement(ZQ, {(1, 1): -ZQ.one}), "det A(U) != -e^{(1,1)}")
     # S^2 = (q-1) S + q
-    checks += 1
-    if linalg.mat_mul(MS, MS) != linalg.mat_add(
-        linalg.mat_scale(MS, q - GroupRingElement.one(ZQ)), linalg.mat_scale(one, q)
-    ):
-        failures.append("S quadratic relation fails in A0")
-    # constraint system of the extension theorem
-    checks += 3
+    t.check(
+        linalg.mat_mul(MS, MS)
+        == linalg.mat_add(linalg.mat_scale(MS, q - GroupRingElement.one(ZQ)), linalg.mat_scale(one, q)),
+        "S quadratic relation fails in A0",
+    )
+    # the three identities of the extension theorem: three checks, and
+    # one counterexample that names all three when any fails
     try:
         krep.check_theorem_constraints(ZQ)
+        error = None
     except AssertionError as exc:
-        failures.append(str(exc))
-    # independence determinants
-    checks += 2
-    det_gen = krep.independence_determinant(ZQ, at_q0=False)
-    det_q0 = krep.independence_determinant(ZQ, at_q0=True)
-    if det_gen.is_zero():
-        failures.append("generic independence determinant vanishes")
-    if det_q0.is_zero():
-        failures.append("q=0 independence determinant vanishes")
+        error = str(exc)
+    for held in (error is None, True, True):
+        t.check(held, error)
+    t.check(not krep.independence_determinant(ZQ, at_q0=False).is_zero(), "generic independence determinant vanishes")
+    t.check(not krep.independence_determinant(ZQ, at_q0=True).is_zero(), "q=0 independence determinant vanishes")
     # ring homomorphism on random pairs
     for _ in range(n_random):
         x = random_hecke(rng, "iwahori")
         y = random_hecke(rng, "iwahori")
-        checks += 1
-        if krep.rep_A(x * y) != linalg.mat_mul(krep.rep_A(x), krep.rep_A(y)):
-            failures.append(("rep_A not multiplicative", x.to_json(), y.to_json()))
+        t.check(
+            krep.rep_A(x * y) == linalg.mat_mul(krep.rep_A(x), krep.rep_A(y)),
+            lambda: ("rep_A not multiplicative", x.to_json(), y.to_json()),
+        )
     # matrix action matches operator action through decompose_k
     for _ in range(10):
         x = random_hecke(rng, "iwahori", n_terms=1)
         a = random_group_ring(rng, ZQ)
-        checks += 1
         via_product = krep.apply_matrix_k(krep.rep_A(x), a)
         # compare against applying the two factors separately
         xs = T_S("iwahori", ZQ)
         lhs = krep.apply_matrix_k(krep.rep_A(xs * x), a)
         rhs = krep.apply_matrix_k(krep.rep_A0_S(ZQ), via_product)
-        if lhs != rhs:
-            failures.append("matrix action incompatible with composition")
-    return {"name": "krep", "passed": not failures, "checks": checks, "counterexamples": failures}
+        t.check(lhs == rhs, "matrix action incompatible with composition")
+    return t.report()
 
 
 def suite_krep_theta(p: int = 3, f: int = 1) -> dict:
@@ -329,8 +317,7 @@ def suite_krep_theta(p: int = 3, f: int = 1) -> dict:
     irreducibility of the supersingular reductions over GF(q^2)."""
     tower = build_tower(p, f)
     ring = FieldRing(tower)
-    failures = []
-    checks = 0
+    t = Tally("krep-theta")
     zero, one = ring.zero, ring.one
     elements = tower.ext_elements()
     nonzero = [x for x in elements if not x.is_zero()]
@@ -338,55 +325,41 @@ def suite_krep_theta(p: int = 3, f: int = 1) -> dict:
         # supersingular display at tau1 = 0
         mod = krep.reduce_at_theta((zero, tau2), ring)
         d = mod.gen_dict()
-        checks += 3
-        if d["S"] != ((zero, zero), (zero, -one)):
-            failures.append(("PS matrix S", str(tau2)))
-        if d["U"] != ((zero, -tau2), (-one, zero)):
-            failures.append(("PS matrix U", str(tau2)))
+        t.check(d["S"] == ((zero, zero), (zero, -one)), lambda: ("PS matrix S", str(tau2)))
+        t.check(d["U"] == ((zero, -tau2), (-one, zero)), lambda: ("PS matrix U", str(tau2)))
         S0 = linalg.mat_mul(linalg.mat_mul(d["U"], d["S"]), d["Uinv"])
-        if S0 != ((-one, zero), (zero, zero)):
-            failures.append(("PS matrix S0", str(tau2)))
-        # irreducibility by exhaustive spinning
-        checks += 1
-        if not krep.is_irreducible(mod):
-            failures.append(("supersingular reduction reducible", str(tau2)))
-        # isomorphic to the standard module
-        checks += 1
-        if not krep.is_isomorphic(mod, krep.standard_module(zero, tau2, ring)):
-            failures.append(("reduction != standard module", str(tau2)))
+        t.check(S0 == ((-one, zero), (zero, zero)), lambda: ("PS matrix S0", str(tau2)))
+        t.check(krep.is_irreducible(mod), lambda: ("supersingular reduction reducible", str(tau2)))
+        t.check(
+            krep.is_isomorphic(mod, krep.standard_module(zero, tau2, ring)),
+            lambda: ("reduction != standard module", str(tau2)),
+        )
     # faithfulness iff tau1^2 != tau2, all theta over GF(q^2)
     for tau1 in elements:
         for tau2 in nonzero:
             mod = krep.reduce_at_theta((tau1, tau2), ring)
-            checks += 1
             faithful = krep.faithfulness_rank(mod) == 4
-            if faithful != (tau1 * tau1 != tau2):
-                failures.append(("faithfulness criterion", str(tau1), str(tau2)))
+            t.check(faithful == (tau1 * tau1 != tau2), lambda: ("faithfulness criterion", str(tau1), str(tau2)))
             # standard module reducible iff tau1^2 = tau2
             std = krep.standard_module(tau1, tau2, ring)
-            checks += 1
-            if krep.is_irreducible(std) != (tau1 * tau1 != tau2):
-                failures.append(("irreducibility criterion", str(tau1), str(tau2)))
-    return {"name": "krep-theta", "passed": not failures, "checks": checks, "counterexamples": failures}
+            t.check(
+                krep.is_irreducible(std) == (tau1 * tau1 != tau2),
+                lambda: ("irreducibility criterion", str(tau1), str(tau2)),
+            )
+    return t.report()
 
 
 def suite_obstruction(primes=(3, 5, 7)) -> dict:
     """The naive square-root obstruction and the Anil theorem conditions."""
-    failures = []
-    checks = 0
-    report = chowrep.check_naive_obstruction()
-    checks += 1
-    if report["solvable"]:
-        failures.append("obstruction not refuted")
+    t = Tally("obstruction")
+    t.check(not chowrep.check_naive_obstruction()["solvable"], "obstruction not refuted")
     # parity oracle on sample Laurent polynomials
     import itertools
 
     for p in primes:
         for support in itertools.product(range(-2, 3), repeat=2):
             cand = {support[0]: 1, support[1]: max(1, p - 1)}
-            checks += 1
-            if not chowrep.square_has_even_extremes(cand, p):
-                failures.append(("square with odd extreme degree", p, support))
+            t.check(chowrep.square_has_even_extremes(cand, p), ("square with odd extreme degree", p, support))
     for p in primes:
         tower = build_tower(p, 1)
         ring = FieldRing(tower)
@@ -394,26 +367,17 @@ def suite_obstruction(primes=(3, 5, 7)) -> dict:
         MU = chowrep.rep_Anil_U(ring)
         ident = chowrep.sym_identity(ring)
         x1, x2 = xi1_ch(ring), xi2_ch(ring)
-        checks += 3
         # condition 1: S^2 = 0 at q = 0
-        if any(not e.is_zero() for row in linalg.mat_mul(MS, MS) for e in row):
-            failures.append((p, "S^2 != 0"))
+        t.check(all(e.is_zero() for row in linalg.mat_mul(MS, MS) for e in row), (p, "S^2 != 0"))
         # condition 2: U^2 = xi2^2 Id
-        if linalg.mat_mul(MU, MU) != linalg.mat_scale(ident, x2 * x2):
-            failures.append((p, "U^2 != xi2^2 Id"))
+        t.check(linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, x2 * x2), (p, "U^2 != xi2^2 Id"))
         # condition 3: US + SU = -xi1 Id
         anti = linalg.mat_add(linalg.mat_mul(MU, MS), linalg.mat_mul(MS, MU))
-        if anti != linalg.mat_scale(ident, -x1):
-            failures.append((p, "US + SU != -xi1 Id"))
-        # det Anil(U) = -xi2^2
-        checks += 1
-        if linalg.det(MU) != -(x2 * x2):
-            failures.append((p, "det Anil(U) != -xi2^2"))
+        t.check(anti == linalg.mat_scale(ident, -x1), (p, "US + SU != -xi1 Id"))
+        t.check(linalg.det(MU) == -(x2 * x2), (p, "det Anil(U) != -xi2^2"))
         # cross-check: Anil(U) is multiplication by eta1^2 composed with s
-        checks += 1
-        if chowrep.eta1_squared_s_matrix(ring) != MU:
-            failures.append((p, "Anil(U) != eta1^2 * s"))
-    return {"name": "obstruction", "passed": not failures, "checks": checks, "counterexamples": failures}
+        t.check(chowrep.eta1_squared_s_matrix(ring) == MU, (p, "Anil(U) != eta1^2 * s"))
+    return t.report()
 
 
 def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
@@ -421,52 +385,44 @@ def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
     rng = random.Random(seed)
     tower = build_tower(p, 1)
     ring = FieldRing(tower)
-    failures = []
-    checks = 0
-    checks += 1
-    if chowrep.nil_independence_determinant(ring).is_zero():
-        failures.append("nil independence determinant vanishes")
+    t = Tally("chowrep")
+    t.check(not chowrep.nil_independence_determinant(ring).is_zero(), "nil independence determinant vanishes")
     # Anil ring homomorphism
     for _ in range(60):
         x = random_hecke(rng, "nil", ring)
         y = random_hecke(rng, "nil", ring)
-        checks += 1
-        if chowrep.rep_Anil(x * y) != linalg.mat_mul(chowrep.rep_Anil(x), chowrep.rep_Anil(y)):
-            failures.append(("rep_Anil not multiplicative", x.to_json(), y.to_json()))
+        t.check(
+            chowrep.rep_Anil(x * y) == linalg.mat_mul(chowrep.rep_Anil(x), chowrep.rep_Anil(y)),
+            lambda: ("rep_Anil not multiplicative", x.to_json(), y.to_json()),
+        )
     # nil freeness roundtrip
     for _ in range(30):
         x = random_hecke(rng, "nil", ring)
-        checks += 1
         coords = normal_form_over_center(x)
-        if recompose_from_center(coords, "nil", ring) != x:
-            failures.append(("nil normal form roundtrip", x.to_json()))
+        t.check(
+            recompose_from_center(coords, "nil", ring) == x,
+            lambda: ("nil normal form roundtrip", x.to_json()),
+        )
     # A2 ring homomorphism on randomized pairs
     for _ in range(n_random):
         x = random_hecke(rng, "h2", ring, n_terms=2)
         y = random_hecke(rng, "h2", ring, n_terms=2)
-        checks += 1
         lhs = chowrep.rep_A2(x * y)
         rhs = linalg.mat_mul(chowrep.rep_A2(x), chowrep.rep_A2(y))
-        if lhs != rhs:
-            failures.append(("rep_A2 not multiplicative", x.to_json(), y.to_json()))
+        t.check(lhs == rhs, lambda: ("rep_A2 not multiplicative", x.to_json(), y.to_json()))
     # A2 sends the identity to the identity and e_i to block projectors
-    ident = HeckeElement.one("h2", ring)
-    mat = chowrep.rep_A2(ident)
-    checks += 1
+    mat = chowrep.rep_A2(HeckeElement.one("h2", ring))
     expected = [[SymElement.zero(ring)] * 4 for _ in range(4)]
     for i in range(4):
         expected[i][i] = SymElement.one(ring)
-    if mat != tuple(tuple(r) for r in expected):
-        failures.append("A2(1) != Id")
+    t.check(mat == tuple(tuple(r) for r in expected), "A2(1) != Id")
     # injectivity via block decomposition on random supports
     for _ in range(100):
         x = random_hecke(rng, "h2", ring, n_terms=3)
         if x.is_zero():
             continue
-        checks += 1
         mat = chowrep.rep_A2(x)
-        if chowrep.a2_is_zero(mat):
-            failures.append(("A2 kills a nonzero element", x.to_json()))
+        if not t.check(not chowrep.a2_is_zero(mat), lambda: ("A2 kills a nonzero element", x.to_json())):
             continue
         # block structure: block (i, j) is the Anil image of the part of x
         # supported on idempotent i with w moving j to i
@@ -484,70 +440,59 @@ def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
                 shadow = HeckeElement(
                     "nil", ring, {w: c for (_, w), c in part.terms.items()}
                 )
-                checks += 1
-                if chowrep.a2_block(mat, i, j) != chowrep.rep_Anil(shadow):
-                    failures.append(("A2 block decomposition", i, j, x.to_json()))
+                t.check(
+                    chowrep.a2_block(mat, i, j) == chowrep.rep_Anil(shadow),
+                    lambda: ("A2 block decomposition", i, j, x.to_json()),
+                )
                 # Anil is injective (independence over a domain), so a
-                # nonzero part must give a nonzero block
+                # nonzero part must give a nonzero block.  Recorded without
+                # a check of its own: each random element adds 1 + 4 checks.
                 if not part.is_zero() and all(
                     e.is_zero() for row in chowrep.a2_block(mat, i, j) for e in row
                 ):
-                    failures.append(("A2 block vanishes on nonzero part", i, j))
-    return {"name": "chowrep", "passed": not failures, "checks": checks, "counterexamples": failures}
+                    t.failures.append(("A2 block vanishes on nonzero part", i, j))
+    return t.report()
 
 
 def suite_h2_model(seed: int = 0, n_random: int = 60) -> dict:
     """The 2x2 matrix model of h2 at q = 0."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    t = Tally("h2-model")
     Z = hecke.ZRingElement
     # displayed images of the central elements
     z1 = zeta1_embedded("h2", ZQ)
-    mat = hecke.h2_matrix_model(z1)
     xy = Z.gen("X") + Z.gen("Y")
-    checks += 1
-    if mat != ((xy, Z()), (Z(), xy)):
-        failures.append("zeta1 image")
+    t.check(hecke.h2_matrix_model(z1) == ((xy, Z()), (Z(), xy)), "zeta1 image")
     z2 = zeta2_embedded("h2", ZQ)
-    mat = hecke.h2_matrix_model(z2)
-    checks += 1
-    if mat != ((Z.gen("z2"), Z()), (Z(), Z.gen("z2"))):
-        failures.append("zeta2 image")
+    t.check(hecke.h2_matrix_model(z2) == ((Z.gen("z2"), Z()), (Z(), Z.gen("z2"))), "zeta2 image")
     # S^2 -> 0 (the product is taken in H2(0): specialize q = 0)
     s = T_S("h2", ZQ)
-    checks += 1
-    if not all(e.is_zero() for row in hecke.h2_matrix_model(hecke.specialize_q0(s * s)) for e in row):
-        failures.append("S^2 image nonzero")
+    t.check(
+        all(e.is_zero() for row in hecke.h2_matrix_model(hecke.specialize_q0(s * s)) for e in row),
+        "S^2 image nonzero",
+    )
     # e1 + e2 -> Id
-    checks += 1
     one_mat = hecke.h2_matrix_model(HeckeElement.one("h2", ZQ))
-    if one_mat != ((Z.const(1), Z()), (Z(), Z.const(1))):
-        failures.append("1 does not map to Id")
+    t.check(one_mat == ((Z.const(1), Z()), (Z(), Z.const(1))), "1 does not map to Id")
     # multiplicativity on random q = 0 pairs
     for _ in range(n_random):
         x = _random_h2_q0(rng)
         y = _random_h2_q0(rng)
-        checks += 1
         lhs = hecke.h2_matrix_model(hecke.specialize_q0(x * y))
-        mx, my = hecke.h2_matrix_model(x), hecke.h2_matrix_model(y)
-        rhs = linalg.mat_mul(mx, my)
-        if lhs != rhs:
-            failures.append(("model not multiplicative", x.to_json(), y.to_json()))
+        rhs = linalg.mat_mul(hecke.h2_matrix_model(x), hecke.h2_matrix_model(y))
+        t.check(lhs == rhs, lambda: ("model not multiplicative", x.to_json(), y.to_json()))
     # nonzero generic q rejected
-    checks += 1
     try:
         hecke.h2_matrix_model(T_S("h2", ZQ).scale(ZQ.q))
-        failures.append("generic q accepted")
+        rejected = False
     except ValueError:
-        pass
+        rejected = True
+    t.check(rejected, "generic q accepted")
     # Z-center zeta1, zeta2 commute with the generators in H2
     for z in (z1, z2):
         for g in (T_S("h2", ZQ), T_U("h2", ZQ), hecke.idem_element(ZQ, 1)):
-            checks += 1
-            if z * g != g * z:
-                failures.append("h2 center does not commute")
-    return {"name": "h2-model", "passed": not failures, "checks": checks, "counterexamples": failures}
+            t.check(z * g == g * z, "h2 center does not commute")
+    return t.report()
 
 
 def _random_h2_q0(rng: random.Random) -> HeckeElement:
@@ -564,20 +509,18 @@ def suite_regular_reduction(p: int = 3, f: int = 1) -> dict:
     standard factors, non-semisimplicity; for every b in GF(q^2)^x."""
     tower = build_tower(p, f)
     ring = FieldRing(tower)
-    failures = []
-    checks = 0
+    t = Tally("regular-reduction")
     zero = ring.zero
     nonzero = [x for x in tower.ext_elements() if not x.is_zero()]
     for b in nonzero:
         m8 = chowrep.reduce_regular_at_theta((zero, b), ring)
         report = chowrep.semisimplify(m8, b)
-        checks += 3
-        if report["dims"] != [2, 4, 6, 8]:
-            failures.append((str(b), "dims", report["dims"]))
-        if not report["all_factors_standard"]:
-            failures.append((str(b), "factor not standard"))
-        if not report["eigenvectors_in_4dim_stage"]:
-            failures.append((str(b), "affine eigenvectors escape the 4-dim stage"))
+        t.check(report["dims"] == [2, 4, 6, 8], lambda: (str(b), "dims", report["dims"]))
+        t.check(report["all_factors_standard"], lambda: (str(b), "factor not standard"))
+        t.check(
+            report["eigenvectors_in_4dim_stage"],
+            lambda: (str(b), "affine eigenvectors escape the 4-dim stage"),
+        )
         # reduced-seed spinning: every found invariant subspace respects
         # the chain dimensions; the chain members themselves are found
         seeds = chowrep.reduced_spin_seeds(ring)
@@ -585,20 +528,11 @@ def suite_regular_reduction(p: int = 3, f: int = 1) -> dict:
         for v in seeds:
             sub = linalg.spin([v], m8.generator_matrices(), ring)
             found[sub[0]] = sub
-        dims_found = sorted({len(rows) for rows in found})
-        checks += 1
         chain_rows = {c[0] for c in chowrep.explicit_chain(m8)}
-        if not chain_rows <= set(found):
-            failures.append((str(b), "chain member missed by reduced spinning"))
-        checks += 1
-        if 8 not in dims_found:
-            failures.append((str(b), "whole module not generated"))
-    return {
-        "name": "regular-reduction",
-        "passed": not failures,
-        "checks": checks,
-        "counterexamples": failures,
-    }
+        t.check(chain_rows <= set(found), lambda: (str(b), "chain member missed by reduced spinning"))
+        t.check(any(len(rows) == 8 for rows in found), lambda: (str(b), "whole module not generated"))
+    return t.report()
+
 
 
 def suite_bijection(p: int, f: int = 1) -> dict:
@@ -619,40 +553,28 @@ def suite_idempotents(p: int, f: int = 1) -> dict:
     tower = build_tower(p, f)
     q = tower.q
     n = q - 1
-    failures = []
-    checks = 0
+    t = Tally(f"idempotents-q{q}")
     lambdas = [(m1, m2) for m1 in range(n) for m2 in range(n)]
     idems = {lam: idempotent(tower, lam).as_dict() for lam in lambdas}
     for lam, e in idems.items():
-        checks += 1
-        if group_algebra_mul(e, e, q) != e:
-            failures.append((lam, "not idempotent"))
+        t.check(group_algebra_mul(e, e, q) == e, (lam, "not idempotent"))
     for lam in lambdas:
         for mu in lambdas:
-            if lam >= mu:
-                continue
-            checks += 1
-            if group_algebra_mul(idems[lam], idems[mu], q):
-                failures.append((lam, mu, "not orthogonal"))
+            if lam < mu:
+                t.check(not group_algebra_mul(idems[lam], idems[mu], q), (lam, mu, "not orthogonal"))
     total: dict = {}
     for e in idems.values():
         for k, c in e.items():
             total[k] = total[k] + c if k in total else c
     total = {k: c for k, c in total.items() if not c.is_zero()}
-    checks += 1
-    if total != {(0, 0): tower.one()}:
-        failures.append("idempotents do not sum to the identity")
+    t.check(total == {(0, 0): tower.one()}, "idempotents do not sum to the identity")
     orbs = orbits(tower)
-    checks += 1
-    if len(orbs) != (q * q - q) // 2:
-        failures.append(("orbit count", len(orbs)))
+    t.check(len(orbs) == (q * q - q) // 2, ("orbit count", len(orbs)))
     # e_gamma is idempotent for each orbit
     for orb in orbs:
         e = idempotent(tower, orb).as_dict()
-        checks += 1
-        if group_algebra_mul(e, e, q) != e:
-            failures.append((orb, "orbit idempotent fails"))
-    return {"name": f"idempotents-q{q}", "passed": not failures, "checks": checks, "counterexamples": failures}
+        t.check(group_algebra_mul(e, e, q) == e, (orb, "orbit idempotent fails"))
+    return t.report()
 
 
 ALL_SUITES = (

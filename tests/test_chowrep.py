@@ -164,6 +164,28 @@ def test_reduced_spinning_recovers_chain():
     assert 8 in {len(rows) for rows in found}
 
 
+def test_generators_suffice_for_the_regular_module():
+    # e2 = 1 - e1 and Uinv = U / b add nothing to spinning or intertwining
+    def every_matrix(m):
+        d = m.gen_dict()
+        return [d[name] for name in ("e1", "e2", "S", "U", "Uinv")]
+
+    m8, b, ring = regular_module(4)
+    seeds = chowrep.reduced_spin_seeds(ring)[::4]
+    subspaces = set()
+    for v in seeds:
+        sub = linalg.spin([v], m8.generator_matrices(), ring)
+        assert sub == linalg.spin([v], every_matrix(m8), ring)
+        subspaces.add(sub[0])
+    assert len(seeds) == 58 and len(subspaces) > 1
+    target = krep.standard_module_h2(b, ring)
+    other = krep.standard_module_h2(b * b, ring)
+    for factor in chowrep.composition_series(m8, b)["factors"]:
+        for std, expected in ((target, True), (other, False)):
+            assert krep.is_isomorphic(factor, std) is expected
+            assert (linalg.solve_intertwiner(every_matrix(factor), every_matrix(std), ring) is not None) is expected
+
+
 def test_quotient_module_consistency():
     m8, b, ring = regular_module()
     chain = chowrep.explicit_chain(m8)

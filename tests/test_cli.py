@@ -87,3 +87,19 @@ def test_bad_prime_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["orbits", "--p", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--theta", "x,g"), "invalid literal for int() with base 10: 'x'"),
+        (("--theta", "0,0"), "tau2 must be nonzero (zeta2 acts invertibly)"),
+        (("--b", "0"), "b must be nonzero"),
+        (("--b", "zz"), "invalid literal for int() with base 10: 'zz'"),
+    ],
+)
+def test_module_usage_error_messages(capsys, argv, message):
+    assert main(["module", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"

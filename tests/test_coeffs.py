@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,3 +126,13 @@ def test_field_ring_has_no_base_level(p, f):
     assert FieldRing(t).one == t.one()
     with pytest.raises(ValueError):
         FieldRing(t, "base")
+
+
+def test_elements_of_equal_towers_built_apart_compare_equal():
+    t = build_tower(3, 1)
+    twin = dataclasses.replace(t)  # a second, equal FieldTower object
+    assert twin is not t and twin == t
+    for x in t.ext_elements():
+        y = twin.element(x.coeffs)
+        assert x == y and y == x and hash(x) == hash(y)
+    assert t.one() != build_tower(5, 1).one()  # same coefficients, other field

@@ -126,9 +126,9 @@ def test_standard_module_reducibility_criterion():
     # tau1 = 1, tau2 = 1: reducible (tau1^2 = tau2)
     red = krep.standard_module(one, one, ring)
     assert not krep.is_irreducible(red)
-    subs = krep.submodule_lattice(red)
-    dims = sorted(len(s[0]) for s in subs)
-    assert 1 in dims  # a proper invariant line exists
+    # a proper invariant line exists
+    lines = [linalg.spin([v], red.generator_matrices(), ring)[0] for v in krep.projective_lines(ring, 2)]
+    assert any(len(rows) == 1 for rows in lines)
     # tau1 = 0: irreducible
     irr = krep.standard_module(ring.zero, one, ring)
     assert krep.is_irreducible(irr)
@@ -140,3 +140,32 @@ def test_reduce_at_theta_rejects_zero_tau2():
     ring = FieldRing(tower, "ext")
     with pytest.raises(ValueError):
         krep.reduce_at_theta((ring.zero, ring.zero), ring)
+
+
+def _spans_and_isomorphism_agree(m1, m2, ring):
+    """Spinning and the isomorphism test give the same answers over the
+    generators as over all named matrices (Uinv and e2 included)."""
+
+    def every_matrix(m):
+        d = m.gen_dict()
+        return [d[name] for name in ("e1", "e2", "S", "U", "Uinv") if name in d]
+
+    for m in (m1, m2):
+        for v in krep.projective_lines(ring, m.dim):
+            assert linalg.spin([v], m.generator_matrices(), ring) == linalg.spin([v], every_matrix(m), ring)
+    assert krep.is_isomorphic(m1, m2) == (
+        linalg.solve_intertwiner(every_matrix(m1), every_matrix(m2), ring) is not None
+    )
+
+
+def test_generators_suffice_for_two_dim_modules():
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    elements = tower.ext_elements()
+    for tau1 in elements[:4]:
+        for tau2 in elements[1:5]:
+            red = krep.reduce_at_theta((tau1, tau2), ring)
+            _spans_and_isomorphism_agree(red, krep.standard_module(tau1, tau2, ring), ring)
+            _spans_and_isomorphism_agree(red, krep.standard_module(ring.zero, tau2, ring), ring)
+    for b, c in ((elements[1], elements[1]), (elements[1], elements[5]), (elements[3], elements[7])):
+        _spans_and_isomorphism_agree(krep.standard_module_h2(b, ring), krep.standard_module_h2(c, ring), ring)
