@@ -16,7 +16,8 @@ module (one per component of the doubled flag variety) by
 A2(e_i T_w) = p_i o diag(Anil(T_w)) o perm(w).  Specializing at a
 supersingular central character theta with theta(zeta2) = b yields the
 8-dimensional module over A = E[xi2]/(xi2^2 - b), with composition
-series of dimensions [2, 4, 6, 8] and four isomorphic simple factors.
+series of dimensions [2, 4, 6, 8] and four isomorphic simple factors; its
+socle is the 4-dimensional stage, so its Loewy length is 2.
 """
 
 from __future__ import annotations
@@ -320,9 +321,9 @@ def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
 def composition_series(m: FiniteModule, b) -> dict:
     """Composition series of the 8-dimensional module.
 
-    Verifies the explicit chain is invariant, has dimensions [2,4,6,8],
-    and that every subquotient is isomorphic to the standard rank-2
-    module with U^2 = b.
+    Verifies the explicit chain is invariant (raises ArithmeticError if a
+    member is not), has dimensions [2,4,6,8], and that every subquotient
+    is isomorphic to the standard rank-2 module with U^2 = b.
     """
     ring = m.ring
     ops = m.generator_matrices()
@@ -331,7 +332,7 @@ def composition_series(m: FiniteModule, b) -> dict:
     for rows, piv in chain:
         spun = linalg.spin(list(rows), ops, ring)
         if spun[0] != rows:
-            raise AssertionError("chain member is not an invariant subspace")
+            raise ArithmeticError("chain member is not an invariant subspace")
         dims.append(len(rows))
     target = standard_module_h2(b, ring)
     factors = []
@@ -347,6 +348,16 @@ def composition_series(m: FiniteModule, b) -> dict:
         "factors": factors,
         "all_factors_standard": all_std,
     }
+
+
+def socle(m: FiniteModule, simple: FiniteModule) -> tuple:
+    """The sum of all submodules of m isomorphic to ``simple``, as RREF.
+
+    It is the span of the images of a basis of Hom(simple, m).  When every
+    composition factor of m is isomorphic to ``simple``, this is the socle
+    of m."""
+    homs = linalg.hom_space(simple.generator_matrices(), m.generator_matrices(), m.ring)
+    return linalg.rref([tuple(row[j] for row in X) for X in homs for j in range(simple.dim)])
 
 
 def affine_eigenvectors_in(m: FiniteModule, sub) -> tuple:
@@ -393,25 +404,3 @@ def semisimplify(m: FiniteModule, b) -> dict:
         "semisimple": False if inside_v4 else None,
         "eigenvectors_in_4dim_stage": inside_v4,
     }
-
-
-def reduced_spin_seeds(ring, dim: int = 8):
-    """Spinning seeds: the dim basis lines e_i plus every e_i + c*e_j with
-    i < j and c in E^x, so dim + C(dim, 2)*(|E| - 1) vectors.  For dim = 8
-    over E = GF(q^2) that is 8 + 28(q^2 - 1), 232 at q = 3.
-
-    Exhausting all of E^8 is out of reach.  The set makes no claim to
-    meet every submodule: the chain checks verify separately that the
-    members of the explicit composition chain are among the spun
-    subspaces."""
-    elements = ring.tower.ext_elements()[1:]
-    seeds = []
-    for i in range(dim):
-        seeds.append(_unit_vector(ring, dim, i))
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            for c in elements:
-                v = list(_unit_vector(ring, dim, i))
-                v[j] = c
-                seeds.append(tuple(v))
-    return seeds

@@ -362,14 +362,14 @@ def build_tower(p: int, f: int) -> FieldTower:
     return FieldTower(p, f, modulus_2f, generator)
 
 
+@lru_cache(maxsize=None)
+def _log_table(tower: FieldTower) -> dict:
+    """{coefficient vector of g^k: k} for 0 <= k < q^2 - 1, built once per tower."""
+    return {x.coeffs: k for k, x in enumerate(tower.ext_elements()[1:])}
+
+
 def discrete_log(x: FieldElement) -> int:
-    """Brute-force discrete log base the tower generator, in [0, q^2-2]."""
+    """Discrete log base the tower generator, in [0, q^2-2], by table lookup."""
     if x.is_zero():
         raise ValueError("discrete log of zero")
-    g = x.tower.gen()
-    acc = x.tower.one()
-    for k in range(x.tower.q**2 - 1):
-        if acc == x:
-            return k
-        acc = acc * g
-    raise ValueError("element not generated; corrupt tower")
+    return _log_table(x.tower)[x.coeffs]

@@ -15,7 +15,6 @@ invariants at a central character theta = (tau1, tau2) yields the finite
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from . import linalg
 from .charrings import (
@@ -111,7 +110,7 @@ def apply_matrix_k(M, a: GroupRingElement) -> GroupRingElement:
 def check_theorem_constraints(ring) -> dict:
     """The displayed A(q)(U) is the unique solution of the extension
     constraints: a = -d, bc = xi2 - a^2, (q+1)a + q*xi1*e^{(-1,-1)}*c = xi1,
-    identically in q.  Returns the verified identities."""
+    identically in q.  Returns whether each identity holds, by name."""
     MU = rep_A_U(ring)
     a, b = MU[0]
     c, d = MU[1]
@@ -120,14 +119,11 @@ def check_theorem_constraints(ring) -> dict:
     q = GroupRingElement.from_scalar(ring, ring.q)
     one = GroupRingElement.one(ring)
     shift = GroupRingElement.monomial(ring, -1, -1)  # e^{(-1,-1)}
-    results = {
+    return {
         "a_eq_minus_d": (a + d).is_zero(),
         "bc_eq_xi2_minus_a2": (b * c - (x2 - a * a)).is_zero(),
         "trace_condition": ((q + one) * a + q * x1 * shift * c - x1).is_zero(),
     }
-    if not all(results.values()):
-        raise AssertionError(f"A(q)(U) violates the extension constraints: {results}")
-    return results
 
 
 def invariant_matrix_flatten(mats) -> tuple:
@@ -301,32 +297,32 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule) -> bool:
     return X is not None
 
 
-def projective_lines(ring: FieldRing, dim: int):
-    """Representatives of all lines of E^dim: first nonzero coordinate 1."""
-    elements = ring.tower.ext_elements()
-    for lead in range(dim):
-        for tail in product(elements, repeat=dim - lead - 1):
-            yield (ring.zero,) * lead + (ring.one,) + tail
+def faithfulness_rank(m: FiniteModule) -> int:
+    """Dimension of the algebra the generators span in End(E^dim).
+
+    Spins the flattened identity under left multiplication by each
+    generator, so the span is that of all words in them.  On a
+    2-dimensional module at theta the reduced algebra is spanned by the
+    images of {1, S, U, SU}, so this is their rank, and the representation
+    is faithful exactly when it is 4."""
+    n, ring = m.dim, m.ring
+    ident = tuple(x for row in linalg.mat_identity(ring, n) for x in row)
+    # X -> A X on X flattened row by row: entry ((i, j), (k, l)) is A[i][k] if l = j
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    left = [
+        tuple(tuple(A[i][k] if l == j else ring.zero for k, l in cells) for i, j in cells)
+        for A in m.generator_matrices()
+    ]
+    return len(linalg.spin([ident], left, ring)[0])
 
 
 def is_irreducible(m: FiniteModule) -> bool:
-    """Exhaustive: every nonzero vector spins to the whole space."""
-    ops = m.generator_matrices()
-    for v in projective_lines(m.ring, m.dim):
-        rows, _ = linalg.spin([v], ops, m.ring)
-        if len(rows) != m.dim:
-            return False
-    return True
+    """Is m simple over the algebraic closure of GF(p)?
 
-
-def faithfulness_rank(m: FiniteModule) -> int:
-    """Rank of {Id, S, U, SU} as vectors in E^(dim^2).
-
-    The reduced algebra at theta is spanned by these four images; the
-    representation is faithful exactly when the rank is 4."""
-    d = m.gen_dict()
-    S, U = d["S"], d["U"]
-    ident = linalg.mat_identity(m.ring, m.dim)
-    SU = linalg.mat_mul(S, U)
-    rows = [tuple(x for row in M for x in row) for M in (ident, S, U, SU)]
-    return linalg.rank(rows)
+    Burnside: exactly when the generators span all of End(E^dim).  For
+    every module built here this is also simplicity over E.  A module
+    reducible over E stays reducible over the closure; on the
+    2-dimensional ones S or e1 has two distinct eigenvalues in E, so an
+    invariant line over the closure is one of its eigenlines and is
+    already defined over E."""
+    return faithfulness_rank(m) == m.dim**2

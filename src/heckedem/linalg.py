@@ -4,8 +4,9 @@ Matrices are tuples of tuples; vectors are tuples.  The matrix helpers
 (identity, sum, scaling, product, determinant) work over any ring whose
 elements support +, - and *: finite fields, and the group, symmetric,
 center and Hecke rings.  Row reduction, rank, nullspace, solving,
-invariant-subspace spinning and the intertwiner search for module
-isomorphism need a field.  Everything is deterministic and exact.
+invariant-subspace spinning, Hom spaces between modules and the
+intertwiner search for module isomorphism need a field.  Everything is
+deterministic and exact.
 """
 
 from __future__ import annotations
@@ -171,30 +172,42 @@ def subspace_eq(a, b) -> bool:
     return a[0] == b[0]
 
 
+def hom_space(gens1, gens2, ring):
+    """Basis of {X : X A = B X for every generator pair (A, B)}.
+
+    gens1 and gens2 are parallel lists of n1 x n1 and n2 x n2 matrices over
+    a field, the actions of the same generators on two modules M1 and M2;
+    each basis element X is an n2 x n1 matrix, and together they span
+    Hom(M1, M2).  The constraints are linear in the entries of X, so the
+    space is one nullspace.
+    """
+    n1, n2 = len(gens1[0]), len(gens2[0])
+    # unknown X with entries x[i*n1+j]; constraint (X A - B X)[i][j] = 0
+    rows = []
+    for A, B in zip(gens1, gens2):
+        for i in range(n2):
+            for j in range(n1):
+                row = [ring.zero] * (n2 * n1)
+                # (X A)[i][j] = sum_k x[i][k] A[k][j]
+                for k in range(n1):
+                    row[i * n1 + k] = row[i * n1 + k] + A[k][j]
+                # (B X)[i][j] = sum_k B[i][k] x[k][j]
+                for k in range(n2):
+                    row[k * n1 + j] = row[k * n1 + j] - B[i][k]
+                rows.append(tuple(row))
+    return [tuple(v[i * n1 : (i + 1) * n1] for i in range(n2)) for v in nullspace(tuple(rows), ring)]
+
+
 def solve_intertwiner(gens1, gens2, ring):
     """Find an invertible X with X A = B X for all generator pairs (A, B).
 
     gens1 and gens2 are parallel lists of n x n matrices over GF(q^2).
-    The solution space of the linear constraints is computed exactly; then
-    all projective combinations of its basis are scanned for
-    invertibility.  Returns X or None; raises ValueError when the scan
-    would exceed MAX_INTERTWINER_SCAN candidates.
+    The solution space ``hom_space`` is exact; then all projective
+    combinations of its basis are scanned for invertibility.  Returns X
+    or None; raises ValueError when the scan would exceed
+    MAX_INTERTWINER_SCAN candidates.
     """
-    n = len(gens1[0])
-    # unknown X with entries x[i*n+j]; constraint (X A - B X)[i][j] = 0
-    rows = []
-    for A, B in zip(gens1, gens2):
-        for i in range(n):
-            for j in range(n):
-                row = [ring.zero] * (n * n)
-                # (X A)[i][j] = sum_k x[i][k] A[k][j]
-                for k in range(n):
-                    row[i * n + k] = row[i * n + k] + A[k][j]
-                # (B X)[i][j] = sum_k B[i][k] x[k][j]
-                for k in range(n):
-                    row[k * n + j] = row[k * n + j] - B[i][k]
-                rows.append(tuple(row))
-    basis = nullspace(tuple(rows), ring)
+    basis = hom_space(gens1, gens2, ring)
     if not basis:
         return None
     elements = ring.tower.ext_elements()
@@ -203,17 +216,11 @@ def solve_intertwiner(gens1, gens2, ring):
         raise ValueError("intertwiner solution space too large for an exhaustive scan")
     # projective scan: first nonzero coordinate normalized to 1
     for lead in range(d):
-        tails = product(elements, repeat=d - lead - 1)
-        for tail in tails:
-            coeffs = (ring.zero,) * lead + (ring.one,) + tail
-            X = [[ring.zero] * n for _ in range(n)]
-            for c, vec in zip(coeffs, basis):
-                if c.is_zero():
-                    continue
-                for i in range(n):
-                    for j in range(n):
-                        X[i][j] = X[i][j] + c * vec[i * n + j]
-            Xt = tuple(tuple(r) for r in X)
-            if is_invertible(Xt, ring):
-                return Xt
+        for tail in product(elements, repeat=d - lead - 1):
+            X = basis[lead]
+            for c, B in zip(tail, basis[lead + 1 :]):
+                if not c.is_zero():
+                    X = mat_add(X, mat_scale(B, c))
+            if is_invertible(X, ring):
+                return X
     return None

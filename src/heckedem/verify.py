@@ -280,15 +280,9 @@ def suite_krep(seed: int = 0, n_random: int = 40) -> dict:
         == linalg.mat_add(linalg.mat_scale(MS, q - GroupRingElement.one(ZQ)), linalg.mat_scale(one, q)),
         "S quadratic relation fails in A0",
     )
-    # the three identities of the extension theorem: three checks, and
-    # one counterexample that names all three when any fails
-    try:
-        krep.check_theorem_constraints(ZQ)
-        error = None
-    except AssertionError as exc:
-        error = str(exc)
-    for held in (error is None, True, True):
-        t.check(held, error)
+    # the three identities of the extension theorem, one check each
+    for identity, held in krep.check_theorem_constraints(ZQ).items():
+        t.check(held, ("A(q)(U) violates an extension constraint", identity))
     t.check(not krep.independence_determinant(ZQ, at_q0=False).is_zero(), "generic independence determinant vanishes")
     t.check(not krep.independence_determinant(ZQ, at_q0=True).is_zero(), "q=0 independence determinant vanishes")
     # ring homomorphism on random pairs
@@ -506,33 +500,42 @@ def _random_h2_q0(rng: random.Random) -> HeckeElement:
 
 def suite_regular_reduction(p: int = 3, f: int = 1) -> dict:
     """The 8-dimensional module: composition series [2,4,6,8], four
-    standard factors, non-semisimplicity; for every b in GF(q^2)^x."""
+    standard factors, non-semisimplicity, socle V4 and Loewy length 2, and
+    one vector that generates it; for every b in GF(q^2)^x.  A value of b
+    whose structure check raises ArithmeticError is one failed check."""
     tower = build_tower(p, f)
     ring = FieldRing(tower)
     t = Tally("regular-reduction")
-    zero = ring.zero
     nonzero = [x for x in tower.ext_elements() if not x.is_zero()]
     for b in nonzero:
-        m8 = chowrep.reduce_regular_at_theta((zero, b), ring)
-        report = chowrep.semisimplify(m8, b)
-        t.check(report["dims"] == [2, 4, 6, 8], lambda: (str(b), "dims", report["dims"]))
-        t.check(report["all_factors_standard"], lambda: (str(b), "factor not standard"))
-        t.check(
-            report["eigenvectors_in_4dim_stage"],
-            lambda: (str(b), "affine eigenvectors escape the 4-dim stage"),
-        )
-        # reduced-seed spinning: every found invariant subspace respects
-        # the chain dimensions; the chain members themselves are found
-        seeds = chowrep.reduced_spin_seeds(ring)
-        found = {}
-        for v in seeds:
-            sub = linalg.spin([v], m8.generator_matrices(), ring)
-            found[sub[0]] = sub
-        chain_rows = {c[0] for c in chowrep.explicit_chain(m8)}
-        t.check(chain_rows <= set(found), lambda: (str(b), "chain member missed by reduced spinning"))
-        t.check(any(len(rows) == 8 for rows in found), lambda: (str(b), "whole module not generated"))
+        try:
+            _check_regular_module(t, b, ring)
+        except ArithmeticError as exc:
+            t.check(False, (str(b), str(exc)))
     return t.report()
 
+
+def _check_regular_module(t: Tally, b, ring) -> None:
+    m8 = chowrep.reduce_regular_at_theta((ring.zero, b), ring)
+    report = chowrep.semisimplify(m8, b)
+    t.check(report["dims"] == [2, 4, 6, 8], lambda: (str(b), "dims", report["dims"]))
+    t.check(report["all_factors_standard"], lambda: (str(b), "factor not standard"))
+    t.check(
+        report["eigenvectors_in_4dim_stage"],
+        lambda: (str(b), "affine eigenvectors escape the 4-dim stage"),
+    )
+    # every composition factor is the standard module L, so every simple
+    # submodule is L and the socle is the sum of the images of Hom(L, -)
+    L = krep.standard_module_h2(b, ring)
+    chain = chowrep.explicit_chain(m8)
+    v4, v8 = chain[1], chain[3]
+    t.check(linalg.subspace_eq(chowrep.socle(m8, L), v4), lambda: (str(b), "socle != V4"))
+    top = chowrep.quotient_module(m8, v8, v4)
+    t.check(len(chowrep.socle(top, L)[0]) == top.dim, lambda: (str(b), "M8/V4 not semisimple: Loewy length > 2"))
+    # d1_1 + d1_2 generates the whole module
+    witness = tuple(ring.one if i in (1, 5) else ring.zero for i in range(8))
+    spun = linalg.spin([witness], m8.generator_matrices(), ring)
+    t.check(len(spun[0]) == 8, lambda: (str(b), "d1_1 + d1_2 does not generate M8"))
 
 
 def suite_bijection(p: int, f: int = 1) -> dict:

@@ -152,16 +152,18 @@ def test_regular_module_not_semisimple():
     assert result["eigenvectors_in_4dim_stage"]
 
 
-def test_reduced_spinning_recovers_chain():
-    m8, b, ring = regular_module()
-    chain = chowrep.explicit_chain(m8)
-    found = set()
-    for v in chowrep.reduced_spin_seeds(ring):
-        sub = linalg.spin([v], m8.generator_matrices(), ring)
-        found.add(sub[0])
-    chain_rows = {c[0] for c in chain}
-    assert chain_rows <= found
-    assert 8 in {len(rows) for rows in found}
+def test_socle_is_v4_with_loewy_length_two():
+    for b_power in range(8):
+        m8, b, ring = regular_module(b_power)
+        L = krep.standard_module_h2(b, ring)
+        chain = chowrep.explicit_chain(m8)
+        v4, v8 = chain[1], chain[3]
+        assert len(linalg.hom_space(L.generator_matrices(), m8.generator_matrices(), ring)) == 2
+        assert chowrep.socle(m8, L) == v4
+        top = chowrep.quotient_module(m8, v8, v4)
+        assert len(chowrep.socle(top, L)[0]) == 4
+        # a standard module at another b has no maps into M8
+        assert chowrep.socle(m8, krep.standard_module_h2(b * ring.tower.gen(), ring)) == ((), [])
 
 
 def test_generators_suffice_for_the_regular_module():
@@ -171,7 +173,14 @@ def test_generators_suffice_for_the_regular_module():
         return [d[name] for name in ("e1", "e2", "S", "U", "Uinv")]
 
     m8, b, ring = regular_module(4)
-    seeds = chowrep.reduced_spin_seeds(ring)[::4]
+    # the basis lines e_i, then every e_i + c e_j with i < j and c != 0: every fourth one
+    unit = [tuple(ring.one if j == i else ring.zero for j in range(8)) for i in range(8)]
+    all_seeds = list(unit)
+    for i in range(8):
+        for j in range(i + 1, 8):
+            for c in ring.tower.ext_elements()[1:]:
+                all_seeds.append(unit[i][:j] + (c,) + unit[i][j + 1 :])
+    seeds = all_seeds[::4]
     subspaces = set()
     for v in seeds:
         sub = linalg.spin([v], m8.generator_matrices(), ring)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -45,7 +46,11 @@ def test_theorem_identities_symbolic():
 
 
 def test_theorem_constraint_system():
-    krep.check_theorem_constraints(ZQ)
+    assert krep.check_theorem_constraints(ZQ) == {
+        "a_eq_minus_d": True,
+        "bc_eq_xi2_minus_a2": True,
+        "trace_condition": True,
+    }
 
 
 def test_independence_determinants_nonzero():
@@ -88,6 +93,20 @@ def ps_module(tau1_k, tau2_k, p=3):
     return krep.reduce_at_theta((tau1, tau2), ring), tau1, tau2, ring
 
 
+def projective_lines(ring, dim):
+    """Representatives of all lines of E^dim: first nonzero coordinate 1."""
+    elements = ring.tower.ext_elements()
+    for lead in range(dim):
+        for tail in itertools.product(elements, repeat=dim - lead - 1):
+            yield (ring.zero,) * lead + (ring.one,) + tail
+
+
+def irreducible_by_line_sweep(m):
+    """The exhaustive reference: every nonzero vector spins to the whole space."""
+    ops = m.generator_matrices()
+    return all(len(linalg.spin([v], ops, m.ring)[0]) == m.dim for v in projective_lines(m.ring, m.dim))
+
+
 def test_supersingular_display():
     mod, _, tau2, ring = ps_module(None, 1)
     zero, one = ring.zero, ring.one
@@ -127,7 +146,7 @@ def test_standard_module_reducibility_criterion():
     red = krep.standard_module(one, one, ring)
     assert not krep.is_irreducible(red)
     # a proper invariant line exists
-    lines = [linalg.spin([v], red.generator_matrices(), ring)[0] for v in krep.projective_lines(ring, 2)]
+    lines = [linalg.spin([v], red.generator_matrices(), ring)[0] for v in projective_lines(ring, 2)]
     assert any(len(rows) == 1 for rows in lines)
     # tau1 = 0: irreducible
     irr = krep.standard_module(ring.zero, one, ring)
@@ -151,7 +170,7 @@ def _spans_and_isomorphism_agree(m1, m2, ring):
         return [d[name] for name in ("e1", "e2", "S", "U", "Uinv") if name in d]
 
     for m in (m1, m2):
-        for v in krep.projective_lines(ring, m.dim):
+        for v in projective_lines(ring, m.dim):
             assert linalg.spin([v], m.generator_matrices(), ring) == linalg.spin([v], every_matrix(m), ring)
     assert krep.is_isomorphic(m1, m2) == (
         linalg.solve_intertwiner(every_matrix(m1), every_matrix(m2), ring) is not None
@@ -169,3 +188,43 @@ def test_generators_suffice_for_two_dim_modules():
             _spans_and_isomorphism_agree(red, krep.standard_module(ring.zero, tau2, ring), ring)
     for b, c in ((elements[1], elements[1]), (elements[1], elements[5]), (elements[3], elements[7])):
         _spans_and_isomorphism_agree(krep.standard_module_h2(b, ring), krep.standard_module_h2(c, ring), ring)
+
+
+def two_dim_modules(p, tau2s=None):
+    """Every reduce_at_theta, standard_module and standard_module_h2 module
+    over GF(p^2), or those at the given values of tau2 (and b = tau2)."""
+    tower = build_tower(p, 1)
+    ring = FieldRing(tower)
+    elements = tower.ext_elements()
+    for tau2 in elements[1:] if tau2s is None else tau2s:
+        yield krep.standard_module_h2(tau2, ring)
+        for tau1 in elements:
+            yield krep.reduce_at_theta((tau1, tau2), ring)
+            yield krep.standard_module(tau1, tau2, ring)
+
+
+@pytest.mark.parametrize(
+    "modules",
+    [
+        lambda: two_dim_modules(3),
+        # tau2 = g^2 is a square, so this slice holds reducible modules too
+        lambda: two_dim_modules(5, tau2s=[build_tower(5, 1).gen_power(2)]),
+    ],
+    ids=["q3-all", "q5-slice"],
+)
+def test_burnside_agrees_with_line_sweep(modules):
+    verdicts = [(krep.is_irreducible(m), irreducible_by_line_sweep(m)) for m in modules()]
+    assert all(burnside == sweep for burnside, sweep in verdicts)
+    assert {sweep for _, sweep in verdicts} == {True, False}
+
+
+def test_faithfulness_rank_is_rank_of_basis_images():
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    for tau1 in tower.ext_elements():
+        for tau2 in tower.ext_elements()[1:]:
+            mod = krep.reduce_at_theta((tau1, tau2), ring)
+            d = mod.gen_dict()
+            images = (linalg.mat_identity(ring, 2), d["S"], d["U"], linalg.mat_mul(d["S"], d["U"]))
+            old_rank = linalg.rank([tuple(x for row in M for x in row) for M in images])
+            assert krep.faithfulness_rank(mod) == old_rank, (tau1, tau2)

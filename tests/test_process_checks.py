@@ -1,5 +1,6 @@
 """Process-level properties: import cost and checks under ``python -O``."""
 
+import json
 import os
 import subprocess
 import sys
@@ -47,3 +48,22 @@ def test_validate_rejects_bad_module_under_optimize():
     proc = run_python("-O", "-c", BAD_MODULE_UNDER_O)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "rejected: U * Uinv != identity"
+
+
+SUITES_AS_JSON = """
+import json
+from heckedem import verify
+print(json.dumps([verify.suite_regular_reduction(3), verify.suite_krep_theta(3)], sort_keys=True))
+"""
+
+
+def test_structure_suites_agree_under_optimize():
+    # the socle, Loewy, witness and Burnside checks give the same report
+    # when python -O strips every assert
+    from heckedem import verify
+
+    expected = [verify.suite_regular_reduction(3), verify.suite_krep_theta(3)]
+    assert [(r["passed"], r["checks"]) for r in expected] == [(True, 48), (True, 184)]
+    proc = run_python("-O", "-c", SUITES_AS_JSON)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == json.loads(json.dumps(expected, sort_keys=True))

@@ -1,6 +1,7 @@
 import pytest
 
-from heckedem import verify
+from heckedem import chowrep, krep, linalg, verify
+from heckedem.coeffs import build_tower
 from heckedem.weyl import WeylElement
 
 
@@ -49,3 +50,35 @@ def test_length_oracle_reports_every_mismatch(monkeypatch):
 def test_suite_check_counts(suite, name, checks):
     result = suite()
     assert result == {"name": name, "passed": True, "checks": checks, "counterexamples": []}
+
+
+def test_krep_suite_names_a_violated_extension_constraint(monkeypatch):
+    right = krep.rep_A_U
+
+    def wrong(ring):
+        (a, b), (c, _) = right(ring)
+        return ((a, b), (c, a))  # breaks a = -d only: b, c and a are unchanged
+
+    monkeypatch.setattr(krep, "rep_A_U", wrong)
+    result = verify.suite_krep()
+    assert result["passed"] is False
+    assert result["checks"] == 59
+    named = [cx[1] for cx in result["counterexamples"] if cx[0] == "A(q)(U) violates an extension constraint"]
+    assert named == ["a_eq_minus_d"]
+
+
+def test_regular_reduction_reports_each_raising_b(monkeypatch):
+    def non_invariant_chain(m):
+        # <d1_1> is not invariant: S d1_1 = -1_2
+        line = tuple(m.ring.one if i == 1 else m.ring.zero for i in range(8))
+        return [linalg.rref([line])] * 4
+
+    monkeypatch.setattr(chowrep, "explicit_chain", non_invariant_chain)
+    result = verify.suite_regular_reduction(3)
+    bs = [str(b) for b in build_tower(3, 1).ext_elements()[1:]]
+    assert result == {
+        "name": "regular-reduction",
+        "passed": False,
+        "checks": 8,
+        "counterexamples": [(b, "chain member is not an invariant subspace") for b in bs],
+    }
