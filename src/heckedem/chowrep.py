@@ -13,18 +13,21 @@ xi1 = 0, which has no solution in GF(p)[xi2^{+-1}] by degree parity.
 
 The twisted representation A2 acts on two copies of the rank-2 free
 module (one per component of the doubled flag variety) by
-A2(e_i T_w) = p_i o diag(Anil(T_w)) o perm(w).  Specializing at a
-supersingular central character theta with theta(zeta2) = b yields the
-8-dimensional module over A = E[xi2]/(xi2^2 - b), with composition
-series of dimensions [2, 4, 6, 8] and four isomorphic simple factors; its
-socle is the 4-dimensional stage, so its Loewy length is 2.
+A2(e_i T_w) = p_i o diag(Anil(T_w)) o perm(w).  Specializing A2 at a
+supersingular central character theta with theta(zeta2) = b, i.e. at
+xi1' = 0 and over A = E[xi2']/(xi2'^2 - b), yields the 8-dimensional
+module, with composition series of dimensions [2, 4, 6, 8] and four
+isomorphic simple factors; its socle is the 4-dimensional stage, so its
+Loewy length is 2.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from . import linalg
-from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, xi1_ch, xi2_ch
-from .hecke import HeckeElement
+from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, to_xi_poly, xi1_ch, xi2_ch
+from .hecke import HeckeElement, T_S, T_U, idem_element
 from .krep import (
     FiniteModule,
     basis_matrices,
@@ -197,13 +200,29 @@ def a2_is_zero(mat) -> bool:
 # the 8-dimensional supersingular reduction
 
 
-def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
-    """The 8-dimensional module at a supersingular theta = (0, b).
+@lru_cache(maxsize=None)
+def _a2_generator_images(ring: FieldRing) -> tuple:
+    """A2 of e1, e2, S, U and U^-1, each entry a polynomial in xi1', xi2'.
 
-    Basis order: [1_1, d1_1, x1_1, xd1_1, 1_2, d1_2, x1_2, xd1_2] where
-    d = delta and x = xi2 with x^2 = b.  Generator actions are A-linear
-    extensions of S.1_i = 0, S.(d 1_i) = -1_{si}, U.1_i = -x 1_{si},
-    U.(d 1_i) = x d 1_{si}.
+    They do not depend on theta, so each ring computes them once."""
+    elements = (
+        ("e1", idem_element(ring, 1)),
+        ("e2", idem_element(ring, 2)),
+        ("S", T_S("h2", ring)),
+        ("U", T_U("h2", ring)),
+        ("Uinv", T_U("h2", ring, -1)),
+    )
+    return tuple((name, tuple(tuple(map(to_xi_poly, row)) for row in rep_A2(x))) for name, x in elements)
+
+
+def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
+    """The 8-dimensional module at a supersingular theta = (0, b): A2 at theta.
+
+    Each entry of A2(e1), A2(e2), A2(S), A2(U) and A2(U^-1) is evaluated
+    at xi1' = 0 and at xi2' acting on A = E[xi2']/(xi2'^2 - b), where
+    xi2'^k sends xi2'^u to b^j xi2'^t for k + u = 2j + t.  Basis order:
+    [1_1, d1_1, x1_1, xd1_1, 1_2, d1_2, x1_2, xd1_2], with d = delta and
+    x = xi2', so x^t times the A2 basis vector r sits at 4(r // 2) + r % 2 + 2t.
     """
     tau1, b = theta
     if not tau1.is_zero():
@@ -211,62 +230,29 @@ def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     if b.is_zero():
         raise ValueError("b must be nonzero")
     ring = field_ring
-    zero, one = ring.zero, ring.one
-
-    def mat_from_action(action):
-        # action: basis index -> list of (index, coeff); columns convention
-        cols = [action(j) for j in range(8)]
-        M = [[zero] * 8 for _ in range(8)]
-        for j, img in enumerate(cols):
-            for idx, coeff in img:
-                M[idx][j] = M[idx][j] + coeff
-        return tuple(tuple(row) for row in M)
-
-    # index layout: block i in {0,1} for components 1,2; within a block:
-    # 0: 1_i, 1: d1_i, 2: x1_i, 3: xd1_i
-    def other(blk):
-        return 1 - blk
-
-    def s_action(j):
-        blk, pos = divmod(j, 4)
-        if pos == 1:  # d1_i -> -1_{si}
-            return [(4 * other(blk) + 0, -one)]
-        if pos == 3:  # x d1_i -> -x 1_{si}
-            return [(4 * other(blk) + 2, -one)]
-        return []
-
-    def u_action(j):
-        blk, pos = divmod(j, 4)
-        o = 4 * other(blk)
-        if pos == 0:  # 1_i -> -x 1_{si}
-            return [(o + 2, -one)]
-        if pos == 1:  # d1_i -> x d1_{si}
-            return [(o + 3, one)]
-        if pos == 2:  # x 1_i -> -x^2 1_{si} = -b 1_{si}
-            return [(o + 0, -b)]
-        return [(o + 1, b)]  # x d1_i -> b d1_{si}
-
-    def e_action(which):
-        def act(j):
-            blk = j // 4
-            return [(j, one)] if blk == which else []
-
-        return act
-
-    MS = mat_from_action(s_action)
-    MU = mat_from_action(u_action)
-    MUinv = linalg.mat_scale(MU, b.inverse())
-    E1 = mat_from_action(e_action(0))
-    E2 = mat_from_action(e_action(1))
+    pos = lambda r, t: 4 * (r // 2) + r % 2 + 2 * t
+    gens = []
+    for name, image in _a2_generator_images(ring):
+        M = [[ring.zero] * 8 for _ in range(8)]
+        for r, row in enumerate(image):
+            for s, poly in enumerate(row):
+                for (m, k), c in poly.items():
+                    if m:  # xi1' = 0
+                        continue
+                    for u in (0, 1):
+                        j, t = divmod(k + u, 2)
+                        M[pos(r, t)][pos(s, u)] += c * b**j
+        gens.append((name, tuple(map(tuple, M))))
     mod = FiniteModule(
         flavor="h2",
         ring=ring,
         dim=8,
-        gens=(("e1", E1), ("e2", E2), ("S", MS), ("U", MU), ("Uinv", MUinv)),
+        gens=tuple(gens),
         labels=("1_1", "d1_1", "x1_1", "xd1_1", "1_2", "d1_2", "x1_2", "xd1_2"),
     )
     mod.validate()
     # the quadratic constant: xi2^2 acts as b
+    MU = mod.gen_dict()["U"]
     if linalg.mat_mul(MU, MU) != linalg.mat_scale(linalg.mat_identity(ring, 8), b):
         raise ArithmeticError("U^2 != b on the 8-dimensional module")
     return mod

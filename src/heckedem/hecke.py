@@ -10,8 +10,9 @@ quadratic relation and the idempotent bookkeeping:
 
 Distinguished elements S = T_s, U = T_u, S0 = T_{s0} = U S U^{-1}, and the
 central pair zeta1, zeta2.  The algebra is free over its center on the
-basis {1, S, U, SU}; ``normal_form_over_center`` computes coordinates by
-a terminating word-rewriting procedure.
+basis {1, S, U, SU}; ``normal_form_over_center`` computes coordinates in
+one pass, multiplying the letters of each T_w into that basis by its
+multiplication table.
 """
 
 from __future__ import annotations
@@ -226,10 +227,8 @@ def zeta2_embedded(flavor: str, ring) -> HeckeElement:
     return T_U(flavor, ring, 2)
 
 
-def center_embed(z: CenterElement, flavor: str, ring=None) -> HeckeElement:
+def center_embed(z: CenterElement, flavor: str, ring) -> HeckeElement:
     """Expand a zeta-polynomial into the T_w basis."""
-    if ring is None:
-        ring = z.ring
     zero, zeta1 = HeckeElement.zero(flavor, ring), zeta1_embedded(flavor, ring)
     return eval_laurent(z.terms, zero, zeta1, lambda k: T_U(flavor, ring, 2 * k))
 
@@ -255,73 +254,40 @@ def _translation_word(w: WeylElement) -> tuple[int, tuple[str, ...]]:
     return n1, ("S", "U") * (-m) + ("S",)
 
 
-_NORMAL_WORDS = {(): (0, 0), ("S",): (1, 0), ("U",): (2, 0), ("S", "U"): (3, 0)}
-
-
 def normal_form_over_center(x: HeckeElement) -> tuple:
     """Coordinates (c_1, c_S, c_U, c_SU) of x over the center.
 
-    Rewrites each T_w as a zeta2-power times a word in S, U, then reduces
-    words with the relations SS -> quadratic, UU -> zeta2,
-    US -> zeta1 - (1-q)U - SU (iwahori) or zeta1 - SU (nil), until only
-    the normal words (), (S,), (U,), (S,U) remain.
+    Writes each T_w as zeta2^k times a word in S, U and multiplies the
+    letters in from the right, acting on the coordinates (a, b, c, d) of
+    a + bS + cU + dSU by the multiplication table of the basis:
+    S^2 = (q-1)S + q, US = zeta1 - SU + (q-1)U and SUS = zeta1 S - qU,
+    U^2 = zeta2.  The (q-1) terms belong to the iwahori flavor only.
     """
     flavor, ring = x.flavor, x.ring
     if flavor not in ("iwahori", "nil"):
         raise ValueError("normal form over the center is defined for iwahori and nil flavors")
-    q = ring.q
-    q_minus_1 = q - ring.one
-    # state: word tuple -> CenterElement coefficient
-    state: dict[tuple, CenterElement] = {}
-
-    def bump(st, word, cz: CenterElement):
-        if cz.is_zero():
-            return
-        st[word] = st[word] + cz if word in st else cz
-
+    zero = CenterElement.zero(ring)
+    q, q1 = ring.q, ring.q - ring.one if flavor == "iwahori" else ring.zero
+    # q vanishes over a field, and q - 1 in the nil flavor: skip those products
+    times = lambda e, c: zero if c.is_zero() else e.scale(c)
+    zeta1, zeta2 = CenterElement.monomial(ring, 1, 0), CenterElement.monomial(ring, 0, 1)
+    right_mul = {
+        "S": lambda a, b, c, d: (
+            times(b, q) + zeta1 * c,
+            a + times(b, q1) + zeta1 * d,
+            times(c, q1) - times(d, q),
+            -c,
+        ),
+        "U": lambda a, b, c, d: (zeta2 * c, zeta2 * d, a, b),
+    }
+    total = (zero,) * 4
     for key, c in x.terms.items():
         k, word = _translation_word(key)
-        bump(state, word, CenterElement.monomial(ring, 0, k, c))
-
-    while True:
-        pending = None
-        for word in state:
-            if word not in _NORMAL_WORDS:
-                pending = word
-                break
-        if pending is None:
-            break
-        cz = state.pop(pending)
-        rewritten = False
-        for idx in range(len(pending) - 1):
-            pair = pending[idx : idx + 2]
-            left, right = pending[:idx], pending[idx + 2 :]
-            if pair == ("U", "U"):
-                bump(state, left + right, cz * CenterElement.monomial(ring, 0, 1))
-                rewritten = True
-                break
-            if pair == ("S", "S"):
-                if flavor == "iwahori":
-                    bump(state, left + ("S",) + right, cz.scale(q_minus_1))
-                bump(state, left + right, cz.scale(q))
-                rewritten = True
-                break
-            if pair == ("U", "S"):
-                bump(state, left + right, cz * CenterElement.monomial(ring, 1, 0))
-                bump(state, left + ("S", "U") + right, -cz)
-                if flavor == "iwahori":
-                    # - (1-q) U = (q-1) U
-                    bump(state, left + ("U",) + right, cz.scale(q_minus_1))
-                rewritten = True
-                break
-        if not rewritten:
-            raise RuntimeError(f"irreducible abnormal word {pending}; rewriting bug")
-        state = {w: cz for w, cz in state.items() if not cz.is_zero()}
-
-    coords = [CenterElement.zero(ring)] * 4
-    for word, cz in state.items():
-        coords[_NORMAL_WORDS[word][0]] = cz
-    return tuple(coords)
+        coords = (CenterElement.monomial(ring, 0, k, c), zero, zero, zero)
+        for letter in word:
+            coords = right_mul[letter](*coords)
+        total = tuple(t + v for t, v in zip(total, coords))
+    return total
 
 
 def recompose_from_center(coords, flavor: str, ring) -> HeckeElement:

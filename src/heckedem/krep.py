@@ -226,20 +226,15 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     if tau2.is_zero():
         raise ValueError("tau2 must be nonzero (zeta2 acts invertibly)")
     ring = field_ring
-    zero, one = ring.zero, ring.one
-
-    MU_gen = rep_A_U(ZQ)
-    MU0 = tuple(tuple(specialize_q0(x) for x in row) for row in MU_gen)
-    MU = tuple(tuple(_substitute_invariant(x, tau1, tau2) for x in row) for row in MU0)
-    # S at q = 0: [[0, 0], [0, -1]] (independent of theta)
-    MS = ((zero, zero), (zero, -one))
-    # change of basis diag(1, tau2): conjugate
     t2i = tau2.inverse()
-    MU = (
-        (MU[0][0], MU[0][1] * tau2),
-        (MU[1][0] * t2i, MU[1][1]),
-    )
-    MUinv = linalg.mat_scale(MU, tau2.inverse())  # U^{-1} = U * zeta2^{-1}
+
+    def at_theta(M):
+        # specialize q = 0, substitute theta, conjugate by diag(1, tau2)
+        (a, b), (c, d) = (tuple(_substitute_invariant(specialize_q0(x), tau1, tau2) for x in row) for row in M)
+        return ((a, b * tau2), (c * t2i, d))
+
+    MS, MU = at_theta(rep_A0_S(ZQ)), at_theta(rep_A_U(ZQ))
+    MUinv = linalg.mat_scale(MU, t2i)  # U^{-1} = U * zeta2^{-1}
     mod = FiniteModule(
         flavor="iwahori",
         ring=ring,

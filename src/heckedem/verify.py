@@ -194,7 +194,7 @@ def suite_relations(seed: int = 0, n_random: int = 500) -> dict:
     return t.report()
 
 
-def suite_center(seed: int = 0, n_random: int = 50) -> dict:
+def suite_center(seed: int = 0) -> dict:
     """Central elements commute; normal form over the center recomposes."""
     rng = random.Random(seed)
     t = Tally("center")
@@ -206,7 +206,7 @@ def suite_center(seed: int = 0, n_random: int = 50) -> dict:
                 t.check(z * g == g * z, (flavor, "center commutation"))
         t.check(z2 == T_U(flavor, ZQ) * T_U(flavor, ZQ), (flavor, "zeta2 != U^2"))
         # normal-form roundtrip
-        for _ in range(n_random):
+        for _ in range(50):
             x = random_hecke(rng, flavor)
             coords = normal_form_over_center(x)
             t.check(
@@ -222,14 +222,14 @@ def suite_center(seed: int = 0, n_random: int = 50) -> dict:
     return t.report()
 
 
-def suite_demazure(seed: int = 0, n_random: int = 40, p: int = 3) -> dict:
-    """Projector and quadratic identities of the four Demazure operators."""
+def suite_demazure(seed: int = 0) -> dict:
+    """Projector and quadratic identities of the four Demazure operators,
+    over Z[q] and GF(9)."""
     rng = random.Random(seed)
-    tower = build_tower(p, 1)
     t = Tally("demazure")
-    rings = [ZQ, FieldRing(tower)]
+    rings = [ZQ, FieldRing(build_tower(3, 1))]
     for ring in rings:
-        for _ in range(n_random):
+        for _ in range(40):
             a = random_group_ring(rng, ring)
             D = lambda x: demazure_k(x, "D")
             Dp = lambda x: demazure_k(x, "D'")
@@ -240,7 +240,7 @@ def suite_demazure(seed: int = 0, n_random: int = 40, p: int = 3) -> dict:
             t.check(Dq(Dq(a)) == a.scale(ring.q) - Dq(a).scale(ring.q - ring.one), ("K", "D(q)^2 identity"))
             a0, a1 = decompose_k(a)
             t.check(a0 + a1 * GroupRingElement.monomial(ring, -1, 0) == a, ("K", "decompose_k recomposition"))
-        for _ in range(n_random):
+        for _ in range(40):
             s = random_sym(rng, ring)
             D = lambda x: demazure_ch(x, "D")
             Dp = lambda x: demazure_ch(x, "D'")
@@ -255,7 +255,7 @@ def suite_demazure(seed: int = 0, n_random: int = 40, p: int = 3) -> dict:
     return t.report()
 
 
-def suite_krep(seed: int = 0, n_random: int = 40) -> dict:
+def suite_krep(seed: int = 0) -> dict:
     """A(q) theorem identities, ring homomorphism, symbolic independence."""
     rng = random.Random(seed)
     t = Tally("krep")
@@ -286,7 +286,7 @@ def suite_krep(seed: int = 0, n_random: int = 40) -> dict:
     t.check(not krep.independence_determinant(ZQ, at_q0=False).is_zero(), "generic independence determinant vanishes")
     t.check(not krep.independence_determinant(ZQ, at_q0=True).is_zero(), "q=0 independence determinant vanishes")
     # ring homomorphism on random pairs
-    for _ in range(n_random):
+    for _ in range(40):
         x = random_hecke(rng, "iwahori")
         y = random_hecke(rng, "iwahori")
         t.check(
@@ -374,11 +374,10 @@ def suite_obstruction(primes=(3, 5, 7)) -> dict:
     return t.report()
 
 
-def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
-    """Nil independence, A2 homomorphism and injectivity."""
+def suite_chowrep(seed: int = 0, n_random: int = 500) -> dict:
+    """Nil independence, A2 homomorphism and injectivity, over GF(9)."""
     rng = random.Random(seed)
-    tower = build_tower(p, 1)
-    ring = FieldRing(tower)
+    ring = FieldRing(build_tower(3, 1))
     t = Tally("chowrep")
     t.check(not chowrep.nil_independence_determinant(ring).is_zero(), "nil independence determinant vanishes")
     # Anil ring homomorphism
@@ -434,21 +433,19 @@ def suite_chowrep(seed: int = 0, n_random: int = 500, p: int = 3) -> dict:
                 shadow = HeckeElement(
                     "nil", ring, {w: c for (_, w), c in part.terms.items()}
                 )
-                t.check(
-                    chowrep.a2_block(mat, i, j) == chowrep.rep_Anil(shadow),
-                    lambda: ("A2 block decomposition", i, j, x.to_json()),
-                )
+                block = chowrep.a2_block(mat, i, j)
+                decomposes = block == chowrep.rep_Anil(shadow)
                 # Anil is injective (independence over a domain), so a
-                # nonzero part must give a nonzero block.  Recorded without
-                # a check of its own: each random element adds 1 + 4 checks.
-                if not part.is_zero() and all(
-                    e.is_zero() for row in chowrep.a2_block(mat, i, j) for e in row
-                ):
-                    t.failures.append(("A2 block vanishes on nonzero part", i, j))
+                # nonzero part must give a nonzero block
+                injective = part.is_zero() or not chowrep.a2_is_zero(block)
+                t.check(
+                    decomposes and injective,
+                    lambda: ("A2 block", i, j, {"decomposes": decomposes, "injective": injective}, x.to_json()),
+                )
     return t.report()
 
 
-def suite_h2_model(seed: int = 0, n_random: int = 60) -> dict:
+def suite_h2_model(seed: int = 0) -> dict:
     """The 2x2 matrix model of h2 at q = 0."""
     rng = random.Random(seed)
     t = Tally("h2-model")
@@ -469,7 +466,7 @@ def suite_h2_model(seed: int = 0, n_random: int = 60) -> dict:
     one_mat = hecke.h2_matrix_model(HeckeElement.one("h2", ZQ))
     t.check(one_mat == ((Z.const(1), Z()), (Z(), Z.const(1))), "1 does not map to Id")
     # multiplicativity on random q = 0 pairs
-    for _ in range(n_random):
+    for _ in range(60):
         x = _random_h2_q0(rng)
         y = _random_h2_q0(rng)
         lhs = hecke.h2_matrix_model(hecke.specialize_q0(x * y))

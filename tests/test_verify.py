@@ -82,3 +82,25 @@ def test_regular_reduction_reports_each_raising_b(monkeypatch):
         "checks": 8,
         "counterexamples": [(b, "chain member is not an invariant subspace") for b in bs],
     }
+
+
+def test_chowrep_reports_one_counterexample_per_failed_block_check(monkeypatch):
+    def zero_block(mat, i, j):
+        zero = mat[0][0].zero(mat[0][0].ring)
+        return ((zero, zero), (zero, zero))
+
+    failed = []
+    check = verify.Tally.check
+
+    def counting_check(self, ok, failure):
+        if not ok:
+            failed.append(self.name)
+        return check(self, ok, failure)
+
+    monkeypatch.setattr(chowrep, "a2_block", zero_block)
+    monkeypatch.setattr(verify.Tally, "check", counting_check)
+    result = verify.suite_chowrep(0, n_random=100)
+    assert result["checks"] == 662
+    assert len(failed) == len(result["counterexamples"]) == 152
+    # each failure is a nonzero part sent to a zero block: one counterexample names both conditions
+    assert all(cx[3] == {"decomposes": False, "injective": False} for cx in result["counterexamples"])
