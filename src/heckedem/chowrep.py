@@ -83,9 +83,13 @@ def rep_Anil(x: HeckeElement):
     ring = x.ring
     if not ring.is_field or ring.from_int(2).is_zero():
         raise ValueError("Anil needs a coefficient field of odd characteristic")
-    return rep_over_center(
-        x, SymElement, rep_A0nil_S(ring), rep_Anil_U(ring), -xi1_ch(ring), lambda k: xi2_ch(ring, 2 * k)
-    )
+    return rep_over_center(x, SymElement, _anil_basis_images(ring), -xi1_ch(ring), lambda k: xi2_ch(ring, 2 * k))
+
+
+@lru_cache(maxsize=None)
+def _anil_basis_images(ring: FieldRing) -> tuple:
+    """Anil of the basis {1, S, U, SU} over the center; computed once per ring."""
+    return basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring))
 
 
 def eta1_squared_s_matrix(ring: FieldRing):
@@ -103,8 +107,7 @@ def eta1_squared_s_matrix(ring: FieldRing):
 def nil_independence_determinant(ring: FieldRing) -> SymElement:
     """Determinant of the 4x4 coordinate matrix of {1, Anil(S), Anil(U),
     Anil(SU)} over the (localized) invariant ring, a domain."""
-    mats = basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring))
-    return linalg.det(invariant_matrix_flatten(mats))
+    return linalg.det(invariant_matrix_flatten(_anil_basis_images(ring)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,24 @@ Two coefficient domains are provided:
   with arbitrary-precision coefficients.
 * ``FieldTower`` / ``FieldElement``: the field E = GF(q^2), q = p^f, as
   GF(p)-coefficient vectors modulo one irreducible polynomial, with an
-  explicit multiplicative generator of E^x.  GF(q) is not encoded on its
+  explicit multiplicative generator g of E^x.  GF(q) is not encoded on its
   own: it is the subfield of E fixed by Frobenius x -> x^q.
+
+Each field element also carries an integer code: 0 for zero, k + 1 for
+g^k.  A tower builds its tables once, when it is constructed: the interned
+element of every code, the map from coefficient vectors to codes, and the
+Zech table, Z(n) with 1 + g^n = g^Z(n) (Lidl-Niederreiter, *Finite
+Fields*, 2.5).  Products, inverses, powers, Frobenius and discrete logs are
+then index arithmetic mod q^2 - 1, and a sum is one Zech lookup; each
+returns one of the tower's interned elements.  Polynomial multiplication
+modulo the modulus runs only while a tower is built.
 
 Everything is immutable and deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -192,43 +201,78 @@ def _lowest_lex_irreducible(p: int, deg: int) -> tuple:
 
 @dataclass(frozen=True)
 class FieldTower:
-    """E = GF(q^2) over GF(p) with a fixed generator of E^x."""
+    """E = GF(q^2) over GF(p) with a fixed generator g of E^x.
+
+    Construction builds the element tables, indexed by code (0 is zero,
+    k + 1 is g^k): the interned elements, the coefficient-vector-to-code
+    map, and the Zech table.  Raises ValueError when ``generator`` does
+    not generate E^x.
+    """
 
     p: int
     f: int
     modulus_2f: tuple
     generator: tuple  # coefficient vector in GF(q^2), little-endian over GF(p)
+    # built in __post_init__, so dataclasses.replace copies get their own
+    _elements: tuple = field(init=False, repr=False, compare=False)  # by code
+    _powers: tuple = field(init=False, repr=False, compare=False)  # g^k, 0 <= k < 2(q^2 - 1)
+    _codes: dict = field(init=False, repr=False, compare=False)  # coefficient vector -> code
+    _zech: tuple = field(init=False, repr=False, compare=False)  # n -> code of 1 + g^n
+    _neg: tuple = field(init=False, repr=False, compare=False)  # code -> code of its negative
+
+    def __post_init__(self):
+        p = self.p
+        order = self.q**2 - 1
+        one = (1,)
+        vectors = [one]  # vectors[k] is g^k
+        x = one
+        for k in range(1, order + 1):
+            x = _poly_mod_mul(x, self.generator, self.modulus_2f, p)
+            if (x == one) != (k == order):  # g must have order exactly q^2 - 1
+                raise ValueError(f"{self.generator} does not generate GF({order + 1})^x")
+            vectors.append(x)
+        vectors.pop()  # g^order = 1 again
+        codes = {(): 0}
+        codes.update((x, k + 1) for k, x in enumerate(vectors))
+        elements = tuple(FieldElement._interned(self, x, code) for x, code in codes.items())
+        half = order // 2  # -1 = g^half
+        zech = tuple(codes[_trim(((x[0] + 1) % p,) + x[1:])] for x in vectors)  # x is nonzero, so x[0] exists
+        neg = (0,) + tuple((k + half) % order + 1 for k in range(order))
+        tables = {"_elements": elements, "_powers": elements[1:] * 2, "_codes": codes, "_zech": zech, "_neg": neg}
+        for name, table in tables.items():
+            object.__setattr__(self, name, table)
 
     @property
     def q(self) -> int:
         return self.p**self.f
 
     def zero(self) -> "FieldElement":
-        return FieldElement(self, ())
+        return self._elements[0]
 
     def one(self) -> "FieldElement":
-        return FieldElement(self, (1,))
+        return self._elements[1]
 
     def from_int(self, n: int) -> "FieldElement":
-        return FieldElement(self, (n,))
+        return self.element((n,))
 
     def gen(self) -> "FieldElement":
-        return FieldElement(self, self.generator)
+        return self._elements[2]
 
     def element(self, coeffs: Sequence[int]) -> "FieldElement":
-        return FieldElement(self, tuple(coeffs))
+        return self._elements[self._code_of(coeffs)]
+
+    def _code_of(self, coeffs: Sequence[int]) -> int:
+        code = self._codes.get(_trim(c % self.p for c in coeffs))
+        if code is None:
+            raise ValueError(f"{tuple(coeffs)} is not a coefficient vector of GF({self.q**2})")
+        return code
 
     def gen_power(self, k: int) -> "FieldElement":
-        return self.gen() ** (k % (self.q**2 - 1))
+        return self._powers[k % (self.q**2 - 1)]
 
     def ext_elements(self):
-        """All elements of GF(q^2)."""
-        out = [self.zero()]
-        x = self.one()
-        for _ in range(self.q**2 - 1):
-            out.append(x)
-            x = x * self.gen()
-        return out
+        """All elements of GF(q^2): 0, then g^0, g^1, ..."""
+        return list(self._elements)
 
     def to_json(self) -> dict:
         return {
@@ -240,58 +284,72 @@ class FieldTower:
 
 
 class FieldElement:
-    """Element of GF(q^2) as a GF(p)-coefficient vector."""
+    """Element of GF(q^2): its GF(p)-coefficient vector and its code.
 
-    __slots__ = ("tower", "coeffs")
+    The code is 0 for zero and k + 1 for g^k.  Products, inverses and
+    powers add or scale logs mod q^2 - 1; a sum is one Zech lookup,
+    g^a + g^b = g^(a + Z(b - a)) with g^Z(n) = 1 + g^n.  Every result is
+    one of the tower's interned elements.
+    """
+
+    __slots__ = ("tower", "coeffs", "code")
 
     def __init__(self, tower: FieldTower, coeffs: tuple):
+        code = tower._code_of(coeffs)
         object.__setattr__(self, "tower", tower)
-        object.__setattr__(self, "coeffs", _trim(tuple(c % tower.p for c in coeffs)))
+        object.__setattr__(self, "coeffs", tower._elements[code].coeffs)
+        object.__setattr__(self, "code", code)
+
+    @classmethod
+    def _interned(cls, tower: FieldTower, coeffs: tuple, code: int) -> "FieldElement":
+        x = object.__new__(cls)
+        object.__setattr__(x, "tower", tower)
+        object.__setattr__(x, "coeffs", coeffs)
+        object.__setattr__(x, "code", code)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldElement is immutable")
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.code
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return FieldElement(
-            self.tower,
-            tuple(((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % self.tower.p for i in range(n)),
-        )
+        t = self.tower
+        a, b = self.code, other.code
+        if not a or not b:
+            return t._elements[a or b]
+        z = t._zech[b - a]  # a negative index wraps mod q^2 - 1
+        return t._powers[a + z - 2] if z else t._elements[0]
 
     def __neg__(self) -> "FieldElement":
-        return FieldElement(self.tower, tuple(-c % self.tower.p for c in self.coeffs))
+        return self.tower._elements[self.tower._neg[self.code]]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
+        t = self.tower
+        a, b = self.code, t._neg[other.code]
+        if not a or not b:
+            return t._elements[a or b]
+        z = t._zech[b - a]
+        return t._powers[a + z - 2] if z else t._elements[0]
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(
-            self.tower, _poly_mod_mul(self.coeffs, other.coeffs, self.tower.modulus_2f, self.tower.p)
-        )
+        a, b = self.code, other.code
+        if a and b:
+            return self.tower._powers[a + b - 2]
+        return self.tower._elements[0]
 
     def __pow__(self, k: int) -> "FieldElement":
-        if self.is_zero():
+        if not self.code:
             if k <= 0:
                 raise ZeroDivisionError("0 cannot be raised to a nonpositive power")
-            return self
-        k %= self.tower.q**2 - 1
-        result = self.tower.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return self.tower._elements[0]
+        return self.tower._powers[(self.code - 1) * k % (self.tower.q**2 - 1)]
 
     def inverse(self) -> "FieldElement":
-        if self.is_zero():
+        if not self.code:
             raise ZeroDivisionError("inverse of zero")
-        return self ** (self.tower.q**2 - 2)
+        return self.tower._powers[self.tower.q**2 - self.code]  # log (q^2 - 1) - (code - 1)
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         return self * other.inverse()
@@ -305,10 +363,10 @@ class FieldElement:
         return self.frobenius() == self
 
     def __eq__(self, other) -> bool:
-        # coeffs first: comparing the tower dataclass is the costly part
+        # code first: comparing the tower dataclass is the costly part
         return (
             isinstance(other, FieldElement)
-            and self.coeffs == other.coeffs
+            and self.code == other.code
             and (self.tower is other.tower or self.tower == other.tower)
         )
 
@@ -320,6 +378,17 @@ class FieldElement:
 
     def to_json(self) -> list:
         return list(self.coeffs)
+
+
+def _poly_mod_pow(x: tuple, k: int, modulus: tuple, p: int) -> tuple:
+    """x^k for k >= 0 by square-and-multiply over GF(p)[X]/(modulus)."""
+    result = (1,)
+    while k:
+        if k & 1:
+            result = _poly_mod_mul(result, x, modulus, p)
+        x = _poly_mod_mul(x, x, modulus, p)
+        k >>= 1
+    return result
 
 
 @lru_cache(maxsize=None)
@@ -339,37 +408,24 @@ def build_tower(p: int, f: int) -> FieldTower:
     modulus_2f = _lowest_lex_irreducible(p, 2 * f)
 
     # generator: the element with the smallest integer encoding that has
-    # full multiplicative order q^2 - 1
+    # full multiplicative order q^2 - 1, searched on coefficient vectors
+    # because only a generator gives a tower its tables
     order = q * q - 1
     prime_divisors = sorted({d for d in range(2, order + 1) if order % d == 0 and _is_prime(d)})
-    generator = None
     for idx in range(1, q * q):
         coeffs = []
         t = idx
         for _ in range(2 * f):
             coeffs.append(t % p)
             t //= p
-        cand = tuple(_trim(coeffs))
-        tower_stub = FieldTower(p, f, modulus_2f, cand)
-        x = FieldElement(tower_stub, cand)
-        if x.is_zero():
-            continue
-        if all(not (x ** (order // ell)) == tower_stub.one() for ell in prime_divisors):
-            generator = cand
-            break
-    if generator is None:
-        raise RuntimeError("no multiplicative generator found")
-    return FieldTower(p, f, modulus_2f, generator)
-
-
-@lru_cache(maxsize=None)
-def _log_table(tower: FieldTower) -> dict:
-    """{coefficient vector of g^k: k} for 0 <= k < q^2 - 1, built once per tower."""
-    return {x.coeffs: k for k, x in enumerate(tower.ext_elements()[1:])}
+        cand = _trim(coeffs)
+        if all(_poly_mod_pow(cand, order // ell, modulus_2f, p) != (1,) for ell in prime_divisors):
+            return FieldTower(p, f, modulus_2f, cand)
+    raise RuntimeError("no multiplicative generator found")
 
 
 def discrete_log(x: FieldElement) -> int:
-    """Discrete log base the tower generator, in [0, q^2-2], by table lookup."""
+    """Discrete log base the tower generator, in [0, q^2-2]: the code minus one."""
     if x.is_zero():
         raise ValueError("discrete log of zero")
-    return _log_table(x.tower)[x.coeffs]
+    return x.code - 1

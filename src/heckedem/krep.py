@@ -15,6 +15,7 @@ invariants at a central character theta = (tau1, tau2) yields the finite
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .charrings import (
@@ -71,16 +72,17 @@ def rep_A_U(ring):
     return ((x1, b), (c, -x1))
 
 
-def rep_over_center(x: HeckeElement, cls, MS, MU, zeta1, zeta2_power):
-    """A 2x2 representation on a general element, given on generators.
+def rep_over_center(x: HeckeElement, cls, basis, zeta1, zeta2_power):
+    """A 2x2 representation on a general element, given on the basis.
 
     Writes x = c_1 + c_S S + c_U U + c_SU SU over the center, maps each
     central coordinate to ``cls`` by zeta1 -> ``zeta1`` and zeta2^k ->
-    ``zeta2_power(k)``, and sums against {Id, MS, MU, MS MU}.
+    ``zeta2_power(k)``, and sums against ``basis``, the images
+    {Id, MS, MU, MS MU} of {1, S, U, SU} (``basis_matrices``).
     """
     zero = cls.zero(x.ring)
     out = ((zero, zero), (zero, zero))
-    for cz, mat in zip(normal_form_over_center(x), basis_matrices(cls, x.ring, MS, MU)):
+    for cz, mat in zip(normal_form_over_center(x), basis):
         if not cz.is_zero():
             out = linalg.mat_add(out, linalg.mat_scale(mat, eval_laurent(cz.terms, zero, zeta1, zeta2_power)))
     return out
@@ -93,7 +95,11 @@ def rep_A(x: HeckeElement):
         raise ValueError("rep_A is defined on the iwahori flavor")
     ring = x.ring
     return rep_over_center(
-        x, GroupRingElement, rep_A0_S(ring), rep_A_U(ring), xi1_k(ring), lambda k: xi2_k(ring, k)
+        x,
+        GroupRingElement,
+        basis_matrices(GroupRingElement, ring, rep_A0_S(ring), rep_A_U(ring)),
+        xi1_k(ring),
+        lambda k: xi2_k(ring, k),
     )
 
 
@@ -197,13 +203,23 @@ class FiniteModule:
         return self
 
 
-def _substitute_invariant(a: GroupRingElement, tau1, tau2):
-    """Evaluate an invariant element at xi1 = tau1, xi2 = tau2.
+@lru_cache(maxsize=None)
+def _generic_xi_polys() -> tuple:
+    """A0(S) and A(U) at q = 0, each entry a polynomial in xi1, xi2.
+
+    They do not depend on theta, so they are computed once."""
+    return tuple(
+        tuple(tuple(to_xi_poly(specialize_q0(x)) for x in row) for row in M) for M in (rep_A0_S(ZQ), rep_A_U(ZQ))
+    )
+
+
+def _substitute_invariant(poly: dict, tau1, tau2):
+    """Evaluate a polynomial {(m, k): c} in xi1, xi2 at xi1 = tau1, xi2 = tau2.
 
     Coefficients must be q-constants (the element comes from a q = 0
     specialization); tau2 is invertible in the field."""
     acc = None
-    for (m, k), c in to_xi_poly(a).items():
+    for (m, k), c in poly.items():
         if isinstance(c, GenericScalar):
             if len(c.coeffs) > 1:
                 raise ValueError("substitution requires q = 0 coefficients")
@@ -229,11 +245,11 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     t2i = tau2.inverse()
 
     def at_theta(M):
-        # specialize q = 0, substitute theta, conjugate by diag(1, tau2)
-        (a, b), (c, d) = (tuple(_substitute_invariant(specialize_q0(x), tau1, tau2) for x in row) for row in M)
+        # substitute theta, conjugate by diag(1, tau2)
+        (a, b), (c, d) = (tuple(_substitute_invariant(x, tau1, tau2) for x in row) for row in M)
         return ((a, b * tau2), (c * t2i, d))
 
-    MS, MU = at_theta(rep_A0_S(ZQ)), at_theta(rep_A_U(ZQ))
+    MS, MU = map(at_theta, _generic_xi_polys())
     MUinv = linalg.mat_scale(MU, t2i)  # U^{-1} = U * zeta2^{-1}
     mod = FiniteModule(
         flavor="iwahori",

@@ -139,32 +139,54 @@ def solve_columns(cols, target, ring):
     return tuple(x)
 
 
-def row_space_contains(basis_rref, v) -> bool:
-    """Does v lie in the row space given in RREF with known pivots?"""
-    rows, pivots = basis_rref
+def _reduce(rows, pivots, v) -> list:
+    """v minus its multiples of the RREF rows, taken at their pivot columns;
+    all zero iff v lies in their row space."""
     v = list(v)
     for row, p in zip(rows, pivots):
-        if not v[p].is_zero():
-            c = v[p]
+        c = v[p]
+        if not c.is_zero():
             v = [x - c * y for x, y in zip(v, row)]
-    return all(x.is_zero() for x in v)
+    return v
+
+
+def row_space_contains(basis_rref, v) -> bool:
+    """Does v lie in the row space given in RREF with known pivots?"""
+    return all(x.is_zero() for x in _reduce(*basis_rref, v))
 
 
 def spin(seeds, operators, ring):
     """Smallest subspace containing the seeds and stable under the operators.
 
-    Returns the subspace in RREF form: (rows, pivots).
+    Returns the subspace in RREF form: (rows, pivots).  The echelon basis
+    grows one vector at a time: an image is reduced against the pivots
+    already found, and a nonzero remainder, scaled to a leading 1, is
+    cleared from the other rows at its pivot column and inserted in pivot
+    order.  The RREF of a subspace is unique, so this equals a full rref of
+    the spanning set.
     """
     rows, pivots = rref(list(seeds))
+    rows = list(rows)
     queue = list(rows)
     while queue:
         v = queue.pop()
         for op in operators:
             w = mat_vec(op, v)
-            if not row_space_contains((rows, pivots), w):
-                rows, pivots = rref(list(rows) + [w])
-                queue.append(w)
-    return rows, pivots
+            r = _reduce(rows, pivots, w)
+            c = next((j for j, x in enumerate(r) if not x.is_zero()), None)
+            if c is None:
+                continue
+            inv = r[c].inverse()
+            r = tuple(x * inv for x in r)
+            for i, row in enumerate(rows):
+                factor = row[c]
+                if not factor.is_zero():
+                    rows[i] = tuple(x - factor * y for x, y in zip(row, r))
+            at = sum(p < c for p in pivots)
+            rows.insert(at, r)
+            pivots.insert(at, c)
+            queue.append(w)
+    return tuple(rows), pivots
 
 
 def subspace_eq(a, b) -> bool:

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 
 import pytest
 from hypothesis import given, strategies as st
 
 from heckedem.charrings import FieldRing
 from heckedem.coeffs import (
+    FieldElement,
+    FieldTower,
     GenericScalar,
     build_tower,
     discrete_log,
@@ -136,3 +139,108 @@ def test_elements_of_equal_towers_built_apart_compare_equal():
         y = twin.element(x.coeffs)
         assert x == y and y == x and hash(x) == hash(y)
     assert t.one() != build_tower(5, 1).one()  # same coefficients, other field
+
+
+# ---------------------------------------------------------------------------
+# every element and every pair against schoolbook polynomial arithmetic
+
+EXHAUSTIVE_TOWERS = [(3, 1), (5, 1), (7, 1), (3, 2)]
+
+
+def schoolbook(t):
+    """Reference arithmetic on coefficient vectors over GF(p), reduced by the
+    tower's monic modulus; returns (all vectors, add, neg, mul)."""
+    p, n, modulus = t.p, 2 * t.f, t.modulus_2f
+
+    def trim(cs):
+        cs = [c % p for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    def pad(a):
+        return list(a) + [0] * (n - len(a))
+
+    def add(a, b):
+        return trim(x + y for x, y in zip(pad(a), pad(b)))
+
+    def neg(a):
+        return trim(-x for x in a)
+
+    def mul(a, b):
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(pad(a)):
+            for j, y in enumerate(pad(b)):
+                prod[i + j] += x * y
+        for d in range(2 * n - 2, n - 1, -1):  # X^n = -(m_0 + ... + m_{n-1} X^{n-1})
+            c, prod[d] = prod[d], 0
+            for j in range(n):
+                prod[d - n + j] -= c * modulus[j]
+        return trim(prod[:n])
+
+    vectors = [trim(cs) for cs in itertools.product(range(p), repeat=n)]
+    return vectors, add, neg, mul
+
+
+@pytest.mark.parametrize("p,f", EXHAUSTIVE_TOWERS)
+def test_every_pair_matches_schoolbook(p, f):
+    t = build_tower(p, f)
+    vectors, add, neg, mul = schoolbook(t)
+    for a in vectors:
+        x = t.element(a)
+        for b in vectors:
+            y = t.element(b)
+            assert (x + y) is t.element(add(a, b))
+            assert (x - y) is t.element(add(a, neg(b)))
+            assert (x * y) is t.element(mul(a, b))
+
+
+@pytest.mark.parametrize("p,f", EXHAUSTIVE_TOWERS)
+def test_every_element_matches_schoolbook(p, f):
+    t = build_tower(p, f)
+    q = t.q
+    vectors, add, neg, mul = schoolbook(t)
+
+    def power(a, k):
+        out = (1,)
+        for _ in range(k):
+            out = mul(out, a)
+        return out
+
+    for a in vectors:
+        x = FieldElement(t, a)
+        assert x == t.element(a) and x.coeffs == a and hash(x) == hash(a)
+        assert -x is t.element(neg(a))
+        assert x.frobenius() is t.element(power(a, q))
+        if not a:
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            for k in (-3, -1, 0):
+                with pytest.raises(ZeroDivisionError):
+                    x**k
+            for k in (1, 2, q, q * q):
+                assert x**k is t.zero()
+            continue
+        inv = {mul(a, b): b for b in vectors}[(1,)]
+        assert x.inverse() is t.element(inv)
+        for k in (-3, -1, 0, 1, 2, q, q * q):
+            assert x**k is t.element(power(inv, -k) if k < 0 else power(a, k))
+
+
+def test_arithmetic_returns_interned_elements():
+    t = build_tower(3, 2)
+    g = t.gen()
+    assert g * g is t.gen_power(2)
+    assert g + t.zero() is g and t.zero() + g is g
+    assert g - g is t.zero() and g * t.zero() is t.zero()
+    assert g.inverse() is t.gen_power(-1) and g**t.q is g.frobenius()
+    assert t.from_int(2) is -t.one()
+    assert FieldElement(t, g.coeffs) is not g and FieldElement(t, g.coeffs) == g
+
+
+def test_tower_rejects_a_non_generator():
+    t = build_tower(3, 1)
+    FieldTower(3, 1, t.modulus_2f, t.generator)  # g itself builds
+    for h in ((), (1,), (2,), (0, 1), t.gen_power(2).coeffs):
+        with pytest.raises(ValueError, match="does not generate"):
+            FieldTower(3, 1, t.modulus_2f, h)

@@ -45,6 +45,10 @@ def test_length_oracle_reports_every_mismatch(monkeypatch):
         (lambda: verify.suite_idempotents(3), "idempotents-q3", 15),
         (lambda: verify.suite_idempotents(5), "idempotents-q5", 148),
         (lambda: verify.suite_chowrep(0, n_random=100), "chowrep", 662),
+        # larger fields: q = 7 and q = 9
+        (lambda: verify.suite_regular_reduction(7), "regular-reduction", 288),
+        (lambda: verify.suite_regular_reduction(3, 2), "regular-reduction", 480),
+        (lambda: verify.suite_krep_theta(7), "krep-theta", 4944),
     ],
 )
 def test_suite_check_counts(suite, name, checks):
