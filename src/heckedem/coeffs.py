@@ -213,6 +213,7 @@ class FieldTower:
     f: int
     modulus_2f: tuple
     generator: tuple  # coefficient vector in GF(q^2), little-endian over GF(p)
+    q: int = field(init=False, compare=False)  # p**f
     # built in __post_init__, so dataclasses.replace copies get their own
     _elements: tuple = field(init=False, repr=False, compare=False)  # by code
     _powers: tuple = field(init=False, repr=False, compare=False)  # g^k, 0 <= k < 2(q^2 - 1)
@@ -221,6 +222,7 @@ class FieldTower:
     _neg: tuple = field(init=False, repr=False, compare=False)  # code -> code of its negative
 
     def __post_init__(self):
+        object.__setattr__(self, "q", self.p**self.f)
         p = self.p
         order = self.q**2 - 1
         one = (1,)
@@ -241,10 +243,6 @@ class FieldTower:
         tables = {"_elements": elements, "_powers": elements[1:] * 2, "_codes": codes, "_zech": zech, "_neg": neg}
         for name, table in tables.items():
             object.__setattr__(self, name, table)
-
-    @property
-    def q(self) -> int:
-        return self.p**self.f
 
     def zero(self) -> "FieldElement":
         return self._elements[0]

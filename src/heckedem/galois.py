@@ -64,15 +64,16 @@ class NormalizedExponent:
 
 def normalize_twist(rho: GaloisParam) -> NormalizedExponent:
     """Smallest (i, then h) with h + i(q+1) congruent to the exponent of
-    y or of y^q mod q^2 - 1."""
+    y or of y^q mod q^2 - 1, 1 <= h <= q-1.  Such an h + i(q+1) lies in
+    [1, q^2 - 3], so it is the exponent itself, read off by one divmod."""
     q = rho.tower.q
     n = q * q - 1
-    targets = {e % n for e in exponent_set(rho)}
-    for i in range(q - 1):
-        for h in range(1, q):
-            if (h + i * (q + 1)) % n in targets:
-                return NormalizedExponent(h, i)
-    raise RuntimeError("twisting normalization failed; exponent lemma violated")
+    pairs = [divmod(e % n, q + 1) for e in exponent_set(rho)]
+    valid = [(i, h) for i, h in pairs if 0 < h < q]
+    if not valid:
+        raise RuntimeError("twisting normalization failed; exponent lemma violated")
+    i, h = min(valid)
+    return NormalizedExponent(h, i)
 
 
 def character_of(rho: GaloisParam) -> tuple:

@@ -302,6 +302,17 @@ def standard_module_h2(b, field_ring: FieldRing) -> FiniteModule:
 
 
 def is_isomorphic(m1: FiniteModule, m2: FiniteModule) -> bool:
+    """Are m1 and m2 isomorphic?  Exact, from the Hom space (no search).
+
+    Every pair compared here has a simple side of the common dimension: a
+    reduction at theta against M2(0, tau2), a factor of the 8-dimensional
+    module against the h2 standard module.  A nonzero map out of or into a
+    simple module is injective or surjective, so with equal dimensions it
+    is an isomorphism: Hom(m1, m2) is 0 when they are not isomorphic and
+    End of the simple side when they are, which is E by Schur's lemma
+    since the simple modules here are absolutely simple (Burnside, see
+    ``is_irreducible``).  ``linalg.solve_intertwiner`` raises ValueError
+    on a Hom space of dimension 2 or more."""
     if m1.flavor != m2.flavor or m1.ring != m2.ring or m1.dim != m2.dim:
         return False
     X = linalg.solve_intertwiner(m1.generator_matrices(), m2.generator_matrices(), m1.ring)

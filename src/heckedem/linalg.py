@@ -4,18 +4,12 @@ Matrices are tuples of tuples; vectors are tuples.  The matrix helpers
 (identity, sum, scaling, product, determinant) work over any ring whose
 elements support +, - and *: finite fields, and the group, symmetric,
 center and Hecke rings.  Row reduction, rank, nullspace, solving,
-invariant-subspace spinning, Hom spaces between modules and the
-intertwiner search for module isomorphism need a field.  Everything is
-deterministic and exact.
+invariant-subspace spinning, Hom spaces between modules and isomorphism
+from a Hom space of dimension at most 1 need a field; every echelon form
+is grown by one insertion step.  Everything is deterministic and exact.
 """
 
 from __future__ import annotations
-
-from itertools import product
-
-# largest number of candidates the intertwiner scan will try: (q^2)^d for
-# a d-dimensional solution space over GF(q^2)
-MAX_INTERTWINER_SCAN = 1 << 22
 
 
 def mat_identity(ring, n: int):
@@ -71,34 +65,12 @@ def det(M):
 
 
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return (), []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if not rows[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][c].is_zero():
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    out = [tuple(row) for row in rows[:r]]
-    return tuple(out), pivots
+    """Reduced row echelon form, the rows inserted one at a time by
+    ``_insert``; returns (rows, pivot column list)."""
+    basis, pivots = [], []
+    for v in rows:
+        _insert(basis, pivots, v)
+    return tuple(map(tuple, basis)), pivots
 
 
 def rank(rows) -> int:
@@ -122,7 +94,7 @@ def nullspace(A, ring):
     return basis
 
 
-def is_invertible(A, ring) -> bool:
+def is_invertible(A) -> bool:
     return rank(A) == len(A)
 
 
@@ -155,38 +127,46 @@ def row_space_contains(basis_rref, v) -> bool:
     return all(x.is_zero() for x in _reduce(*basis_rref, v))
 
 
+def _insert(rows, pivots, v) -> bool:
+    """Extend the RREF basis held in the lists (rows, pivots) by v in place.
+
+    A nonzero remainder of v (``_reduce``), scaled to a leading 1, is
+    cleared from the other rows at its pivot column and inserted in pivot
+    order.  Returns False, changing nothing, when v is already in the span.
+    Rows are lists while the basis grows, since a tuple per elimination
+    step would fill the interpreter's tuple free list; callers return tuples.
+    """
+    r = _reduce(rows, pivots, v)
+    c = next((j for j, x in enumerate(r) if not x.is_zero()), None)
+    if c is None:
+        return False
+    inv = r[c].inverse()
+    r = [x * inv for x in r]
+    for i, row in enumerate(rows):
+        factor = row[c]
+        if not factor.is_zero():
+            rows[i] = [x - factor * y for x, y in zip(row, r)]
+    at = sum(p < c for p in pivots)
+    rows.insert(at, r)
+    pivots.insert(at, c)
+    return True
+
+
 def spin(seeds, operators, ring):
     """Smallest subspace containing the seeds and stable under the operators.
 
-    Returns the subspace in RREF form: (rows, pivots).  The echelon basis
-    grows one vector at a time: an image is reduced against the pivots
-    already found, and a nonzero remainder, scaled to a leading 1, is
-    cleared from the other rows at its pivot column and inserted in pivot
-    order.  The RREF of a subspace is unique, so this equals a full rref of
-    the spanning set.
+    Returns the subspace in RREF form: (rows, pivots).  Every vector that
+    ``_insert`` adds to the echelon basis is queued for the operators.
     """
-    rows, pivots = rref(list(seeds))
-    rows = list(rows)
-    queue = list(rows)
+    rows, pivots = [], []
+    queue = [v for v in seeds if _insert(rows, pivots, v)]
     while queue:
         v = queue.pop()
         for op in operators:
             w = mat_vec(op, v)
-            r = _reduce(rows, pivots, w)
-            c = next((j for j, x in enumerate(r) if not x.is_zero()), None)
-            if c is None:
-                continue
-            inv = r[c].inverse()
-            r = tuple(x * inv for x in r)
-            for i, row in enumerate(rows):
-                factor = row[c]
-                if not factor.is_zero():
-                    rows[i] = tuple(x - factor * y for x, y in zip(row, r))
-            at = sum(p < c for p in pivots)
-            rows.insert(at, r)
-            pivots.insert(at, c)
-            queue.append(w)
-    return tuple(rows), pivots
+            if _insert(rows, pivots, w):
+                queue.append(w)
+    return tuple(map(tuple, rows)), pivots
 
 
 def subspace_eq(a, b) -> bool:
@@ -198,15 +178,16 @@ def hom_space(gens1, gens2, ring):
     """Basis of {X : X A = B X for every generator pair (A, B)}.
 
     gens1 and gens2 are parallel lists of n1 x n1 and n2 x n2 matrices over
-    a field, the actions of the same generators on two modules M1 and M2;
-    each basis element X is an n2 x n1 matrix, and together they span
-    Hom(M1, M2).  The constraints are linear in the entries of X, so the
-    space is one nullspace.
+    a field, the actions of the same generators on two modules M1 and M2
+    (ValueError when the lists differ in length); each basis element X is
+    an n2 x n1 matrix, and together they span Hom(M1, M2).  The
+    constraints are linear in the entries of X, so the space is one
+    nullspace.
     """
     n1, n2 = len(gens1[0]), len(gens2[0])
     # unknown X with entries x[i*n1+j]; constraint (X A - B X)[i][j] = 0
     rows = []
-    for A, B in zip(gens1, gens2):
+    for A, B in zip(gens1, gens2, strict=True):
         for i in range(n2):
             for j in range(n1):
                 row = [ring.zero] * (n2 * n1)
@@ -223,26 +204,15 @@ def hom_space(gens1, gens2, ring):
 def solve_intertwiner(gens1, gens2, ring):
     """Find an invertible X with X A = B X for all generator pairs (A, B).
 
-    gens1 and gens2 are parallel lists of n x n matrices over GF(q^2).
-    The solution space ``hom_space`` is exact; then all projective
-    combinations of its basis are scanned for invertibility.  Returns X
-    or None; raises ValueError when the scan would exceed
-    MAX_INTERTWINER_SCAN candidates.
-    """
+    gens1 and gens2 are parallel lists of n x n matrices over a field.
+    Returns X or None, read off ``hom_space``: when it is at most
+    1-dimensional every intertwiner is a multiple of its basis element, so
+    an invertible one exists exactly when that element is invertible.
+    Raises ValueError on a Hom space of dimension 2 or more, which Schur's
+    lemma rules out when one side is absolutely simple."""
     basis = hom_space(gens1, gens2, ring)
-    if not basis:
-        return None
-    elements = ring.tower.ext_elements()
-    d = len(basis)
-    if len(elements) ** d > MAX_INTERTWINER_SCAN:
-        raise ValueError("intertwiner solution space too large for an exhaustive scan")
-    # projective scan: first nonzero coordinate normalized to 1
-    for lead in range(d):
-        for tail in product(elements, repeat=d - lead - 1):
-            X = basis[lead]
-            for c, B in zip(tail, basis[lead + 1 :]):
-                if not c.is_zero():
-                    X = mat_add(X, mat_scale(B, c))
-            if is_invertible(X, ring):
-                return X
+    if len(basis) > 1:
+        raise ValueError(f"Hom space has dimension {len(basis)}; isomorphism is decided only up to dimension 1")
+    if basis and is_invertible(basis[0]):
+        return basis[0]
     return None

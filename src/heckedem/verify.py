@@ -348,10 +348,8 @@ def suite_obstruction(primes=(3, 5, 7)) -> dict:
     t = Tally("obstruction")
     t.check(not chowrep.check_naive_obstruction()["solvable"], "obstruction not refuted")
     # parity oracle on sample Laurent polynomials
-    import itertools
-
     for p in primes:
-        for support in itertools.product(range(-2, 3), repeat=2):
+        for support in [(a, c) for a in range(-2, 3) for c in range(-2, 3)]:
             cand = {support[0]: 1, support[1]: max(1, p - 1)}
             t.check(chowrep.square_has_even_extremes(cand, p), ("square with odd extreme degree", p, support))
     for p in primes:

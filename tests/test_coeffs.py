@@ -141,6 +141,16 @@ def test_elements_of_equal_towers_built_apart_compare_equal():
     assert t.one() != build_tower(5, 1).one()  # same coefficients, other field
 
 
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2)])
+def test_q_is_set_once_and_copied_by_replace(p, f):
+    t = build_tower(p, f)
+    twin = dataclasses.replace(t)
+    assert t.q == twin.q == p**f
+    assert twin == t and hash(twin) == hash(t)
+    with pytest.raises(ValueError):
+        dataclasses.replace(t, q=p)  # q is derived, not a constructor argument
+
+
 # ---------------------------------------------------------------------------
 # every element and every pair against schoolbook polynomial arithmetic
 

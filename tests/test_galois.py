@@ -46,6 +46,30 @@ def test_normalized_twists_q3():
     assert normalize_twist(param(5)) == NormalizedExponent(1, 1)
 
 
+def normalize_twist_by_search(rho):
+    """The reference: scan every (i, h), i outer, for h + i(q+1) hitting the
+    exponent of y or of y^q mod q^2 - 1."""
+    q = rho.tower.q
+    n = q * q - 1
+    targets = {e % n for e in exponent_set(rho)}
+    for i in range(q - 1):
+        for h in range(1, q):
+            if (h + i * (q + 1)) % n in targets:
+                return NormalizedExponent(h, i)
+    raise RuntimeError("no normalized exponent")
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)])
+def test_normalize_twist_by_divmod_matches_the_search(p, f):
+    tower = build_tower(p, f)
+    b = tower.one()
+    n = tower.q**2 - 1
+    params = [GaloisParam(tower, b, tower.gen_power(k)) for k in range(n) if not tower.gen_power(k).in_base_field()]
+    assert len(params) == n - (tower.q - 1)
+    for rho in params:
+        assert normalize_twist(rho) == normalize_twist_by_search(rho)
+
+
 def test_characters_and_orbits_q3():
     assert character_of(param(1)) == (0, 0)
     assert orbit_of(param(1)) == ((0, 0),)

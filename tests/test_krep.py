@@ -228,3 +228,31 @@ def test_faithfulness_rank_is_rank_of_basis_images():
             images = (linalg.mat_identity(ring, 2), d["S"], d["U"], linalg.mat_mul(d["S"], d["U"]))
             old_rank = linalg.rank([tuple(x for row in M for x in row) for M in images])
             assert krep.faithfulness_rank(mod) == old_rank, (tau1, tau2)
+
+
+def intertwiner_by_projective_scan(gens1, gens2, ring):
+    """The exhaustive reference: the first invertible combination of the Hom
+    space basis, over all projective coordinates (first nonzero one is 1)."""
+    basis = linalg.hom_space(gens1, gens2, ring)
+    for lead in range(len(basis)):
+        for tail in itertools.product(ring.tower.ext_elements(), repeat=len(basis) - lead - 1):
+            X = basis[lead]
+            for c, B in zip(tail, basis[lead + 1 :]):
+                X = linalg.mat_add(X, linalg.mat_scale(B, c))
+            if linalg.is_invertible(X):
+                return X
+    return None
+
+
+def test_isomorphism_from_the_hom_space_agrees_with_the_projective_scan():
+    ring = FieldRing(build_tower(3, 1))
+    outcomes = set()
+    for tau2 in ring.tower.ext_elements()[1:]:
+        modules = list(two_dim_modules(3, tau2s=[tau2]))
+        for m1, m2 in itertools.product(modules, repeat=2):
+            if m1.flavor == m2.flavor:
+                g1, g2 = m1.generator_matrices(), m2.generator_matrices()
+                X = linalg.solve_intertwiner(g1, g2, ring)
+                assert X == intertwiner_by_projective_scan(g1, g2, ring)
+                outcomes.add((m1.flavor, X is None))
+    assert outcomes == {("iwahori", True), ("iwahori", False), ("h2", False)}

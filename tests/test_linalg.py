@@ -7,13 +7,22 @@ from heckedem.charrings import FieldRing
 from heckedem.coeffs import build_tower
 
 
-def test_intertwiner_scan_refuses_oversized_solution_space():
-    # zero 3 x 3 generators leave all 9 entries of X free: 9^9 > 2^22 candidates
+def test_intertwiner_refuses_a_hom_space_of_dimension_two_or_more():
+    # zero 3 x 3 generators leave all 9 entries of X free: Hom has dimension 9
     ring = FieldRing(build_tower(3, 1))
     zero = ((ring.zero,) * 3,) * 3
-    assert 9**9 > linalg.MAX_INTERTWINER_SCAN
-    with pytest.raises(ValueError, match="too large"):
+    with pytest.raises(ValueError, match="dimension 9"):
         linalg.solve_intertwiner([zero], [zero], ring)
+
+
+def test_hom_space_rejects_generator_lists_of_different_lengths():
+    # h2 generators (e1, S, U) against iwahori ones (S, U) must not be paired up
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    b = tower.gen_power(4)
+    m8 = chowrep.reduce_regular_at_theta((ring.zero, b), ring)
+    with pytest.raises(ValueError):
+        chowrep.socle(m8, krep.standard_module(ring.zero, b, ring))
 
 
 def restart_spin(seeds, operators):

@@ -50,6 +50,32 @@ def test_validate_rejects_bad_module_under_optimize():
     assert proc.stdout.strip() == "rejected: U * Uinv != identity"
 
 
+SCALAR_MODULE_UNDER_O = """
+from heckedem import krep, linalg
+from heckedem.charrings import FieldRing
+from heckedem.coeffs import build_tower
+from heckedem.krep import FiniteModule
+
+assert False, "python -O strips this assert; without -O the script fails here"
+ring = FieldRing(build_tower(3, 1), "ext")
+one = linalg.mat_identity(ring, 2)
+# S = -1 and U = 1 act by scalars, so End(M) is all of M2(E): dimension 4
+m = FiniteModule("iwahori", ring, 2, (("S", linalg.mat_scale(one, -ring.one)), ("U", one), ("Uinv", one))).validate()
+try:
+    krep.is_isomorphic(m, m)
+except ValueError as exc:
+    print("refused:", exc)
+else:
+    print("decided")
+"""
+
+
+def test_isomorphism_refuses_a_large_hom_space_under_optimize():
+    proc = run_python("-O", "-c", SCALAR_MODULE_UNDER_O)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().startswith("refused: Hom space has dimension 4")
+
+
 SUITES_AS_JSON = """
 import json
 from heckedem import verify
