@@ -251,7 +251,6 @@ def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
         ring=ring,
         dim=8,
         gens=tuple(gens),
-        labels=("1_1", "d1_1", "x1_1", "xd1_1", "1_2", "d1_2", "x1_2", "xd1_2"),
     )
     mod.validate()
     # the quadratic constant: xi2^2 acts as b
@@ -261,81 +260,66 @@ def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     return mod
 
 
-def _unit_vector(ring, n: int, i: int):
-    return tuple(ring.one if j == i else ring.zero for j in range(n))
-
-
 def explicit_chain(m: FiniteModule) -> list:
     """The preferred composition chain 0 < V2 < V4 < V6 < V8 from the
     basis vectors: V2 = <1_1, x1_2>, V4 = A1_1 + A1_2, V6 = V4 + <d1_1,
     xd1_2>, V8 everything.  Returned as RREF (rows, pivots) pairs."""
-    ring = m.ring
-    e = lambda i: _unit_vector(ring, 8, i)
+    e = linalg.mat_identity(m.ring, 8)
     chains = [
-        [e(0), e(6)],
-        [e(0), e(2), e(4), e(6)],
-        [e(0), e(2), e(4), e(6), e(1), e(7)],
-        [e(i) for i in range(8)],
+        [e[0], e[6]],
+        [e[0], e[2], e[4], e[6]],
+        [e[0], e[2], e[4], e[6], e[1], e[7]],
+        e,
     ]
     return [linalg.rref(rows) for rows in chains]
 
 
 def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
-    """The module big/small for invariant subspaces small <= big.
+    """The module big/small for subspaces small <= big, given in RREF.
 
-    Quotient basis: rows of big whose pivot is not a pivot of small.
+    Quotient basis: rows of big whose pivot is not a pivot of small.  The
+    image of a basis row, less its ``linalg.remainder`` against small, is
+    zero at the pivots of small; it lies in big exactly when big is
+    invariant modulo small, and then its quotient coordinates are its
+    entries at the quotient pivots, since a vector in an RREF row space is
+    the sum of the rows weighted by its entries at their pivots.  So
+    quotients taken along a chain from 0 prove every member invariant.
+    Raises ArithmeticError when small is not inside big or an image
+    leaves big.
     """
-    ring = m.ring
-    big_rows, big_piv = big
-    small_rows, small_piv = small
-    q_basis = [r for r, p in zip(big_rows, big_piv) if p not in small_piv]
-    dim = len(q_basis)
-    cols = [list(v) for v in q_basis] + [list(v) for v in small_rows]
+    if not all(linalg.row_space_contains(big, v) for v in small[0]):
+        raise ArithmeticError("chain is not nested")
+    q_basis = [(v, p) for v, p in zip(*big) if p not in small[1]]
 
     def induced(M):
-        out = [[ring.zero] * dim for _ in range(dim)]
-        for j, v in enumerate(q_basis):
-            w = linalg.mat_vec(M, v)
-            sol = linalg.solve_columns(cols, w, ring)
-            if sol is None:
-                raise ValueError("subspace is not invariant")
-            for i in range(dim):
-                out[i][j] = sol[i]
-        return tuple(tuple(row) for row in out)
+        cols = []
+        for v, _ in q_basis:
+            w = linalg.remainder(small, linalg.mat_vec(M, v))
+            if not linalg.row_space_contains(big, w):
+                raise ArithmeticError("chain member is not an invariant subspace")
+            cols.append([w[p] for _, p in q_basis])
+        return tuple(zip(*cols))
 
     gens = tuple((name, induced(mat)) for name, mat in m.gens)
-    return FiniteModule(flavor=m.flavor, ring=ring, dim=dim, gens=gens)
+    return FiniteModule(flavor=m.flavor, ring=m.ring, dim=len(q_basis), gens=gens)
 
 
 def composition_series(m: FiniteModule, b) -> dict:
     """Composition series of the 8-dimensional module.
 
-    Verifies the explicit chain is invariant (raises ArithmeticError if a
-    member is not), has dimensions [2,4,6,8], and that every subquotient
-    is isomorphic to the standard rank-2 module with U^2 = b.
+    The quotients of the explicit chain prove it invariant
+    (``quotient_module`` raises ArithmeticError at the first member that
+    is not); reports its dimensions and whether every subquotient is
+    isomorphic to the standard rank-2 module with U^2 = b.
     """
-    ring = m.ring
-    ops = m.generator_matrices()
     chain = explicit_chain(m)
-    dims = []
-    for rows, piv in chain:
-        spun = linalg.spin(list(rows), ops, ring)
-        if spun[0] != rows:
-            raise ArithmeticError("chain member is not an invariant subspace")
-        dims.append(len(rows))
-    target = standard_module_h2(b, ring)
-    factors = []
-    prev = ((), [])
-    for stage in chain:
-        fac = quotient_module(m, stage, prev)
-        factors.append(fac)
-        prev = stage
-    all_std = all(is_isomorphic(f, target) for f in factors)
+    factors = [quotient_module(m, big, small) for small, big in zip([((), [])] + chain, chain)]
+    target = standard_module_h2(b, m.ring)
     return {
         "chain": chain,
-        "dims": dims,
+        "dims": [len(rows) for rows, _ in chain],
         "factors": factors,
-        "all_factors_standard": all_std,
+        "all_factors_standard": all(is_isomorphic(f, target) for f in factors),
     }
 
 
@@ -387,6 +371,7 @@ def semisimplify(m: FiniteModule, b) -> dict:
     eig = affine_eigenvectors_in(m, chain[2])
     inside_v4 = linalg.subspace_eq(eig, chain[1])
     return {
+        "chain": chain,
         "factors": series["factors"],
         "all_factors_standard": series["all_factors_standard"],
         "dims": series["dims"],

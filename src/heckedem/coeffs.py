@@ -378,17 +378,6 @@ class FieldElement:
         return list(self.coeffs)
 
 
-def _poly_mod_pow(x: tuple, k: int, modulus: tuple, p: int) -> tuple:
-    """x^k for k >= 0 by square-and-multiply over GF(p)[X]/(modulus)."""
-    result = (1,)
-    while k:
-        if k & 1:
-            result = _poly_mod_mul(result, x, modulus, p)
-        x = _poly_mod_mul(x, x, modulus, p)
-        k >>= 1
-    return result
-
-
 @lru_cache(maxsize=None)
 def build_tower(p: int, f: int) -> FieldTower:
     """Construct GF(p^2f) deterministically: the lowest-lexicographic
@@ -406,19 +395,18 @@ def build_tower(p: int, f: int) -> FieldTower:
     modulus_2f = _lowest_lex_irreducible(p, 2 * f)
 
     # generator: the element with the smallest integer encoding that has
-    # full multiplicative order q^2 - 1, searched on coefficient vectors
-    # because only a generator gives a tower its tables
-    order = q * q - 1
-    prime_divisors = sorted({d for d in range(2, order + 1) if order % d == 0 and _is_prime(d)})
+    # full multiplicative order q^2 - 1, searched on coefficient vectors;
+    # a tower raises ValueError on any other candidate
     for idx in range(1, q * q):
         coeffs = []
         t = idx
         for _ in range(2 * f):
             coeffs.append(t % p)
             t //= p
-        cand = _trim(coeffs)
-        if all(_poly_mod_pow(cand, order // ell, modulus_2f, p) != (1,) for ell in prime_divisors):
-            return FieldTower(p, f, modulus_2f, cand)
+        try:
+            return FieldTower(p, f, modulus_2f, _trim(coeffs))
+        except ValueError:
+            continue
     raise RuntimeError("no multiplicative generator found")
 
 

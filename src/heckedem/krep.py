@@ -171,7 +171,6 @@ class FiniteModule:
     ring: FieldRing
     dim: int
     gens: tuple  # tuple of (name, matrix)
-    labels: tuple = ()
 
     def gen_dict(self) -> dict:
         return dict(self.gens)
@@ -256,7 +255,6 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
         ring=ring,
         dim=2,
         gens=(("S", MS), ("U", MU), ("Uinv", MUinv)),
-        labels=("1", "e^{(0,1)}"),
     )
     return mod.validate()
 
@@ -275,7 +273,6 @@ def standard_module(tau1, tau2, field_ring: FieldRing) -> FiniteModule:
         ring=ring,
         dim=2,
         gens=(("S", MS), ("U", MU), ("Uinv", MUinv)),
-        labels=("m", "Um"),
     )
     return mod.validate()
 
@@ -296,7 +293,6 @@ def standard_module_h2(b, field_ring: FieldRing) -> FiniteModule:
         ring=ring,
         dim=2,
         gens=(("e1", E1), ("e2", E2), ("S", MS), ("U", MU), ("Uinv", MUinv)),
-        labels=("m1", "m2"),
     )
     return mod.validate()
 

@@ -3,10 +3,10 @@
 Matrices are tuples of tuples; vectors are tuples.  The matrix helpers
 (identity, sum, scaling, product, determinant) work over any ring whose
 elements support +, - and *: finite fields, and the group, symmetric,
-center and Hecke rings.  Row reduction, rank, nullspace, solving,
-invariant-subspace spinning, Hom spaces between modules and isomorphism
-from a Hom space of dimension at most 1 need a field; every echelon form
-is grown by one insertion step.  Everything is deterministic and exact.
+center and Hecke rings.  Row reduction, rank, nullspace, remainders
+against an echelon basis, invariant-subspace spinning, Hom spaces between
+modules and isomorphism from a Hom space of dimension at most 1 need a
+field; every echelon form is grown by one insertion step.  Everything is deterministic and exact.
 """
 
 from __future__ import annotations
@@ -98,22 +98,10 @@ def is_invertible(A) -> bool:
     return rank(A) == len(A)
 
 
-def solve_columns(cols, target, ring):
-    """Solve sum_j x_j cols[j] = target; returns x or None."""
-    n, m = len(target), len(cols)
-    aug = tuple(tuple([cols[j][i] for j in range(m)] + [target[i]]) for i in range(n))
-    R, pivots = rref(aug)
-    if m in pivots:
-        return None
-    x = [ring.zero] * m
-    for row, p in zip(R, pivots):
-        x[p] = row[m]
-    return tuple(x)
-
-
-def _reduce(rows, pivots, v) -> list:
-    """v minus its multiples of the RREF rows, taken at their pivot columns;
-    all zero iff v lies in their row space."""
+def remainder(basis_rref, v) -> list:
+    """v minus its multiples of the RREF rows, taken at their pivot columns:
+    zero at every pivot, and all zero iff v lies in their row space."""
+    rows, pivots = basis_rref
     v = list(v)
     for row, p in zip(rows, pivots):
         c = v[p]
@@ -124,19 +112,18 @@ def _reduce(rows, pivots, v) -> list:
 
 def row_space_contains(basis_rref, v) -> bool:
     """Does v lie in the row space given in RREF with known pivots?"""
-    return all(x.is_zero() for x in _reduce(*basis_rref, v))
+    return all(x.is_zero() for x in remainder(basis_rref, v))
 
 
 def _insert(rows, pivots, v) -> bool:
     """Extend the RREF basis held in the lists (rows, pivots) by v in place.
 
-    A nonzero remainder of v (``_reduce``), scaled to a leading 1, is
-    cleared from the other rows at its pivot column and inserted in pivot
-    order.  Returns False, changing nothing, when v is already in the span.
+    A nonzero ``remainder`` of v, scaled to a leading 1, is cleared from
+    the other rows at its pivot column and inserted in pivot order.  Returns False, changing nothing, when v is already in the span.
     Rows are lists while the basis grows, since a tuple per elimination
     step would fill the interpreter's tuple free list; callers return tuples.
     """
-    r = _reduce(rows, pivots, v)
+    r = remainder((rows, pivots), v)
     c = next((j for j, x in enumerate(r) if not x.is_zero()), None)
     if c is None:
         return False

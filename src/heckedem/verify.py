@@ -522,13 +522,13 @@ def _check_regular_module(t: Tally, b, ring) -> None:
     # every composition factor is the standard module L, so every simple
     # submodule is L and the socle is the sum of the images of Hom(L, -)
     L = krep.standard_module_h2(b, ring)
-    chain = chowrep.explicit_chain(m8)
-    v4, v8 = chain[1], chain[3]
+    v4, v8 = report["chain"][1], report["chain"][3]
     t.check(linalg.subspace_eq(chowrep.socle(m8, L), v4), lambda: (str(b), "socle != V4"))
     top = chowrep.quotient_module(m8, v8, v4)
     t.check(len(chowrep.socle(top, L)[0]) == top.dim, lambda: (str(b), "M8/V4 not semisimple: Loewy length > 2"))
     # d1_1 + d1_2 generates the whole module
-    witness = tuple(ring.one if i in (1, 5) else ring.zero for i in range(8))
+    e = linalg.mat_identity(ring, 8)
+    witness = tuple(x + y for x, y in zip(e[1], e[5]))
     spun = linalg.spin([witness], m8.generator_matrices(), ring)
     t.check(len(spun[0]) == 8, lambda: (str(b), "d1_1 + d1_2 does not generate M8"))
 

@@ -202,3 +202,54 @@ def test_quotient_module_consistency():
     quot = chowrep.quotient_module(m8, big, small)
     assert quot.dim == len(big[0]) - len(small[0])
     quot.validate()
+
+
+def solved_quotient_gens(m, big, small):
+    """Reference quotient: each image M v is solved against the quotient rows
+    and the rows of small by row-reducing one augmented matrix."""
+    ring = m.ring
+    q_basis = [v for v, p in zip(*big) if p not in small[1]]
+    cols = q_basis + list(small[0])
+    dim = len(q_basis)
+
+    def induced(M):
+        out = [[ring.zero] * dim for _ in range(dim)]
+        for j, v in enumerate(q_basis):
+            w = linalg.mat_vec(M, v)
+            R, pivots = linalg.rref([[c[i] for c in cols] + [w[i]] for i in range(m.dim)])
+            assert len(cols) not in pivots, "image leaves big"
+            for row, pc in zip(R, pivots):
+                if pc < dim:
+                    out[pc][j] = row[-1]
+        return tuple(map(tuple, out))
+
+    return tuple((name, induced(M)) for name, M in m.gens)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2)])
+def test_quotient_matches_solving_on_every_nested_pair(p, f):
+    tower = build_tower(p, f)
+    ring = FieldRing(tower, "ext")
+    for b in (tower.gen_power(1), tower.gen_power(2)):
+        m8 = chowrep.reduce_regular_at_theta((ring.zero, b), ring)
+        e = linalg.mat_identity(ring, 8)
+        seeds = list(e) + [tuple(x + y for x, y in zip(e[i], e[j])) for i in range(8) for j in range(i + 1, 8)]
+        spun = {sub[0]: sub for sub in (linalg.spin([v], m8.generator_matrices(), ring) for v in seeds)}
+        subs = [((), [])] + list(spun.values())
+        pairs = [(s, t) for s in subs for t in subs if all(linalg.row_space_contains(t, v) for v in s[0])]
+        assert len(pairs) == 76
+        for small, big in pairs:
+            quot = chowrep.quotient_module(m8, big, small)
+            assert quot.dim == len(big[0]) - len(small[0])
+            assert quot.gens == solved_quotient_gens(m8, big, small)
+
+
+def test_quotient_refuses_a_pair_that_is_not_nested():
+    m8, b, ring = regular_module()
+    v2, v4 = chowrep.explicit_chain(m8)[:2]
+    # <x1_1, 1_2> is a simple submodule of V4 other than V2 = <1_1, x1_2>
+    other = linalg.spin([linalg.mat_identity(ring, 8)[2]], m8.generator_matrices(), ring)
+    assert len(other[0]) == 2 and other != v2
+    assert all(linalg.row_space_contains(v4, v) for v in other[0])
+    with pytest.raises(ArithmeticError, match="chain is not nested"):
+        chowrep.quotient_module(m8, v2, other)

@@ -254,3 +254,40 @@ def test_tower_rejects_a_non_generator():
     for h in ((), (1,), (2,), (0, 1), t.gen_power(2).coeffs):
         with pytest.raises(ValueError, match="does not generate"):
             FieldTower(3, 1, t.modulus_2f, h)
+
+
+def order_search_generator(t):
+    """The smallest generator by integer encoding, found by the order test:
+    g^((q^2 - 1) / l) != 1 for every prime l dividing q^2 - 1."""
+    p, n, q = t.p, 2 * t.f, t.q
+    _, _, _, mul = schoolbook(t)
+
+    def power(a, k):
+        out = (1,)
+        while k:
+            if k & 1:
+                out = mul(out, a)
+            a = mul(a, a)
+            k >>= 1
+        return out
+
+    order = q * q - 1
+    primes = [d for d in range(2, order + 1) if order % d == 0 and all(d % e for e in range(2, d))]
+    for idx in range(1, q * q):
+        digits = [idx // p**i % p for i in range(n)]
+        while digits[-1] == 0:
+            digits.pop()
+        cand = tuple(digits)
+        if all(power(cand, order // ell) != (1,) for ell in primes):
+            return cand
+
+
+# every tower with q^2 < 10^4
+ODD_PRIMES = [p for p in range(3, 100, 2) if all(p % d for d in range(3, p, 2))]
+SMALL_TOWERS = [(p, f) for p in ODD_PRIMES for f in (1, 2, 3, 4) if p ** (2 * f) < 10**4]
+
+
+@pytest.mark.parametrize("p,f", SMALL_TOWERS)
+def test_generator_search_matches_order_test(p, f):
+    t = build_tower(p, f)
+    assert t.generator == order_search_generator(t)

@@ -76,6 +76,30 @@ def test_isomorphism_refuses_a_large_hom_space_under_optimize():
     assert proc.stdout.strip().startswith("refused: Hom space has dimension 4")
 
 
+NON_INVARIANT_QUOTIENT_UNDER_O = """
+from heckedem import chowrep, linalg
+from heckedem.charrings import FieldRing
+from heckedem.coeffs import build_tower
+
+assert False, "python -O strips this assert; without -O the script fails here"
+ring = FieldRing(build_tower(3, 1), "ext")
+m8 = chowrep.reduce_regular_at_theta((ring.zero, ring.one), ring)
+line = linalg.rref([linalg.mat_identity(ring, 8)[1]])  # <d1_1> is not invariant: S d1_1 = -1_2
+try:
+    chowrep.quotient_module(m8, line, ((), []))
+except ArithmeticError as exc:
+    print("rejected:", exc)
+else:
+    print("accepted")
+"""
+
+
+def test_quotient_rejects_a_non_invariant_member_under_optimize():
+    proc = run_python("-O", "-c", NON_INVARIANT_QUOTIENT_UNDER_O)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "rejected: chain member is not an invariant subspace"
+
+
 SUITES_AS_JSON = """
 import json
 from heckedem import verify
