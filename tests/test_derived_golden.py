@@ -7,16 +7,18 @@ The hashes are SHA-256 of a canonical text dump:
   over Z[q] and over GF(9);
 * the five generator matrices e1, e2, S, U, Uinv of the 8-dimensional
   module at theta = (0, b), for every b in GF(q^2)^x, at (p, f) = (3, 1),
-  (5, 1) and (3, 2).
+  (5, 1) and (3, 2);
+* the images of the same 162 T_w under the Demazure representations:
+  A(q) over Z[q] and over GF(9), and Anil over GF(9) and over GF(25).
 
-They pin both constructions against any change in how they are computed.
+They pin these constructions against any change in how they are computed.
 """
 
 import hashlib
 
 import pytest
 
-from heckedem import chowrep
+from heckedem import chowrep, krep
 from heckedem.charrings import ZQ, FieldRing
 from heckedem.coeffs import build_tower
 from heckedem.hecke import T_w, normal_form_over_center
@@ -28,6 +30,16 @@ NORMAL_FORM_GOLDEN = {
     ("iwahori", "GF(9)"): "b9f825ea303135f253789d47431182e3668a4c0fed2962314d11447f2f803379",
     ("nil", "GF(9)"): "467ef8f02ce8556260ec1281b38025a02d91bb6447fca633437ee96212e53e28",
 }
+
+REP_GOLDEN = {
+    ("rep_A", "Z[q]"): "f46dc08739c01d1a2456a90da94f55321242a0de54239973aa351b9d36f4d292",
+    ("rep_A", "GF(9)"): "bcd82ff1ad7f5f468a80c03854eeead1b13f6726b2437ab21e6abd043954cf5d",
+    ("rep_Anil", "GF(9)"): "e9378a14f7e78bf12ed73653afcbdb5b165fba2bfeb6d87cf7a6f1a7d1ef41f7",
+    ("rep_Anil", "GF(25)"): "70d907af5e4f76b4f8940f762437c0a91184233a9236fc08714ca781ff9f4116",
+}
+
+REPS = {"rep_A": ("iwahori", krep.rep_A), "rep_Anil": ("nil", chowrep.rep_Anil)}
+RINGS = {"Z[q]": lambda: ZQ, "GF(9)": lambda: FieldRing(build_tower(3, 1)), "GF(25)": lambda: FieldRing(build_tower(5, 1))}
 
 M8_GOLDEN = {
     (3, 1): "4edf76cc75936e795bd8ebe1338a3903adbbf17703ce57546c644674ba991c53",
@@ -44,12 +56,25 @@ def center_dump(cz) -> str:
     return repr(sorted((key, tuple(c.coeffs)) for key, c in cz.terms.items()))
 
 
-def normal_form_lines(flavor: str, ring):
+def box():
+    """The 162 elements (n1, n2, finite) with |n1|, |n2| <= 4."""
     for n1 in range(-4, 5):
         for n2 in range(-4, 5):
             for finite in ("e", "s"):
-                coords = normal_form_over_center(T_w(flavor, ring, WeylElement(n1, n2, finite)))
-                yield f"{n1} {n2} {finite} " + " | ".join(center_dump(cz) for cz in coords)
+                yield n1, n2, finite
+
+
+def normal_form_lines(flavor: str, ring):
+    for n1, n2, finite in box():
+        coords = normal_form_over_center(T_w(flavor, ring, WeylElement(n1, n2, finite)))
+        yield f"{n1} {n2} {finite} " + " | ".join(center_dump(cz) for cz in coords)
+
+
+def rep_lines(name: str, ring):
+    flavor, rep = REPS[name]
+    for n1, n2, finite in box():
+        mat = rep(T_w(flavor, ring, WeylElement(n1, n2, finite)))
+        yield f"{n1} {n2} {finite} " + " | ".join(center_dump(entry) for row in mat for entry in row)
 
 
 def m8_lines(p: int, f: int):
@@ -67,6 +92,11 @@ def m8_lines(p: int, f: int):
 def test_normal_forms_match_golden(flavor, ring_name):
     ring = ZQ if ring_name == "Z[q]" else FieldRing(build_tower(3, 1))
     assert digest(normal_form_lines(flavor, ring)) == NORMAL_FORM_GOLDEN[(flavor, ring_name)]
+
+
+@pytest.mark.parametrize("name,ring_name", sorted(REP_GOLDEN))
+def test_demazure_images_match_golden(name, ring_name):
+    assert digest(rep_lines(name, RINGS[ring_name]())) == REP_GOLDEN[(name, ring_name)]
 
 
 @pytest.mark.parametrize("p,f", sorted(M8_GOLDEN))
