@@ -7,13 +7,20 @@ xi2' = eta1*eta2, with respect to the basis {1, delta}, delta =
     Anil(S) = [[0, -1], [0, 0]]
     Anil(U) = [[xi1^2/2 - xi2, -xi1(xi1^2/4 - xi2)], [xi1, -(xi1^2/2 - xi2)]]
 
-The center maps by zeta1 -> -xi1, zeta2 -> xi2^2.  A naive extension with
-U^2 = xi2 is impossible: the constraint system forces a^2 = xi2 at
-xi1 = 0, which has no solution in GF(p)[xi2^{+-1}] by degree parity.
+The center maps by zeta1 -> -xi1, zeta2 -> xi2^2 = (eta1*eta2)^2.  Like
+``krep.rep_A``, Anil is read term by term from a table per (ring, w') of
+translation-free words: with T_w = zeta2^k T_{w'}, the image of c T_w is c
+times that of T_{w'} with every exponent shifted by (2k, 2k), and each
+table entry comes from the normal form of T_{w'} over the center.
+
+A naive extension with U^2 = xi2 is impossible: the constraint system
+forces a^2 = xi2 at xi1 = 0, which has no solution in GF(p)[xi2^{+-1}] by
+degree parity.
 
 The twisted representation A2 acts on two copies of the rank-2 free
 module (one per component of the doubled flag variety) by
-A2(e_i T_w) = p_i o diag(Anil(T_w)) o perm(w).  Specializing A2 at a
+A2(e_i T_w) = p_i o diag(Anil(T_w)) o perm(w); it places each term's
+Anil image, read from the same table, in its block.  Specializing A2 at a
 supersingular central character theta with theta(zeta2) = b, i.e. at
 xi1' = 0 and over A = E[xi2']/(xi2'^2 - b), yields the 8-dimensional
 module, with composition series of dimensions [2, 4, 6, 8] and four
@@ -27,13 +34,15 @@ from functools import lru_cache
 
 from . import linalg
 from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, to_xi_poly, xi1_ch, xi2_ch
-from .hecke import HeckeElement, T_S, T_U, idem_element
+from .hecke import HeckeElement, T_S, T_U, idem_element, zeta2_split
 from .krep import (
     FiniteModule,
+    add_word_image,
     basis_matrices,
     identity2,
     invariant_matrix_flatten,
     is_isomorphic,
+    rep_on_words,
     rep_over_center,
     standard_module_h2,
 )
@@ -75,21 +84,43 @@ def rep_Anil_U(ring: FieldRing):
     return ((a, b), (c, -a))
 
 
+def _check_anil_ring(ring):
+    if not ring.is_field or ring.from_int(2).is_zero():
+        raise ValueError("Anil needs a coefficient field of odd characteristic")
+
+
 def rep_Anil(x: HeckeElement):
     """The representation Anil on a general nil-flavor element over GF(p);
     the center maps by zeta1 -> -xi1, zeta2 -> xi2^2."""
     if x.flavor != "nil":
         raise ValueError("rep_Anil is defined on the nil flavor")
-    ring = x.ring
-    if not ring.is_field or ring.from_int(2).is_zero():
-        raise ValueError("Anil needs a coefficient field of odd characteristic")
-    return rep_over_center(x, SymElement, _anil_basis_images(ring), -xi1_ch(ring), lambda k: xi2_ch(ring, 2 * k))
+    _check_anil_ring(x.ring)
+    return rep_on_words(x, SymElement, _anil_word_image, 2)
 
 
 @lru_cache(maxsize=None)
 def _anil_basis_images(ring: FieldRing) -> tuple:
     """Anil of the basis {1, S, U, SU} over the center; computed once per ring."""
     return basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring))
+
+
+@lru_cache(maxsize=None)
+def _anil_word_image(ring: FieldRing, w):
+    """Anil(T_w) for a translation-free w, through its normal form over the
+    center; computed once per (ring, w).
+
+    Like ``_anil_basis_images``, the table keeps the images of
+    ``rep_A0nil_S`` and ``rep_Anil_U`` for the whole process: whoever
+    replaces either must also ``cache_clear()`` both tables, before and
+    after, or read stale images."""
+    _check_anil_ring(ring)
+    return rep_over_center(
+        HeckeElement.basis("nil", ring, w),
+        SymElement,
+        _anil_basis_images(ring),
+        -xi1_ch(ring),
+        lambda k: xi2_ch(ring, 2 * k),
+    )
 
 
 def eta1_squared_s_matrix(ring: FieldRing):
@@ -177,18 +208,14 @@ def rep_A2(x: HeckeElement):
     if x.flavor != "h2":
         raise ValueError("rep_A2 is defined on the h2 flavor")
     ring = x.ring
-    zero = SymElement.zero(ring)
-    out = [[zero] * 4 for _ in range(4)]
+    acc = [[{} for _ in range(4)] for _ in range(4)]
     for (i, w), c in x.terms.items():
-        shadow = HeckeElement.basis("nil", ring, w, coeff=c)
-        N = rep_Anil(shadow)
+        k, w0 = zeta2_split(w)
         # column block j such that perm(w) routes component j into i
         j = act_on_index(w, i)
-        r0, c0 = 2 * (i - 1), 2 * (j - 1)
-        for r in range(2):
-            for s in range(2):
-                out[r0 + r][c0 + s] = out[r0 + r][c0 + s] + N[r][s]
-    return tuple(tuple(row) for row in out)
+        block = [row[2 * (j - 1) : 2 * j] for row in acc[2 * (i - 1) : 2 * i]]
+        add_word_image(block, _anil_word_image(ring, w0), c, 2 * k)
+    return tuple(tuple(SymElement(ring, terms) for terms in row) for row in acc)
 
 
 def a2_block(mat, i: int, j: int):

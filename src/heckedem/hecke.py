@@ -237,21 +237,28 @@ def center_embed(z: CenterElement, flavor: str, ring) -> HeckeElement:
 # normal form over the center
 
 
-def _translation_word(w: WeylElement) -> tuple[int, tuple[str, ...]]:
-    """Write T_w = zeta2^k * T-word in the letters 'S', 'U'.
+def zeta2_split(w: WeylElement) -> tuple[int, WeylElement]:
+    """Write T_w = zeta2^k * T_{w'} with k = min(n1, n2), w' = e^{(-k,-k)} w.
+
+    zeta2 = T_{e^{(1,1)}} is central of length 0, so this holds in every
+    flavor.  The translation-free w' depends only on n1 - n2 and the
+    finite part of w.
+    """
+    k = min(w.n1, w.n2)
+    return k, WeylElement(w.n1 - k, w.n2 - k, w.finite)
+
+
+def _translation_word(w: WeylElement) -> tuple[str, ...]:
+    """The word in the letters 'S', 'U' whose product is T_w, for a
+    translation-free w (see ``zeta2_split``).
 
     The word is length-additive, so the product of the basis elements
     named by the letters is T of the remaining group element.
     """
-    n1, n2 = w.n1, w.n2
+    m = w.n1 - w.n2
     if w.finite == "e":
-        if n1 >= n2:
-            return n2, ("U", "S") * (n1 - n2)
-        return n1, ("S", "U") * (n2 - n1)
-    m = n1 - n2
-    if m >= 1:
-        return n2, ("U", "S") * (m - 1) + ("U",)
-    return n1, ("S", "U") * (-m) + ("S",)
+        return ("U", "S") * m if m >= 0 else ("S", "U") * -m
+    return ("U", "S") * (m - 1) + ("U",) if m >= 1 else ("S", "U") * -m + ("S",)
 
 
 def normal_form_over_center(x: HeckeElement) -> tuple:
@@ -282,9 +289,9 @@ def normal_form_over_center(x: HeckeElement) -> tuple:
     }
     total = (zero,) * 4
     for key, c in x.terms.items():
-        k, word = _translation_word(key)
+        k, w0 = zeta2_split(key)
         coords = (CenterElement.monomial(ring, 0, k, c), zero, zero, zero)
-        for letter in word:
+        for letter in _translation_word(w0):
             coords = right_mul[letter](*coords)
         total = tuple(t + v for t, v in zip(total, coords))
     return total

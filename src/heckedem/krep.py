@@ -6,10 +6,15 @@ the basis {1, e^{(-1,0)}}:
     A0(q)(S) = [[q, q*xi1*e^{(-1,-1)}], [0, -1]]       (the operator -D_s(q))
     A(q)(U)  = [[xi1, e^{(-1,-1)}*xi1^2 - 1], [-e^{(1,1)}, -xi1]]
 
-The center acts by zeta1 -> xi1, zeta2 -> xi2; general elements are mapped
-through their normal form over the center.  Specializing q = 0 and the
-invariants at a central character theta = (tau1, tau2) yields the finite
-2-dimensional modules, written in the Pittie-Steinberg basis {1, e^{(0,1)}}.
+The center acts by zeta1 -> xi1, zeta2 -> xi2.  A general element is
+mapped term by term through a table per word: T_w = zeta2^k T_{w'} with w'
+translation-free (``hecke.zeta2_split``), the image of T_{w'} is computed
+once per (ring, w') through its normal form over the center, and the image
+of c T_w is c times it with every exponent shifted by (k, k), since
+xi2^k = e^{(k,k)}.  ``chowrep`` reads Anil the same way.  Specializing
+q = 0 and the invariants at a central character theta = (tau1, tau2)
+yields the finite 2-dimensional modules, written in the Pittie-Steinberg
+basis {1, e^{(0,1)}}.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .charrings import (
     xi2_k,
 )
 from .coeffs import GenericScalar
-from .hecke import HeckeElement, normal_form_over_center, specialize_q0
+from .hecke import HeckeElement, normal_form_over_center, specialize_q0, zeta2_split
 
 
 # ---------------------------------------------------------------------------
@@ -88,19 +93,57 @@ def rep_over_center(x: HeckeElement, cls, basis, zeta1, zeta2_power):
     return out
 
 
-def rep_A(x: HeckeElement):
-    """The representation A(q) on a general iwahori-flavor element; the
-    center maps by zeta1 -> xi1, zeta2 -> xi2."""
-    if x.flavor != "iwahori":
-        raise ValueError("rep_A is defined on the iwahori flavor")
-    ring = x.ring
+def add_word_image(acc, image, c, shift: int):
+    """Add c times ``image``, every exponent shifted by (shift, shift), to ``acc``.
+
+    ``image`` is a matrix over a two-variable Laurent ring and ``acc`` a
+    matrix of term dicts of the same shape; the shift and the scaling by
+    c are one rekeying of each entry's terms."""
+    for acc_row, row in zip(acc, image):
+        for out, entry in zip(acc_row, row):
+            for (a, b), v in entry.terms.items():
+                key = (a + shift, b + shift)
+                add = c * v
+                out[key] = out[key] + add if key in out else add
+
+
+def rep_on_words(x: HeckeElement, cls, word_image, zeta2_degree: int):
+    """A 2x2 representation on x = sum c_w T_w, read term by term.
+
+    Writes T_w = zeta2^k T_{w'} (``zeta2_split``).  When zeta2 maps to the
+    monomial of exponent (d, d), d = ``zeta2_degree``, the image of c T_w
+    is c times ``word_image(ring, w')`` with every exponent shifted by
+    (d k, d k)."""
+    acc = [[{}, {}], [{}, {}]]
+    for w, c in x.terms.items():
+        k, w0 = zeta2_split(w)
+        add_word_image(acc, word_image(x.ring, w0), c, zeta2_degree * k)
+    return tuple(tuple(cls(x.ring, terms) for terms in row) for row in acc)
+
+
+@lru_cache(maxsize=None)
+def _a_word_image(ring, w):
+    """A(q)(T_w) for a translation-free w, through its normal form over the
+    center; computed once per (ring, w).
+
+    The table keeps the images of ``rep_A0_S`` and ``rep_A_U`` for the
+    whole process: whoever replaces either must also ``cache_clear()``
+    this table, before and after, or read stale images."""
     return rep_over_center(
-        x,
+        HeckeElement.basis("iwahori", ring, w),
         GroupRingElement,
         basis_matrices(GroupRingElement, ring, rep_A0_S(ring), rep_A_U(ring)),
         xi1_k(ring),
         lambda k: xi2_k(ring, k),
     )
+
+
+def rep_A(x: HeckeElement):
+    """The representation A(q) on a general iwahori-flavor element; the
+    center maps by zeta1 -> xi1, zeta2 -> xi2 = e^{(1,1)}."""
+    if x.flavor != "iwahori":
+        raise ValueError("rep_A is defined on the iwahori flavor")
+    return rep_on_words(x, GroupRingElement, _a_word_image, 1)
 
 
 def apply_matrix_k(M, a: GroupRingElement) -> GroupRingElement:

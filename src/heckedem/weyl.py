@@ -128,8 +128,11 @@ def _eval_word(word: "ReducedWord") -> WeylElement:
     return acc
 
 
+@lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> ReducedWord:
-    """Greedy reduced word: peel descents from the left, preferring s0."""
+    """Greedy reduced word: peel descents from the left, preferring s0.
+
+    Memoised: Hecke products expand the same elements over and over."""
     letters = []
     x = w
     while length(x) > 0:

@@ -64,7 +64,12 @@ def test_krep_suite_names_a_violated_extension_constraint(monkeypatch):
         return ((a, b), (c, a))  # breaks a = -d only: b, c and a are unchanged
 
     monkeypatch.setattr(krep, "rep_A_U", wrong)
-    result = verify.suite_krep()
+    # rep_A reads A(q)(T_w) from a process-wide table of rep_A_U's images
+    krep._a_word_image.cache_clear()
+    try:
+        result = verify.suite_krep()
+    finally:
+        krep._a_word_image.cache_clear()
     assert result["passed"] is False
     assert result["checks"] == 59
     named = [cx[1] for cx in result["counterexamples"] if cx[0] == "A(q)(U) violates an extension constraint"]
