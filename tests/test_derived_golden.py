@@ -9,12 +9,16 @@ The hashes are SHA-256 of a canonical text dump:
   module at theta = (0, b), for every b in GF(q^2)^x, at (p, f) = (3, 1),
   (5, 1) and (3, 2);
 * the images of the same 162 T_w under the Demazure representations:
-  A(q) over Z[q] and over GF(9), and Anil over GF(9) and over GF(25).
+  A(q) over Z[q] and over GF(9), and Anil over GF(9) and over GF(25);
+* the products T_w * T_{w2} (``to_json``) of all 2500 pairs from the 50
+  elements with |n1|, |n2| <= 2, in the iwahori, nil and h2 flavors over
+  Z[q] and in the nil and h2 flavors over GF(9).
 
 They pin these constructions against any change in how they are computed.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -102,3 +106,25 @@ def test_demazure_images_match_golden(name, ring_name):
 @pytest.mark.parametrize("p,f", sorted(M8_GOLDEN))
 def test_regular_module_matrices_match_golden(p, f):
     assert digest(m8_lines(p, f)) == M8_GOLDEN[(p, f)]
+
+
+PRODUCT_GOLDEN = {
+    ("iwahori", "Z[q]"): "b6eca292ad85e2d82a7fe7107b96205d27a39308150e5c324a5280291dd790dc",
+    ("nil", "Z[q]"): "bd74cea19a50dfdb9d56f37b3329613f4adbaf7e4a87abc8a120020bdfe7818e",
+    ("h2", "Z[q]"): "6e389e7b6443f4438c408237fa87b9084553aadd62c1205f01167e4c6ba9ac52",
+    ("nil", "GF(9)"): "b3cdb86f9220c68f0d71a3bb25e32109b3edecef3d6e1493fe5b32817b79eed4",
+    ("h2", "GF(9)"): "1025dd282b2b4b6b6276c1803801ca5d2b3d0cd9ed1b93433b7b5fcb60ff8f56",
+}
+
+
+def product_lines(flavor: str, ring):
+    elements = [WeylElement(n1, n2, finite) for n1 in range(-2, 3) for n2 in range(-2, 3) for finite in ("e", "s")]
+    basis = [T_w(flavor, ring, w) for w in elements]
+    for w, x in zip(elements, basis):
+        for w2, y in zip(elements, basis):
+            yield f"{w.to_json()} {w2.to_json()} " + json.dumps((x * y).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("flavor,ring_name", sorted(PRODUCT_GOLDEN))
+def test_hecke_products_match_golden(flavor, ring_name):
+    assert digest(product_lines(flavor, RINGS[ring_name]())) == PRODUCT_GOLDEN[(flavor, ring_name)]
