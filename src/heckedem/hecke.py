@@ -8,6 +8,13 @@ quadratic relation and the idempotent bookkeeping:
 * ``h2``:      the nil algebra twisted by the rank-1 idempotents e_1, e_2,
                with (e_i x T_w)(e_i' x T_w') = 0 unless i' = w^{-1}.i.
 
+The engine folds the reduced word of w2 into T_w letter by letter
+(``_basis_product``).  A product writes each term as T_w = zeta2^k T_{w'}
+with w' translation-free (``zeta2_split``), folds each pair (w', w2')
+once per flavor and ring into a process-wide product table, and reads
+T_w T_{w2} off it with every key shifted by e^{(k1 + k2, k1 + k2)}: zeta2
+is central of length 0, so the shifted fold is the fold itself.
+
 Distinguished elements S = T_s, U = T_u, S0 = T_{s0} = U S U^{-1}, and the
 central pair zeta1, zeta2.  The algebra is free over its center on the
 basis {1, S, U, SU}; ``normal_form_over_center`` computes coordinates in
@@ -83,25 +90,40 @@ class HeckeElement(SparsePoly):
 
     # multiplication -------------------------------------------------------
     def __mul__(self, other: "HeckeElement") -> "HeckeElement":
+        """The product, one pair of terms at a time through the product table.
+
+        Each factor's terms are split once (``zeta2_split``); the pair
+        (w, w2) reads T_{w'} T_{w2'} from ``_product_table`` and shifts
+        every key by the summed zeta2 powers."""
         self._check_compatible(other)
-        ring = self.ring
+        flavor, ring = self.flavor, self.ring
+        rows, shared = _product_table(flavor, ring)
+        h2 = flavor == "h2"
+        right: dict = {}  # idempotent index (None outside h2) -> [(k2, w2', c2)]
+        for key2, c2 in other.terms.items():
+            i2, w2 = key2 if h2 else (None, key2)
+            k2, w2 = zeta2_split(w2)
+            right.setdefault(i2, []).append((k2, w2, c2))
         out: dict = {}
         for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
-                if self.flavor == "h2":
-                    i, w = key1
-                    i2, w2 = key2
-                    if i2 != act_on_index(w, i):
-                        continue
-                else:
-                    w, w2 = key1, key2
-                    i = None
+            i, w = key1 if h2 else (None, key1)
+            pairs = right.get(act_on_index(w, i) if h2 else None, ())
+            k1, w1 = zeta2_split(w)
+            row = rows.setdefault(w1, {})
+            for k2, w2, c2 in pairs:
+                entry = row.get(w2)
+                if entry is None:
+                    entry = _shared_entry(shared, _basis_product(w1, w2, flavor, ring))
+                    row[shared.setdefault(w2, w2)] = entry
                 c = c1 * c2
-                for v, factor in _basis_product(w, w2, self.flavor, ring).items():
-                    key = (i, v) if self.flavor == "h2" else v
+                k = k1 + k2
+                for v, factor in entry:
+                    if k:
+                        v = WeylElement(v.n1 + k, v.n2 + k, v.finite)
+                    key = (i, v) if h2 else v
                     add = c * factor
                     out[key] = out[key] + add if key in out else add
-        return HeckeElement(self.flavor, self.ring, out)
+        return HeckeElement(flavor, ring, out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -131,12 +153,52 @@ def _term_sort_key(key):
     return (0, key.n1, key.n2, key.finite)
 
 
+_PRODUCTS: dict = {}  # (flavor, ring) -> (rows {w': {w2': ((v, c), ...)}}, shared)
+
+
+def _product_table(flavor: str, ring) -> tuple:
+    """The product table of (flavor, ring): rows {w': {w2': entry}} and
+    the dict through which its entries are shared.
+
+    The entry of a translation-free pair (w', w2') is T_{w'} T_{w2'} as a
+    tuple of (v, c) pairs, filled on a miss by the letter fold
+    (``_basis_product``) and shared with equal entries (``_shared_entry``):
+    most entries have one term, and many pairs have the same product.  The
+    table keeps the fold's results, computed through ``reduced_word`` and
+    ``length``, for the whole process: whoever patches an input of the
+    fold must ``_PRODUCTS.clear()``, before and after, or read stale
+    products."""
+    table = _PRODUCTS.get((flavor, ring))
+    if table is None:
+        table = _PRODUCTS[(flavor, ring)] = ({}, {})
+    return table
+
+
+def _shared_entry(shared: dict, fold: dict) -> tuple:
+    """``fold`` as a table entry: a tuple of (v, c) pairs, with equal keys,
+    coefficients, pairs and entries shared through ``shared``."""
+    share = lambda x: shared.setdefault(x, x)
+    return share(tuple(share((share(v), share(c))) for v, c in fold.items()))
+
+
 def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:
     """T_w * T_{w2} as a map WeylElement -> coefficient.
 
     Expands w2 into a reduced word and folds one letter at a time:
     ascent gives T_{wg}; descent applies the flavor's quadratic relation;
     the Omega part acts freely on the right.
+
+    ``HeckeElement.__mul__`` calls it once per translation-free pair
+    (w', w2') and flavor and ring, on a miss of the product table, and
+    reads T_w T_{w2} for T_w = zeta2^k1 T_{w'}, T_{w2} = zeta2^k2 T_{w2'}
+    off T_{w'} T_{w2'} with every key shifted by (k1 + k2, k1 + k2).
+    zeta2 = e^{(1,1)} is central in W and of length 0, so the fold of
+    (w, w2) takes the same letters and the same steps as that of
+    (w', w2'), moved by the translation; only the Omega power of w2's
+    word grows by 2 k2.  The shifted product is the fold's, term for
+    term.  The table is never filled by a closed form or a length-additive
+    shortcut: the braid checks in ``verify.suite_relations`` would then
+    hold by construction.
     """
     word = reduced_word(w2)
     state = {w: ring.one}
@@ -245,7 +307,7 @@ def zeta2_split(w: WeylElement) -> tuple[int, WeylElement]:
     finite part of w.
     """
     k = min(w.n1, w.n2)
-    return k, WeylElement(w.n1 - k, w.n2 - k, w.finite)
+    return k, WeylElement(w.n1 - k, w.n2 - k, w.finite) if k else w
 
 
 def _translation_word(w: WeylElement) -> tuple[str, ...]:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     n1: int
     n2: int

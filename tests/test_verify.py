@@ -56,20 +56,17 @@ def test_suite_check_counts(suite, name, checks):
     assert result == {"name": name, "passed": True, "checks": checks, "counterexamples": []}
 
 
-def test_krep_suite_names_a_violated_extension_constraint(monkeypatch):
+def test_krep_suite_names_a_violated_extension_constraint(fresh_tables, monkeypatch):
     right = krep.rep_A_U
 
     def wrong(ring):
         (a, b), (c, _) = right(ring)
         return ((a, b), (c, a))  # breaks a = -d only: b, c and a are unchanged
 
+    # rep_A reads A(q)(T_w) from a process-wide table of rep_A_U's images,
+    # which fresh_tables empties before the patch and after it is undone
     monkeypatch.setattr(krep, "rep_A_U", wrong)
-    # rep_A reads A(q)(T_w) from a process-wide table of rep_A_U's images
-    krep._a_word_image.cache_clear()
-    try:
-        result = verify.suite_krep()
-    finally:
-        krep._a_word_image.cache_clear()
+    result = verify.suite_krep()
     assert result["passed"] is False
     assert result["checks"] == 59
     named = [cx[1] for cx in result["counterexamples"] if cx[0] == "A(q)(U) violates an extension constraint"]
