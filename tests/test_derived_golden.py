@@ -1,4 +1,4 @@
-"""Golden hashes of the normal forms over the center and of the 8-dimensional module.
+"""Golden hashes of derived constructions, from normal forms to the 8-dimensional module.
 
 The hashes are SHA-256 of a canonical text dump:
 
@@ -12,7 +12,14 @@ The hashes are SHA-256 of a canonical text dump:
   A(q) over Z[q] and over GF(9), and Anil over GF(9) and over GF(25);
 * the products T_w * T_{w2} (``to_json``) of all 2500 pairs from the 50
   elements with |n1|, |n2| <= 2, in the iwahori, nil and h2 flavors over
-  Z[q] and in the nil and h2 flavors over GF(9).
+  Z[q] and in the nil and h2 flavors over GF(9);
+* the generator matrices S, U and Uinv of ``krep.reduce_at_theta`` at
+  every theta = (tau1, tau2) with tau2 != 0, over GF(9), GF(25) and
+  GF(81);
+* the structure report of ``chowrep.semisimplify`` (dims, chain,
+  all_factors_standard, semisimple, eigenvectors_in_4dim_stage) of the
+  8-dimensional module for every b in GF(q^2)^x, at (p, f) = (3, 1),
+  (5, 1) and (3, 2).
 
 They pin these constructions against any change in how they are computed.
 """
@@ -128,3 +135,55 @@ def product_lines(flavor: str, ring):
 @pytest.mark.parametrize("flavor,ring_name", sorted(PRODUCT_GOLDEN))
 def test_hecke_products_match_golden(flavor, ring_name):
     assert digest(product_lines(flavor, RINGS[ring_name]())) == PRODUCT_GOLDEN[(flavor, ring_name)]
+
+
+THETA_GOLDEN = {
+    (3, 1): "e5f6e1dd098c22c548e74eac3cf3ed4c54ed8002cbb6fe010d792abeadbfcaba",
+    (5, 1): "571da827fbe81578ddf51cc1073a513ff0b12f0e07463110c95f3c0d346a6701",
+    (3, 2): "c32dd6e56c23d1ec851d1f45d139b3bd1cdf7dc99e9bb00a82b6fd7c5cd5d929",
+}
+
+STRUCTURE_GOLDEN = {
+    (3, 1): "59add5ed59c484dd68f246a19a7dcfbf98c81cec1d81004dc43c0ebe89f7576e",
+    (5, 1): "988f46ee8a692a32a35113203c295bd5932c5df9056c999577384ab4067997f5",
+    (3, 2): "c15d12050c7fc6eafb2f88483c3842b99bcaf7282eed493650ba553b4c7e4e63",
+}
+
+
+def matrix_dump(mat) -> str:
+    return repr([[x.coeffs for x in row] for row in mat])
+
+
+def theta_lines(p: int, f: int):
+    tower = build_tower(p, f)
+    ring = FieldRing(tower)
+    for tau1 in tower.ext_elements():
+        for tau2 in tower.ext_elements():
+            if tau2.is_zero():
+                continue
+            mod = krep.reduce_at_theta((tau1, tau2), ring)
+            yield f"{tau1.coeffs} {tau2.coeffs} " + " | ".join(f"{name} {matrix_dump(mat)}" for name, mat in mod.gens)
+
+
+def structure_lines(p: int, f: int):
+    tower = build_tower(p, f)
+    ring = FieldRing(tower)
+    for b in tower.ext_elements():
+        if b.is_zero():
+            continue
+        r = chowrep.semisimplify(chowrep.reduce_regular_at_theta((ring.zero, b), ring), b)
+        chain = [(matrix_dump(rows), list(pivots)) for rows, pivots in r["chain"]]
+        yield (
+            f"{b.coeffs} {r['dims']} {chain} {r['all_factors_standard']} "
+            f"{r['semisimple']} {r['eigenvectors_in_4dim_stage']}"
+        )
+
+
+@pytest.mark.parametrize("p,f", sorted(THETA_GOLDEN))
+def test_reductions_at_theta_match_golden(p, f):
+    assert digest(theta_lines(p, f)) == THETA_GOLDEN[(p, f)]
+
+
+@pytest.mark.parametrize("p,f", sorted(STRUCTURE_GOLDEN))
+def test_regular_module_structure_matches_golden(p, f):
+    assert digest(structure_lines(p, f)) == STRUCTURE_GOLDEN[(p, f)]
