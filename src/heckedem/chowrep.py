@@ -24,7 +24,9 @@ Anil image, read from the same table, in its block.  Specializing A2 at a
 supersingular central character theta with theta(zeta2) = b, i.e. at
 xi1' = 0 and over A = E[xi2']/(xi2'^2 - b), yields the 8-dimensional
 module, with composition series of dimensions [2, 4, 6, 8] and four
-isomorphic simple factors; its socle is the 4-dimensional stage, so its
+factors isomorphic to the standard module L.  Its socle, the span of the
+images of Hom(L, M8), is the 4-dimensional stage: that decides that the
+module is not semisimple, and with a semisimple quotient by it, that its
 Loewy length is 2.
 """
 
@@ -39,7 +41,6 @@ from .krep import (
     FiniteModule,
     add_word_image,
     basis_matrices,
-    identity2,
     invariant_matrix_flatten,
     is_isomorphic,
     rep_on_words,
@@ -51,10 +52,6 @@ from .weyl import act_on_index
 
 # ---------------------------------------------------------------------------
 # the rank-2 representation of the nil algebra
-
-
-def sym_identity(ring):
-    return identity2(SymElement, ring)
 
 
 def rep_A0nil_S(ring):
@@ -360,48 +357,22 @@ def socle(m: FiniteModule, simple: FiniteModule) -> tuple:
     return linalg.rref([tuple(row[j] for row in X) for X in homs for j in range(simple.dim)])
 
 
-def affine_eigenvectors_in(m: FiniteModule, sub) -> tuple:
-    """The space of vectors in the subspace killed by S and S0 = U S U^{-1},
-    in ambient coordinates (RREF)."""
-    ring = m.ring
-    d = m.gen_dict()
-    S = d["S"]
-    S0 = linalg.mat_mul(linalg.mat_mul(d["U"], S), d["Uinv"])
-    rows, _ = sub
-    k = len(rows)
-    constraint = []
-    for op in (S, S0):
-        images = [linalg.mat_vec(op, v) for v in rows]
-        for coord in range(m.dim):
-            constraint.append(tuple(images[j][coord] for j in range(k)))
-    null = linalg.nullspace(tuple(constraint), ring)
-    ambient = []
-    for comb in null:
-        v = [ring.zero] * m.dim
-        for c, basis_vec in zip(comb, rows):
-            for i in range(m.dim):
-                v[i] = v[i] + c * basis_vec[i]
-        ambient.append(tuple(v))
-    return linalg.rref(ambient)
-
-
 def semisimplify(m: FiniteModule, b) -> dict:
-    """Semisimplification report: four standard factors, and a proof that
-    the module is not semisimple.
+    """Structure report: the composition series, and the socle, which
+    decides semisimplicity.
 
-    In the 6-dimensional stage the joint kernel of the affine generators
-    S and S0 is exactly the 4-dimensional stage; a direct sum of standard
-    modules would be killed by S entirely, so no complement exists.
-    """
+    When every composition factor is the standard module L with U^2 = b,
+    ``socle(m, L)`` is the socle of m, and m is semisimple exactly when the
+    socle is all of m; otherwise ``semisimple`` is None.
+    ``eigenvectors_in_4dim_stage`` says that the socle is the 4-dimensional
+    stage, which is the joint kernel of S and S0 = U S U^-1: they kill L,
+    and on their joint kernel the algebra acts through e1 and U alone, a
+    copy of M_2(E)."""
     series = composition_series(m, b)
-    chain = series["chain"]
-    eig = affine_eigenvectors_in(m, chain[2])
-    inside_v4 = linalg.subspace_eq(eig, chain[1])
+    soc = socle(m, standard_module_h2(b, m.ring))
     return {
-        "chain": chain,
-        "factors": series["factors"],
-        "all_factors_standard": series["all_factors_standard"],
-        "dims": series["dims"],
-        "semisimple": False if inside_v4 else None,
-        "eigenvectors_in_4dim_stage": inside_v4,
+        **series,
+        "socle": soc,
+        "semisimple": len(soc[0]) == m.dim if series["all_factors_standard"] else None,
+        "eigenvectors_in_4dim_stage": linalg.subspace_eq(soc, series["chain"][1]),
     }

@@ -91,7 +91,7 @@ def cmd_module(args) -> int:
         "b": _field_str(b),
         "filtration_dims": result["dims"],
         "factors": f"4 x M2(0,{_field_str(b)})" if result["all_factors_standard"] else "unexpected",
-        "semisimple": bool(result["semisimple"]) if result["semisimple"] is not None else None,
+        "semisimple": result["semisimple"],
     }
     _emit(report, args.out)
     ok = result["dims"] == [2, 4, 6, 8] and result["all_factors_standard"] and result["semisimple"] is False

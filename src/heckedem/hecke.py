@@ -24,8 +24,6 @@ multiplication table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg, weyl
 from .charrings import SparsePoly, eval_laurent
 from .coeffs import FieldTower, GenericScalar
@@ -459,22 +457,6 @@ def h2_matrix_model(x: HeckeElement):
 # finite-torus idempotents and components
 
 
-@dataclass(frozen=True)
-class ToralIdempotent:
-    """An idempotent of E[T] for T = (GF(q)^x)^2, stored by discrete logs.
-
-    element maps (a1, a2) in (Z/(q-1))^2 to the coefficient of T_t for
-    t = (g0^a1, g0^a2), g0 the fixed generator of GF(q)^x inside GF(q^2).
-    """
-
-    tower: FieldTower
-    labels: tuple  # the character exponent pairs this idempotent selects
-    element: tuple  # sorted tuple of ((a1,a2), FieldElement)
-
-    def as_dict(self) -> dict:
-        return dict(self.element)
-
-
 def group_algebra_mul(x: dict, y: dict, q: int) -> dict:
     out: dict = {}
     n = q - 1
@@ -486,15 +468,17 @@ def group_algebra_mul(x: dict, y: dict, q: int) -> dict:
     return {k: c for k, c in out.items() if not c.is_zero()}
 
 
-def idempotent(tower: FieldTower, labels) -> ToralIdempotent:
-    """e_lambda (single exponent pair) or e_gamma (several) in E[T].
+def idempotent(tower: FieldTower, labels) -> dict:
+    """e_lambda (single exponent pair) or e_gamma (several) in E[T], T =
+    (GF(q)^x)^2, stored by discrete logs.
 
     e_lambda = |T|^{-1} sum_t lambda(t)^{-1} T_t, with lambda the character
-    (t1, t2) -> t1^{m1} t2^{m2}.
+    (t1, t2) -> t1^{m1} t2^{m2}.  The result maps (a1, a2) in (Z/(q-1))^2
+    to the coefficient of T_t for t = (g0^a1, g0^a2), g0 the fixed
+    generator of GF(q)^x inside GF(q^2), in sorted order.
     """
     if isinstance(labels[0], int):
-        labels = (tuple(labels),)
-    labels = tuple(tuple(lab) for lab in labels)
+        labels = (labels,)
     q = tower.q
     n = q - 1
     size = n * n  # |T|
@@ -507,8 +491,7 @@ def idempotent(tower: FieldTower, labels) -> ToralIdempotent:
                 c = tower.gen_power((q + 1) * (-(a1 * m1 + a2 * m2) % n)) * inv_size
                 key = (a1, a2)
                 elt[key] = elt[key] + c if key in elt else c
-    elt = {k: c for k, c in elt.items() if not c.is_zero()}
-    return ToralIdempotent(tower, labels, tuple(sorted(elt.items())))
+    return dict(sorted((k, c) for k, c in elt.items() if not c.is_zero()))
 
 
 def orbits(tower: FieldTower) -> list:

@@ -24,7 +24,6 @@ from functools import lru_cache
 
 from . import linalg
 from .charrings import (
-    ZQ,
     FieldRing,
     GroupRingElement,
     decompose_k,
@@ -33,7 +32,6 @@ from .charrings import (
     xi1_k,
     xi2_k,
 )
-from .coeffs import GenericScalar
 from .hecke import HeckeElement, normal_form_over_center, specialize_q0, zeta2_split
 
 
@@ -45,10 +43,6 @@ def identity2(cls, ring):
     """The 2x2 identity matrix over the group or symmetric ring ``cls``."""
     one, zero = cls.one(ring), cls.zero(ring)
     return ((one, zero), (zero, one))
-
-
-def gr_identity(ring):
-    return identity2(GroupRingElement, ring)
 
 
 def basis_matrices(cls, ring, MS, MU) -> tuple:
@@ -246,29 +240,24 @@ class FiniteModule:
 
 
 @lru_cache(maxsize=None)
-def _generic_xi_polys() -> tuple:
-    """A0(S) and A(U) at q = 0, each entry a polynomial in xi1, xi2.
+def _xi_polys(ring: FieldRing) -> tuple:
+    """A0(S) and A(U) over the field, where q = 0, each entry a polynomial
+    in xi1, xi2.
 
-    They do not depend on theta, so they are computed once."""
-    return tuple(
-        tuple(tuple(to_xi_poly(specialize_q0(x)) for x in row) for row in M) for M in (rep_A0_S(ZQ), rep_A_U(ZQ))
-    )
+    They do not depend on theta, so each ring computes them once; like
+    ``_a_word_image``, the table keeps the images of ``rep_A0_S`` and
+    ``rep_A_U`` for the whole process."""
+    return tuple(tuple(tuple(map(to_xi_poly, row)) for row in M) for M in (rep_A0_S(ring), rep_A_U(ring)))
 
 
 def _substitute_invariant(poly: dict, tau1, tau2):
     """Evaluate a polynomial {(m, k): c} in xi1, xi2 at xi1 = tau1, xi2 = tau2.
 
-    Coefficients must be q-constants (the element comes from a q = 0
-    specialization); tau2 is invertible in the field."""
+    Coefficients are field elements (the polynomial comes from the field,
+    where q = 0); tau2 is invertible in the field."""
     acc = None
     for (m, k), c in poly.items():
-        if isinstance(c, GenericScalar):
-            if len(c.coeffs) > 1:
-                raise ValueError("substitution requires q = 0 coefficients")
-            cval = tau1.tower.from_int(c.coeffs[0] if c.coeffs else 0)
-        else:
-            cval = c
-        term = cval * (tau1 ** m if m else tau1.tower.one()) * (tau2 ** k if k else tau2.tower.one())
+        term = c * (tau1 ** m if m else tau1.tower.one()) * (tau2 ** k if k else tau2.tower.one())
         acc = term if acc is None else acc + term
     return acc if acc is not None else tau1.tower.zero()
 
@@ -291,7 +280,7 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
         (a, b), (c, d) = (tuple(_substitute_invariant(x, tau1, tau2) for x in row) for row in M)
         return ((a, b * tau2), (c * t2i, d))
 
-    MS, MU = map(at_theta, _generic_xi_polys())
+    MS, MU = map(at_theta, _xi_polys(ring))
     MUinv = linalg.mat_scale(MU, t2i)  # U^{-1} = U * zeta2^{-1}
     mod = FiniteModule(
         flavor="iwahori",

@@ -45,10 +45,6 @@ class WeylElement:
     def to_json(self) -> list:
         return [self.n1, self.n2, self.finite]
 
-    @staticmethod
-    def from_json(data) -> "WeylElement":
-        return WeylElement(int(data[0]), int(data[1]), str(data[2]))
-
 
 E = WeylElement(0, 0, "e")
 S = WeylElement(0, 0, "s")
@@ -114,18 +110,14 @@ class ReducedWord:
     omega_power: int
 
     def evaluate(self) -> WeylElement:
-        return _eval_word(self)
-
-
-def _eval_word(word: "ReducedWord") -> WeylElement:
-    acc = E
-    for letter in word.letters:
-        acc = acc * (S0 if letter == "s0" else S)
-    k = word.omega_power
-    step = U if k >= 0 else U_INV
-    for _ in range(abs(k)):
-        acc = acc * step
-    return acc
+        acc = E
+        for letter in self.letters:
+            acc = acc * (S0 if letter == "s0" else S)
+        k = self.omega_power
+        step = U if k >= 0 else U_INV
+        for _ in range(abs(k)):
+            acc = acc * step
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -148,7 +140,7 @@ def reduced_word(w: WeylElement) -> ReducedWord:
     if x != _u_power(k):
         raise RuntimeError(f"length-zero remainder {x} is not a power of u")
     word = ReducedWord(tuple(letters), k)
-    if _eval_word(word) != w:
+    if word.evaluate() != w:
         raise RuntimeError(f"reduced word {word} does not evaluate to {w}")
     return word
 

@@ -46,7 +46,7 @@ def test_criterion_02_length_oracle(capsys):
 def test_criterion_03_extension_theorem(capsys):
     def run():
         MS, MU = krep.rep_A0_S(ZQ), krep.rep_A_U(ZQ)
-        ident = krep.gr_identity(ZQ)
+        ident = krep.identity2(GroupRingElement, ZQ)
         ok = linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, xi2_k(ZQ))
         one_minus_q = GroupRingElement.from_scalar(ZQ, ZQ.one - ZQ.q)
         lhs = linalg.mat_add(

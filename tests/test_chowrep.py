@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckedem import chowrep, krep, linalg, weyl
+from heckedem import chowrep, krep, linalg, verify, weyl
 from heckedem.charrings import FieldRing, SymElement, xi1_ch, xi2_ch
 from heckedem.coeffs import build_tower
 from heckedem.hecke import HeckeElement, T_S, T_U, zeta1_embedded, zeta2_embedded
@@ -31,7 +31,7 @@ def test_nil_theorem_conditions():
         _, ring = rings(p)
         MS = chowrep.rep_A0nil_S(ring)
         MU = chowrep.rep_Anil_U(ring)
-        ident = chowrep.sym_identity(ring)
+        ident = krep.identity2(SymElement, ring)
         x1, x2 = xi1_ch(ring), xi2_ch(ring)
         # U^2 = xi2^2 Id
         assert linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, x2 * x2)
@@ -47,7 +47,7 @@ def test_nil_theorem_conditions():
 
 def test_nil_center_images():
     _, ring = rings()
-    ident = chowrep.sym_identity(ring)
+    ident = krep.identity2(SymElement, ring)
     assert chowrep.rep_Anil(zeta1_embedded("nil", ring)) == linalg.mat_scale(ident, -xi1_ch(ring))
     x2 = xi2_ch(ring)
     assert chowrep.rep_Anil(zeta2_embedded("nil", ring)) == linalg.mat_scale(ident, x2 * x2)
@@ -164,6 +164,61 @@ def test_socle_is_v4_with_loewy_length_two():
         assert len(chowrep.socle(top, L)[0]) == 4
         # a standard module at another b has no maps into M8
         assert chowrep.socle(m8, krep.standard_module_h2(b * ring.tower.gen(), ring)) == ((), [])
+
+
+def four_copies_of_standard(b, ring):
+    """L + L + L + L in dimension 8, L = standard_module_h2(b): the copies sit
+    on the coordinate pairs (0, 6), (2, 4), (1, 7) and (3, 5), so every
+    member of ``explicit_chain`` is a sum of copies."""
+    L = krep.standard_module_h2(b, ring)
+    gens = []
+    for name, mat in L.gens:
+        M = [[ring.zero] * 8 for _ in range(8)]
+        for pair in ((0, 6), (2, 4), (1, 7), (3, 5)):
+            for r, i in enumerate(pair):
+                for c, j in enumerate(pair):
+                    M[i][j] = mat[r][c]
+        gens.append((name, tuple(map(tuple, M))))
+    return krep.FiniteModule(flavor="h2", ring=ring, dim=8, gens=tuple(gens)).validate()
+
+
+def test_socle_decides_semisimplicity_both_ways():
+    m8, b, ring = regular_module()
+    report = chowrep.semisimplify(m8, b)
+    assert report["semisimple"] is False
+    assert report["eigenvectors_in_4dim_stage"] is True
+    split = chowrep.semisimplify(four_copies_of_standard(b, ring), b)
+    assert split["dims"] == [2, 4, 6, 8] and split["all_factors_standard"] is True
+    assert split["semisimple"] is True
+    assert split["eigenvectors_in_4dim_stage"] is False
+
+
+def test_regular_reduction_fails_on_a_semisimple_module(monkeypatch):
+    def semisimple(theta, ring):
+        return four_copies_of_standard(theta[1], ring)
+
+    monkeypatch.setattr(chowrep, "reduce_regular_at_theta", semisimple)
+    result = verify.suite_regular_reduction(3)
+    assert result["passed"] is False
+    assert result["checks"] == 48
+    assert len(result["counterexamples"]) == 24
+    named = [cx for cx in result["counterexamples"] if cx[1] == "M8 is semisimple: its socle is all of it"]
+    assert len(named) == 8
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2)])
+def test_joint_kernel_of_the_affine_generators_is_the_socle(p, f):
+    # S and S0 = U S U^-1 act by 0 on L, and their joint kernel is a
+    # submodule on which the algebra acts through e1 and U alone
+    tower = build_tower(p, f)
+    ring = FieldRing(tower)
+    for b in tower.ext_elements()[1:]:
+        m8 = chowrep.reduce_regular_at_theta((ring.zero, b), ring)
+        d = m8.gen_dict()
+        S0 = linalg.mat_mul(linalg.mat_mul(d["U"], d["S"]), d["Uinv"])
+        kernel = linalg.rref(linalg.nullspace(tuple(d["S"]) + tuple(S0), ring))
+        soc = chowrep.socle(m8, krep.standard_module_h2(b, ring))
+        assert kernel == soc == chowrep.explicit_chain(m8)[1]
 
 
 def test_generators_suffice_for_the_regular_module():

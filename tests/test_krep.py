@@ -31,7 +31,7 @@ def test_frozen_generator_matrices():
 
 def test_theorem_identities_symbolic():
     MS, MU = krep.rep_A0_S(ZQ), krep.rep_A_U(ZQ)
-    ident = krep.gr_identity(ZQ)
+    ident = krep.identity2(GroupRingElement, ZQ)
     # U^2 = xi2 Id
     assert linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, xi2_k(ZQ))
     # US + (1-q)U + SU = xi1 Id
@@ -67,7 +67,7 @@ def test_rep_A_is_ring_homomorphism():
 
 def test_rep_A_center_scalars():
     # central elements act as scalar matrices: zeta1 -> xi1, zeta2 -> xi2
-    ident = krep.gr_identity(ZQ)
+    ident = krep.identity2(GroupRingElement, ZQ)
     assert krep.rep_A(zeta1_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, xi1_k(ZQ))
     assert krep.rep_A(zeta2_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, xi2_k(ZQ))
 

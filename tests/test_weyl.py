@@ -103,11 +103,6 @@ def test_bfs_distance_table_is_built_once_per_bound():
         table[E] = 1
 
 
-def test_json_roundtrip():
-    w = WeylElement(2, -1, "s")
-    assert WeylElement.from_json(w.to_json()) == w
-
-
 def test_omega_powers():
     # u^{2m} = e^{(m,m)}, u^{2m+1} = e^{(m+1,m)} s
     acc = E
