@@ -96,25 +96,18 @@ def rep_Anil(x: HeckeElement):
 
 
 @lru_cache(maxsize=None)
-def _anil_basis_images(ring: FieldRing) -> tuple:
-    """Anil of the basis {1, S, U, SU} over the center; computed once per ring."""
-    return basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring))
-
-
-@lru_cache(maxsize=None)
 def _anil_word_image(ring: FieldRing, w):
     """Anil(T_w) for a translation-free w, through its normal form over the
     center; computed once per (ring, w).
 
-    Like ``_anil_basis_images``, the table keeps the images of
-    ``rep_A0nil_S`` and ``rep_Anil_U`` for the whole process: whoever
-    replaces either must also ``cache_clear()`` both tables, before and
-    after, or read stale images."""
+    The table keeps the images of ``rep_A0nil_S`` and ``rep_Anil_U`` for
+    the whole process: whoever replaces either must also ``cache_clear()``
+    this table, before and after, or read stale images."""
     _check_anil_ring(ring)
     return rep_over_center(
         HeckeElement.basis("nil", ring, w),
         SymElement,
-        _anil_basis_images(ring),
+        basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring)),
         -xi1_ch(ring),
         lambda k: xi2_ch(ring, 2 * k),
     )
@@ -135,7 +128,8 @@ def eta1_squared_s_matrix(ring: FieldRing):
 def nil_independence_determinant(ring: FieldRing) -> SymElement:
     """Determinant of the 4x4 coordinate matrix of {1, Anil(S), Anil(U),
     Anil(SU)} over the (localized) invariant ring, a domain."""
-    return linalg.det(invariant_matrix_flatten(_anil_basis_images(ring)))
+    rows = invariant_matrix_flatten(basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring)))
+    return linalg.det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +264,7 @@ def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
                         j, t = divmod(k + u, 2)
                         M[pos(r, t)][pos(s, u)] += c * b**j
         gens.append((name, tuple(map(tuple, M))))
-    mod = FiniteModule(
-        flavor="h2",
-        ring=ring,
-        dim=8,
-        gens=tuple(gens),
-    )
-    mod.validate()
+    mod = FiniteModule(flavor="h2", ring=ring, gens=tuple(gens)).validate()
     # the quadratic constant: xi2^2 acts as b
     MU = mod.gen_dict()["U"]
     if linalg.mat_mul(MU, MU) != linalg.mat_scale(linalg.mat_identity(ring, 8), b):
@@ -325,7 +313,7 @@ def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
         return tuple(zip(*cols))
 
     gens = tuple((name, induced(mat)) for name, mat in m.gens)
-    return FiniteModule(flavor=m.flavor, ring=m.ring, dim=len(q_basis), gens=gens)
+    return FiniteModule(flavor=m.flavor, ring=m.ring, gens=gens)
 
 
 def composition_series(m: FiniteModule, b) -> dict:

@@ -47,16 +47,8 @@ def _emit(report: dict, out_path: str | None) -> None:
     print(text)
 
 
-def _tower_from(args) -> FieldTower:
-    try:
-        return build_tower(args.p, args.f)
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        sys.exit(2)
-
-
 def cmd_verify_relations(args) -> int:
-    _tower_from(args)  # validates p, f early
+    build_tower(args.p, args.f)  # validates p, f early
     report = verify.run_relation_suites(seed=args.seed)
     report["p"], report["f"] = args.p, args.f
     _emit(report, args.out)
@@ -64,16 +56,14 @@ def cmd_verify_relations(args) -> int:
 
 
 def cmd_module(args) -> int:
-    tower = _tower_from(args)
+    tower = build_tower(args.p, args.f)
     ring = FieldRing(tower)
     if args.theta is None and args.b is None:
-        print("usage error: module needs --theta t1,t2 or --b for the regular case", file=sys.stderr)
-        return 2
+        raise ValueError("module needs --theta t1,t2 or --b for the regular case")
     if args.theta is not None:
         parts = args.theta.split(",")
         if len(parts) != 2:
-            print("usage error: --theta expects two comma-separated values", file=sys.stderr)
-            return 2
+            raise ValueError("--theta expects two comma-separated values")
         tau1, tau2 = (_parse_field(tower, t) for t in parts)
         mod = krep.reduce_at_theta((tau1, tau2), ring)
         report = {
@@ -99,7 +89,7 @@ def cmd_module(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    report = galois.bijection_check(_tower_from(args))
+    report = galois.bijection_check(build_tower(args.p, args.f))
     _emit(report, args.out)
     return 0 if report["bijective"] else 1
 
@@ -113,7 +103,7 @@ def cmd_obstruction(args) -> int:
 
 
 def cmd_orbits(args) -> int:
-    tower = _tower_from(args)
+    tower = build_tower(args.p, args.f)
     orbs = orbits(tower)
     report = {
         "q": tower.q,

@@ -55,9 +55,6 @@ class GenericScalar:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __add__(self, other: "GenericScalar") -> "GenericScalar":
         a, b = self.coeffs, other.coeffs
         n = max(len(a), len(b))
@@ -272,14 +269,6 @@ class FieldTower:
         """All elements of GF(q^2): 0, then g^0, g^1, ..."""
         return list(self._elements)
 
-    def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "f": self.f,
-            "modulus_2f": list(self.modulus_2f),
-            "generator": list(self.generator),
-        }
-
 
 class FieldElement:
     """Element of GF(q^2): its GF(p)-coefficient vector and its code.
@@ -348,9 +337,6 @@ class FieldElement:
         if not self.code:
             raise ZeroDivisionError("inverse of zero")
         return self.tower._powers[self.tower.q**2 - self.code]  # log (q^2 - 1) - (code - 1)
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        return self * other.inverse()
 
     def frobenius(self) -> "FieldElement":
         """x -> x^q, the generator of Gal(GF(q^2)/GF(q))."""

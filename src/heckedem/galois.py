@@ -34,9 +34,6 @@ class GaloisParam:
         if self.y.is_zero() or self.y.in_base_field():
             raise ValueError("y must lie outside GF(q) (irreducibility)")
 
-    def conjugate(self) -> "GaloisParam":
-        return GaloisParam(self.tower, self.b, self.y.frobenius())
-
     def class_key(self):
         """Canonical key of the equivalence class (b, {y, y^q})."""
         h = discrete_log(self.y)

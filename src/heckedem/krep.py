@@ -195,19 +195,22 @@ class FiniteModule:
     """A finite-dimensional module over one algebra flavor.
 
     gens maps generator names to dim x dim matrices over the field ring:
-    S, U, Uinv, and e1, e2 for the h2 flavor.  ``generator_matrices()``
-    returns the ones that generate the algebra, in canonical order (for
-    spinning and isomorphism tests): e1 (h2 only), S, U.  Uinv and e2 add
-    nothing there: a subspace (or intertwiner) compatible with an
-    invertible U is compatible with U^-1, and one compatible with e1 is
-    compatible with e2 = 1 - e1; ``validate()`` checks U Uinv = 1 and
-    e1 + e2 = 1, and quotients inherit both.
+    S, U, Uinv, and e1, e2 for the h2 flavor; ``dim`` is read off them.
+    ``generator_matrices()`` returns the ones that generate the algebra, in
+    canonical order (for spinning and isomorphism tests): e1 (h2 only), S,
+    U.  Uinv and e2 add nothing there: a subspace (or intertwiner)
+    compatible with an invertible U is compatible with U^-1, and one
+    compatible with e1 is compatible with e2 = 1 - e1; ``validate()``
+    checks U Uinv = 1 and e1 + e2 = 1, and quotients inherit both.
     """
 
     flavor: str
     ring: FieldRing
-    dim: int
     gens: tuple  # tuple of (name, matrix)
+
+    @property
+    def dim(self) -> int:
+        return len(self.gens[0][1])
 
     def gen_dict(self) -> dict:
         return dict(self.gens)
@@ -262,6 +265,17 @@ def _substitute_invariant(poly: dict, tau1, tau2):
     return acc if acc is not None else tau1.tower.zero()
 
 
+def _rank2_module(flavor: str, ring: FieldRing, S, U, u2) -> FiniteModule:
+    """The 2-dimensional module with generators S and U, where U^2 = u2:
+    U^-1 = u2^-1 U, and on the h2 flavor the projectors e1, e2 onto the
+    two basis lines.  Validated before it is returned."""
+    zero, one = ring.zero, ring.one
+    gens = (("S", S), ("U", U), ("Uinv", linalg.mat_scale(U, u2.inverse())))
+    if flavor == "h2":
+        gens = (("e1", ((one, zero), (zero, zero))), ("e2", ((zero, zero), (zero, one)))) + gens
+    return FiniteModule(flavor=flavor, ring=ring, gens=gens).validate()
+
+
 def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     """The 2-dimensional module at the central character theta = (tau1, tau2),
     in the Pittie-Steinberg basis {1, e^{(0,1)}}.
@@ -272,7 +286,6 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     tau1, tau2 = theta
     if tau2.is_zero():
         raise ValueError("tau2 must be nonzero (zeta2 acts invertibly)")
-    ring = field_ring
     t2i = tau2.inverse()
 
     def at_theta(M):
@@ -280,53 +293,24 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
         (a, b), (c, d) = (tuple(_substitute_invariant(x, tau1, tau2) for x in row) for row in M)
         return ((a, b * tau2), (c * t2i, d))
 
-    MS, MU = map(at_theta, _xi_polys(ring))
-    MUinv = linalg.mat_scale(MU, t2i)  # U^{-1} = U * zeta2^{-1}
-    mod = FiniteModule(
-        flavor="iwahori",
-        ring=ring,
-        dim=2,
-        gens=(("S", MS), ("U", MU), ("Uinv", MUinv)),
-    )
-    return mod.validate()
+    MS, MU = map(at_theta, _xi_polys(field_ring))
+    return _rank2_module("iwahori", field_ring, MS, MU, tau2)  # U^2 = zeta2
 
 
 def standard_module(tau1, tau2, field_ring: FieldRing) -> FiniteModule:
     """M2(tau1, tau2): basis {m, Um} with Sm = -m, SUm = tau1 m, U^2 m = tau2 m."""
     if tau2.is_zero():
         raise ValueError("tau2 must be nonzero")
-    ring = field_ring
-    zero, one = ring.zero, ring.one
-    MU = ((zero, tau2), (one, zero))
-    MS = ((-one, tau1), (zero, zero))
-    MUinv = linalg.mat_scale(MU, tau2.inverse())
-    mod = FiniteModule(
-        flavor="iwahori",
-        ring=ring,
-        dim=2,
-        gens=(("S", MS), ("U", MU), ("Uinv", MUinv)),
-    )
-    return mod.validate()
+    zero, one = field_ring.zero, field_ring.one
+    return _rank2_module("iwahori", field_ring, ((-one, tau1), (zero, zero)), ((zero, tau2), (one, zero)), tau2)
 
 
 def standard_module_h2(b, field_ring: FieldRing) -> FiniteModule:
     """The 2-dimensional h2-flavor standard module with U^2 = b, S = 0."""
     if b.is_zero():
         raise ValueError("b must be nonzero")
-    ring = field_ring
-    zero, one = ring.zero, ring.one
-    MU = ((zero, b), (one, zero))
-    MS = ((zero, zero), (zero, zero))
-    MUinv = linalg.mat_scale(MU, b.inverse())
-    E1 = ((one, zero), (zero, zero))
-    E2 = ((zero, zero), (zero, one))
-    mod = FiniteModule(
-        flavor="h2",
-        ring=ring,
-        dim=2,
-        gens=(("e1", E1), ("e2", E2), ("S", MS), ("U", MU), ("Uinv", MUinv)),
-    )
-    return mod.validate()
+    zero, one = field_ring.zero, field_ring.one
+    return _rank2_module("h2", field_ring, ((zero, zero), (zero, zero)), ((zero, b), (one, zero)), b)
 
 
 def is_isomorphic(m1: FiniteModule, m2: FiniteModule) -> bool:

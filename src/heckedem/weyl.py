@@ -56,10 +56,6 @@ if S0 != U * S * U.inverse():
     raise RuntimeError("s0 != u s u^{-1}")
 
 
-def translation(n1: int, n2: int) -> WeylElement:
-    return WeylElement(n1, n2, "e")
-
-
 def length(w: WeylElement) -> int:
     """Coxeter length, inflated to W via l|_Omega = 0."""
     if w.finite == "e":

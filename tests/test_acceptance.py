@@ -6,11 +6,8 @@ arithmetic); the stated time budgets are asserted as well.
 
 import time
 
-import pytest
-
-from heckedem import chowrep, krep, linalg, verify
-from heckedem.charrings import ZQ, FieldRing, GroupRingElement, xi1_k, xi2_k
-from heckedem.coeffs import build_tower
+from heckedem import krep, linalg, verify
+from heckedem.charrings import ZQ, GroupRingElement, xi1_k, xi2_k
 
 
 def report(capsys, number, name, ok, elapsed, budget=None):

@@ -5,7 +5,7 @@ import pytest
 from heckedem import chowrep, krep, linalg, verify, weyl
 from heckedem.charrings import FieldRing, SymElement, xi1_ch, xi2_ch
 from heckedem.coeffs import build_tower
-from heckedem.hecke import HeckeElement, T_S, T_U, zeta1_embedded, zeta2_embedded
+from heckedem.hecke import HeckeElement, zeta1_embedded, zeta2_embedded
 from heckedem.verify import random_hecke
 
 
@@ -179,7 +179,7 @@ def four_copies_of_standard(b, ring):
                 for c, j in enumerate(pair):
                     M[i][j] = mat[r][c]
         gens.append((name, tuple(map(tuple, M))))
-    return krep.FiniteModule(flavor="h2", ring=ring, dim=8, gens=tuple(gens)).validate()
+    return krep.FiniteModule(flavor="h2", ring=ring, gens=tuple(gens)).validate()
 
 
 def test_socle_decides_semisimplicity_both_ways():

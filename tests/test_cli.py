@@ -84,9 +84,10 @@ def test_usage_errors(capsys):
 
 
 def test_bad_prime_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["orbits", "--p", "2"])
-    assert exc.value.code == 2
+    assert main(["orbits", "--p", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: p must be odd\n"
 
 
 @pytest.mark.parametrize(
@@ -96,6 +97,8 @@ def test_bad_prime_exits_2(capsys):
         (("--theta", "0,0"), "tau2 must be nonzero (zeta2 acts invertibly)"),
         (("--b", "0"), "b must be nonzero"),
         (("--b", "zz"), "invalid literal for int() with base 10: 'zz'"),
+        ((), "module needs --theta t1,t2 or --b for the regular case"),
+        (("--theta", "0"), "--theta expects two comma-separated values"),
     ],
 )
 def test_module_usage_error_messages(capsys, argv, message):

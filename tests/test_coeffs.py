@@ -31,7 +31,7 @@ def test_generic_scalar_ring_axioms(a, b, c):
 def test_generic_scalar_normalization():
     assert GenericScalar([0, 0, 0]) == GenericScalar()
     assert GenericScalar([1, 2, 0]) == GenericScalar([1, 2])
-    assert GenericScalar([1]).degree() == 0
+    assert GenericScalar([1, 0]).coeffs == (1,)
 
 
 def test_generic_scalar_evaluate():
@@ -89,7 +89,7 @@ def test_field_arithmetic_and_inverse():
 
 def test_tower_json():
     t = build_tower(3, 1)
-    assert t.to_json() == {"p": 3, "f": 1, "modulus_2f": [1, 0, 1], "generator": [1, 1]}
+    assert (t.modulus_2f, t.generator) == ((1, 0, 1), (1, 1))
 
 
 ONE_FIELD_TOWERS = [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]

@@ -6,7 +6,7 @@ import pytest
 from heckedem import krep, linalg
 from heckedem.charrings import ZQ, FieldRing, GroupRingElement, xi1_k, xi2_k
 from heckedem.coeffs import build_tower
-from heckedem.hecke import T_S, T_U, zeta1_embedded, zeta2_embedded
+from heckedem.hecke import zeta1_embedded, zeta2_embedded
 from heckedem.verify import random_group_ring, random_hecke
 
 
@@ -75,7 +75,7 @@ def test_rep_A_center_scalars():
 def test_matrix_action_matches_decomposition():
     rng = random.Random(17)
     MS = krep.rep_A0_S(ZQ)
-    from heckedem.charrings import decompose_k, demazure_k
+    from heckedem.charrings import demazure_k
 
     for _ in range(20):
         a = random_group_ring(rng)

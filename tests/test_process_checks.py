@@ -34,7 +34,7 @@ zero, one = ring.zero, ring.one
 U = ((zero, one), (one, zero))
 S = ((zero, zero), (zero, -one))
 Uinv = linalg.mat_scale(U, one + one)  # U * Uinv = 2 != 1
-bad = FiniteModule("iwahori", ring, 2, (("S", S), ("U", U), ("Uinv", Uinv)))
+bad = FiniteModule("iwahori", ring, (("S", S), ("U", U), ("Uinv", Uinv)))
 try:
     bad.validate()
 except ValueError as exc:
@@ -60,7 +60,7 @@ assert False, "python -O strips this assert; without -O the script fails here"
 ring = FieldRing(build_tower(3, 1), "ext")
 one = linalg.mat_identity(ring, 2)
 # S = -1 and U = 1 act by scalars, so End(M) is all of M2(E): dimension 4
-m = FiniteModule("iwahori", ring, 2, (("S", linalg.mat_scale(one, -ring.one)), ("U", one), ("Uinv", one))).validate()
+m = FiniteModule("iwahori", ring, (("S", linalg.mat_scale(one, -ring.one)), ("U", one), ("Uinv", one))).validate()
 try:
     krep.is_isomorphic(m, m)
 except ValueError as exc:

@@ -13,7 +13,6 @@ from heckedem.weyl import (
     length,
     length_bfs,
     reduced_word,
-    translation,
 )
 
 elements = st.builds(
@@ -27,7 +26,7 @@ elements = st.builds(
 def test_distinguished_elements():
     assert U == WeylElement(1, 0, "s")
     assert S0 == U * S * U_INV
-    assert U * U == translation(1, 1)
+    assert U * U == WeylElement(1, 1, "e")
     assert U * U * U == WeylElement(2, 1, "s")
 
 
@@ -37,8 +36,8 @@ def test_length_closed_form():
     assert length(U) == 0
     assert length(U_INV) == 0
     assert length(S0) == 1
-    assert length(translation(3, 0)) == 3
-    assert length(translation(2, 2)) == 0
+    assert length(WeylElement(3, 0, "e")) == 3
+    assert length(WeylElement(2, 2, "e")) == 0
     assert length(WeylElement(1, 0, "s")) == 0
     assert length(WeylElement(0, 1, "s")) == 2
 
@@ -83,14 +82,14 @@ def test_act_on_index_values():
     assert act_on_index(E, 1) == 1
     assert act_on_index(S, 1) == 2
     assert act_on_index(U, 2) == 1
-    assert act_on_index(translation(5, -2), 1) == 1
+    assert act_on_index(WeylElement(5, -2, "e"), 1) == 1
     with pytest.raises(ValueError):
         act_on_index(S, 3)
 
 
 def test_bfs_guards():
     with pytest.raises(ValueError):
-        length_bfs(translation(30, 0))
+        length_bfs(WeylElement(30, 0, "e"))
 
 
 def test_bfs_distance_table_is_built_once_per_bound():

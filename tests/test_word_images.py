@@ -93,7 +93,7 @@ def test_zeta2_split_and_translation_word_give_T_w():
             for finite in "es":
                 w = WeylElement(n1, n2, finite)
                 k, w0 = zeta2_split(w)
-                assert min(w0.n1, w0.n2) == 0 and weyl.translation(k, k) * w0 == w
+                assert min(w0.n1, w0.n2) == 0 and weyl.WeylElement(k, k, "e") * w0 == w
                 product = HeckeElement.one("iwahori", ZQ)
                 for letter in _translation_word(w0):
                     product = product * letters[letter]
