@@ -7,11 +7,11 @@ xi2' = eta1*eta2, with respect to the basis {1, delta}, delta =
     Anil(S) = [[0, -1], [0, 0]]
     Anil(U) = [[xi1^2/2 - xi2, -xi1(xi1^2/4 - xi2)], [xi1, -(xi1^2/2 - xi2)]]
 
-The center maps by zeta1 -> -xi1, zeta2 -> xi2^2 = (eta1*eta2)^2.  Like
-``krep.rep_A``, Anil is read term by term from a table per (ring, w') of
-translation-free words: with T_w = zeta2^k T_{w'}, the image of c T_w is c
-times that of T_{w'} with every exponent shifted by (2k, 2k), and each
-table entry comes from the normal form of T_{w'} over the center.
+The center maps by zeta1 -> -xi1, zeta2 -> xi2^2 = (eta1*eta2)^2.  Anil
+is the ``krep.Demazure`` record ``A_NIL``, read like ``krep.A_Q`` term by
+term from the one table ``krep.word_image`` of translation-free words:
+with T_w = zeta2^k T_{w'}, the image of c T_w is c times that of T_{w'}
+with every exponent shifted by (2k, 2k).
 
 A naive extension with U^2 = xi2 is impossible: the constraint system
 forces a^2 = xi2 at xi1 = 0, which has no solution in GF(p)[xi2^{+-1}] by
@@ -34,20 +34,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import linalg
+from . import krep, linalg
 from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, to_xi_poly, xi1_ch, xi2_ch
-from .hecke import HeckeElement, T_S, T_U, idem_element, zeta2_split
-from .krep import (
-    FiniteModule,
-    add_word_image,
-    basis_matrices,
-    invariant_matrix_flatten,
-    is_isomorphic,
-    rep_on_words,
-    rep_over_center,
-    standard_module_h2,
-)
-from .weyl import act_on_index
+from .hecke import HeckeElement, T_S, T_U, idem_element
+from .krep import FiniteModule, is_isomorphic, standard_module_h2
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +59,14 @@ def rep_A0nil_S(ring):
     )
 
 
+def _check_anil_ring(ring):
+    if not ring.is_field or ring.from_int(2).is_zero():
+        raise ValueError("Anil needs a coefficient field of odd characteristic")
+
+
 def rep_Anil_U(ring: FieldRing):
     """The distinguished Anil(U) over a field of odd characteristic."""
+    _check_anil_ring(ring)
     half = ring.from_int(2).inverse()
     quarter = half * half
     x1 = xi1_ch(ring)
@@ -81,9 +77,8 @@ def rep_Anil_U(ring: FieldRing):
     return ((a, b), (c, -a))
 
 
-def _check_anil_ring(ring):
-    if not ring.is_field or ring.from_int(2).is_zero():
-        raise ValueError("Anil needs a coefficient field of odd characteristic")
+# S and U are looked up at call time, as for krep.A_Q
+A_NIL = krep.Demazure("nil", SymElement, lambda r: rep_A0nil_S(r), lambda r: rep_Anil_U(r), lambda r: -xi1_ch(r), 2)
 
 
 def rep_Anil(x: HeckeElement):
@@ -92,25 +87,7 @@ def rep_Anil(x: HeckeElement):
     if x.flavor != "nil":
         raise ValueError("rep_Anil is defined on the nil flavor")
     _check_anil_ring(x.ring)
-    return rep_on_words(x, SymElement, _anil_word_image, 2)
-
-
-@lru_cache(maxsize=None)
-def _anil_word_image(ring: FieldRing, w):
-    """Anil(T_w) for a translation-free w, through its normal form over the
-    center; computed once per (ring, w).
-
-    The table keeps the images of ``rep_A0nil_S`` and ``rep_Anil_U`` for
-    the whole process: whoever replaces either must also ``cache_clear()``
-    this table, before and after, or read stale images."""
-    _check_anil_ring(ring)
-    return rep_over_center(
-        HeckeElement.basis("nil", ring, w),
-        SymElement,
-        basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring)),
-        -xi1_ch(ring),
-        lambda k: xi2_ch(ring, 2 * k),
-    )
+    return krep.represent(A_NIL, x)
 
 
 def eta1_squared_s_matrix(ring: FieldRing):
@@ -123,13 +100,6 @@ def eta1_squared_s_matrix(ring: FieldRing):
         image = eta1_sq * basis_vec.s_action()
         cols.append(decompose_ch(image))
     return ((cols[0][0], cols[1][0]), (cols[0][1], cols[1][1]))
-
-
-def nil_independence_determinant(ring: FieldRing) -> SymElement:
-    """Determinant of the 4x4 coordinate matrix of {1, Anil(S), Anil(U),
-    Anil(SU)} over the (localized) invariant ring, a domain."""
-    rows = invariant_matrix_flatten(basis_matrices(SymElement, ring, rep_A0nil_S(ring), rep_Anil_U(ring)))
-    return linalg.det(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +168,8 @@ def rep_A2(x: HeckeElement):
     localized invariant ring; A2(e_i T_w) = p_i o diag(Anil(T_w)) o perm(w)."""
     if x.flavor != "h2":
         raise ValueError("rep_A2 is defined on the h2 flavor")
-    ring = x.ring
-    acc = [[{} for _ in range(4)] for _ in range(4)]
-    for (i, w), c in x.terms.items():
-        k, w0 = zeta2_split(w)
-        # column block j such that perm(w) routes component j into i
-        j = act_on_index(w, i)
-        block = [row[2 * (j - 1) : 2 * j] for row in acc[2 * (i - 1) : 2 * i]]
-        add_word_image(block, _anil_word_image(ring, w0), c, 2 * k)
-    return tuple(tuple(SymElement(ring, terms) for terms in row) for row in acc)
+    _check_anil_ring(x.ring)
+    return krep.represent(A_NIL, x)
 
 
 def a2_block(mat, i: int, j: int):

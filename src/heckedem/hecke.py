@@ -91,11 +91,11 @@ class HeckeElement(SparsePoly):
         """The product, one pair of terms at a time through the product table.
 
         Each factor's terms are split once (``zeta2_split``); the pair
-        (w, w2) reads T_{w'} T_{w2'} from ``_product_table`` and shifts
-        every key by the summed zeta2 powers."""
+        (w, w2) reads T_{w'} T_{w2'} from ``_PRODUCTS`` and shifts every
+        key by the summed zeta2 powers."""
         self._check_compatible(other)
         flavor, ring = self.flavor, self.ring
-        rows, shared = _product_table(flavor, ring)
+        rows = _PRODUCTS.setdefault((flavor, ring), {})
         h2 = flavor == "h2"
         right: dict = {}  # idempotent index (None outside h2) -> [(k2, w2', c2)]
         for key2, c2 in other.terms.items():
@@ -111,8 +111,7 @@ class HeckeElement(SparsePoly):
             for k2, w2, c2 in pairs:
                 entry = row.get(w2)
                 if entry is None:
-                    entry = _shared_entry(shared, _basis_product(w1, w2, flavor, ring))
-                    row[shared.setdefault(w2, w2)] = entry
+                    entry = row[w2] = tuple(_basis_product(w1, w2, flavor, ring).items())
                 c = c1 * c2
                 k = k1 + k2
                 for v, factor in entry:
@@ -151,32 +150,12 @@ def _term_sort_key(key):
     return (0, key.n1, key.n2, key.finite)
 
 
-_PRODUCTS: dict = {}  # (flavor, ring) -> (rows {w': {w2': ((v, c), ...)}}, shared)
-
-
-def _product_table(flavor: str, ring) -> tuple:
-    """The product table of (flavor, ring): rows {w': {w2': entry}} and
-    the dict through which its entries are shared.
-
-    The entry of a translation-free pair (w', w2') is T_{w'} T_{w2'} as a
-    tuple of (v, c) pairs, filled on a miss by the letter fold
-    (``_basis_product``) and shared with equal entries (``_shared_entry``):
-    most entries have one term, and many pairs have the same product.  The
-    table keeps the fold's results, computed through ``reduced_word`` and
-    ``length``, for the whole process: whoever patches an input of the
-    fold must ``_PRODUCTS.clear()``, before and after, or read stale
-    products."""
-    table = _PRODUCTS.get((flavor, ring))
-    if table is None:
-        table = _PRODUCTS[(flavor, ring)] = ({}, {})
-    return table
-
-
-def _shared_entry(shared: dict, fold: dict) -> tuple:
-    """``fold`` as a table entry: a tuple of (v, c) pairs, with equal keys,
-    coefficients, pairs and entries shared through ``shared``."""
-    share = lambda x: shared.setdefault(x, x)
-    return share(tuple(share((share(v), share(c))) for v, c in fold.items()))
+# The product table: (flavor, ring) -> {w': {w2': T_{w'} T_{w2'} as a tuple of
+# (v, c) pairs}} for translation-free w', w2', filled on a miss by the letter
+# fold (``_basis_product``) and kept for the whole process: whoever patches an
+# input of the fold (``reduced_word``, ``length``) must ``_PRODUCTS.clear()``,
+# before and after, or read stale products.
+_PRODUCTS: dict = {}
 
 
 def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:

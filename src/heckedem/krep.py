@@ -6,12 +6,14 @@ the basis {1, e^{(-1,0)}}:
     A0(q)(S) = [[q, q*xi1*e^{(-1,-1)}], [0, -1]]       (the operator -D_s(q))
     A(q)(U)  = [[xi1, e^{(-1,-1)}*xi1^2 - 1], [-e^{(1,1)}, -xi1]]
 
-The center acts by zeta1 -> xi1, zeta2 -> xi2.  A general element is
-mapped term by term through a table per word: T_w = zeta2^k T_{w'} with w'
+The center acts by zeta1 -> xi1, zeta2 -> xi2.  A(q) is one ``Demazure``
+record (``A_Q``), as the Chow-side Anil is (``chowrep.A_NIL``), and both
+are read the same way: a general element is mapped term by term through
+one table of words (``word_image``): T_w = zeta2^k T_{w'} with w'
 translation-free (``hecke.zeta2_split``), the image of T_{w'} is computed
-once per (ring, w') through its normal form over the center, and the image
-of c T_w is c times it with every exponent shifted by (k, k), since
-xi2^k = e^{(k,k)}.  ``chowrep`` reads Anil the same way.  Specializing
+once per (record, ring, w') through its normal form over the center, and
+the image of c T_w is c times it with every exponent shifted by (k, k),
+since xi2^k = e^{(k,k)} (by (2k, 2k) for Anil).  Specializing
 q = 0 and the invariants at a central character theta = (tau1, tau2)
 yields the finite 2-dimensional modules, written in the Pittie-Steinberg
 basis {1, e^{(0,1)}}.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from . import linalg
 from .charrings import (
@@ -33,6 +36,7 @@ from .charrings import (
     xi2_k,
 )
 from .hecke import HeckeElement, normal_form_over_center, specialize_q0, zeta2_split
+from .weyl import act_on_index
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +47,6 @@ def identity2(cls, ring):
     """The 2x2 identity matrix over the group or symmetric ring ``cls``."""
     one, zero = cls.one(ring), cls.zero(ring)
     return ((one, zero), (zero, one))
-
-
-def basis_matrices(cls, ring, MS, MU) -> tuple:
-    """{Id, MS, MU, MS MU}: the images of the basis {1, S, U, SU} over the center."""
-    return (identity2(cls, ring), MS, MU, linalg.mat_mul(MS, MU))
 
 
 def rep_A0_S(ring):
@@ -71,65 +70,87 @@ def rep_A_U(ring):
     return ((x1, b), (c, -x1))
 
 
-def rep_over_center(x: HeckeElement, cls, basis, zeta1, zeta2_power):
-    """A 2x2 representation on a general element, given on the basis.
+@dataclass(frozen=True, eq=False)
+class Demazure:
+    """A rank-2 Demazure representation, given on the basis {1, S, U, SU}
+    of its flavor over the center.
+
+    ``cls`` is the matrix entries' ring (``GroupRingElement`` or
+    ``SymElement``); ``S`` and ``U`` build the images of S and U over a
+    coefficient ring; the center maps by zeta1 -> ``zeta1(ring)`` and
+    zeta2 -> the monomial of exponent (d, d), d = ``zeta2_degree``.  The
+    record hashes by identity, since it keys ``word_image``."""
+
+    flavor: str
+    cls: type
+    S: Callable
+    U: Callable
+    zeta1: Callable
+    zeta2_degree: int
+
+    def basis(self, ring) -> tuple:
+        """{Id, MS, MU, MS MU}: the images of the basis {1, S, U, SU}."""
+        MS, MU = self.S(ring), self.U(ring)
+        return (identity2(self.cls, ring), MS, MU, linalg.mat_mul(MS, MU))
+
+
+# S and U are looked up at call time, so a patched rep_A_U reaches the table
+A_Q = Demazure("iwahori", GroupRingElement, lambda ring: rep_A0_S(ring), lambda ring: rep_A_U(ring), xi1_k, 1)
+
+
+def rep_over_center(rep: Demazure, x: HeckeElement):
+    """``rep`` on x through its normal form over the center.
 
     Writes x = c_1 + c_S S + c_U U + c_SU SU over the center, maps each
-    central coordinate to ``cls`` by zeta1 -> ``zeta1`` and zeta2^k ->
-    ``zeta2_power(k)``, and sums against ``basis``, the images
-    {Id, MS, MU, MS MU} of {1, S, U, SU} (``basis_matrices``).
-    """
-    zero = cls.zero(x.ring)
+    central coordinate into ``rep.cls`` and sums against ``rep.basis``."""
+    ring, d = x.ring, rep.zeta2_degree
+    zero, zeta1 = rep.cls.zero(ring), rep.zeta1(ring)
+    zeta2_power = lambda k: rep.cls.monomial(ring, d * k, d * k)
     out = ((zero, zero), (zero, zero))
-    for cz, mat in zip(normal_form_over_center(x), basis):
+    for cz, mat in zip(normal_form_over_center(x), rep.basis(ring)):
         if not cz.is_zero():
             out = linalg.mat_add(out, linalg.mat_scale(mat, eval_laurent(cz.terms, zero, zeta1, zeta2_power)))
     return out
 
 
-def add_word_image(acc, image, c, shift: int):
-    """Add c times ``image``, every exponent shifted by (shift, shift), to ``acc``.
-
-    ``image`` is a matrix over a two-variable Laurent ring and ``acc`` a
-    matrix of term dicts of the same shape; the shift and the scaling by
-    c are one rekeying of each entry's terms."""
-    for acc_row, row in zip(acc, image):
-        for out, entry in zip(acc_row, row):
-            for (a, b), v in entry.terms.items():
-                key = (a + shift, b + shift)
-                add = c * v
-                out[key] = out[key] + add if key in out else add
-
-
-def rep_on_words(x: HeckeElement, cls, word_image, zeta2_degree: int):
-    """A 2x2 representation on x = sum c_w T_w, read term by term.
-
-    Writes T_w = zeta2^k T_{w'} (``zeta2_split``).  When zeta2 maps to the
-    monomial of exponent (d, d), d = ``zeta2_degree``, the image of c T_w
-    is c times ``word_image(ring, w')`` with every exponent shifted by
-    (d k, d k)."""
-    acc = [[{}, {}], [{}, {}]]
-    for w, c in x.terms.items():
-        k, w0 = zeta2_split(w)
-        add_word_image(acc, word_image(x.ring, w0), c, zeta2_degree * k)
-    return tuple(tuple(cls(x.ring, terms) for terms in row) for row in acc)
-
-
 @lru_cache(maxsize=None)
-def _a_word_image(ring, w):
-    """A(q)(T_w) for a translation-free w, through its normal form over the
-    center; computed once per (ring, w).
+def word_image(rep: Demazure, ring, w):
+    """rep(T_w) for a translation-free w, through its normal form over the
+    center; computed once per (rep, ring, w).
 
-    The table keeps the images of ``rep_A0_S`` and ``rep_A_U`` for the
-    whole process: whoever replaces either must also ``cache_clear()``
-    this table, before and after, or read stale images."""
-    return rep_over_center(
-        HeckeElement.basis("iwahori", ring, w),
-        GroupRingElement,
-        basis_matrices(GroupRingElement, ring, rep_A0_S(ring), rep_A_U(ring)),
-        xi1_k(ring),
-        lambda k: xi2_k(ring, k),
-    )
+    The table keeps the images of every representation's S and U builders
+    for the whole process: whoever replaces one must also
+    ``cache_clear()`` this table, before and after, or read stale images."""
+    return rep_over_center(rep, HeckeElement.basis(rep.flavor, ring, w))
+
+
+def represent(rep: Demazure, x: HeckeElement):
+    """``rep`` on x = sum c_w T_w, read term by term from ``word_image``.
+
+    Writes T_w = zeta2^k T_{w'} (``zeta2_split``): the image of c T_w is
+    c times that of T_{w'} with every exponent shifted by (d k, d k), d =
+    ``rep.zeta2_degree``.  On the h2 flavor, the twisted form of a nil
+    representation, the matrix is 4x4 in 2x2 blocks, one per pair of
+    components: e_i T_w goes to block (i, j), j the component that perm(w)
+    routes into i.  The caller checks that x's flavor and ring suit rep."""
+    ring, h2 = x.ring, x.flavor == "h2"
+    n = 4 if h2 else 2
+    acc = [[{} for _ in range(n)] for _ in range(n)]
+    for key, c in x.terms.items():
+        if h2:
+            i, w = key
+            rows, col = acc[2 * i - 2 : 2 * i], 2 * act_on_index(w, i) - 2
+        else:
+            w, rows, col = key, acc, 0
+        k, w0 = zeta2_split(w)
+        shift = rep.zeta2_degree * k
+        for acc_row, row in zip(rows, word_image(rep, ring, w0)):
+            for out, entry in zip(acc_row[col : col + 2], row):
+                for (a, b), v in entry.terms.items():
+                    key = (a + shift, b + shift)
+                    add = c * v
+                    out[key] = out[key] + add if key in out else add
+    return tuple(tuple(rep.cls(ring, terms) for terms in row) for row in acc)
 
 
 def rep_A(x: HeckeElement):
@@ -137,7 +158,7 @@ def rep_A(x: HeckeElement):
     center maps by zeta1 -> xi1, zeta2 -> xi2 = e^{(1,1)}."""
     if x.flavor != "iwahori":
         raise ValueError("rep_A is defined on the iwahori flavor")
-    return rep_on_words(x, GroupRingElement, _a_word_image, 1)
+    return represent(A_Q, x)
 
 
 def apply_matrix_k(M, a: GroupRingElement) -> GroupRingElement:
@@ -169,18 +190,14 @@ def check_theorem_constraints(ring) -> dict:
     }
 
 
-def invariant_matrix_flatten(mats) -> tuple:
-    """Flatten a list of 2x2 matrices into rows of a 4-column matrix."""
-    return tuple((M[0][0], M[0][1], M[1][0], M[1][1]) for M in mats)
+def independence_determinant(rep: Demazure, ring, at_q0: bool = False):
+    """Determinant of the 4x4 coordinate matrix of {1, rep(S), rep(U),
+    rep(SU)}, optionally at q = 0.
 
-
-def independence_determinant(ring, at_q0: bool = False) -> GroupRingElement:
-    """Determinant of the 4x4 coordinate matrix of {1, A(S), A(U), A(SU)}.
-
-    The group ring is an integral domain, so a nonzero determinant proves
-    linear independence over the invariant ring.
+    The entries' ring is an integral domain, so a nonzero determinant
+    proves linear independence over the invariant ring.
     """
-    rows = invariant_matrix_flatten(basis_matrices(GroupRingElement, ring, rep_A0_S(ring), rep_A_U(ring)))
+    rows = tuple((M[0][0], M[0][1], M[1][0], M[1][1]) for M in rep.basis(ring))
     if at_q0:
         rows = tuple(tuple(specialize_q0(x) for x in row) for row in rows)
     return linalg.det(rows)
@@ -248,7 +265,7 @@ def _xi_polys(ring: FieldRing) -> tuple:
     in xi1, xi2.
 
     They do not depend on theta, so each ring computes them once; like
-    ``_a_word_image``, the table keeps the images of ``rep_A0_S`` and
+    ``word_image``, the table keeps the images of ``rep_A0_S`` and
     ``rep_A_U`` for the whole process."""
     return tuple(tuple(tuple(map(to_xi_poly, row)) for row in M) for M in (rep_A0_S(ring), rep_A_U(ring)))
 

@@ -283,8 +283,9 @@ def suite_krep(seed: int = 0) -> dict:
     # the three identities of the extension theorem, one check each
     for identity, held in krep.check_theorem_constraints(ZQ).items():
         t.check(held, ("A(q)(U) violates an extension constraint", identity))
-    t.check(not krep.independence_determinant(ZQ, at_q0=False).is_zero(), "generic independence determinant vanishes")
-    t.check(not krep.independence_determinant(ZQ, at_q0=True).is_zero(), "q=0 independence determinant vanishes")
+    for at_q0, label in ((False, "generic"), (True, "q=0")):
+        det = krep.independence_determinant(krep.A_Q, ZQ, at_q0)
+        t.check(not det.is_zero(), f"{label} independence determinant vanishes")
     # ring homomorphism on random pairs
     for _ in range(40):
         x = random_hecke(rng, "iwahori")
@@ -377,7 +378,7 @@ def suite_chowrep(seed: int = 0, n_random: int = 500) -> dict:
     rng = random.Random(seed)
     ring = FieldRing(build_tower(3, 1))
     t = Tally("chowrep")
-    t.check(not chowrep.nil_independence_determinant(ring).is_zero(), "nil independence determinant vanishes")
+    t.check(not krep.independence_determinant(chowrep.A_NIL, ring).is_zero(), "nil independence determinant vanishes")
     # Anil ring homomorphism
     for _ in range(60):
         x = random_hecke(rng, "nil", ring)
@@ -519,12 +520,11 @@ def _check_regular_module(t: Tally, b, ring) -> None:
     # every composition factor is the standard module L, so every simple
     # submodule is L and the socle is the sum of the images of Hom(L, -)
     t.check(report["semisimple"] is False, lambda: (str(b), "M8 is semisimple: its socle is all of it"))
-    v4, v8 = report["chain"][1], report["chain"][3]
-    t.check(linalg.subspace_eq(report["socle"], v4), lambda: (str(b), "socle != V4"))
+    t.check(report["eigenvectors_in_4dim_stage"], lambda: (str(b), "socle != V4"))
     # the second layer of the socle series: M8 over its computed socle is
     # semisimple, so the Loewy length is 2
     L = krep.standard_module_h2(b, ring)
-    top = chowrep.quotient_module(m8, v8, report["socle"])
+    top = chowrep.quotient_module(m8, report["chain"][3], report["socle"])
     t.check(len(chowrep.socle(top, L)[0]) == top.dim, lambda: (str(b), "M8/socle not semisimple: Loewy length > 2"))
     # d1_1 + d1_2 generates the whole module
     e = linalg.mat_identity(ring, 8)

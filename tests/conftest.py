@@ -2,10 +2,11 @@
 
 ``clear_tables`` empties the process-wide tables that memoise derived
 results: every ``lru_cache`` defined in ``krep``, ``chowrep``, ``hecke``
-and ``weyl`` (the Demazure word images, the xi-polynomials of A0(S) and
-A(U), the A2 images of the h2 generators, the reduced words, ...), found
-by scanning those modules, so that a new table cannot be missed; and the
-Hecke product table ``hecke._PRODUCTS``.  A test that patches an input of
+and ``weyl`` (the one table ``krep.word_image`` of Demazure word images,
+shared by A(q) and Anil, the xi-polynomials of A0(S) and A(U), the A2
+images of the h2 generators, the reduced words, ...), found by scanning
+those modules, so that a new table cannot be missed; and the Hecke
+product table ``hecke._PRODUCTS``, a plain dict of plain dicts.  A test that patches an input of
 one of them takes the ``fresh_tables`` fixture before ``monkeypatch``, so
 the tables are emptied before the patch and again after it is undone: no
 entry computed from the patched code outlives the test, and none computed

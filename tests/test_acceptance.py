@@ -62,8 +62,8 @@ def test_criterion_03_extension_theorem(capsys):
 
 def test_criterion_04_symbolic_independence(capsys):
     def run():
-        det_gen = krep.independence_determinant(ZQ, at_q0=False)
-        det_q0 = krep.independence_determinant(ZQ, at_q0=True)
+        det_gen = krep.independence_determinant(krep.A_Q, ZQ, at_q0=False)
+        det_q0 = krep.independence_determinant(krep.A_Q, ZQ, at_q0=True)
         return not det_gen.is_zero() and not det_q0.is_zero()
 
     ok, elapsed = timed(run)

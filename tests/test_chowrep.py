@@ -55,7 +55,7 @@ def test_nil_center_images():
 
 def test_nil_independence_determinant():
     _, ring = rings()
-    assert not chowrep.nil_independence_determinant(ring).is_zero()
+    assert not krep.independence_determinant(chowrep.A_NIL, ring).is_zero()
 
 
 def test_rep_Anil_homomorphism():

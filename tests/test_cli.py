@@ -90,6 +90,17 @@ def test_bad_prime_exits_2(capsys):
     assert captured.err == "usage error: p must be odd\n"
 
 
+def test_verify_relations_refuses_a_field_its_suites_do_not_run_at(capsys):
+    # the suites run at fixed fields, so a report naming p = 7 would be false
+    assert main(["--p", "7", "verify-relations", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "verify-relations runs its suites at fixed fields: --p and --f must stay 3 and 1"
+    assert captured.err == f"usage error: {message}\n"
+    assert main(["--f", "2", "verify-relations"]) == 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

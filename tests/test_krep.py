@@ -54,8 +54,8 @@ def test_theorem_constraint_system():
 
 
 def test_independence_determinants_nonzero():
-    assert not krep.independence_determinant(ZQ, at_q0=False).is_zero()
-    assert not krep.independence_determinant(ZQ, at_q0=True).is_zero()
+    assert not krep.independence_determinant(krep.A_Q, ZQ, at_q0=False).is_zero()
+    assert not krep.independence_determinant(krep.A_Q, ZQ, at_q0=True).is_zero()
 
 
 def test_rep_A_is_ring_homomorphism():

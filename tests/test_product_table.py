@@ -117,15 +117,18 @@ def test_table_holds_one_entry_per_translation_free_pair(fresh_tables, monkeypat
             for _ in range(20):
                 random_element(rng, flavor, ring) * random_element(rng, flavor, ring)
     assert set(hecke._PRODUCTS) == used
-    entries = [
-        (flavor, ring, w, w2)
-        for (flavor, ring), (rows, _) in hecke._PRODUCTS.items()
+    entries = {
+        (flavor, ring, w, w2): entry
+        for (flavor, ring), rows in hecke._PRODUCTS.items()
         for w, row in rows.items()
-        for w2 in row
-    ]
+        for w2, entry in row.items()
+    }
     assert all(min(w.n1, w.n2) == 0 and min(w2.n1, w2.n2) == 0 for _, _, w, w2 in entries)
     assert len(folds) == len(set(folds)) == len(entries)
     assert set(folds) == set(entries)
+    # each entry is the plain tuple of the fold's (v, c) pairs, in the fold's order
+    for (flavor, ring, w, w2), entry in entries.items():
+        assert entry == tuple(reference_basis_product(w, w2, flavor, ring).items())
 
 
 def test_relations_suite_sees_a_dropped_letter_through_the_table(fresh_tables, monkeypatch):

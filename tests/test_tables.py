@@ -21,12 +21,18 @@ def memo_tables() -> dict:
 
 
 def test_clear_tables_empties_every_table():
+    clear_tables()
     assert verify.suite_chowrep(0)["passed"]
+    anil_entries = krep.word_image.cache_info().currsize
+    assert anil_entries
+    # A(q) fills the same table as Anil
+    assert verify.suite_krep(0)["passed"]
+    assert krep.word_image.cache_info().currsize > anil_entries
     ring = FieldRing(build_tower(3, 1))
     chowrep.reduce_regular_at_theta((ring.zero, ring.one), ring)
     tables = memo_tables()
     filled = {name for name, table in tables.items() if table.cache_info().currsize}
-    assert {"heckedem.chowrep._anil_word_image", "heckedem.chowrep._a2_generator_images"} <= filled
+    assert {"heckedem.krep.word_image", "heckedem.chowrep._a2_generator_images"} <= filled
     assert hecke._PRODUCTS
     clear_tables()
     assert {name: table.cache_info().currsize for name, table in tables.items() if table.cache_info().currsize} == {}

@@ -1,10 +1,12 @@
-"""The Demazure representations read each term's image from a table of words.
+"""The Demazure representations read each term's image from one table of words.
 
 ``krep.rep_A``, ``chowrep.rep_Anil`` and ``chowrep.rep_A2`` write
-T_w = zeta2^k T_{w'} with w' translation-free and shift the tabulated
-image of T_{w'}.  The reference below is the per-term path they replace:
-the normal form of the whole element over the center, and A2 through one
-nil "shadow" element per term.
+T_w = zeta2^k T_{w'} with w' translation-free and shift the image of
+T_{w'} that ``krep.word_image`` holds for their record (``krep.A_Q`` or
+``chowrep.A_NIL``).  The reference below is the per-term path they
+replace: the normal form of the whole element over the center
+(``krep.rep_over_center``, which never reads the table), and A2 through
+one nil "shadow" element per term.
 """
 
 import functools
@@ -13,22 +15,18 @@ import random
 import pytest
 
 from heckedem import chowrep, krep, verify, weyl
-from heckedem.charrings import ZQ, FieldRing, GroupRingElement, SymElement, xi1_ch, xi1_k, xi2_ch, xi2_k
+from heckedem.charrings import ZQ, FieldRing, SymElement
 from heckedem.coeffs import GenericScalar, build_tower
 from heckedem.hecke import HeckeElement, T_S, T_U, _translation_word, zeta2_split
 from heckedem.weyl import WeylElement
 
 
 def reference_rep_A(x):
-    ring = x.ring
-    basis = krep.basis_matrices(GroupRingElement, ring, krep.rep_A0_S(ring), krep.rep_A_U(ring))
-    return krep.rep_over_center(x, GroupRingElement, basis, xi1_k(ring), lambda k: xi2_k(ring, k))
+    return krep.rep_over_center(krep.A_Q, x)
 
 
 def reference_rep_Anil(x):
-    ring = x.ring
-    basis = krep.basis_matrices(SymElement, ring, chowrep.rep_A0nil_S(ring), chowrep.rep_Anil_U(ring))
-    return krep.rep_over_center(x, SymElement, basis, -xi1_ch(ring), lambda k: xi2_ch(ring, 2 * k))
+    return krep.rep_over_center(chowrep.A_NIL, x)
 
 
 def reference_rep_A2(x):
@@ -100,30 +98,37 @@ def test_zeta2_split_and_translation_word_give_T_w():
                 assert product == HeckeElement.basis("iwahori", ZQ, w0), w
 
 
-@pytest.mark.parametrize(
-    "module,name,suite",
-    [(krep, "_a_word_image", verify.suite_krep), (chowrep, "_anil_word_image", verify.suite_chowrep)],
-)
-def test_table_holds_one_entry_per_word(monkeypatch, module, name, suite):
-    """Keying the table on T_w instead of its translation-free word would
-    hold about ten times the entries."""
-    image = getattr(module, name).__wrapped__
+def test_table_holds_one_entry_per_word(monkeypatch):
+    """One table serves A(q), Anil and A2.  Keying it on T_w instead of its
+    translation-free word would hold about ten times the entries; keying it
+    without the record would hand one representation's images to another."""
+    image = krep.word_image.__wrapped__
     fills = []
 
-    def fill(ring, w):
-        fills.append((ring, w.n1 - w.n2, w.finite))
+    def fill(rep, ring, w):
+        fills.append((rep, ring, w.n1 - w.n2, w.finite))
         if min(w.n1, w.n2) != 0:
             raise AssertionError(f"table entry for {w}, which is not translation-free")
-        return image(ring, w)
+        return image(rep, ring, w)
 
     table = functools.lru_cache(maxsize=None)(fill)
-    monkeypatch.setattr(module, name, table)
-    assert suite(0)["passed"]
+    monkeypatch.setattr(krep, "word_image", table)
+    assert verify.suite_krep(0)["passed"] and verify.suite_chowrep(0)["passed"]
+    # A(q) on the words Anil and A2 filled, over their ring GF(9)
+    nil_words = {(ring, m, finite) for rep, ring, m, finite in fills if rep is chowrep.A_NIL}
+    assert {ring for ring, _, _ in nil_words} == {field(3, 1)}
+    for ring, m, finite in nil_words:
+        krep.rep_A(HeckeElement.basis("iwahori", ring, WeylElement(max(m, 0), max(-m, 0), finite)))
     assert len(fills) == len(set(fills)) == table.cache_info().currsize
+    # each (ring, word) that Anil filled got its own A(q) entry: the records never share a key
+    assert all((krep.A_Q, *key) in set(fills) for key in nil_words)
 
 
 def test_anil_and_a2_refuse_a_ring_without_one_half():
     h2 = HeckeElement.basis("h2", ZQ, WeylElement(1, 0, "s"), idem=1)
-    for rep, x in ((chowrep.rep_Anil, HeckeElement.zero("nil", ZQ)), (chowrep.rep_A2, h2)):
+    zeros = ((chowrep.rep_Anil, HeckeElement.zero("nil", ZQ)), (chowrep.rep_A2, HeckeElement.zero("h2", ZQ)))
+    # the one table checks too, through A_NIL's builder of Anil(U)
+    table = (lambda w: krep.word_image(chowrep.A_NIL, ZQ, w), weyl.S)
+    for rep, x in zeros + ((chowrep.rep_A2, h2), table):
         with pytest.raises(ValueError, match="odd characteristic"):
             rep(x)
