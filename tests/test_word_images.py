@@ -98,7 +98,13 @@ def test_zeta2_split_and_translation_word_give_T_w():
                 assert product == HeckeElement.basis("iwahori", ZQ, w0), w
 
 
-def test_table_holds_one_entry_per_word(monkeypatch):
+# The ids keep the names these cases had when each module held its own table.
+@pytest.mark.parametrize(
+    "suite,nil_rings",
+    [(verify.suite_krep, set), (verify.suite_chowrep, lambda: {field(3, 1)})],
+    ids=["heckedem.krep-_a_word_image-suite_krep", "heckedem.chowrep-_anil_word_image-suite_chowrep"],
+)
+def test_table_holds_one_entry_per_word(monkeypatch, suite, nil_rings):
     """One table serves A(q), Anil and A2.  Keying it on T_w instead of its
     translation-free word would hold about ten times the entries; keying it
     without the record would hand one representation's images to another."""
@@ -113,10 +119,10 @@ def test_table_holds_one_entry_per_word(monkeypatch):
 
     table = functools.lru_cache(maxsize=None)(fill)
     monkeypatch.setattr(krep, "word_image", table)
-    assert verify.suite_krep(0)["passed"] and verify.suite_chowrep(0)["passed"]
+    assert suite(0)["passed"]
     # A(q) on the words Anil and A2 filled, over their ring GF(9)
     nil_words = {(ring, m, finite) for rep, ring, m, finite in fills if rep is chowrep.A_NIL}
-    assert {ring for ring, _, _ in nil_words} == {field(3, 1)}
+    assert {ring for ring, _, _ in nil_words} == nil_rings()
     for ring, m, finite in nil_words:
         krep.rep_A(HeckeElement.basis("iwahori", ring, WeylElement(max(m, 0), max(-m, 0), finite)))
     assert len(fills) == len(set(fills)) == table.cache_info().currsize
