@@ -22,8 +22,9 @@ module (one per component of the doubled flag variety) by
 A2(e_i T_w) = p_i o diag(Anil(T_w)) o perm(w); it places each term's
 Anil image, read from the same table, in its block.  Specializing A2 at a
 supersingular central character theta with theta(zeta2) = b, i.e. at
-xi1' = 0 and over A = E[xi2']/(xi2'^2 - b), yields the 8-dimensional
-module, with composition series of dimensions [2, 4, 6, 8] and four
+xi1' = 0 and over A = E[xi2']/(xi2'^2 - b), through the same
+``krep.specialize`` and builder as the 2-dimensional modules, yields the
+8-dimensional module, with composition series of dimensions [2, 4, 6, 8] and four
 factors isomorphic to the standard module L.  Its socle, the span of the
 images of Hom(L, M8), is the 4-dimensional stage: that decides that the
 module is not semisimple, and with a semisimple quotient by it, that its
@@ -32,11 +33,9 @@ Loewy length is 2.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import krep, linalg
-from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, to_xi_poly, xi1_ch, xi2_ch
-from .hecke import HeckeElement, T_S, T_U, idem_element
+from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, xi1_ch, xi2_ch
+from .hecke import HeckeElement
 from .krep import FiniteModule, is_isomorphic, standard_module_h2
 
 
@@ -184,55 +183,21 @@ def a2_is_zero(mat) -> bool:
 # the 8-dimensional supersingular reduction
 
 
-@lru_cache(maxsize=None)
-def _a2_generator_images(ring: FieldRing) -> tuple:
-    """A2 of e1, e2, S, U and U^-1, each entry a polynomial in xi1', xi2'.
-
-    They do not depend on theta, so each ring computes them once."""
-    elements = (
-        ("e1", idem_element(ring, 1)),
-        ("e2", idem_element(ring, 2)),
-        ("S", T_S("h2", ring)),
-        ("U", T_U("h2", ring)),
-        ("Uinv", T_U("h2", ring, -1)),
-    )
-    return tuple((name, tuple(tuple(map(to_xi_poly, row)) for row in rep_A2(x))) for name, x in elements)
-
-
 def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
-    """The 8-dimensional module at a supersingular theta = (0, b): A2 at theta.
+    """The 8-dimensional module at a supersingular theta = (0, b): A2 at
+    xi1' = 0 over E[xi2']/(xi2'^2 - b) (``krep.specialize``), in the basis
+    [1_1, d1_1, x1_1, xd1_1, 1_2, d1_2, x1_2, xd1_2] (d = delta, x = xi2').
 
-    Each entry of A2(e1), A2(e2), A2(S), A2(U) and A2(U^-1) is evaluated
-    at xi1' = 0 and at xi2' acting on A = E[xi2']/(xi2'^2 - b), where
-    xi2'^k sends xi2'^u to b^j xi2'^t for k + u = 2j + t.  Basis order:
-    [1_1, d1_1, x1_1, xd1_1, 1_2, d1_2, x1_2, xd1_2], with d = delta and
-    x = xi2', so x^t times the A2 basis vector r sits at 4(r // 2) + r % 2 + 2t.
-    """
+    U^-1 = b^-1 U is A2(U^-1) at theta, since T_{U^-1} = zeta2^-1 T_U, so
+    the builder's check U U^-1 = 1 is the check U^2 = b."""
     tau1, b = theta
     if not tau1.is_zero():
         raise ValueError("theta must be supersingular: theta(zeta1) = 0")
     if b.is_zero():
         raise ValueError("b must be nonzero")
-    ring = field_ring
-    pos = lambda r, t: 4 * (r // 2) + r % 2 + 2 * t
-    gens = []
-    for name, image in _a2_generator_images(ring):
-        M = [[ring.zero] * 8 for _ in range(8)]
-        for r, row in enumerate(image):
-            for s, poly in enumerate(row):
-                for (m, k), c in poly.items():
-                    if m:  # xi1' = 0
-                        continue
-                    for u in (0, 1):
-                        j, t = divmod(k + u, 2)
-                        M[pos(r, t)][pos(s, u)] += c * b**j
-        gens.append((name, tuple(map(tuple, M))))
-    mod = FiniteModule(flavor="h2", ring=ring, gens=tuple(gens)).validate()
-    # the quadratic constant: xi2^2 acts as b
-    MU = mod.gen_dict()["U"]
-    if linalg.mat_mul(MU, MU) != linalg.mat_scale(linalg.mat_identity(ring, 8), b):
-        raise ArithmeticError("U^2 != b on the 8-dimensional module")
-    return mod
+    _check_anil_ring(field_ring)
+    MS, MU = krep.specialize(A_NIL, "h2", field_ring, tau1, b)
+    return krep._rank2_module("h2", field_ring, MS, MU, b)
 
 
 def explicit_chain(m: FiniteModule) -> list:

@@ -61,6 +61,8 @@ def cmd_module(args) -> int:
     ring = FieldRing(tower)
     if args.theta is None and args.b is None:
         raise ValueError("module needs --theta t1,t2 or --b for the regular case")
+    if args.theta is not None and args.b is not None:
+        raise ValueError("module takes --theta or --b, not both")
     if args.theta is not None:
         parts = args.theta.split(",")
         if len(parts) != 2:

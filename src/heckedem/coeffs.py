@@ -123,6 +123,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _digits(n: int, p: int, count: int) -> list:
+    """The ``count`` lowest base-p digits of n, little-endian."""
+    out = []
+    for _ in range(count):
+        n, r = divmod(n, p)
+        out.append(r)
+    return out
+
+
 def _poly_mod_mul(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
     """Multiply two GF(p) polynomials and reduce mod a monic modulus."""
     n = len(modulus) - 1
@@ -152,13 +161,7 @@ def _poly_is_irreducible(modulus: tuple, p: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for idx in range(p**d):
-            div = []
-            t = idx
-            for _ in range(d):
-                div.append(t % p)
-                t //= p
-            div.append(1)
-            if _poly_divides(div, modulus, p):
+            if _poly_divides(_digits(idx, p, d) + [1], modulus, p):
                 return False
     return True
 
@@ -185,12 +188,7 @@ def _poly_divides(div: list, target: tuple, p: int) -> bool:
 def _lowest_lex_irreducible(p: int, deg: int) -> tuple:
     """Monic irreducible of given degree with smallest little-endian encoding."""
     for idx in range(p**deg):
-        coeffs = []
-        t = idx
-        for _ in range(deg):
-            coeffs.append(t % p)
-            t //= p
-        cand = tuple(coeffs) + (1,)
+        cand = tuple(_digits(idx, p, deg)) + (1,)
         if _poly_is_irreducible(cand, p):
             return cand
     raise RuntimeError("no irreducible polynomial found")
@@ -384,13 +382,8 @@ def build_tower(p: int, f: int) -> FieldTower:
     # full multiplicative order q^2 - 1, searched on coefficient vectors;
     # a tower raises ValueError on any other candidate
     for idx in range(1, q * q):
-        coeffs = []
-        t = idx
-        for _ in range(2 * f):
-            coeffs.append(t % p)
-            t //= p
         try:
-            return FieldTower(p, f, modulus_2f, _trim(coeffs))
+            return FieldTower(p, f, modulus_2f, _trim(_digits(idx, p, 2 * f)))
         except ValueError:
             continue
     raise RuntimeError("no multiplicative generator found")

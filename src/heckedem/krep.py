@@ -13,10 +13,11 @@ one table of words (``word_image``): T_w = zeta2^k T_{w'} with w'
 translation-free (``hecke.zeta2_split``), the image of T_{w'} is computed
 once per (record, ring, w') through its normal form over the center, and
 the image of c T_w is c times it with every exponent shifted by (k, k),
-since xi2^k = e^{(k,k)} (by (2k, 2k) for Anil).  Specializing
-q = 0 and the invariants at a central character theta = (tau1, tau2)
-yields the finite 2-dimensional modules, written in the Pittie-Steinberg
-basis {1, e^{(0,1)}}.
+since xi2^k = e^{(k,k)} (by (2k, 2k) for Anil).  Both records specialize
+at a central character theta = (tau1, tau2) through one table
+(``_theta_images``), one evaluator (``specialize``) and one builder
+(``_rank2_module``): A(q) gives the finite 2-dimensional modules, in the
+Pittie-Steinberg basis {1, e^{(0,1)}}, and Anil's A2 the 8-dimensional one.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .charrings import (
     xi1_k,
     xi2_k,
 )
-from .hecke import HeckeElement, normal_form_over_center, specialize_q0, zeta2_split
+from .hecke import HeckeElement, T_S, T_U, normal_form_over_center, specialize_q0, zeta2_split
 from .weyl import act_on_index
 
 
@@ -260,36 +261,54 @@ class FiniteModule:
 
 
 @lru_cache(maxsize=None)
-def _xi_polys(ring: FieldRing) -> tuple:
-    """A0(S) and A(U) over the field, where q = 0, each entry a polynomial
-    in xi1, xi2.
+def _theta_images(rep: Demazure, flavor: str, ring: FieldRing) -> tuple:
+    """``represent(rep, T_S)`` and ``represent(rep, T_U)`` on ``flavor`` over
+    the field, where q = 0, each entry a polynomial in xi1, xi2.
 
-    They do not depend on theta, so each ring computes them once; like
-    ``word_image``, the table keeps the images of ``rep_A0_S`` and
-    ``rep_A_U`` for the whole process."""
-    return tuple(tuple(tuple(map(to_xi_poly, row)) for row in M) for M in (rep_A0_S(ring), rep_A_U(ring)))
+    They do not depend on theta, so each (rep, flavor, ring) computes them
+    once; like ``word_image``, the table keeps the images of the S and U
+    builders for the whole process."""
+    return tuple(
+        tuple(tuple(map(to_xi_poly, row)) for row in represent(rep, x)) for x in (T_S(flavor, ring), T_U(flavor, ring))
+    )
 
 
-def _substitute_invariant(poly: dict, tau1, tau2):
-    """Evaluate a polynomial {(m, k): c} in xi1, xi2 at xi1 = tau1, xi2 = tau2.
+def specialize(rep: Demazure, flavor: str, ring: FieldRing, x1, u2) -> tuple:
+    """The matrices of S and U at xi1 = x1, over A = E[x]/(x^d - u2), x =
+    xi2 and d = ``rep.zeta2_degree``, read from ``_theta_images``.
 
-    Coefficients are field elements (the polynomial comes from the field,
-    where q = 0); tau2 is invertible in the field."""
-    acc = None
-    for (m, k), c in poly.items():
-        term = c * (tau1 ** m if m else tau1.tower.one()) * (tau2 ** k if k else tau2.tower.one())
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else tau1.tower.zero()
+    xi2^k sends x^u to u2^j x^t for k + u = d j + t; x^t times the record's
+    basis vector r sits at 2d (r // 2) + 2t + r % 2.  For d = 1 that is the
+    record's own basis; for the 4x4 h2 images at d = 2 it is [1_1, d1_1,
+    x1_1, xd1_1, 1_2, d1_2, x1_2, xd1_2], with d = delta."""
+    d, zero = rep.zeta2_degree, ring.zero
+    pos = lambda r, t: 2 * d * (r // 2) + 2 * t + r % 2
+    out = []
+    for image in _theta_images(rep, flavor, ring):
+        n = d * len(image)
+        M = [[zero] * n for _ in range(n)]
+        for r, row in enumerate(image):
+            for s, poly in enumerate(row):
+                for (m, k), c in poly.items():
+                    c = c * x1**m if m else c
+                    for u in range(d):
+                        j, t = divmod(k + u, d)
+                        M[pos(r, t)][pos(s, u)] += c * u2**j
+        out.append(tuple(map(tuple, M)))
+    return tuple(out)
 
 
 def _rank2_module(flavor: str, ring: FieldRing, S, U, u2) -> FiniteModule:
-    """The 2-dimensional module with generators S and U, where U^2 = u2:
-    U^-1 = u2^-1 U, and on the h2 flavor the projectors e1, e2 onto the
-    two basis lines.  Validated before it is returned."""
-    zero, one = ring.zero, ring.one
+    """The module of even dimension with generators S and U, where U^2 =
+    u2: U^-1 = u2^-1 U, and on the h2 flavor e1, e2 the projectors onto the
+    first and the second half of the basis.  Validated before it is
+    returned, so a U whose square is not u2 raises ValueError."""
+    n = len(S)
     gens = (("S", S), ("U", U), ("Uinv", linalg.mat_scale(U, u2.inverse())))
     if flavor == "h2":
-        gens = (("e1", ((one, zero), (zero, zero))), ("e2", ((zero, zero), (zero, one)))) + gens
+        zero, one = ring.zero, ring.one
+        half = lambda i: tuple(tuple(one if r == c and 2 * r // n == i else zero for c in range(n)) for r in range(n))
+        gens = (("e1", half(0)), ("e2", half(1))) + gens
     return FiniteModule(flavor=flavor, ring=ring, gens=gens).validate()
 
 
@@ -297,20 +316,14 @@ def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     """The 2-dimensional module at the central character theta = (tau1, tau2),
     in the Pittie-Steinberg basis {1, e^{(0,1)}}.
 
-    Substitutes q = 0 and xi1 -> tau1, xi2 -> tau2 into the generic
-    matrices on the basis {1, e^{(-1,0)}}, then conjugates by the change
-    of basis e^{(0,1)} = xi2 * e^{(-1,0)}, i.e. by diag(1, tau2)."""
+    Specializes A(q) at q = 0, xi1 = tau1, xi2 = tau2 on the basis {1,
+    e^{(-1,0)}}, then conjugates by the change of basis e^{(0,1)} = xi2 *
+    e^{(-1,0)}, i.e. by diag(1, tau2)."""
     tau1, tau2 = theta
     if tau2.is_zero():
         raise ValueError("tau2 must be nonzero (zeta2 acts invertibly)")
     t2i = tau2.inverse()
-
-    def at_theta(M):
-        # substitute theta, conjugate by diag(1, tau2)
-        (a, b), (c, d) = (tuple(_substitute_invariant(x, tau1, tau2) for x in row) for row in M)
-        return ((a, b * tau2), (c * t2i, d))
-
-    MS, MU = map(at_theta, _xi_polys(field_ring))
+    MS, MU = (((a, b * tau2), (c * t2i, d)) for (a, b), (c, d) in specialize(A_Q, "iwahori", field_ring, tau1, tau2))
     return _rank2_module("iwahori", field_ring, MS, MU, tau2)  # U^2 = zeta2
 
 

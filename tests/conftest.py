@@ -3,8 +3,9 @@
 ``clear_tables`` empties the process-wide tables that memoise derived
 results: every ``lru_cache`` defined in ``krep``, ``chowrep``, ``hecke``
 and ``weyl`` (the one table ``krep.word_image`` of Demazure word images,
-shared by A(q) and Anil, the xi-polynomials of A0(S) and A(U), the A2
-images of the h2 generators, the reduced words, ...), found by scanning
+shared by A(q) and Anil, the table ``krep._theta_images`` of S and U as
+xi-polynomials, one entry per (record, flavor, ring), from which both
+reductions at theta are made, the reduced words, ...), found by scanning
 those modules, so that a new table cannot be missed; and the Hecke
 product table ``hecke._PRODUCTS``, a plain dict of plain dicts.  A test that patches an input of
 one of them takes the ``fresh_tables`` fixture before ``monkeypatch``, so

@@ -110,6 +110,7 @@ def test_verify_relations_refuses_a_field_its_suites_do_not_run_at(capsys):
         (("--b", "zz"), "invalid literal for int() with base 10: 'zz'"),
         ((), "module needs --theta t1,t2 or --b for the regular case"),
         (("--theta", "0"), "--theta expects two comma-separated values"),
+        (("--theta", "0,g^4", "--b", "g"), "module takes --theta or --b, not both"),
     ],
 )
 def test_module_usage_error_messages(capsys, argv, message):

@@ -90,6 +90,46 @@ def test_regular_reduction_reports_each_raising_b(monkeypatch):
     }
 
 
+def scaled_first_entry(right):
+    """``right`` with its (1,1) entry times the generator g over a field.
+
+    A change by a sign, or in the b or c entries, vanishes at xi1 = 0 or in
+    characteristic 3 and would leave the reductions here valid."""
+
+    def scaled(ring):
+        (a, b), (c, d) = right(ring)
+        return ((a.scale(ring.tower.gen()) if ring.is_field else a, b), (c, d))
+
+    return scaled
+
+
+def test_krep_theta_counts_a_reduction_that_fails_its_relations(fresh_tables, monkeypatch):
+    # A(U) at theta gets g tau1 in its (1,1) entry: U^2 = tau2 + (g^2 - 1) tau1^2,
+    # so every theta with tau1 != 0 fails U Uinv = 1, and tau1 = 0 passes
+    monkeypatch.setattr(krep, "rep_A_U", scaled_first_entry(krep.rep_A_U))
+    result = verify.suite_krep_theta(3)
+    nonzero = [str(x) for x in build_tower(3, 1).ext_elements()[1:]]
+    assert result == {
+        "name": "krep-theta",
+        "passed": False,
+        "checks": 8 * (5 + 2) + 8 * 8,
+        "counterexamples": [(t1, t2, "U * Uinv != identity") for t1 in nonzero for t2 in nonzero],
+    }
+
+
+def test_regular_reduction_counts_a_reduction_that_fails_its_relations(fresh_tables, monkeypatch):
+    # at xi1' = 0, Anil(U) becomes diag(g a, -a) with a^2 = xi2'^2, so U^2 != b for every b
+    monkeypatch.setattr(chowrep, "rep_Anil_U", scaled_first_entry(chowrep.rep_Anil_U))
+    result = verify.suite_regular_reduction(3)
+    bs = [str(b) for b in build_tower(3, 1).ext_elements()[1:]]
+    assert result == {
+        "name": "regular-reduction",
+        "passed": False,
+        "checks": 8,
+        "counterexamples": [(b, "U * Uinv != identity") for b in bs],
+    }
+
+
 def test_chowrep_reports_one_counterexample_per_failed_block_check(monkeypatch):
     def zero_block(mat, i, j):
         zero = mat[0][0].zero(mat[0][0].ring)
