@@ -231,10 +231,12 @@ def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
         raise ArithmeticError("chain is not nested")
     q_basis = [(v, p) for v, p in zip(*big) if p not in small[1]]
 
+    zero = m.ring.zero
+
     def induced(M):
-        cols = []
+        P, cols = linalg.nonzeros(M), []
         for v, _ in q_basis:
-            w = linalg.remainder(small, linalg.mat_vec(M, v))
+            w = linalg.remainder(small, linalg.mat_vec(P, v, zero))
             if not linalg.row_space_contains(big, w):
                 raise ArithmeticError("chain member is not an invariant subspace")
             cols.append([w[p] for _, p in q_basis])

@@ -2,11 +2,15 @@
 
 Matrices are tuples of tuples; vectors are tuples.  The matrix helpers
 (identity, sum, scaling, product, determinant) work over any ring whose
-elements support +, - and *: finite fields, and the group, symmetric,
-center and Hecke rings.  Row reduction, rank, nullspace, remainders
-against an echelon basis, invariant-subspace spinning, Hom spaces between
-modules and isomorphism from a Hom space of dimension at most 1 need a
-field; every echelon form is grown by one insertion step.  Everything is deterministic and exact.
+elements support +, - and * and have ``is_zero``: finite fields, and the
+group, symmetric, center and Hecke rings.  Operators are applied through
+their nonzero pattern (``nonzeros``), built once per matrix by the call
+that applies it: ``mat_vec`` and ``mat_mul`` multiply only nonzero
+entries, and Hom-space constraints are written from them.  Row reduction,
+rank, nullspace, remainders against an echelon basis, invariant-subspace
+spinning, Hom spaces between modules and isomorphism from a Hom space of
+dimension at most 1 need a field; every echelon form is grown by one
+insertion step.  Everything is deterministic and exact.
 """
 
 from __future__ import annotations
@@ -26,31 +30,45 @@ def mat_scale(A, c):
     return tuple(tuple(c * a for a in row) for row in A)
 
 
+def nonzeros(A):
+    """The nonzero pattern of A: for each row, its (column, entry) pairs
+    whose entry is nonzero."""
+    return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in A]
+
+
 def mat_mul(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
+    """A B, multiplying only the nonzero entries of each row of A.
+
+    A row of A with no nonzero entry gives A[i][0] * B[0][j], a zero of
+    the ring's own element type."""
+    cols = range(len(B[0]))
     out = []
-    for i in range(n):
+    for i, terms in enumerate(nonzeros(A)):
+        (t0, a0), *rest = terms or [(0, A[i][0])]
         row = []
-        for j in range(m):
-            acc = A[i][0] * B[0][j]
-            for t in range(1, k):
-                acc = acc + A[i][t] * B[t][j]
+        for j in cols:
+            acc = a0 * B[t0][j]
+            for t, a in rest:
+                acc = acc + a * B[t][j]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
-def mat_vec(A, v):
-    return tuple(
-        _dot(row, v) for row in A
-    )
+def mat_vec(P, v, zero):
+    """A v for the pattern P = ``nonzeros(A)`` over a field.
 
-
-def _dot(row, v):
-    acc = row[0] * v[0]
-    for a, b in zip(row[1:], v[1:]):
-        acc = acc + a * b
-    return acc
+    Each row sums entry * v[column] over its terms whose vector entry is
+    nonzero; a row with no such term gives ``zero``."""
+    out = []
+    for terms in P:
+        acc = None
+        for j, a in terms:
+            x = v[j]
+            if not x.is_zero():
+                acc = a * x if acc is None else acc + a * x
+        out.append(zero if acc is None else acc)
+    return tuple(out)
 
 
 def det(M):
@@ -119,7 +137,8 @@ def _insert(rows, pivots, v) -> bool:
     """Extend the RREF basis held in the lists (rows, pivots) by v in place.
 
     A nonzero ``remainder`` of v, scaled to a leading 1, is cleared from
-    the other rows at its pivot column and inserted in pivot order.  Returns False, changing nothing, when v is already in the span.
+    the other rows at its pivot column and inserted in pivot order.
+    Returns False, changing nothing, when v is already in the span.
     Rows are lists while the basis grows, since a tuple per elimination
     step would fill the interpreter's tuple free list; callers return tuples.
     """
@@ -143,14 +162,16 @@ def spin(seeds, operators, ring):
     """Smallest subspace containing the seeds and stable under the operators.
 
     Returns the subspace in RREF form: (rows, pivots).  Every vector that
-    ``_insert`` adds to the echelon basis is queued for the operators.
+    ``_insert`` adds to the echelon basis is queued for the operators,
+    which are applied through their nonzero patterns.
     """
+    patterns, zero = [nonzeros(op) for op in operators], ring.zero
     rows, pivots = [], []
     queue = [v for v in seeds if _insert(rows, pivots, v)]
     while queue:
         v = queue.pop()
-        for op in operators:
-            w = mat_vec(op, v)
+        for P in patterns:
+            w = mat_vec(P, v, zero)
             if _insert(rows, pivots, w):
                 queue.append(w)
     return tuple(map(tuple, rows)), pivots
@@ -169,21 +190,23 @@ def hom_space(gens1, gens2, ring):
     (ValueError when the lists differ in length); each basis element X is
     an n2 x n1 matrix, and together they span Hom(M1, M2).  The
     constraints are linear in the entries of X, so the space is one
-    nullspace.
+    nullspace; each constraint row is written from the nonzero entries of
+    A and B alone.
     """
-    n1, n2 = len(gens1[0]), len(gens2[0])
+    n1, n2, zero = len(gens1[0]), len(gens2[0]), ring.zero
     # unknown X with entries x[i*n1+j]; constraint (X A - B X)[i][j] = 0
     rows = []
     for A, B in zip(gens1, gens2, strict=True):
+        A_cols, B_rows = nonzeros(zip(*A)), nonzeros(B)
         for i in range(n2):
             for j in range(n1):
-                row = [ring.zero] * (n2 * n1)
+                row = [zero] * (n2 * n1)
                 # (X A)[i][j] = sum_k x[i][k] A[k][j]
-                for k in range(n1):
-                    row[i * n1 + k] = row[i * n1 + k] + A[k][j]
+                for k, a in A_cols[j]:
+                    row[i * n1 + k] = row[i * n1 + k] + a
                 # (B X)[i][j] = sum_k B[i][k] x[k][j]
-                for k in range(n2):
-                    row[k * n1 + j] = row[k * n1 + j] - B[i][k]
+                for k, b in B_rows[i]:
+                    row[k * n1 + j] = row[k * n1 + j] - b
                 rows.append(tuple(row))
     return [tuple(v[i * n1 : (i + 1) * n1] for i in range(n2)) for v in nullspace(tuple(rows), ring)]
 

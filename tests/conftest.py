@@ -12,11 +12,25 @@ one of them takes the ``fresh_tables`` fixture before ``monkeypatch``, so
 the tables are emptied before the patch and again after it is undone: no
 entry computed from the patched code outlives the test, and none computed
 before hides the patch.
+
+``dense_mat_vec`` is the reference matrix-vector product of the tests: it
+multiplies every entry and shares no code with ``linalg``.
 """
 
 import pytest
 
 from heckedem import chowrep, hecke, krep, weyl
+
+
+def dense_mat_vec(A, v):
+    """A v over every entry of A, zero entries included."""
+    out = []
+    for row in A:
+        acc = row[0] * v[0]
+        for a, x in zip(row[1:], v[1:]):
+            acc = acc + a * x
+        out.append(acc)
+    return tuple(out)
 
 
 def clear_tables():

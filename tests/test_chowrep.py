@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import dense_mat_vec
 
 from heckedem import chowrep, krep, linalg, verify, weyl
 from heckedem.charrings import FieldRing, SymElement, xi1_ch, xi2_ch
@@ -270,7 +271,7 @@ def solved_quotient_gens(m, big, small):
     def induced(M):
         out = [[ring.zero] * dim for _ in range(dim)]
         for j, v in enumerate(q_basis):
-            w = linalg.mat_vec(M, v)
+            w = dense_mat_vec(M, v)
             R, pivots = linalg.rref([[c[i] for c in cols] + [w[i]] for i in range(m.dim)])
             assert len(cols) not in pivots, "image leaves big"
             for row, pc in zip(R, pivots):

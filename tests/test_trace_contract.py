@@ -4,7 +4,9 @@
 each owner's ``__dict__``.  A traced name that moves (for instance a
 ``__mul__`` inherited from a base class instead of defined in its own
 class body) makes ``perfbench/run.py --trace 1`` fail with a KeyError, so
-this test enters and exits the tracer once.
+this test enters and exits the tracer once.  A product that ``spin`` takes
+outside ``linalg.mat_vec`` would make the traced ``linalg.mat_vec.calls``
+read 0, so another test counts them inside the tracer.
 """
 
 import importlib.util
@@ -14,6 +16,9 @@ from pathlib import Path
 
 import heckedem.cli  # noqa: F401  the tracer wraps cli.main and the verify suites
 import heckedem.verify  # noqa: F401
+from heckedem import chowrep, linalg
+from heckedem.charrings import FieldRing
+from heckedem.coeffs import build_tower
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -57,3 +62,22 @@ def test_tracer_installs_and_restores():
     assert after.keys() == before.keys()
     changed = [key for key in before if after[key] is not before[key]]
     assert changed == []
+
+
+def test_tracer_counts_every_operator_application_of_spin(monkeypatch):
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    m8 = chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(1)), ring)
+    ops = m8.generator_matrices()
+    seed = (ring.zero,) * 7 + (ring.one,)
+    # spin hands the seed and then each operator image to _insert, once each
+    inserts = []
+    insert = linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda *args: inserts.append(1) or insert(*args))
+    with load_tracer().Tracer() as tracer:
+        rows, _ = linalg.spin([seed], ops, ring)
+    applications = len(inserts) - 1
+    assert tracer.calls["linalg.mat_vec"] > 0
+    assert tracer.calls["linalg.mat_vec"] == applications
+    # every vector added to the basis meets every operator once
+    assert applications == len(rows) * len(ops)
