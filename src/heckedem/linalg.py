@@ -56,7 +56,7 @@ def mat_mul(A, B):
 
 
 def mat_vec(P, v, zero):
-    """A v for the pattern P = ``nonzeros(A)`` over a field.
+    """A v for the pattern P = ``nonzeros(A)``.
 
     Each row sums entry * v[column] over its terms whose vector entry is
     nonzero; a row with no such term gives ``zero``."""
