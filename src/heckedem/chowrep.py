@@ -227,6 +227,8 @@ def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
     Raises ArithmeticError when small is not inside big or an image
     leaves big.
     """
+    # the rows enter linalg's sparse echelon form once per quotient
+    big, small = (([linalg.sparse(v) for v in rows], pivots) for rows, pivots in (big, small))
     if not all(linalg.row_space_contains(big, v) for v in small[0]):
         raise ArithmeticError("chain is not nested")
     q_basis = [(v, p) for v, p in zip(*big) if p not in small[1]]
@@ -234,12 +236,12 @@ def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
     zero = m.ring.zero
 
     def induced(M):
-        P, cols = linalg.nonzeros(M), []
+        C, cols = linalg.nonzeros(zip(*M)), []
         for v, _ in q_basis:
-            w = linalg.remainder(small, linalg.mat_vec(P, v, zero))
+            w = linalg.remainder(small, linalg.mat_vec(C, v))
             if not linalg.row_space_contains(big, w):
                 raise ArithmeticError("chain member is not an invariant subspace")
-            cols.append([w[p] for _, p in q_basis])
+            cols.append([w.get(p, zero) for _, p in q_basis])
         return tuple(zip(*cols))
 
     gens = tuple((name, induced(mat)) for name, mat in m.gens)

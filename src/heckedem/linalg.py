@@ -1,16 +1,24 @@
 """Exact linear algebra.
 
-Matrices are tuples of tuples; vectors are tuples.  The matrix helpers
+Matrices are tuples of tuples in every public signature, and so are the
+rows of the RREF (rows, pivots) pairs returned.  The matrix helpers
 (identity, sum, scaling, product, determinant) work over any ring whose
-elements support +, - and * and have ``is_zero``: finite fields, and the
-group, symmetric, center and Hecke rings.  Operators are applied through
-their nonzero pattern (``nonzeros``), built once per matrix by the call
-that applies it: ``mat_vec`` and ``mat_mul`` multiply only nonzero
-entries, and Hom-space constraints are written from them.  Row reduction,
-rank, nullspace, remainders against an echelon basis, invariant-subspace
-spinning, Hom spaces between modules and isomorphism from a Hom space of
-dimension at most 1 need a field; every echelon form is grown by one
-insertion step.  Everything is deterministic and exact.
+elements support +, - and * and have ``is_zero``; ``mat_mul`` multiplies
+only the nonzero entries of each row of its left factor (``nonzeros``).
+
+Row reduction, rank, nullspace, remainders against an echelon basis,
+invariant-subspace spinning, Hom spaces between modules and isomorphism
+from a Hom space of dimension at most 1 need a field.  They share one
+sparse echelon core: vectors and echelon rows are {column: nonzero entry}
+dicts (``sparse``), every echelon form is grown by one insertion step
+(``_insert``), and a row operation touches only the entries of the row it
+subtracts.  ``mat_vec`` applies an operator through its column pattern
+(``nonzeros(zip(*A))``), summing only over the support of the vector.
+``spin`` keeps the column patterns of the operator list of its last call,
+reused while every matrix in the list is the same object, so spinning
+many seeds under one module's generators builds them once.  Hom-space
+constraint rows are written sparse from the nonzero entries of the
+generators.  Everything is deterministic and exact.
 """
 
 from __future__ import annotations
@@ -55,20 +63,25 @@ def mat_mul(A, B):
     return tuple(out)
 
 
-def mat_vec(P, v, zero):
-    """A v for the pattern P = ``nonzeros(A)``.
+def mat_vec(C, v) -> dict:
+    """A v for the column pattern C = ``nonzeros(zip(*A))`` and v given as
+    {column: nonzero entry}.
 
-    Each row sums entry * v[column] over its terms whose vector entry is
-    nonzero; a row with no such term gives ``zero``."""
-    out = []
-    for terms in P:
-        acc = None
-        for j, a in terms:
-            x = v[j]
-            if not x.is_zero():
-                acc = a * x if acc is None else acc + a * x
-        out.append(zero if acc is None else acc)
-    return tuple(out)
+    Sums entry * v[column] over the support of v only; the product comes
+    back in the same sparse form, entries that cancel dropped."""
+    out = {}
+    for j, x in v.items():
+        for i, a in C[j]:
+            y = out.get(i)
+            if y is None:
+                out[i] = a * x
+            else:
+                y = y + a * x
+                if y.is_zero():
+                    del out[i]
+                else:
+                    out[i] = y
+    return out
 
 
 def det(M):
@@ -82,17 +95,48 @@ def det(M):
     return acc
 
 
+def sparse(v) -> dict:
+    """v as {column: nonzero entry}; a dict is taken to be in that form already."""
+    if isinstance(v, dict):
+        return v
+    return {j: x for j, x in enumerate(v) if not x.is_zero()}
+
+
+def _dense(rows, n, zero) -> tuple:
+    cols = range(n)
+    return tuple(tuple([row.get(j, zero) for j in cols]) for row in rows)
+
+
 def rref(rows):
     """Reduced row echelon form, the rows inserted one at a time by
     ``_insert``; returns (rows, pivot column list)."""
     basis, pivots = [], []
     for v in rows:
-        _insert(basis, pivots, v)
-    return tuple(map(tuple, basis)), pivots
+        _insert(basis, pivots, sparse(v))
+    if not basis:
+        return (), pivots
+    one = basis[0][pivots[0]]
+    return _dense(basis, len(rows[0]), one - one), pivots  # rref takes no ring: its zero is 1 - 1
 
 
 def rank(rows) -> int:
     return len(rref(rows)[0])
+
+
+def _kernel(vectors, ncols, ring) -> list:
+    """Basis of {v : r . v = 0 for every given row r}, rows and basis
+    vectors as {column: entry} dicts: one basis vector per free column."""
+    rows, pivots = [], []
+    for v in vectors:
+        _insert(rows, pivots, v)
+    taken = set(pivots)
+    basis = {c: {c: ring.one} for c in range(ncols) if c not in taken}
+    # an RREF row is zero at the other pivots, so every other column it has is free
+    for row, pc in zip(rows, pivots):
+        for j, x in row.items():
+            if j != pc:
+                basis[j][pc] = -x
+    return list(basis.values())
 
 
 def nullspace(A, ring):
@@ -100,62 +144,86 @@ def nullspace(A, ring):
     if not A:
         return []
     ncols = len(A[0])
-    R, pivots = rref(A)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [ring.zero] * ncols
-        v[fc] = ring.one
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc]
-        basis.append(tuple(v))
-    return basis
+    return list(_dense(_kernel(map(sparse, A), ncols, ring), ncols, ring.zero))
 
 
 def is_invertible(A) -> bool:
     return rank(A) == len(A)
 
 
-def remainder(basis_rref, v) -> list:
+def _clear(v, p, row) -> None:
+    """Subtract v[p] times row from v in place, over the entries of row,
+    where row is 1 at its pivot p; entries that cancel are dropped."""
+    m = -v.pop(p)
+    for j, y in row.items():
+        if j != p:
+            x = v.get(j)
+            if x is None:
+                v[j] = m * y
+            else:
+                x = x + m * y
+                if x.is_zero():
+                    del v[j]
+                else:
+                    v[j] = x
+
+
+def remainder(basis_rref, v) -> dict:
     """v minus its multiples of the RREF rows, taken at their pivot columns:
-    zero at every pivot, and all zero iff v lies in their row space."""
+    zero at every pivot, and empty iff v lies in their row space.
+
+    Rows and v may be tuples or {column: entry} dicts; the remainder is a
+    new dict of its nonzero entries."""
     rows, pivots = basis_rref
-    v = list(v)
+    v = dict(sparse(v))
     for row, p in zip(rows, pivots):
-        c = v[p]
-        if not c.is_zero():
-            v = [x - c * y for x, y in zip(v, row)]
+        if p in v:
+            _clear(v, p, sparse(row))
     return v
 
 
 def row_space_contains(basis_rref, v) -> bool:
     """Does v lie in the row space given in RREF with known pivots?"""
-    return all(x.is_zero() for x in remainder(basis_rref, v))
+    return not remainder(basis_rref, v)
 
 
 def _insert(rows, pivots, v) -> bool:
     """Extend the RREF basis held in the lists (rows, pivots) by v in place.
 
-    A nonzero ``remainder`` of v, scaled to a leading 1, is cleared from
-    the other rows at its pivot column and inserted in pivot order.
-    Returns False, changing nothing, when v is already in the span.
-    Rows are lists while the basis grows, since a tuple per elimination
-    step would fill the interpreter's tuple free list; callers return tuples.
+    Rows and v are {column: entry} dicts.  A nonzero ``remainder`` of v,
+    scaled to a leading 1, is cleared from the other rows at its pivot
+    column and inserted in pivot order.  Returns False, changing nothing,
+    when v is already in the span.
     """
     r = remainder((rows, pivots), v)
-    c = next((j for j, x in enumerate(r) if not x.is_zero()), None)
-    if c is None:
+    if not r:
         return False
+    c = min(r)
     inv = r[c].inverse()
-    r = [x * inv for x in r]
-    for i, row in enumerate(rows):
-        factor = row[c]
-        if not factor.is_zero():
-            rows[i] = [x - factor * y for x, y in zip(row, r)]
+    r = {j: x * inv for j, x in r.items()}
+    for row in rows:
+        if c in row:
+            _clear(row, c, r)
     at = sum(p < c for p in pivots)
     rows.insert(at, r)
     pivots.insert(at, c)
     return True
+
+
+# the operator list of the last spin, held by reference, and its column patterns
+_PATTERNS = [(), []]
+
+
+def _column_patterns(operators) -> list:
+    """Column patterns of the operators, reused while every matrix is the
+    same object as in the last call (matrices are immutable tuples, and the
+    memo keeps them alive, so the same object is the same matrix)."""
+    ops, patterns = _PATTERNS
+    if len(ops) != len(operators) or not all(a is b for a, b in zip(ops, operators)):
+        ops = tuple(operators)
+        patterns = [nonzeros(zip(*A)) for A in ops]
+        _PATTERNS[:] = ops, patterns
+    return patterns
 
 
 def spin(seeds, operators, ring):
@@ -163,18 +231,18 @@ def spin(seeds, operators, ring):
 
     Returns the subspace in RREF form: (rows, pivots).  Every vector that
     ``_insert`` adds to the echelon basis is queued for the operators,
-    which are applied through their nonzero patterns.
+    which are applied through their column patterns.
     """
-    patterns, zero = [nonzeros(op) for op in operators], ring.zero
+    patterns = _column_patterns(operators)
     rows, pivots = [], []
-    queue = [v for v in seeds if _insert(rows, pivots, v)]
+    queue = [v for v in map(sparse, seeds) if _insert(rows, pivots, v)]
     while queue:
         v = queue.pop()
-        for P in patterns:
-            w = mat_vec(P, v, zero)
+        for C in patterns:
+            w = mat_vec(C, v)
             if _insert(rows, pivots, w):
                 queue.append(w)
-    return tuple(map(tuple, rows)), pivots
+    return _dense(rows, len(seeds[0]) if rows else 0, ring.zero), pivots
 
 
 def subspace_eq(a, b) -> bool:
@@ -190,25 +258,28 @@ def hom_space(gens1, gens2, ring):
     (ValueError when the lists differ in length); each basis element X is
     an n2 x n1 matrix, and together they span Hom(M1, M2).  The
     constraints are linear in the entries of X, so the space is one
-    nullspace; each constraint row is written from the nonzero entries of
-    A and B alone.
+    kernel; each constraint row is written sparse, from the nonzero
+    entries of A and B alone.
     """
-    n1, n2, zero = len(gens1[0]), len(gens2[0]), ring.zero
+    n1, n2 = len(gens1[0]), len(gens2[0])
     # unknown X with entries x[i*n1+j]; constraint (X A - B X)[i][j] = 0
     rows = []
     for A, B in zip(gens1, gens2, strict=True):
         A_cols, B_rows = nonzeros(zip(*A)), nonzeros(B)
         for i in range(n2):
             for j in range(n1):
-                row = [zero] * (n2 * n1)
                 # (X A)[i][j] = sum_k x[i][k] A[k][j]
-                for k, a in A_cols[j]:
-                    row[i * n1 + k] = row[i * n1 + k] + a
+                row = {i * n1 + k: a for k, a in A_cols[j]}
                 # (B X)[i][j] = sum_k B[i][k] x[k][j]
                 for k, b in B_rows[i]:
-                    row[k * n1 + j] = row[k * n1 + j] - b
-                rows.append(tuple(row))
-    return [tuple(v[i * n1 : (i + 1) * n1] for i in range(n2)) for v in nullspace(tuple(rows), ring)]
+                    x = row.get(k * n1 + j)
+                    row[k * n1 + j] = -b if x is None else x - b
+                rows.append({c: x for c, x in row.items() if not x.is_zero()})
+    zero = ring.zero
+    return [
+        tuple(tuple(v.get(i * n1 + j, zero) for j in range(n1)) for i in range(n2))
+        for v in _kernel(rows, n1 * n2, ring)
+    ]
 
 
 def solve_intertwiner(gens1, gens2, ring):

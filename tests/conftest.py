@@ -13,8 +13,9 @@ the tables are emptied before the patch and again after it is undone: no
 entry computed from the patched code outlives the test, and none computed
 before hides the patch.
 
-``dense_mat_vec`` is the reference matrix-vector product of the tests: it
-multiplies every entry and shares no code with ``linalg``.
+``dense_mat_vec`` and ``dense_rref`` are the references of the tests for
+products and row reduction: they run over every entry, zeros included,
+and share no code with ``linalg``.
 """
 
 import pytest
@@ -31,6 +32,33 @@ def dense_mat_vec(A, v):
             acc = acc + a * x
         out.append(acc)
     return tuple(out)
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by column-by-column Gauss-Jordan elimination
+    with row swaps, each row operation over whole rows; returns (rows,
+    pivot column list) in the form of ``linalg.rref``."""
+    rows = [list(r) for r in rows]
+    if not rows:
+        return (), []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        pivot_row = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return tuple(tuple(row) for row in rows[:r]), pivots
 
 
 def clear_tables():

@@ -2,7 +2,8 @@ import itertools
 import random
 
 import pytest
-from conftest import dense_mat_vec
+from conftest import dense_mat_vec, dense_rref
+from test_trace_contract import load_tracer
 
 from heckedem import chowrep, hecke, krep, linalg
 from heckedem.charrings import ZQ, FieldRing
@@ -28,6 +29,91 @@ def test_hom_space_rejects_generator_lists_of_different_lengths():
         chowrep.socle(m8, krep.standard_module(ring.zero, b, ring))
 
 
+def random_vectors(rng, tower, n, count=6):
+    """The zero vector, then vectors whose entries are zero or nonzero with
+    equal chance."""
+    elements = tower.ext_elements()
+    vectors = [(elements[0],) * n]
+    for _ in range(count):
+        vectors.append(tuple(rng.choice(elements[1:]) if rng.random() < 0.5 else elements[0] for _ in range(n)))
+    return vectors
+
+
+def support(v) -> dict:
+    """The nonzero entries of a dense vector, by column."""
+    return {j: x for j, x in enumerate(v) if not x.is_zero()}
+
+
+def dense_nullspace(R, pivots, ncols, ring):
+    """One vector per free column fc of the RREF (R, pivots): 1 at fc, 0 at
+    the other free columns and -R[i][fc] at the pivot of row i."""
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ring.zero] * ncols
+        v[fc] = ring.one
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_remainder(R, pivots, v):
+    """v less v[p] times each RREF row, over whole rows."""
+    v = list(v)
+    for row, p in zip(R, pivots):
+        c = v[p]
+        v = [x - c * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def reference_matrices(tower, rng):
+    """Per shape: a random matrix with about half its entries zero, a
+    product through one inner dimension (rank at most 1), the zero matrix,
+    and the random matrix with a repeated row, a zero row and its rows
+    shuffled."""
+    elements = tower.ext_elements()
+    zero = elements[0]
+
+    def entry():
+        return rng.choice(elements[1:]) if rng.random() < 0.5 else zero
+
+    for nrows, ncols in [(1, 1), (2, 3), (3, 3), (4, 6), (6, 4), (5, 5), (8, 8)]:
+        A = [tuple(entry() for _ in range(ncols)) for _ in range(nrows)]
+        column = tuple(entry() for _ in range(nrows))
+        line = tuple(rng.choice(elements[1:]) for _ in range(ncols))
+        padded = A + [A[0], (zero,) * ncols, A[-1]]
+        rng.shuffle(padded)
+        yield from (A, [tuple(c * x for x in line) for c in column], [(zero,) * ncols] * nrows, padded)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_echelon_core_matches_dense_gauss_jordan(p):
+    # rref, rank, nullspace, remainder and row_space_contains over GF(p^2),
+    # remainders against the basis as tuples and as {column: entry} dicts
+    tower = build_tower(p, 1)
+    ring = FieldRing(tower)
+    rng = random.Random(p)
+    ranks = []
+    for A in reference_matrices(tower, rng):
+        R, pivots = dense_rref(A)
+        ncols = len(A[0])
+        assert linalg.rref(A) == (R, pivots)
+        assert linalg.rank(A) == len(R)
+        assert linalg.nullspace(A, ring) == dense_nullspace(R, pivots, ncols, ring)
+        vectors = random_vectors(rng, tower, ncols) + A + [tuple(x + y for x, y in zip(A[0], A[-1]))]
+        for v in vectors:
+            want = support(dense_remainder(R, pivots, v))
+            inside = len(dense_rref(list(R) + [v])[0]) == len(R)
+            for basis in ((R, pivots), ([support(row) for row in R], pivots)):
+                assert linalg.remainder(basis, v) == want
+                assert linalg.remainder(basis, support(v)) == want
+                assert linalg.row_space_contains(basis, v) is inside
+        ranks.append((len(R), min(len(A), ncols)))
+    assert any(r == 0 for r, _ in ranks)
+    assert any(r == full > 1 for r, full in ranks)
+    assert any(0 < r < full for r, full in ranks)
+
+
 def kronecker_left(ops, ring):
     """X -> A X on n x n matrices X flattened row by row, as in
     ``krep.faithfulness_rank``: entry ((i, j), (k, l)) is A[i][k] if l = j."""
@@ -37,17 +123,18 @@ def kronecker_left(ops, ring):
 
 
 def restart_spin(seeds, operators):
-    """Spinning as it was done before the echelon basis was kept: a full
-    rref of the basis plus the new vector for every vector outside it,
-    each image taken by the dense product."""
-    rows, pivots = linalg.rref(list(seeds))
+    """Spinning with no echelon basis kept: a full Gauss-Jordan reduction
+    of the rows so far plus each image, taken by the dense product, that
+    could enlarge them."""
+    rows, pivots = dense_rref(list(seeds))
     queue = list(rows)
     while queue:
         v = queue.pop()
         for op in operators:
             w = dense_mat_vec(op, v)
-            if not linalg.row_space_contains((rows, pivots), w):
-                rows, pivots = linalg.rref(list(rows) + [w])
+            grown = dense_rref(list(rows) + [w])
+            if len(grown[0]) > len(rows):
+                rows, pivots = grown
                 queue.append(w)
     return rows, pivots
 
@@ -83,22 +170,78 @@ def test_incremental_spin_matches_restart_spin_on_reductions_at_theta():
         assert linalg.spin([ident], left, ring) == restart_spin([ident], left)
 
 
-def random_vectors(rng, tower, n, count=6):
-    """The zero vector, then vectors whose entries are zero or nonzero with
-    equal chance."""
-    elements = tower.ext_elements()
-    vectors = [(elements[0],) * n]
-    for _ in range(count):
-        vectors.append(tuple(rng.choice(elements[1:]) if rng.random() < 0.5 else elements[0] for _ in range(n)))
-    return vectors
+def support(v) -> dict:
+    """The nonzero entries of a dense vector, by column."""
+    return {j: x for j, x in enumerate(v) if not x.is_zero()}
+
+
+def test_spin_reuses_patterns_only_for_the_same_matrix_objects():
+    # spin keeps the column patterns of its last operator list; every case
+    # below must still give the reference spin
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    A, B = (chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(k)), ring).generator_matrices() for k in (1, 2))
+    unit = linalg.mat_identity(ring, 8)
+    g = tower.gen_power(1)
+    seeds = [tuple(x + g * y for x, y in zip(unit[i], unit[j])) for i, j in itertools.combinations(range(8), 2)]
+
+    def spins(ops):
+        return [linalg.spin([v], ops, ring) for v in seeds]
+
+    def assert_reference(ops):
+        assert spins(ops) == [restart_spin([v], ops) for v in seeds]
+
+    # the same list object, mutated in place between two spins; U at g^2
+    # changes some of the spun subspaces, so a stale pattern would show
+    ops = list(A)
+    before = spins(ops)
+    ops[2] = B[2]
+    assert_reference(ops)
+    assert spins(ops) != before
+    # equal-valued but distinct matrices
+    copies = [tuple(tuple(list(row)) for row in M) for M in A]
+    assert copies == A and all(c is not M for c, M in zip(copies, A))
+    assert_reference(copies)
+    # alternating operator lists
+    for ops in (A, B, A):
+        assert_reference(ops)
+    # right after faithfulness_rank has spun its fresh Kronecker operators
+    m = krep.reduce_at_theta((ring.zero, g), ring)
+    for _ in range(2):
+        assert krep.faithfulness_rank(m) == 4
+        assert_reference(A)
+        ops = m.generator_matrices()
+        for v in itertools.product(tower.ext_elements()[:3], repeat=2):
+            assert linalg.spin([v], ops, ring) == restart_spin([v], ops)
+
+
+def test_a_pattern_memo_hit_still_traces_every_operator_application(monkeypatch):
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    m8 = chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(1)), ring)
+    seed = (ring.zero,) * 7 + (ring.one,)
+    linalg.spin([seed], m8.generator_matrices(), ring)
+    # the second spin gets a new list of the same matrices: no pattern is built
+    builds, inserts = [], []
+    nonzeros, insert = linalg.nonzeros, linalg._insert
+    monkeypatch.setattr(linalg, "nonzeros", lambda A: builds.append(1) or nonzeros(A))
+    monkeypatch.setattr(linalg, "_insert", lambda *args: inserts.append(1) or insert(*args))
+    ops = m8.generator_matrices()
+    with load_tracer().Tracer() as tracer:
+        rows, _ = linalg.spin([seed], ops, ring)
+    assert builds == []
+    # spin hands the seed and then each operator image to _insert, once each
+    applications = len(inserts) - 1
+    assert tracer.calls["linalg.mat_vec"] == applications == len(rows) * len(ops) > 0
 
 
 def assert_sparse_product_is_dense(A, ring, rng):
-    P = linalg.nonzeros(A)
-    assert all(not a.is_zero() and A[i][j] == a for i, terms in enumerate(P) for j, a in terms)
-    assert sum(map(len, P)) == sum(not a.is_zero() for row in A for a in row)
+    C = linalg.nonzeros(zip(*A))
+    assert all(not a.is_zero() and A[i][j] == a for j, terms in enumerate(C) for i, a in terms)
+    assert sum(map(len, C)) == sum(not a.is_zero() for row in A for a in row)
     for v in random_vectors(rng, ring.tower, len(A[0])):
-        assert linalg.mat_vec(P, v, ring.zero) == dense_mat_vec(A, v)
+        # the product comes back as its nonzero entries, zero vector included
+        assert linalg.mat_vec(C, support(v)) == support(dense_mat_vec(A, v))
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1)])
