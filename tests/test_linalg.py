@@ -123,9 +123,9 @@ def kronecker_left(ops, ring):
 
 
 def restart_spin(seeds, operators):
-    """Spinning with no echelon basis kept: a full Gauss-Jordan reduction
-    of the rows so far plus each image, taken by the dense product, that
-    could enlarge them."""
+    """Spinning with no echelon basis kept and no ``linalg`` code: each
+    image, taken by the dense product, is tried by a full Gauss-Jordan
+    reduction of the rows so far plus that image."""
     rows, pivots = dense_rref(list(seeds))
     queue = list(rows)
     while queue:
