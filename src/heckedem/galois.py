@@ -9,11 +9,17 @@ exponent to h + i(q+1) with 1 <= h <= q-1, 0 <= i <= q-2; the attached
 torus character has exponent pair (h-1+i mod q-1, i), whose W0-orbit
 together with the supersingular central character theta = (0, b) pins
 down the module M(rho).
+
+The orbit reads only y.  Classes are enumerated as the product of E^x
+(b outer) with one representative y per class {y, y^q} (y inner), and
+``bijection_check`` computes the orbit once per y-class but still makes
+one tag (orbit, b) per class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .charrings import FieldRing
 from .coeffs import FieldElement, FieldTower, discrete_log
@@ -107,52 +113,53 @@ def module_of(rho: GaloisParam, field_ring: FieldRing | None = None) -> FiniteMo
     return series["factors"][0]
 
 
+def _y_class_reps(tower: FieldTower) -> list:
+    """One y per class {y, y^q} of y in E \\ GF(q), in order of exponent.
+
+    The conjugate of g^h is g^(hq mod q^2-1), so g^h is the first of its
+    class exactly when h < hq mod q^2-1; equality means y^q = y, y in GF(q)."""
+    n = tower.q**2 - 1
+    return [tower.gen_power(h) for h in range(n) if h < h * tower.q % n]
+
+
 def enumerate_classes(tower: FieldTower) -> list:
     """All equivalence classes of parameters: b in E^x, y in E \\ GF(q)
-    modulo conjugation.  Returns one representative per class."""
-    q = tower.q
-    n = q * q - 1
-    ext_nonzero = [tower.gen_power(k) for k in range(n)]
-    y_reps = []
-    seen_h = set()
-    for h, y in enumerate(ext_nonzero):
-        if y.in_base_field():
-            continue
-        key = min(h % n, (h * q) % n)
-        if key in seen_h:
-            continue
-        seen_h.add(key)
-        y_reps.append(y)
-    return [GaloisParam(tower, b, y) for b in ext_nonzero for y in y_reps]
+    modulo conjugation.  Returns one representative per class, b outer
+    and y inner."""
+    y_reps = _y_class_reps(tower)
+    return [GaloisParam(tower, tower.gen_power(k), y) for k in range(tower.q**2 - 1) for y in y_reps]
 
 
 def bijection_check(tower: FieldTower) -> dict:
     """Exhaustively verify that rho -> (orbit, theta) is a bijection from
-    parameter classes onto (W0-orbit, b in E^x) pairs, E = GF(q^2)."""
+    parameter classes onto (W0-orbit, b in E^x) pairs, E = GF(q^2).
+
+    The orbit reads only y, so it is computed once per y-class; the tags
+    (orbit, b) are still made one per class, b outer and y inner as in
+    ``enumerate_classes``, and the first repeated tag is the collision."""
     q = tower.q
-    classes = enumerate_classes(tower)
+    units = [tower.gen_power(k) for k in range(q * q - 1)]
+    y_reps = _y_class_reps(tower)
+    one = tower.one()
+    y_orbits = [(y, orbit_of(GaloisParam(tower, one, y))) for y in y_reps]
     image = {}
     collision = None
-    for rho in classes:
-        tag = (orbit_of(rho), rho.b)
-        if tag in image:
-            collision = (image[tag], rho)
+    for b, (y, orb) in product(units, y_orbits):
+        first = image.setdefault((orb, b.code), y)
+        if first is not y:  # the tag holds b, so the earlier class has this b too
+            collision = (GaloisParam(tower, b, first), GaloisParam(tower, b, y))
             break
-        image[tag] = rho
     all_orbits = torus_orbits(tower)
-    units = q * q - 1
-    expected = len(all_orbits) * units
-    target_tags = {
-        (orb, tower.gen_power(k)) for orb in all_orbits for k in range(units)
-    }
-    surjective = collision is None and set(image) == target_tags
+    target_tags = {(orb, b.code) for orb in all_orbits for b in units}
+    classes = len(units) * len(y_reps)
+    surjective = collision is None and image.keys() == target_tags
     regular = sum(1 for orb in all_orbits if len(orb) == 2)
     report = {
         "q": q,
         "E": f"GF({q * q})",
-        "classes": len(classes),
+        "classes": classes,
         "modules": len(image),
-        "bijective": bool(collision is None and surjective and len(classes) == expected),
+        "bijective": bool(collision is None and surjective and classes == len(target_tags)),
         "orbit_counts": {
             "nonregular": len(all_orbits) - regular,
             "regular": regular,

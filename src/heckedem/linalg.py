@@ -168,18 +168,27 @@ def _clear(v, p, row) -> None:
                     v[j] = x
 
 
+def _reduce(rows, pivots, v) -> dict:
+    """v minus its multiples of the RREF rows, taken at their pivot columns,
+    as a new dict; rows and v are {column: entry} dicts."""
+    v = dict(v)
+    for row, p in zip(rows, pivots):
+        if p in v:
+            _clear(v, p, row)
+    return v
+
+
 def remainder(basis_rref, v) -> dict:
     """v minus its multiples of the RREF rows, taken at their pivot columns:
     zero at every pivot, and empty iff v lies in their row space.
 
-    Rows and v may be tuples or {column: entry} dicts; the remainder is a
-    new dict of its nonzero entries."""
+    Rows (all of one kind) and v may be tuples or {column: entry} dicts;
+    tuple rows are converted once, on entry.  The remainder is a new dict
+    of its nonzero entries."""
     rows, pivots = basis_rref
-    v = dict(sparse(v))
-    for row, p in zip(rows, pivots):
-        if p in v:
-            _clear(v, p, sparse(row))
-    return v
+    if rows and not isinstance(rows[0], dict):
+        rows = [sparse(row) for row in rows]
+    return _reduce(rows, pivots, sparse(v))
 
 
 def row_space_contains(basis_rref, v) -> bool:
@@ -190,12 +199,12 @@ def row_space_contains(basis_rref, v) -> bool:
 def _insert(rows, pivots, v) -> bool:
     """Extend the RREF basis held in the lists (rows, pivots) by v in place.
 
-    Rows and v are {column: entry} dicts.  A nonzero ``remainder`` of v,
+    Rows and v are {column: entry} dicts.  A nonzero remainder of v,
     scaled to a leading 1, is cleared from the other rows at its pivot
     column and inserted in pivot order.  Returns False, changing nothing,
     when v is already in the span.
     """
-    r = remainder((rows, pivots), v)
+    r = _reduce(rows, pivots, v)
     if not r:
         return False
     c = min(r)

@@ -1,7 +1,9 @@
 import pytest
 
+from heckedem import galois
 from heckedem.charrings import FieldRing
 from heckedem.coeffs import build_tower
+from heckedem.hecke import orbits as torus_orbits
 from heckedem.galois import (
     GaloisParam,
     NormalizedExponent,
@@ -130,3 +132,110 @@ def test_bijection_q5():
     assert report["bijective"] is True
     assert report["classes"] == 240
     assert report["orbit_counts"] == {"nonregular": 4, "regular": 6, "total": 10}
+
+
+def enumerate_classes_by_search(tower):
+    """The reference enumeration: walk E^x once, keep the first y of each
+    class {y, y^q} outside GF(q), then pair every b with every such y."""
+    q = tower.q
+    n = q * q - 1
+    ext_nonzero = [tower.gen_power(k) for k in range(n)]
+    y_reps = []
+    seen_h = set()
+    for h, y in enumerate(ext_nonzero):
+        if y.in_base_field():
+            continue
+        key = min(h % n, (h * q) % n)
+        if key in seen_h:
+            continue
+        seen_h.add(key)
+        y_reps.append(y)
+    return [GaloisParam(tower, b, y) for b in ext_nonzero for y in y_reps]
+
+
+def bijection_by_classes(tower):
+    """The reference check: one GaloisParam and one orbit_of per class."""
+    q = tower.q
+    classes = galois.enumerate_classes(tower)
+    image = {}
+    collision = None
+    for rho in classes:
+        tag = (galois.orbit_of(rho), rho.b)
+        if tag in image:
+            collision = (image[tag], rho)
+            break
+        image[tag] = rho
+    all_orbits = torus_orbits(tower)
+    units = q * q - 1
+    expected = len(all_orbits) * units
+    target_tags = {
+        (orb, tower.gen_power(k)) for orb in all_orbits for k in range(units)
+    }
+    surjective = collision is None and set(image) == target_tags
+    regular = sum(1 for orb in all_orbits if len(orb) == 2)
+    report = {
+        "q": q,
+        "E": f"GF({q * q})",
+        "classes": len(classes),
+        "modules": len(image),
+        "bijective": bool(collision is None and surjective and len(classes) == expected),
+        "orbit_counts": {
+            "nonregular": len(all_orbits) - regular,
+            "regular": regular,
+            "total": len(all_orbits),
+        },
+    }
+    if collision is not None:
+        report["collision"] = [str(collision[0].class_key()), str(collision[1].class_key())]
+    return report
+
+
+TOWERS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (13, 1)]
+
+
+@pytest.mark.parametrize("p,f", TOWERS)
+def test_enumerate_classes_matches_the_search(p, f):
+    tower = build_tower(p, f)
+    assert enumerate_classes(tower) == enumerate_classes_by_search(tower)
+
+
+@pytest.mark.parametrize("p,f", TOWERS)
+def test_bijection_check_matches_the_per_class_reference(p, f):
+    tower = build_tower(p, f)
+    report = bijection_check(tower)
+    assert report == bijection_by_classes(tower)
+    assert report["bijective"] is True
+
+
+def merge_last_orbit_into_first(tower):
+    """An orbit map that reads only y, like orbit_of, but sends the last
+    W0-orbit to the first."""
+    first, *_, last = torus_orbits(tower)
+    orbit = galois.orbit_of
+    return lambda rho: first if orbit(rho) == last else orbit(rho)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("collapse", ["constant", "merge"])
+def test_a_non_injective_orbit_map_gives_the_same_collision(monkeypatch, p, collapse):
+    tower = build_tower(p, 1)
+    if collapse == "constant":
+        fake = lambda rho: ((0, 0),)  # noqa: E731
+    else:
+        fake = merge_last_orbit_into_first(tower)
+    monkeypatch.setattr(galois, "orbit_of", fake)
+    report = bijection_check(tower)
+    assert report["bijective"] is False
+    assert len(report["collision"]) == 2
+    assert report == bijection_by_classes(tower)
+
+
+def test_orbits_are_computed_once_per_y_class(monkeypatch):
+    # q = 7: (q^2 - q) / 2 = 21 y-classes, 48 * 21 = 1008 classes
+    calls = []
+    orbit = galois.orbit_of
+    monkeypatch.setattr(galois, "orbit_of", lambda rho: calls.append(rho) or orbit(rho))
+    report = bijection_check(build_tower(7, 1))
+    assert report["classes"] == 1008
+    assert len(calls) == 21
+    assert len({rho.class_key()[1] for rho in calls}) == 21
