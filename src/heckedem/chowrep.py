@@ -215,36 +215,11 @@ def explicit_chain(m: FiniteModule) -> list:
 
 
 def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
-    """The module big/small for subspaces small <= big, given in RREF.
-
-    Quotient basis: rows of big whose pivot is not a pivot of small.  The
-    image of a basis row, less its ``linalg.remainder`` against small, is
-    zero at the pivots of small; it lies in big exactly when big is
-    invariant modulo small, and then its quotient coordinates are its
-    entries at the quotient pivots, since a vector in an RREF row space is
-    the sum of the rows weighted by its entries at their pivots.  So
-    quotients taken along a chain from 0 prove every member invariant.
-    Raises ArithmeticError when small is not inside big or an image
-    leaves big.
-    """
-    # the rows enter linalg's sparse echelon form once per quotient
-    big, small = (([linalg.sparse(v) for v in rows], pivots) for rows, pivots in (big, small))
-    if not all(linalg.row_space_contains(big, v) for v in small[0]):
-        raise ArithmeticError("chain is not nested")
-    q_basis = [(v, p) for v, p in zip(*big) if p not in small[1]]
-
-    zero = m.ring.zero
-
-    def induced(M):
-        C, cols = linalg.nonzeros(zip(*M)), []
-        for v, _ in q_basis:
-            w = linalg.remainder(small, linalg.mat_vec(C, v))
-            if not linalg.row_space_contains(big, w):
-                raise ArithmeticError("chain member is not an invariant subspace")
-            cols.append([w.get(p, zero) for _, p in q_basis])
-        return tuple(zip(*cols))
-
-    gens = tuple((name, induced(mat)) for name, mat in m.gens)
+    """The module big/small for subspaces small <= big, given in RREF: the
+    generators act by ``linalg.quotient_action``, which proves big
+    invariant modulo small or raises ArithmeticError."""
+    names, mats = zip(*m.gens)
+    gens = tuple(zip(names, linalg.quotient_action(mats, big, small)))
     return FiniteModule(flavor=m.flavor, ring=m.ring, gens=gens)
 
 
@@ -254,7 +229,8 @@ def composition_series(m: FiniteModule, b) -> dict:
     The quotients of the explicit chain prove it invariant
     (``quotient_module`` raises ArithmeticError at the first member that
     is not); reports its dimensions and whether every subquotient is
-    isomorphic to the standard rank-2 module with U^2 = b.
+    isomorphic to the standard rank-2 module L with U^2 = b, which it
+    hands on as ``standard``.
     """
     chain = explicit_chain(m)
     factors = [quotient_module(m, big, small) for small, big in zip([((), [])] + chain, chain)]
@@ -263,6 +239,7 @@ def composition_series(m: FiniteModule, b) -> dict:
         "chain": chain,
         "dims": [len(rows) for rows, _ in chain],
         "factors": factors,
+        "standard": target,
         "all_factors_standard": all(is_isomorphic(f, target) for f in factors),
     }
 
@@ -283,13 +260,14 @@ def semisimplify(m: FiniteModule, b) -> dict:
 
     When every composition factor is the standard module L with U^2 = b,
     ``socle(m, L)`` is the socle of m, and m is semisimple exactly when the
-    socle is all of m; otherwise ``semisimple`` is None.
+    socle is all of m (L is the series' ``standard``); otherwise
+    ``semisimple`` is None.
     ``eigenvectors_in_4dim_stage`` says that the socle is the 4-dimensional
     stage, which is the joint kernel of S and S0 = U S U^-1: they kill L,
     and on their joint kernel the algebra acts through e1 and U alone, a
     copy of M_2(E)."""
     series = composition_series(m, b)
-    soc = socle(m, standard_module_h2(b, m.ring))
+    soc = socle(m, series["standard"])
     return {
         **series,
         "socle": soc,

@@ -301,14 +301,16 @@ def specialize(rep: Demazure, flavor: str, ring: FieldRing, x1, u2) -> tuple:
 def _rank2_module(flavor: str, ring: FieldRing, S, U, u2) -> FiniteModule:
     """The module of even dimension with generators S and U, where U^2 =
     u2: U^-1 = u2^-1 U, and on the h2 flavor e1, e2 the projectors onto the
-    first and the second half of the basis.  Validated before it is
-    returned, so a U whose square is not u2 raises ValueError."""
+    first and the second half of the basis, each a ``linalg.Matrix``.
+    Validated before it is returned, so a U whose square is not u2 raises
+    ValueError."""
     n = len(S)
     gens = (("S", S), ("U", U), ("Uinv", linalg.mat_scale(U, u2.inverse())))
     if flavor == "h2":
         zero, one = ring.zero, ring.one
         half = lambda i: tuple(tuple(one if r == c and 2 * r // n == i else zero for c in range(n)) for r in range(n))
         gens = (("e1", half(0)), ("e2", half(1))) + gens
+    gens = tuple((name, linalg.Matrix(M)) for name, M in gens)
     return FiniteModule(flavor=flavor, ring=ring, gens=gens).validate()
 
 
@@ -374,7 +376,7 @@ def faithfulness_rank(m: FiniteModule) -> int:
     # X -> A X on X flattened row by row: entry ((i, j), (k, l)) is A[i][k] if l = j
     cells = [(i, j) for i in range(n) for j in range(n)]
     left = [
-        tuple(tuple(A[i][k] if l == j else ring.zero for k, l in cells) for i, j in cells)
+        linalg.Matrix(tuple(A[i][k] if l == j else ring.zero for k, l in cells) for i, j in cells)
         for A in m.generator_matrices()
     ]
     return len(linalg.spin([ident], left, ring)[0])

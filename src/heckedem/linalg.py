@@ -1,27 +1,30 @@
 """Exact linear algebra.
 
 Matrices are tuples of tuples in every public signature, and so are the
-rows of the RREF (rows, pivots) pairs returned.  The matrix helpers
-(identity, sum, scaling, product, determinant) work over any ring whose
-elements support +, - and * and have ``is_zero``; ``mat_mul`` multiplies
-only the nonzero entries of each row of its left factor (``nonzeros``).
+rows of the RREF (rows, pivots) pairs returned.  A ``Matrix`` is such a
+tuple that keeps its nonzero pattern by column (``nonzeros``) once read.
+Module builders (``krep._rank2_module``, ``quotient_action``) return
+Matrix objects; any other tuple reaches its pattern through ``matrix``,
+the one coercion through which ``mat_mul``, ``spin``, ``quotient_action``
+and ``hom_space`` read patterns.  The matrix helpers (identity, sum,
+scaling, product, determinant) work over any ring whose elements support
++, - and * and have ``is_zero``; ``mat_mul`` multiplies only the nonzero
+entries of its left factor.
 
-Row reduction, rank, nullspace, remainders against an echelon basis,
-invariant-subspace spinning, Hom spaces between modules and isomorphism
+Row reduction, rank, remainders against an echelon basis, spinning, the
+action induced on a quotient, Hom spaces between modules and isomorphism
 from a Hom space of dimension at most 1 need a field.  They share one
 sparse echelon core: vectors and echelon rows are {column: nonzero entry}
 dicts (``sparse``), every echelon form is grown by one insertion step
 (``_insert``), and a row operation touches only the entries of the row it
-subtracts.  ``mat_vec`` applies an operator through its column pattern
-(``nonzeros(zip(*A))``), summing only over the support of the vector.
-``spin`` keeps the column patterns of the operator list of its last call,
-reused while every matrix in the list is the same object, so spinning
-many seeds under one module's generators builds them once.  Hom-space
-constraint rows are written sparse from the nonzero entries of the
-generators.  Everything is deterministic and exact.
+subtracts.  ``mat_vec`` applies an operator through its pattern, summing
+only over the support of the vector.  Everything is deterministic and
+exact.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 
 def mat_identity(ring, n: int):
@@ -39,32 +42,39 @@ def mat_scale(A, c):
 
 
 def nonzeros(A):
-    """The nonzero pattern of A: for each row, its (column, entry) pairs
-    whose entry is nonzero."""
-    return [[(j, a) for j, a in enumerate(row) if not a.is_zero()] for row in A]
+    """The nonzero pattern of A by column: each column's (row, entry) pairs."""
+    return [[(i, a) for i, a in enumerate(col) if not a.is_zero()] for col in zip(*A)]
+
+
+class Matrix(tuple):
+    """A matrix, as a tuple of row tuples, that keeps its nonzero pattern:
+    it compares, hashes and prints as the plain tuple, and ``pattern``,
+    ``nonzeros`` of it, is computed on first use and then kept."""
+
+    @cached_property
+    def pattern(self) -> list:
+        return nonzeros(self)
+
+
+def matrix(A) -> Matrix:
+    """A as a ``Matrix``, which keeps its pattern; a Matrix passes through."""
+    return A if isinstance(A, Matrix) else Matrix(A)
 
 
 def mat_mul(A, B):
-    """A B, multiplying only the nonzero entries of each row of A.
-
-    A row of A with no nonzero entry gives A[i][0] * B[0][j], a zero of
-    the ring's own element type."""
-    cols = range(len(B[0]))
-    out = []
-    for i, terms in enumerate(nonzeros(A)):
-        (t0, a0), *rest = terms or [(0, A[i][0])]
-        row = []
-        for j in cols:
-            acc = a0 * B[t0][j]
-            for t, a in rest:
-                acc = acc + a * B[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    """A B, over the nonzero entries of A only: row i is the sum of A[i][t]
+    B[t] over the nonzero A[i][t], in order of t, or A[i][0] B[0] (zeros of
+    the ring's own element type) when there is none."""
+    out = [None] * len(A)
+    for t, terms in enumerate(matrix(A).pattern):
+        for i, a in terms:
+            row = out[i]
+            out[i] = [a * b for b in B[t]] if row is None else [x + a * b for x, b in zip(row, B[t])]
+    return tuple(tuple(row or (A[i][0] * b for b in B[0])) for i, row in enumerate(out))
 
 
 def mat_vec(C, v) -> dict:
-    """A v for the column pattern C = ``nonzeros(zip(*A))`` and v given as
+    """A v for the pattern C = ``matrix(A).pattern`` and v given as
     {column: nonzero entry}.
 
     Sums entry * v[column] over the support of v only; the product comes
@@ -139,14 +149,6 @@ def _kernel(vectors, ncols, ring) -> list:
     return list(basis.values())
 
 
-def nullspace(A, ring):
-    """Basis of {v : A v = 0}, as tuples."""
-    if not A:
-        return []
-    ncols = len(A[0])
-    return list(_dense(_kernel(map(sparse, A), ncols, ring), ncols, ring.zero))
-
-
 def is_invertible(A) -> bool:
     return rank(A) == len(A)
 
@@ -219,30 +221,14 @@ def _insert(rows, pivots, v) -> bool:
     return True
 
 
-# the operator list of the last spin, held by reference, and its column patterns
-_PATTERNS = [(), []]
-
-
-def _column_patterns(operators) -> list:
-    """Column patterns of the operators, reused while every matrix is the
-    same object as in the last call (matrices are immutable tuples, and the
-    memo keeps them alive, so the same object is the same matrix)."""
-    ops, patterns = _PATTERNS
-    if len(ops) != len(operators) or not all(a is b for a, b in zip(ops, operators)):
-        ops = tuple(operators)
-        patterns = [nonzeros(zip(*A)) for A in ops]
-        _PATTERNS[:] = ops, patterns
-    return patterns
-
-
 def spin(seeds, operators, ring):
     """Smallest subspace containing the seeds and stable under the operators.
 
     Returns the subspace in RREF form: (rows, pivots).  Every vector that
     ``_insert`` adds to the echelon basis is queued for the operators,
-    which are applied through their column patterns.
+    which are applied through their patterns.
     """
-    patterns = _column_patterns(operators)
+    patterns = [matrix(A).pattern for A in operators]
     rows, pivots = [], []
     queue = [v for v in map(sparse, seeds) if _insert(rows, pivots, v)]
     while queue:
@@ -252,6 +238,38 @@ def spin(seeds, operators, ring):
             if _insert(rows, pivots, w):
                 queue.append(w)
     return _dense(rows, len(seeds[0]) if rows else 0, ring.zero), pivots
+
+
+def quotient_action(gens, big, small) -> list:
+    """The actions that the generator matrices induce on big/small, for
+    subspaces small <= big given in RREF (rows, pivots): one ``Matrix``
+    per generator.
+
+    Quotient basis: rows of big whose pivot is not a pivot of small.  The
+    image of a basis row, less its ``remainder`` against small, is zero at
+    the pivots of small; it lies in big exactly when big is invariant
+    modulo small, and then its quotient coordinates are its entries at the
+    quotient pivots, since a vector in an RREF row space is the sum of the
+    rows weighted by its entries at their pivots.  So quotients taken
+    along a chain from 0 prove every member invariant.  Raises
+    ArithmeticError when small is not inside big or an image leaves big.
+    """
+    # the rows enter the sparse echelon form once per quotient
+    big, small = (([sparse(v) for v in rows], pivots) for rows, pivots in (big, small))
+    if not all(row_space_contains(big, v) for v in small[0]):
+        raise ArithmeticError("chain is not nested")
+    q_basis = [(v, p) for v, p in zip(*big) if p not in small[1]]
+    zero = next((v[p] - v[p] for v, p in q_basis), None)  # no ring is passed: 1 - 1 at a pivot
+    out = []
+    for M in gens:
+        C, cols = matrix(M).pattern, []
+        for v, _ in q_basis:
+            w = remainder(small, mat_vec(C, v))
+            if not row_space_contains(big, w):
+                raise ArithmeticError("chain member is not an invariant subspace")
+            cols.append([w.get(p, zero) for _, p in q_basis])
+        out.append(Matrix(zip(*cols)))
+    return out
 
 
 def subspace_eq(a, b) -> bool:
@@ -267,23 +285,24 @@ def hom_space(gens1, gens2, ring):
     (ValueError when the lists differ in length); each basis element X is
     an n2 x n1 matrix, and together they span Hom(M1, M2).  The
     constraints are linear in the entries of X, so the space is one
-    kernel; each constraint row is written sparse, from the nonzero
-    entries of A and B alone.
+    kernel; each constraint row is written sparse, from the patterns of A
+    and B alone.
     """
     n1, n2 = len(gens1[0]), len(gens2[0])
-    # unknown X with entries x[i*n1+j]; constraint (X A - B X)[i][j] = 0
+    # unknown X with entries x[i*n1+j]; constraint (X A - B X)[i][j] = 0 is row i*n1+j
     rows = []
     for A, B in zip(gens1, gens2, strict=True):
-        A_cols, B_rows = nonzeros(zip(*A)), nonzeros(B)
-        for i in range(n2):
-            for j in range(n1):
-                # (X A)[i][j] = sum_k x[i][k] A[k][j]
-                row = {i * n1 + k: a for k, a in A_cols[j]}
-                # (B X)[i][j] = sum_k B[i][k] x[k][j]
-                for k, b in B_rows[i]:
+        A_cols, B_cols = matrix(A).pattern, matrix(B).pattern
+        # (X A)[i][j] = sum_k x[i][k] A[k][j]
+        block = [{i * n1 + k: a for k, a in A_cols[j]} for i in range(n2) for j in range(n1)]
+        # less (B X)[i][j] = sum_k B[i][k] x[k][j]
+        for k, terms in enumerate(B_cols):
+            for i, b in terms:
+                for j in range(n1):
+                    row = block[i * n1 + j]
                     x = row.get(k * n1 + j)
                     row[k * n1 + j] = -b if x is None else x - b
-                rows.append({c: x for c, x in row.items() if not x.is_zero()})
+        rows += ({c: x for c, x in row.items() if not x.is_zero()} for row in block)
     zero = ring.zero
     return [
         tuple(tuple(v.get(i * n1 + j, zero) for j in range(n1)) for i in range(n2))

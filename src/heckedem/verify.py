@@ -526,7 +526,7 @@ def _check_regular_module(t: Tally, b, ring) -> None:
     t.check(report["eigenvectors_in_4dim_stage"], lambda: (str(b), "socle != V4"))
     # the second layer of the socle series: M8 over its computed socle is
     # semisimple, so the Loewy length is 2
-    L = krep.standard_module_h2(b, ring)
+    L = report["standard"]
     top = chowrep.quotient_module(m8, report["chain"][3], report["socle"])
     t.check(len(chowrep.socle(top, L)[0]) == top.dim, lambda: (str(b), "M8/socle not semisimple: Loewy length > 2"))
     # d1_1 + d1_2 generates the whole module

@@ -13,9 +13,9 @@ the tables are emptied before the patch and again after it is undone: no
 entry computed from the patched code outlives the test, and none computed
 before hides the patch.
 
-``dense_mat_vec`` and ``dense_rref`` are the references of the tests for
-products and row reduction: they run over every entry, zeros included,
-and share no code with ``linalg``.
+``dense_mat_vec``, ``dense_rref`` and ``dense_nullspace`` are the
+references of the tests for products, row reduction and kernels: they run
+over every entry, zeros included, and share no code with ``linalg``.
 """
 
 import pytest
@@ -59,6 +59,19 @@ def dense_rref(rows):
         if r == len(rows):
             break
     return tuple(tuple(row) for row in rows[:r]), pivots
+
+
+def dense_nullspace(R, pivots, ncols, ring):
+    """One vector per free column fc of the RREF (R, pivots): 1 at fc, 0 at
+    the other free columns and -R[i][fc] at the pivot of row i."""
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [ring.zero] * ncols
+        v[fc] = ring.one
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc]
+        basis.append(tuple(v))
+    return basis
 
 
 def clear_tables():

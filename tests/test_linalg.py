@@ -2,10 +2,10 @@ import itertools
 import random
 
 import pytest
-from conftest import dense_mat_vec, dense_rref
+from conftest import dense_mat_vec, dense_nullspace, dense_rref
 from test_trace_contract import load_tracer
 
-from heckedem import chowrep, hecke, krep, linalg
+from heckedem import chowrep, hecke, krep, linalg, verify
 from heckedem.charrings import ZQ, FieldRing
 from heckedem.coeffs import build_tower
 from heckedem.verify import random_hecke
@@ -44,17 +44,10 @@ def support(v) -> dict:
     return {j: x for j, x in enumerate(v) if not x.is_zero()}
 
 
-def dense_nullspace(R, pivots, ncols, ring):
-    """One vector per free column fc of the RREF (R, pivots): 1 at fc, 0 at
-    the other free columns and -R[i][fc] at the pivot of row i."""
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [ring.zero] * ncols
-        v[fc] = ring.one
-        for row, pc in zip(R, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
+def kernel_vectors(A, ring):
+    """``linalg._kernel`` of the rows of A, its basis vectors made dense."""
+    ncols = len(A[0])
+    return [tuple(v.get(j, ring.zero) for j in range(ncols)) for v in linalg._kernel(map(linalg.sparse, A), ncols, ring)]
 
 
 def dense_remainder(R, pivots, v):
@@ -88,7 +81,7 @@ def reference_matrices(tower, rng):
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_echelon_core_matches_dense_gauss_jordan(p):
-    # rref, rank, nullspace, remainder and row_space_contains over GF(p^2),
+    # rref, rank, kernel, remainder and row_space_contains over GF(p^2),
     # remainders against the basis as tuples and as {column: entry} dicts
     tower = build_tower(p, 1)
     ring = FieldRing(tower)
@@ -99,7 +92,7 @@ def test_echelon_core_matches_dense_gauss_jordan(p):
         ncols = len(A[0])
         assert linalg.rref(A) == (R, pivots)
         assert linalg.rank(A) == len(R)
-        assert linalg.nullspace(A, ring) == dense_nullspace(R, pivots, ncols, ring)
+        assert kernel_vectors(A, ring) == dense_nullspace(R, pivots, ncols, ring)
         vectors = random_vectors(rng, tower, ncols) + A + [tuple(x + y for x, y in zip(A[0], A[-1]))]
         for v in vectors:
             want = support(dense_remainder(R, pivots, v))
@@ -170,61 +163,38 @@ def test_incremental_spin_matches_restart_spin_on_reductions_at_theta():
         assert linalg.spin([ident], left, ring) == restart_spin([ident], left)
 
 
-def support(v) -> dict:
-    """The nonzero entries of a dense vector, by column."""
-    return {j: x for j, x in enumerate(v) if not x.is_zero()}
+def counting_pattern_builds(monkeypatch) -> list:
+    """Every matrix whose nonzero pattern is built from here on, kept alive
+    so that no two of them share an id."""
+    builds = []
+    nonzeros = linalg.nonzeros
+    monkeypatch.setattr(linalg, "nonzeros", lambda A: builds.append(A) or nonzeros(A))
+    return builds
 
 
-def test_spin_reuses_patterns_only_for_the_same_matrix_objects():
-    # spin keeps the column patterns of its last operator list; every case
-    # below must still give the reference spin
+def test_criterion_8_builds_each_pattern_at_most_once(monkeypatch):
+    # one b of the regular reduction: M8, its four factors, L, the top
+    # quotient and every product, spin, quotient and Hom space taken with them
     tower = build_tower(3, 1)
     ring = FieldRing(tower)
-    A, B = (chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(k)), ring).generator_matrices() for k in (1, 2))
-    unit = linalg.mat_identity(ring, 8)
-    g = tower.gen_power(1)
-    seeds = [tuple(x + g * y for x, y in zip(unit[i], unit[j])) for i, j in itertools.combinations(range(8), 2)]
-
-    def spins(ops):
-        return [linalg.spin([v], ops, ring) for v in seeds]
-
-    def assert_reference(ops):
-        assert spins(ops) == [restart_spin([v], ops) for v in seeds]
-
-    # the same list object, mutated in place between two spins; U at g^2
-    # changes some of the spun subspaces, so a stale pattern would show
-    ops = list(A)
-    before = spins(ops)
-    ops[2] = B[2]
-    assert_reference(ops)
-    assert spins(ops) != before
-    # equal-valued but distinct matrices
-    copies = [tuple(tuple(list(row)) for row in M) for M in A]
-    assert copies == A and all(c is not M for c, M in zip(copies, A))
-    assert_reference(copies)
-    # alternating operator lists
-    for ops in (A, B, A):
-        assert_reference(ops)
-    # right after faithfulness_rank has spun its fresh Kronecker operators
-    m = krep.reduce_at_theta((ring.zero, g), ring)
-    for _ in range(2):
-        assert krep.faithfulness_rank(m) == 4
-        assert_reference(A)
-        ops = m.generator_matrices()
-        for v in itertools.product(tower.ext_elements()[:3], repeat=2):
-            assert linalg.spin([v], ops, ring) == restart_spin([v], ops)
+    builds = counting_pattern_builds(monkeypatch)
+    t = verify.Tally("regular")
+    verify._check_regular_module(t, tower.gen_power(1), ring)
+    assert t.report()["passed"] and t.report()["checks"] == 6
+    assert len({id(A) for A in builds}) == len(builds) > 0
+    assert all(type(A) is linalg.Matrix for A in builds)
 
 
-def test_a_pattern_memo_hit_still_traces_every_operator_application(monkeypatch):
+def test_a_second_spin_builds_no_pattern_and_traces_every_operator_application(monkeypatch):
     tower = build_tower(3, 1)
     ring = FieldRing(tower)
     m8 = chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(1)), ring)
     seed = (ring.zero,) * 7 + (ring.one,)
     linalg.spin([seed], m8.generator_matrices(), ring)
-    # the second spin gets a new list of the same matrices: no pattern is built
-    builds, inserts = [], []
-    nonzeros, insert = linalg.nonzeros, linalg._insert
-    monkeypatch.setattr(linalg, "nonzeros", lambda A: builds.append(1) or nonzeros(A))
+    # the second spin gets a new list of the same matrices
+    builds = counting_pattern_builds(monkeypatch)
+    inserts = []
+    insert = linalg._insert
     monkeypatch.setattr(linalg, "_insert", lambda *args: inserts.append(1) or insert(*args))
     ops = m8.generator_matrices()
     with load_tracer().Tracer() as tracer:
@@ -235,8 +205,33 @@ def test_a_pattern_memo_hit_still_traces_every_operator_application(monkeypatch)
     assert tracer.calls["linalg.mat_vec"] == applications == len(rows) * len(ops) > 0
 
 
+def test_spins_over_plain_tuples_and_fresh_operators_match_restart_spin(monkeypatch):
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    g = tower.gen_power(1)
+    A = chowrep.reduce_regular_at_theta((ring.zero, g), ring).generator_matrices()
+    # equal but distinct copies of M8's matrices, as plain tuples
+    copies = [tuple(tuple(list(row)) for row in M) for M in A]
+    assert copies == A and all(type(c) is tuple and c is not M for c, M in zip(copies, A))
+    unit = linalg.mat_identity(ring, 8)
+    for i, j in itertools.combinations(range(8), 2):
+        v = tuple(x + g * y for x, y in zip(unit[i], unit[j]))
+        assert linalg.spin([v], copies, ring) == linalg.spin([v], A, ring) == restart_spin([v], copies)
+    # faithfulness_rank builds its Kronecker operators afresh on every call
+    spins = []
+    spin = linalg.spin
+    monkeypatch.setattr(linalg, "spin", lambda seeds, ops, ring: spins.append((seeds, ops)) or spin(seeds, ops, ring))
+    m = krep.reduce_at_theta((ring.zero, g), ring)
+    assert [krep.faithfulness_rank(m) for _ in range(2)] == [4, 4]
+    (_, first), (_, second) = spins
+    assert first == second and all(a is not b for a, b in zip(first, second))
+    for seeds, ops in spins:
+        plain = [tuple(M) for M in ops]
+        assert spin(seeds, ops, ring) == spin(seeds, plain, ring) == restart_spin(seeds, plain)
+
+
 def assert_sparse_product_is_dense(A, ring, rng):
-    C = linalg.nonzeros(zip(*A))
+    C = linalg.matrix(A).pattern
     assert all(not a.is_zero() and A[i][j] == a for j, terms in enumerate(C) for i, a in terms)
     assert sum(map(len, C)) == sum(not a.is_zero() for row in A for a in row)
     for v in random_vectors(rng, ring.tower, len(A[0])):
