@@ -42,7 +42,7 @@ def mat_scale(A, c):
 
 
 def nonzeros(A):
-    """The nonzero pattern of A by column: each column's (row, entry) pairs."""
+    """The nonzero pattern of A: per column, the (row, entry) pairs of its nonzero entries."""
     return [[(i, a) for i, a in enumerate(col) if not a.is_zero()] for col in zip(*A)]
 
 

@@ -185,6 +185,26 @@ def test_criterion_8_builds_each_pattern_at_most_once(monkeypatch):
     assert all(type(A) is linalg.Matrix for A in builds)
 
 
+def test_criterion_8_reads_every_pattern_from_a_module_matrix(monkeypatch):
+    # M8, L and every quotient are made of Matrix objects, so no plain tuple
+    # is coerced, which would build a pattern on a copy
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    plain = []
+    matrix = linalg.matrix
+
+    def coerce(A):
+        if not isinstance(A, linalg.Matrix):
+            plain.append(A)
+        return matrix(A)
+
+    monkeypatch.setattr(linalg, "matrix", coerce)
+    t = verify.Tally("regular")
+    verify._check_regular_module(t, tower.gen_power(1), ring)
+    assert t.report()["passed"]
+    assert plain == []
+
+
 def test_a_second_spin_builds_no_pattern_and_traces_every_operator_application(monkeypatch):
     tower = build_tower(3, 1)
     ring = FieldRing(tower)
