@@ -4,9 +4,9 @@ Matrices are tuples of tuples in every public signature, and so are the
 rows of the RREF (rows, pivots) pairs returned.  A ``Matrix`` is such a
 tuple that keeps its nonzero pattern by column (``nonzeros``) once read.
 Module builders (``krep._rank2_module``, ``quotient_action``) return
-Matrix objects; any other tuple reaches its pattern through ``matrix``,
-the one coercion through which ``mat_mul``, ``spin``, ``quotient_action``
-and ``hom_space`` read patterns.  The matrix helpers (identity, sum,
+Matrix objects; ``pattern`` is the one reader, through which ``mat_mul``,
+``spin``, ``quotient_action`` and ``hom_space`` take patterns, and it
+makes any other tuple a Matrix first.  The matrix helpers (identity, sum,
 scaling, product, determinant) work over any ring whose elements support
 +, - and * and have ``is_zero``; ``mat_mul`` multiplies only the nonzero
 entries of its left factor.
@@ -23,8 +23,6 @@ exact.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 
 def mat_identity(ring, n: int):
@@ -47,18 +45,20 @@ def nonzeros(A):
 
 
 class Matrix(tuple):
-    """A matrix, as a tuple of row tuples, that keeps its nonzero pattern:
-    it compares, hashes and prints as the plain tuple, and ``pattern``,
-    ``nonzeros`` of it, is computed on first use and then kept."""
-
-    @cached_property
-    def pattern(self) -> list:
-        return nonzeros(self)
+    """A matrix, as a tuple of row tuples, that keeps its nonzero pattern
+    once ``pattern`` has read it; it compares, hashes and prints as the
+    plain tuple."""
 
 
-def matrix(A) -> Matrix:
-    """A as a ``Matrix``, which keeps its pattern; a Matrix passes through."""
-    return A if isinstance(A, Matrix) else Matrix(A)
+def pattern(A) -> list:
+    """``nonzeros`` of A, computed once per ``Matrix`` and kept on it; any
+    other tuple is made a Matrix first."""
+    if not isinstance(A, Matrix):
+        A = Matrix(A)
+    p = A.__dict__.get("pattern")
+    if p is None:
+        p = A.pattern = nonzeros(A)
+    return p
 
 
 def mat_mul(A, B):
@@ -66,16 +66,16 @@ def mat_mul(A, B):
     B[t] over the nonzero A[i][t], in order of t, or A[i][0] B[0] (zeros of
     the ring's own element type) when there is none."""
     out = [None] * len(A)
-    for t, terms in enumerate(matrix(A).pattern):
+    for Bt, terms in zip(B, pattern(A)):
         for i, a in terms:
             row = out[i]
-            out[i] = [a * b for b in B[t]] if row is None else [x + a * b for x, b in zip(row, B[t])]
+            out[i] = [a * b for b in Bt] if row is None else [x + a * b for x, b in zip(row, Bt)]
     return tuple(tuple(row or (A[i][0] * b for b in B[0])) for i, row in enumerate(out))
 
 
 def mat_vec(C, v) -> dict:
-    """A v for the pattern C = ``matrix(A).pattern`` and v given as
-    {column: nonzero entry}.
+    """A v for the pattern C = ``pattern(A)`` and v given as {column:
+    nonzero entry}.
 
     Sums entry * v[column] over the support of v only; the product comes
     back in the same sparse form, entries that cancel dropped."""
@@ -228,7 +228,7 @@ def spin(seeds, operators, ring):
     ``_insert`` adds to the echelon basis is queued for the operators,
     which are applied through their patterns.
     """
-    patterns = [matrix(A).pattern for A in operators]
+    patterns = [pattern(A) for A in operators]
     rows, pivots = [], []
     queue = [v for v in map(sparse, seeds) if _insert(rows, pivots, v)]
     while queue:
@@ -262,7 +262,7 @@ def quotient_action(gens, big, small) -> list:
     zero = next((v[p] - v[p] for v, p in q_basis), None)  # no ring is passed: 1 - 1 at a pivot
     out = []
     for M in gens:
-        C, cols = matrix(M).pattern, []
+        C, cols = pattern(M), []
         for v, _ in q_basis:
             w = remainder(small, mat_vec(C, v))
             if not row_space_contains(big, w):
@@ -292,7 +292,7 @@ def hom_space(gens1, gens2, ring):
     # unknown X with entries x[i*n1+j]; constraint (X A - B X)[i][j] = 0 is row i*n1+j
     rows = []
     for A, B in zip(gens1, gens2, strict=True):
-        A_cols, B_cols = matrix(A).pattern, matrix(B).pattern
+        A_cols, B_cols = pattern(A), pattern(B)
         # (X A)[i][j] = sum_k x[i][k] A[k][j]
         block = [{i * n1 + k: a for k, a in A_cols[j]} for i in range(n2) for j in range(n1)]
         # less (B X)[i][j] = sum_k B[i][k] x[k][j]

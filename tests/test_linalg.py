@@ -47,7 +47,8 @@ def support(v) -> dict:
 def kernel_vectors(A, ring):
     """``linalg._kernel`` of the rows of A, its basis vectors made dense."""
     ncols = len(A[0])
-    return [tuple(v.get(j, ring.zero) for j in range(ncols)) for v in linalg._kernel(map(linalg.sparse, A), ncols, ring)]
+    kernel = linalg._kernel(map(linalg.sparse, A), ncols, ring)
+    return [tuple(v.get(j, ring.zero) for j in range(ncols)) for v in kernel]
 
 
 def dense_remainder(R, pivots, v):
@@ -191,14 +192,14 @@ def test_criterion_8_reads_every_pattern_from_a_module_matrix(monkeypatch):
     tower = build_tower(3, 1)
     ring = FieldRing(tower)
     plain = []
-    matrix = linalg.matrix
+    pattern = linalg.pattern
 
-    def coerce(A):
+    def read(A):
         if not isinstance(A, linalg.Matrix):
             plain.append(A)
-        return matrix(A)
+        return pattern(A)
 
-    monkeypatch.setattr(linalg, "matrix", coerce)
+    monkeypatch.setattr(linalg, "pattern", read)
     t = verify.Tally("regular")
     verify._check_regular_module(t, tower.gen_power(1), ring)
     assert t.report()["passed"]
@@ -251,7 +252,7 @@ def test_spins_over_plain_tuples_and_fresh_operators_match_restart_spin(monkeypa
 
 
 def assert_sparse_product_is_dense(A, ring, rng):
-    C = linalg.matrix(A).pattern
+    C = linalg.pattern(A)
     assert all(not a.is_zero() and A[i][j] == a for j, terms in enumerate(C) for i, a in terms)
     assert sum(map(len, C)) == sum(not a.is_zero() for row in A for a in row)
     for v in random_vectors(rng, ring.tower, len(A[0])):
