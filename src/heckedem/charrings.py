@@ -29,31 +29,18 @@ from .coeffs import FieldTower, GenericScalar, ZQ_ONE, ZQ_Q, ZQ_ZERO
 # coefficient-ring adapters
 
 
+@dataclass(frozen=True)
 class ZqRing:
-    """Z[q] viewed as a coefficient ring."""
+    """Z[q] viewed as a coefficient ring.  It has no fields, so all
+    instances are equal and hash alike."""
 
     is_field = False
-
-    @property
-    def zero(self):
-        return ZQ_ZERO
-
-    @property
-    def one(self):
-        return ZQ_ONE
-
-    @property
-    def q(self):
-        return ZQ_Q
+    zero = ZQ_ZERO
+    one = ZQ_ONE
+    q = ZQ_Q
 
     def from_int(self, n: int):
         return GenericScalar.const(n)
-
-    def __eq__(self, other):
-        return isinstance(other, ZqRing)
-
-    def __hash__(self):
-        return hash("ZqRing")
 
     def __repr__(self):
         return "Z[q]"

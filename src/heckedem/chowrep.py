@@ -187,9 +187,7 @@ def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
     """The 8-dimensional module at a supersingular theta = (0, b): A2 at
     xi1' = 0 over E[xi2']/(xi2'^2 - b) (``krep.specialize``), in the basis
     [1_1, d1_1, x1_1, xd1_1, 1_2, d1_2, x1_2, xd1_2] (d = delta, x = xi2').
-
-    U^-1 = b^-1 U is A2(U^-1) at theta, since T_{U^-1} = zeta2^-1 T_U, so
-    the builder's check U U^-1 = 1 is the check U^2 = b."""
+    The builder checks U^2 = b."""
     tau1, b = theta
     if not tau1.is_zero():
         raise ValueError("theta must be supersingular: theta(zeta1) = 0")
@@ -215,12 +213,10 @@ def explicit_chain(m: FiniteModule) -> list:
 
 
 def quotient_module(m: FiniteModule, big, small) -> FiniteModule:
-    """The module big/small for subspaces small <= big, given in RREF: the
-    generators act by ``linalg.quotient_action``, which proves big
-    invariant modulo small or raises ArithmeticError."""
-    names, mats = zip(*m.gens)
-    gens = tuple(zip(names, linalg.quotient_action(mats, big, small)))
-    return FiniteModule(flavor=m.flavor, ring=m.ring, gens=gens)
+    """The module big/small for subspaces small <= big, given in RREF: each
+    generator acts by its ``linalg.quotient_action``, which proves big
+    invariant modulo small or raises ArithmeticError, and U^2 by m's zeta2."""
+    return FiniteModule(m.flavor, m.ring, tuple(linalg.quotient_action(m.gens, big, small)), m.zeta2)
 
 
 def composition_series(m: FiniteModule, b) -> dict:

@@ -72,7 +72,7 @@ def cmd_module(args) -> int:
         report = {
             "flavor": mod.flavor,
             "theta": [_field_str(tau1), _field_str(tau2)],
-            "matrices": {name: _matrix_json(mat) for name, mat in mod.gens},
+            "matrices": {name: _matrix_json(mat) for name, mat in mod.gen_dict().items()},
             "irreducible": krep.is_irreducible(mod),
         }
         _emit(report, args.out)

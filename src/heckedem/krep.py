@@ -210,53 +210,55 @@ def independence_determinant(rep: Demazure, ring, at_q0: bool = False):
 
 @dataclass(frozen=True)
 class FiniteModule:
-    """A finite-dimensional module over one algebra flavor.
+    """A finite-dimensional module over one algebra flavor, fixed by how
+    the algebra's generators act and by the scalar U^2 acts by.
 
-    gens maps generator names to dim x dim matrices over the field ring:
-    S, U, Uinv, and e1, e2 for the h2 flavor; ``dim`` is read off them.
-    ``generator_matrices()`` returns the ones that generate the algebra, in
-    canonical order (for spinning and isomorphism tests): e1 (h2 only), S,
-    U.  Uinv and e2 add nothing there: a subspace (or intertwiner)
-    compatible with an invertible U is compatible with U^-1, and one
-    compatible with e1 is compatible with e2 = 1 - e1; ``validate()``
-    checks U Uinv = 1 and e1 + e2 = 1, and quotients inherit both.
+    ``gens`` holds the dim x dim generator matrices over the field ring in
+    canonical order: e1 (h2 only), S, U; ``dim`` is read off them, and U^2
+    acts by ``zeta2``.  Nothing derived from them is stored: U^-1 =
+    zeta2^-1 U and e2 = 1 - e1 add nothing to spinning or isomorphism
+    tests, since a subspace (or intertwiner) compatible with U and e1 is
+    compatible with them, and ``gen_dict`` reads them off for display.
     """
 
     flavor: str
     ring: FieldRing
-    gens: tuple  # tuple of (name, matrix)
+    gens: tuple  # e1 (h2 only), S, U
+    zeta2: object  # the field element U^2 acts by
 
     @property
     def dim(self) -> int:
-        return len(self.gens[0][1])
+        return len(self.gens[0])
 
     def gen_dict(self) -> dict:
-        return dict(self.gens)
+        """The matrices by name, in the order e1, e2 (h2 only), S, U, Uinv,
+        with e2 = 1 - e1 and Uinv = zeta2^-1 U computed on each call."""
+        *e1, S, U = self.gens
+        d = {}
+        if e1:
+            ident = linalg.mat_identity(self.ring, self.dim)
+            d["e1"], d["e2"] = e1[0], linalg.mat_add(ident, linalg.mat_scale(e1[0], -self.ring.one))
+        d["S"], d["U"], d["Uinv"] = S, U, linalg.mat_scale(U, self.zeta2.inverse())
+        return d
 
-    def generator_matrices(self) -> list:
-        d = self.gen_dict()
-        names = ("e1", "S", "U") if self.flavor == "h2" else ("S", "U")
-        return [d[name] for name in names]
+    def generator_matrices(self) -> tuple:
+        return self.gens
 
     def validate(self):
-        """Check the defining relations at q = 0; raises ValueError."""
-        d = self.gen_dict()
-        S, U, Uinv = d["S"], d["U"], d["Uinv"]
-        ident = linalg.mat_identity(self.ring, self.dim)
-        if linalg.mat_mul(U, Uinv) != ident:
-            raise ValueError("U * Uinv != identity")
+        """Check the defining relations at q = 0: U^2 = zeta2, S^2 = -S on
+        the iwahori flavor and S^2 = 0 otherwise, and e1^2 = e1 on h2;
+        raises ValueError."""
+        *e1, S, U = self.gens
+        if linalg.mat_mul(U, U) != linalg.mat_scale(linalg.mat_identity(self.ring, self.dim), self.zeta2):
+            raise ValueError("U^2 != zeta2")
         S2 = linalg.mat_mul(S, S)
         if self.flavor == "iwahori":
             if S2 != linalg.mat_scale(S, -self.ring.one):
                 raise ValueError("S^2 != -S at q = 0")
         elif any(not x.is_zero() for row in S2 for x in row):
             raise ValueError("S^2 != 0 at q = 0")
-        if self.flavor == "h2":
-            e1, e2 = d["e1"], d["e2"]
-            if linalg.mat_mul(e1, e1) != e1 or linalg.mat_mul(e2, e2) != e2:
-                raise ValueError("e1, e2 are not idempotent")
-            if linalg.mat_add(e1, e2) != ident:
-                raise ValueError("e1 + e2 != identity")
+        if e1 and linalg.mat_mul(e1[0], e1[0]) != e1[0]:
+            raise ValueError("e1 is not idempotent")
         return self
 
 
@@ -300,18 +302,14 @@ def specialize(rep: Demazure, flavor: str, ring: FieldRing, x1, u2) -> tuple:
 
 def _rank2_module(flavor: str, ring: FieldRing, S, U, u2) -> FiniteModule:
     """The module of even dimension with generators S and U, where U^2 =
-    u2: U^-1 = u2^-1 U, and on the h2 flavor e1, e2 the projectors onto the
-    first and the second half of the basis, each a ``linalg.Matrix``.
-    Validated before it is returned, so a U whose square is not u2 raises
-    ValueError."""
-    n = len(S)
-    gens = (("S", S), ("U", U), ("Uinv", linalg.mat_scale(U, u2.inverse())))
+    u2, and on the h2 flavor e1, the projector onto the first half of the
+    basis, each a ``linalg.Matrix``.  Validated before it is returned, so a
+    U whose square is not u2 raises ValueError."""
+    gens = (S, U)
     if flavor == "h2":
-        zero, one = ring.zero, ring.one
-        half = lambda i: tuple(tuple(one if r == c and 2 * r // n == i else zero for c in range(n)) for r in range(n))
-        gens = (("e1", half(0)), ("e2", half(1))) + gens
-    gens = tuple((name, linalg.Matrix(M)) for name, M in gens)
-    return FiniteModule(flavor=flavor, ring=ring, gens=gens).validate()
+        n, zero, one = len(S), ring.zero, ring.one
+        gens = (tuple(tuple(one if r == c < n // 2 else zero for c in range(n)) for r in range(n)),) + gens
+    return FiniteModule(flavor, ring, tuple(map(linalg.Matrix, gens)), u2).validate()
 
 
 def reduce_at_theta(theta, field_ring: FieldRing) -> FiniteModule:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from heckedem.charrings import (
     ZQ,
     FieldRing,
+    ZqRing,
     GroupRingElement,
     SymElement,
     decompose_ch,
@@ -17,12 +19,21 @@ from heckedem.charrings import (
     xi2_k,
     xi_plus,
 )
-from heckedem.coeffs import build_tower
+from heckedem.coeffs import ZQ_ONE, ZQ_Q, ZQ_ZERO, build_tower
 from heckedem.verify import random_group_ring, random_sym
 
 
 def mono(a, b, ring=ZQ):
     return GroupRingElement.monomial(ring, a, b)
+
+
+def test_every_zq_ring_is_the_same_ring():
+    other = ZqRing()
+    assert other == ZQ and hash(other) == hash(ZQ) and other != FieldRing(build_tower(3, 1))
+    assert repr(other) == repr(ZQ) == "Z[q]"
+    assert (other.zero, other.one, other.q, other.is_field) == (ZQ_ZERO, ZQ_ONE, ZQ_Q, False)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ZQ.one = ZQ_Q
 
 
 # ---------------------------------------------------------------------------

@@ -173,14 +173,14 @@ def four_copies_of_standard(b, ring):
     member of ``explicit_chain`` is a sum of copies."""
     L = krep.standard_module_h2(b, ring)
     gens = []
-    for name, mat in L.gens:
+    for mat in L.gens:
         M = [[ring.zero] * 8 for _ in range(8)]
         for pair in ((0, 6), (2, 4), (1, 7), (3, 5)):
             for r, i in enumerate(pair):
                 for c, j in enumerate(pair):
                     M[i][j] = mat[r][c]
-        gens.append((name, tuple(map(tuple, M))))
-    return krep.FiniteModule(flavor="h2", ring=ring, gens=tuple(gens)).validate()
+        gens.append(tuple(map(tuple, M)))
+    return krep.FiniteModule("h2", ring, tuple(gens), L.zeta2).validate()
 
 
 def test_socle_decides_semisimplicity_both_ways():
@@ -261,8 +261,9 @@ def test_quotient_module_consistency():
 
 
 def solved_quotient_gens(m, big, small):
-    """Reference quotient: each image M v is solved against the quotient rows
-    and the rows of small by row-reducing one augmented matrix."""
+    """Reference quotient of every matrix of ``m.gen_dict()``, by name: each
+    image M v is solved against the quotient rows and the rows of small by
+    row-reducing one augmented matrix."""
     ring = m.ring
     q_basis = [v for v, p in zip(*big) if p not in small[1]]
     cols = q_basis + list(small[0])
@@ -279,7 +280,7 @@ def solved_quotient_gens(m, big, small):
                     out[pc][j] = row[-1]
         return tuple(map(tuple, out))
 
-    return tuple((name, induced(M)) for name, M in m.gens)
+    return {name: induced(M) for name, M in m.gen_dict().items()}
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2)])
@@ -297,7 +298,7 @@ def test_quotient_matches_solving_on_every_nested_pair(p, f):
         for small, big in pairs:
             quot = chowrep.quotient_module(m8, big, small)
             assert quot.dim == len(big[0]) - len(small[0])
-            assert quot.gens == solved_quotient_gens(m8, big, small)
+            assert quot.gen_dict() == solved_quotient_gens(m8, big, small)
 
 
 def test_quotient_refuses_a_pair_that_is_not_nested():

@@ -5,17 +5,17 @@ The hashes are SHA-256 of a canonical text dump:
 * the coordinates (c_1, c_S, c_U, c_SU) over the center of every T_w
   with |n1|, |n2| <= 4 (162 elements), in the iwahori and nil flavors,
   over Z[q] and over GF(9);
-* the five generator matrices e1, e2, S, U, Uinv of the 8-dimensional
-  module at theta = (0, b), for every b in GF(q^2)^x, at (p, f) = (3, 1),
-  (5, 1) and (3, 2);
+* the matrices e1, e2, S, U, Uinv of the 8-dimensional module at theta =
+  (0, b), read through ``gen_dict``, for every b in GF(q^2)^x, at (p, f)
+  = (3, 1), (5, 1) and (3, 2);
 * the images of the same 162 T_w under the Demazure representations:
   A(q) over Z[q] and over GF(9), and Anil over GF(9) and over GF(25);
 * the products T_w * T_{w2} (``to_json``) of all 2500 pairs from the 50
   elements with |n1|, |n2| <= 2, in the iwahori, nil and h2 flavors over
   Z[q] and in the nil and h2 flavors over GF(9);
-* the generator matrices S, U and Uinv of ``krep.reduce_at_theta`` at
-  every theta = (tau1, tau2) with tau2 != 0, over GF(9), GF(25) and
-  GF(81);
+* the matrices S, U and Uinv of ``krep.reduce_at_theta``, read through
+  ``gen_dict``, at every theta = (tau1, tau2) with tau2 != 0, over GF(9),
+  GF(25) and GF(81);
 * the structure report of ``chowrep.semisimplify`` (dims, chain,
   all_factors_standard, semisimple, eigenvectors_in_4dim_stage) of the
   8-dimensional module for every b in GF(q^2)^x, at (p, f) = (3, 1),
@@ -95,7 +95,7 @@ def m8_lines(p: int, f: int):
         if b.is_zero():
             continue
         m8 = chowrep.reduce_regular_at_theta((ring.zero, b), ring)
-        for name, mat in m8.gens:
+        for name, mat in m8.gen_dict().items():
             yield f"{b.coeffs} {name} " + repr([[x.coeffs for x in row] for row in mat])
 
 
@@ -162,7 +162,8 @@ def theta_lines(p: int, f: int):
             if tau2.is_zero():
                 continue
             mod = krep.reduce_at_theta((tau1, tau2), ring)
-            yield f"{tau1.coeffs} {tau2.coeffs} " + " | ".join(f"{name} {matrix_dump(mat)}" for name, mat in mod.gens)
+            mats = mod.gen_dict().items()
+            yield f"{tau1.coeffs} {tau2.coeffs} " + " | ".join(f"{name} {matrix_dump(mat)}" for name, mat in mats)
 
 
 def structure_lines(p: int, f: int):

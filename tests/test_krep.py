@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heckedem import krep, linalg
+from heckedem import chowrep, krep, linalg
 from heckedem.charrings import ZQ, FieldRing, GroupRingElement, xi1_k, xi2_k
 from heckedem.coeffs import build_tower
 from heckedem.hecke import zeta1_embedded, zeta2_embedded
@@ -228,6 +228,23 @@ def test_faithfulness_rank_is_rank_of_basis_images():
             images = (linalg.mat_identity(ring, 2), d["S"], d["U"], linalg.mat_mul(d["S"], d["U"]))
             old_rank = linalg.rank([tuple(x for row in M for x in row) for M in images])
             assert krep.faithfulness_rank(mod) == old_rank, (tau1, tau2)
+
+
+def test_gen_dict_reads_off_the_inverse_of_U_and_e2():
+    # a module stores e1, S and U; the matrices read off them satisfy U Uinv
+    # = 1 and, on h2, e1 + e2 = 1 and e2^2 = e2
+    ring = FieldRing(build_tower(3, 1))
+    m8s = [chowrep.reduce_regular_at_theta((ring.zero, b), ring) for b in ring.tower.ext_elements()[1:]]
+    for m in itertools.chain(two_dim_modules(3), m8s):
+        d = m.gen_dict()
+        names = ["e1", "e2", "S", "U", "Uinv"] if m.flavor == "h2" else ["S", "U", "Uinv"]
+        assert list(d) == names
+        assert m.generator_matrices() == tuple(d[name] for name in names if name not in ("e2", "Uinv"))
+        ident = linalg.mat_identity(ring, m.dim)
+        assert linalg.mat_mul(d["U"], d["Uinv"]) == ident
+        if m.flavor == "h2":
+            assert linalg.mat_add(d["e1"], d["e2"]) == ident
+            assert linalg.mat_mul(d["e2"], d["e2"]) == d["e2"]
 
 
 def intertwiner_by_projective_scan(gens1, gens2, ring):

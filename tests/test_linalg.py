@@ -206,6 +206,29 @@ def test_criterion_8_reads_every_pattern_from_a_module_matrix(monkeypatch):
     assert plain == []
 
 
+def test_criterion_8_induces_one_matrix_per_generator_on_each_quotient(monkeypatch):
+    # one b of the regular reduction takes five quotients, the four factors
+    # of the chain and M8 over its socle, and each induces e1, S and U only
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    induced = []
+    quotient_action = linalg.quotient_action
+
+    def counted(gens, big, small):
+        out = quotient_action(gens, big, small)
+        induced.extend(out)
+        return out
+
+    monkeypatch.setattr(linalg, "quotient_action", counted)
+    t = verify.Tally("regular")
+    with load_tracer().Tracer() as tracer:
+        verify._check_regular_module(t, tower.gen_power(1), ring)
+    assert t.report()["passed"] and t.report()["checks"] == 6
+    assert len(induced) == 5 * 3
+    # 12 quotient basis vectors under 3 generators, and the witness spin's 8 x 3
+    assert tracer.calls["linalg.mat_vec"] == 12 * 3 + 8 * 3
+
+
 def test_a_second_spin_builds_no_pattern_and_traces_every_operator_application(monkeypatch):
     tower = build_tower(3, 1)
     ring = FieldRing(tower)
@@ -233,7 +256,7 @@ def test_spins_over_plain_tuples_and_fresh_operators_match_restart_spin(monkeypa
     A = chowrep.reduce_regular_at_theta((ring.zero, g), ring).generator_matrices()
     # equal but distinct copies of M8's matrices, as plain tuples
     copies = [tuple(tuple(list(row)) for row in M) for M in A]
-    assert copies == A and all(type(c) is tuple and c is not M for c, M in zip(copies, A))
+    assert copies == list(A) and all(type(c) is tuple and c is not M for c, M in zip(copies, A))
     unit = linalg.mat_identity(ring, 8)
     for i, j in itertools.combinations(range(8), 2):
         v = tuple(x + g * y for x, y in zip(unit[i], unit[j]))
@@ -267,7 +290,7 @@ def test_sparse_mat_vec_matches_dense_on_every_regular_module(p, f):
     ring = FieldRing(tower)
     rng = random.Random(p)
     for b in tower.ext_elements()[1:]:
-        for _, A in chowrep.reduce_regular_at_theta((ring.zero, b), ring).gens:
+        for A in chowrep.reduce_regular_at_theta((ring.zero, b), ring).gen_dict().values():
             assert_sparse_product_is_dense(A, ring, rng)
 
 
@@ -279,7 +302,7 @@ def test_sparse_mat_vec_matches_dense_on_reductions_and_kronecker_operators():
     elements = tower.ext_elements()
     for tau1, tau2 in itertools.product(elements, elements[1:]):
         m = krep.reduce_at_theta((tau1, tau2), ring)
-        for _, A in m.gens:
+        for A in m.gen_dict().values():
             assert_sparse_product_is_dense(A, ring, rng)
         for A in kronecker_left(m.generator_matrices(), ring):
             assert_sparse_product_is_dense(A, ring, rng)

@@ -105,7 +105,7 @@ def scaled_first_entry(right):
 
 def test_krep_theta_counts_a_reduction_that_fails_its_relations(fresh_tables, monkeypatch):
     # A(U) at theta gets g tau1 in its (1,1) entry: U^2 = tau2 + (g^2 - 1) tau1^2,
-    # so every theta with tau1 != 0 fails U Uinv = 1, and tau1 = 0 passes
+    # so every theta with tau1 != 0 fails U^2 = tau2, and tau1 = 0 passes
     monkeypatch.setattr(krep, "rep_A_U", scaled_first_entry(krep.rep_A_U))
     result = verify.suite_krep_theta(3)
     nonzero = [str(x) for x in build_tower(3, 1).ext_elements()[1:]]
@@ -113,7 +113,7 @@ def test_krep_theta_counts_a_reduction_that_fails_its_relations(fresh_tables, mo
         "name": "krep-theta",
         "passed": False,
         "checks": 8 * (5 + 2) + 8 * 8,
-        "counterexamples": [(t1, t2, "U * Uinv != identity") for t1 in nonzero for t2 in nonzero],
+        "counterexamples": [(t1, t2, "U^2 != zeta2") for t1 in nonzero for t2 in nonzero],
     }
 
 
@@ -126,7 +126,7 @@ def test_regular_reduction_counts_a_reduction_that_fails_its_relations(fresh_tab
         "name": "regular-reduction",
         "passed": False,
         "checks": 8,
-        "counterexamples": [(b, "U * Uinv != identity") for b in bs],
+        "counterexamples": [(b, "U^2 != zeta2") for b in bs],
     }
 
 
