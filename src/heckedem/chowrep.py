@@ -13,9 +13,9 @@ term from the one table ``krep.word_image`` of translation-free words:
 with T_w = zeta2^k T_{w'}, the image of c T_w is c times that of T_{w'}
 with every exponent shifted by (2k, 2k).
 
-A naive extension with U^2 = xi2 is impossible: the constraint system
-forces a^2 = xi2 at xi1 = 0, which has no solution in GF(p)[xi2^{+-1}] by
-degree parity.
+A naive extension with U^2 = xi2 is impossible: the constraint system,
+solved over ``SparsePoly``, forces a^2 = xi2 at xi1 = 0, which has no
+solution in GF(p)[xi2^{+-1}] by degree parity.
 
 The twisted representation A2 acts on two copies of the rank-2 free
 module (one per component of the doubled flag variety) by
@@ -34,7 +34,8 @@ Loewy length is 2.
 from __future__ import annotations
 
 from . import krep, linalg
-from .charrings import FieldRing, SymElement, decompose_ch, delta_ch, xi1_ch, xi2_ch
+from .charrings import ZQ, FieldRing, SparsePoly, SymElement, decompose_ch, delta_ch, xi1_ch, xi2_ch
+from .coeffs import build_tower
 from .hecke import HeckeElement
 from .krep import FiniteModule, is_isomorphic, standard_module_h2
 
@@ -102,38 +103,51 @@ def eta1_squared_s_matrix(ring: FieldRing):
 
 
 # ---------------------------------------------------------------------------
-# the naive-extension obstruction
+# the naive-extension obstruction, over Z[a, b, c, d, xi1, xi2] (SparsePoly over ZQ)
+_ONE, _ZERO = SparsePoly(ZQ, {(0,) * 6: ZQ.one}), SparsePoly(ZQ)
+_A, _B, _C, _D, _XI1, _XI2 = (SparsePoly(ZQ, {tuple(int(j == i) for j in range(6)): ZQ.one}) for i in range(6))
+_NAIVE_S = ((_ZERO, -_ONE), (_ZERO, _ZERO))
+
+
+def _naive_system(U) -> tuple:
+    """The equations on U (US + SU + xi1 Id, U^2 - xi2 Id off the diagonal) and (U^2 - xi2 Id)[0][0]."""
+    anti = linalg.mat_add(linalg.mat_mul(U, _NAIVE_S), linalg.mat_mul(_NAIVE_S, U))
+    anti = linalg.mat_add(anti, ((_XI1, _ZERO), (_ZERO, _XI1)))
+    square = linalg.mat_add(linalg.mat_mul(U, U), ((-_XI2, _ZERO), (_ZERO, -_XI2)))
+    return [e for row in anti for e in row] + [square[0][1], square[1][0]], square[0][0]
+
+
+def _solve_unit(eqs: list, i: int, j: int) -> SparsePoly:
+    """x_i = -u rest from the first equation u x_i + rest with u = +-1 and rest free of x_i and x_j."""
+    for eq in eqs:
+        for u in (ZQ.one, -ZQ.one):
+            rest = eq - (_A, _B, _C, _D)[i].scale(u)
+            if all(k[i] == k[j] == 0 for k in rest.terms):
+                return rest.scale(-u)
+    raise ArithmeticError("constraint system should determine c and d")
 
 
 def check_naive_obstruction() -> dict:
     """Derive the constraint system for a naive U with U^2 = xi2 and
     US + SU = -xi1 over S = [[0,-1],[0,0]], then refute it at xi1 = 0.
 
-    The surviving equation a^2 = xi2 has no solution in GF(p)[xi2^{+-1}]:
-    squares have even extreme degrees while xi2 is concentrated in the
-    odd degree 1.  Checks of the derivation raise ArithmeticError.
-    """
-    import sympy  # imported here: nothing else needs it, and it dominates import time
-
-    a, b, c, d, x1, x2 = sympy.symbols("a b c d xi1 xi2")
-    S = sympy.Matrix([[0, -1], [0, 0]])
-    U = sympy.Matrix([[a, b], [c, d]])
-    anti = U * S + S * U + x1 * sympy.eye(2)
-    square = U * U - x2 * sympy.eye(2)
-    linear_eqs = [anti[i, j] for i in range(2) for j in range(2)]
-    linear_eqs += [square[0, 1], square[1, 0]]
-    sol = sympy.solve(linear_eqs, [c, d], dict=True)
-    if len(sol) != 1:
+    c and d occur linearly with unit coefficients; their values leave
+    a^2 + b*xi1 = xi2, and a^2 = xi2 at xi1 = 0 has no solution in
+    GF(p)[xi2^{+-1}] by degree parity.  Checks raise ArithmeticError."""
+    eqs, _ = _naive_system(((_A, _B), (_C, _D)))
+    c, d = _solve_unit(eqs, 2, 3), _solve_unit(eqs, 3, 2)
+    solved, residual = _naive_system(((_A, _B), (c, d)))  # c and d substituted in every equation
+    if not all(e.is_zero() for e in solved):
         raise ArithmeticError("constraint system should determine c and d")
-    sol = sol[0]
-    if sol[d] != -a or sol[c] != x1:
-        raise ArithmeticError(f"unexpected linear solution {sol}")
-    residual = sympy.expand(square[0, 0].subs(sol))  # a^2 + b*xi1 - xi2
-    at_zero = residual.subs(x1, 0)  # a^2 - xi2
-    if at_zero != a**2 - x2:
-        raise ArithmeticError(f"unexpected residual at xi1 = 0: {at_zero}")
+    if d != -_A or c != _XI1:
+        raise ArithmeticError(f"unexpected linear solution c = {c.terms}, d = {d.terms}")
+    at_zero = SparsePoly(ZQ, {k: v for k, v in residual.terms.items() if k[4] == 0})  # xi1 = 0
+    if at_zero != _A * _A - _XI2:
+        raise ArithmeticError(f"unexpected residual at xi1 = 0: {at_zero.terms}")
+    if residual != _A * _A + _B * _XI1 - _XI2:
+        raise ArithmeticError(f"unexpected residual {residual.terms}")
     return {
-        "system": {"d": "-a", "c": "xi1", "residual": str(residual) + " = 0"},
+        "system": {"d": "-a", "c": "xi1", "residual": "a**2 + b*xi1 - xi2 = 0"},
         "specialized": "a^2 = xi2 in GF(p)[xi2^(+-1)]",
         "solvable": False,
         "witness": (
@@ -148,14 +162,10 @@ def check_naive_obstruction() -> dict:
 def square_has_even_extremes(coeff_exponents: dict, p: int) -> bool:
     """Oracle for the parity witness: square a Laurent polynomial in xi2
     over GF(p) and check its support extremes are even."""
-    out: dict = {}
-    for k1, c1 in coeff_exponents.items():
-        for k2, c2 in coeff_exponents.items():
-            out[k1 + k2] = (out.get(k1 + k2, 0) + c1 * c2) % p
-    support = [k for k, c in out.items() if c]
-    if not support:
-        return True
-    return min(support) % 2 == 0 and max(support) % 2 == 0
+    ring = FieldRing(build_tower(p, 1))
+    poly = SparsePoly(ring, {(k,): ring.from_int(c) for k, c in coeff_exponents.items()})
+    support = [k for (k,) in (poly * poly).terms]
+    return not support or (min(support) % 2 == 0 and max(support) % 2 == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 
 def mat_identity(ring, n: int):
-    return tuple(
-        tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
-    )
+    one, zero = ring.one, ring.zero
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_add(A, B):

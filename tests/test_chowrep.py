@@ -75,6 +75,51 @@ def test_naive_obstruction_refuted():
         assert chowrep.square_has_even_extremes({-1: 1, 2: p - 1}, p)
 
 
+ZERO, ONE, A, XI1 = chowrep._ZERO, chowrep._ONE, chowrep._A, chowrep._XI1
+
+
+def perturb_naive_system(monkeypatch, S, diagonal, corner):
+    """Derive the obstruction over S, with ``diagonal`` added to the diagonal
+    of US + SU + xi1 Id and ``corner`` to the entry (0, 0) of U^2 - xi2 Id."""
+    system = chowrep._naive_system
+
+    def perturbed(U):
+        eqs, corner_entry = system(U)
+        eqs[0], eqs[3] = eqs[0] + diagonal, eqs[3] + diagonal
+        return eqs, corner_entry + corner
+
+    monkeypatch.setattr(chowrep, "_NAIVE_S", S)
+    monkeypatch.setattr(chowrep, "_naive_system", perturbed)
+    return chowrep.check_naive_obstruction()
+
+
+def test_naive_derivation_unperturbed_through_the_harness(monkeypatch):
+    assert perturb_naive_system(monkeypatch, chowrep._NAIVE_S, ZERO, ZERO)["solvable"] is False
+
+
+@pytest.mark.parametrize(
+    "S, diagonal, corner, message",
+    [
+        # c does not occur in US + SU, so nothing determines it
+        (((ZERO, ZERO), (-ONE, ZERO)), ZERO, ZERO, "should determine c and d"),
+        # c = 2a + xi1 from the entry (0, 0), but the entry (1, 0) is c alone
+        (((ONE, -ONE), (ZERO, ZERO)), ZERO, ZERO, "should determine c and d"),
+        # S = [[0, 1], [0, 0]] gives c = -xi1
+        (((ZERO, ONE), (ZERO, ZERO)), ZERO, ZERO, "unexpected linear solution"),
+        # without the xi1 term, c = 0
+        (chowrep._NAIVE_S, -XI1, ZERO, "unexpected linear solution"),
+        # (U^2)[0][0] = xi2 - a^2: the residual 2a^2 + b*xi1 - xi2 is wrong at xi1 = 0 too
+        (chowrep._NAIVE_S, ZERO, A * A, "unexpected residual at xi1 = 0"),
+        # (U^2)[0][0] = xi2 - xi1: the residual a^2 + b*xi1 + xi1 - xi2 is right only at xi1 = 0
+        (chowrep._NAIVE_S, ZERO, XI1, r"unexpected residual \{"),
+    ],
+)
+def test_naive_derivation_refuses_a_perturbed_system(monkeypatch, S, diagonal, corner, message):
+    # every derivation check raises, so no perturbed system is reported unsolvable
+    with pytest.raises(ArithmeticError, match=message):
+        perturb_naive_system(monkeypatch, S, diagonal, corner)
+
+
 def test_rep_A2_identity_and_blocks():
     _, ring = rings()
     ident4 = tuple(

@@ -1,10 +1,14 @@
-"""Process-level properties: import cost and checks under ``python -O``."""
+"""Process-level properties: import cost, the obstruction with sympy
+unimportable, and checks under ``python -O``."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_cli_golden import GOLDEN
 
 import heckedem
 
@@ -20,6 +24,20 @@ def test_import_does_not_load_sympy():
     proc = run_python("-c", "import sys, heckedem; print('sympy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+OBSTRUCTION_WITHOUT_SYMPY = """
+import sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from heckedem.cli import main
+sys.exit(main(["--p", "3", "obstruction"]))
+"""
+
+
+def test_obstruction_runs_without_sympy():
+    proc = run_python("-c", OBSTRUCTION_WITHOUT_SYMPY)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == GOLDEN["--p 3 obstruction"]
 
 
 BAD_MODULE_UNDER_O = """
