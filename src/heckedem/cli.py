@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import chowrep, galois, krep, verify
 from .charrings import FieldRing
@@ -123,7 +124,10 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: every parse
+    returns a new namespace, so no call sees another's arguments."""
     parser = argparse.ArgumentParser(
         prog="heckedem",
         description="Demazure-operator models of GL2 Hecke algebras: verification and enumeration",

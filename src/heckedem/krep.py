@@ -362,22 +362,12 @@ def is_isomorphic(m1: FiniteModule, m2: FiniteModule) -> bool:
 
 
 def faithfulness_rank(m: FiniteModule) -> int:
-    """Dimension of the algebra the generators span in End(E^dim).
-
-    Spins the flattened identity under left multiplication by each
-    generator, so the span is that of all words in them.  On a
+    """Dimension of the algebra the generators span in End(E^dim), by
+    ``linalg.algebra_dim``: the span of all words in them.  On a
     2-dimensional module at theta the reduced algebra is spanned by the
     images of {1, S, U, SU}, so this is their rank, and the representation
     is faithful exactly when it is 4."""
-    n, ring, zero = m.dim, m.ring, m.ring.zero
-    ident = tuple(x for row in linalg.mat_identity(ring, n) for x in row)
-    # X -> A X on X flattened row by row: entry ((i, j), (k, l)) is A[i][k] if l = j
-    cells = [(i, j) for i in range(n) for j in range(n)]
-    left = [
-        linalg.Matrix(tuple(A[i][k] if l == j else zero for k, l in cells) for i, j in cells)
-        for A in m.generator_matrices()
-    ]
-    return len(linalg.spin([ident], left, ring)[0])
+    return linalg.algebra_dim(m.generator_matrices(), m.ring)
 
 
 def is_irreducible(m: FiniteModule) -> bool:

@@ -5,21 +5,25 @@ rows of the RREF (rows, pivots) pairs returned.  A ``Matrix`` is such a
 tuple that keeps its nonzero pattern by column (``nonzeros``) once read.
 Module builders (``krep._rank2_module``, ``quotient_action``) return
 Matrix objects; ``pattern`` is the one reader, through which ``mat_mul``,
-``spin``, ``quotient_action`` and ``hom_space`` take patterns, and it
-makes any other tuple a Matrix first.  The matrix helpers (identity, sum,
-scaling, product, determinant) work over any ring whose elements support
-+, - and * and have ``is_zero``; ``mat_mul`` multiplies only the nonzero
-entries of its left factor.
+``spin``, ``algebra_dim``, ``quotient_action`` and ``hom_space`` take
+patterns, and it makes any other tuple a Matrix first.  The matrix
+helpers (identity, sum, scaling, product, determinant) work over any ring
+whose elements support +, - and * and have ``is_zero``; ``mat_mul``
+multiplies only the nonzero entries of its left factor.
 
 Row reduction, rank, remainders against an echelon basis, spinning, the
-action induced on a quotient, Hom spaces between modules and isomorphism
-from a Hom space of dimension at most 1 need a field.  They share one
-sparse echelon core: vectors and echelon rows are {column: nonzero entry}
-dicts (``sparse``), every echelon form is grown by one insertion step
-(``_insert``), and a row operation touches only the entries of the row it
-subtracts.  ``mat_vec`` applies an operator through its pattern, summing
-only over the support of the vector.  Everything is deterministic and
-exact.
+dimension of the algebra that matrices generate, the action induced on a
+quotient, Hom spaces between modules and isomorphism from a Hom space of
+dimension at most 1 need a field.  They share one sparse echelon core:
+vectors and echelon rows are {column: nonzero entry} dicts (``sparse``),
+every echelon form is grown by one insertion step (``_insert``), and a
+row operation touches only the entries of the row it subtracts.
+``mat_vec`` applies an operator through its pattern, summing only over
+the support of the vector.  ``spin`` and ``algebra_dim`` share one
+spinning loop (``_span``), which stops once the span is the whole space;
+``algebra_dim`` spins the identity under X -> A X, whose pattern it reads
+off A's own, so no n^2 x n^2 matrix is built.  Everything is
+deterministic and exact.
 """
 
 from __future__ import annotations
@@ -220,23 +224,49 @@ def _insert(rows, pivots, v) -> bool:
     return True
 
 
-def spin(seeds, operators, ring):
-    """Smallest subspace containing the seeds and stable under the operators.
+def _span(seeds, patterns, n) -> tuple:
+    """The smallest subspace of E^n containing the sparse seeds and stable
+    under the operators given by their patterns, as sparse RREF (rows,
+    pivots).
 
-    Returns the subspace in RREF form: (rows, pivots).  Every vector that
-    ``_insert`` adds to the echelon basis is queued for the operators,
-    which are applied through their patterns.
-    """
-    patterns = [pattern(A) for A in operators]
+    Every vector that ``_insert`` adds to the echelon basis is queued for
+    the operators.  The spin stops once the basis has n rows: the span is
+    then all of E^n, whose RREF is unique, so stopping changes nothing."""
     rows, pivots = [], []
-    queue = [v for v in map(sparse, seeds) if _insert(rows, pivots, v)]
-    while queue:
+    queue = [v for v in seeds if _insert(rows, pivots, v)]
+    while queue and len(rows) < n:
         v = queue.pop()
         for C in patterns:
             w = mat_vec(C, v)
             if _insert(rows, pivots, w):
                 queue.append(w)
-    return _dense(rows, len(seeds[0]) if rows else 0, ring.zero), pivots
+                if len(rows) == n:
+                    break
+    return rows, pivots
+
+
+def spin(seeds, operators, ring):
+    """Smallest subspace containing the seeds and stable under the operators.
+
+    Returns the subspace in RREF form: (rows, pivots), spun by ``_span``
+    with the operators applied through their patterns."""
+    n = len(seeds[0]) if seeds else 0
+    rows, pivots = _span(map(sparse, seeds), [pattern(A) for A in operators], n)
+    return _dense(rows, n, ring.zero), pivots
+
+
+def algebra_dim(gens, ring) -> int:
+    """Dimension of the unital algebra that the n x n matrices gens generate
+    in End(E^n): the span of every word in them.
+
+    Spins the identity, flattened row by row, under X -> A X for each
+    generator A.  That map sends the unit at column k n + j to A[i][k] at
+    row i n + j, so its pattern is read off ``pattern(A)`` with no n^2 x
+    n^2 matrix built."""
+    n = len(gens[0])
+    ident = {i * n + i: ring.one for i in range(n)}
+    left = [[[(i * n + j, a) for i, a in col] for col in pattern(A) for j in range(n)] for A in gens]
+    return len(_span([ident], left, n * n)[0])
 
 
 def quotient_action(gens, big, small) -> list:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from heckedem.cli import main
+from heckedem.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -66,6 +66,23 @@ def test_deterministic_output(capsys):
     _, out1 = run(capsys, "orbits", "--p", "5")
     _, out2 = run(capsys, "orbits", "--p", "5")
     assert out1 == out2
+
+
+def test_parser_is_built_once_and_no_call_sees_another_ones_arguments(capsys):
+    build_parser.cache_clear()
+    _, alone = run(capsys, "module", "--theta", "0,g^4")
+    build_parser.cache_clear()
+    assert run(capsys, "module", "--p", "5", "--b", "g^4")[0] == 0
+    parser = build_parser()
+    # neither --p 5 (g^4 = -1 only at p = 3) nor --b carries over into the next call
+    assert run(capsys, "module", "--theta", "0,g^4") == (0, alone)
+    assert build_parser() is parser
+    assert main(["module", "--theta", "0,0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["module", "--no-such-option"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert build_parser() is parser
 
 
 def test_usage_errors(capsys):

@@ -109,8 +109,9 @@ def test_echelon_core_matches_dense_gauss_jordan(p):
 
 
 def kronecker_left(ops, ring):
-    """X -> A X on n x n matrices X flattened row by row, as in
-    ``krep.faithfulness_rank``: entry ((i, j), (k, l)) is A[i][k] if l = j."""
+    """X -> A X on n x n matrices X flattened row by row, as dense n^2 x n^2
+    matrices: entry ((i, j), (k, l)) is A[i][k] if l = j.  The reference
+    for ``linalg.algebra_dim``, which builds no such matrix."""
     n = len(ops[0])
     cells = [(i, j) for i in range(n) for j in range(n)]
     return [tuple(tuple(A[i][k] if l == j else ring.zero for k, l in cells) for i, j in cells) for A in ops]
@@ -225,8 +226,10 @@ def test_criterion_8_induces_one_matrix_per_generator_on_each_quotient(monkeypat
         verify._check_regular_module(t, tower.gen_power(1), ring)
     assert t.report()["passed"] and t.report()["checks"] == 6
     assert len(induced) == 5 * 3
-    # 12 quotient basis vectors under 3 generators, and the witness spin's 8 x 3
-    assert tracer.calls["linalg.mat_vec"] == 12 * 3 + 8 * 3
+    # 12 quotient basis vectors under 3 generators, and the witness spin's
+    # 4 x 3: the fourth vector it takes from the queue gives its eighth row,
+    # and the spin stops there, since 8 rows span all of M8
+    assert tracer.calls["linalg.mat_vec"] == 12 * 3 + 4 * 3
 
 
 def test_a_second_spin_builds_no_pattern_and_traces_every_operator_application(monkeypatch):
@@ -249,7 +252,7 @@ def test_a_second_spin_builds_no_pattern_and_traces_every_operator_application(m
     assert tracer.calls["linalg.mat_vec"] == applications == len(rows) * len(ops) > 0
 
 
-def test_spins_over_plain_tuples_and_fresh_operators_match_restart_spin(monkeypatch):
+def test_spins_over_plain_tuples_and_fresh_operators_match_restart_spin():
     tower = build_tower(3, 1)
     ring = FieldRing(tower)
     g = tower.gen_power(1)
@@ -261,17 +264,84 @@ def test_spins_over_plain_tuples_and_fresh_operators_match_restart_spin(monkeypa
     for i, j in itertools.combinations(range(8), 2):
         v = tuple(x + g * y for x, y in zip(unit[i], unit[j]))
         assert linalg.spin([v], copies, ring) == linalg.spin([v], A, ring) == restart_spin([v], copies)
-    # faithfulness_rank builds its Kronecker operators afresh on every call
-    spins = []
-    spin = linalg.spin
-    monkeypatch.setattr(linalg, "spin", lambda seeds, ops, ring: spins.append((seeds, ops)) or spin(seeds, ops, ring))
-    m = krep.reduce_at_theta((ring.zero, g), ring)
-    assert [krep.faithfulness_rank(m) for _ in range(2)] == [4, 4]
-    (_, first), (_, second) = spins
-    assert first == second and all(a is not b for a, b in zip(first, second))
-    for seeds, ops in spins:
-        plain = [tuple(M) for M in ops]
-        assert spin(seeds, ops, ring) == spin(seeds, plain, ring) == restart_spin(seeds, plain)
+    # the Burnside rank at every reduction at theta over GF(25) is the
+    # dimension that the reference spin under the Kronecker operators finds
+    tower = build_tower(5, 1)
+    ring = FieldRing(tower)
+    ident = (ring.one, ring.zero, ring.zero, ring.one)
+    elements = tower.ext_elements()
+    for tau1, tau2 in itertools.product(elements, elements[1:]):
+        m = krep.reduce_at_theta((tau1, tau2), ring)
+        want = len(restart_spin([ident], kronecker_left(m.generator_matrices(), ring))[0])
+        assert krep.faithfulness_rank(m) == want, (tau1, tau2)
+
+
+def test_a_spin_that_spans_everything_stops_at_full_span(monkeypatch):
+    # at every b in GF(9)^x: the witness d1_1 + d1_2 generates M8, and the
+    # unit vectors span E^8 before any operator is applied; the spin returns
+    # the reference result with fewer than rows x operators applications
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    unit = linalg.mat_identity(ring, 8)
+    witness = tuple(x + y for x, y in zip(unit[1], unit[5]))
+    applications = []
+    mat_vec = linalg.mat_vec
+    monkeypatch.setattr(linalg, "mat_vec", lambda C, v: applications.append(1) or mat_vec(C, v))
+    for b in tower.ext_elements()[1:]:
+        ops = chowrep.reduce_regular_at_theta((ring.zero, b), ring).generator_matrices()
+        for seeds in ([witness], list(unit)):
+            applications.clear()
+            rows, pivots = linalg.spin(seeds, ops, ring)
+            assert (rows, pivots) == restart_spin(seeds, ops) == (unit, list(range(8)))
+            assert len(applications) < len(rows) * len(ops)
+        assert applications == []
+
+
+def test_spin_of_no_seeds_is_the_zero_subspace():
+    ring = FieldRing(build_tower(3, 1))
+    ops = chowrep.reduce_regular_at_theta((ring.zero, ring.one), ring).generator_matrices()
+    assert linalg.spin([], ops, ring) == ((), [])
+
+
+def test_algebra_dim_matches_the_reference_kronecker_spin():
+    # random n x n generators with about half their entries zero, n = 1 to 4,
+    # one to three of them, and the generators of M8 at every b in GF(9)^x
+    tower = build_tower(5, 1)
+    ring = FieldRing(tower)
+    rng = random.Random(2)
+    elements = tower.ext_elements()
+    cases = []
+    for n, k in itertools.product(range(1, 5), range(1, 4)):
+        for _ in range(3):
+            entry = lambda: rng.choice(elements[1:]) if rng.random() < 0.5 else ring.zero
+            cases.append((tuple(tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(k)), ring))
+    small = FieldRing(build_tower(3, 1))
+    for b in small.tower.ext_elements()[1:]:
+        cases.append((chowrep.reduce_regular_at_theta((small.zero, b), small).generator_matrices(), small))
+    dims = []
+    for gens, r in cases:
+        n = len(gens[0])
+        ident = tuple(r.one if i == j else r.zero for i in range(n) for j in range(n))
+        dims.append(linalg.algebra_dim(gens, r))
+        assert dims[-1] == len(restart_spin([ident], kronecker_left(gens, r))[0])
+    assert {1, 16, 8} <= set(dims) and any(1 < d < len(g[0]) ** 2 for d, (g, _) in zip(dims, cases))
+
+
+def test_faithfulness_rank_builds_no_pattern_beyond_those_of_validate(monkeypatch):
+    # validate() reads the patterns of S and U through mat_mul; the Burnside
+    # rank reads the same ones, at every reduction at theta over GF(25)
+    tower = build_tower(5, 1)
+    ring = FieldRing(tower)
+    elements = tower.ext_elements()
+    builds = counting_pattern_builds(monkeypatch)
+    for tau1, tau2 in itertools.product(elements, elements[1:]):
+        m = krep.reduce_at_theta((tau1, tau2), ring)
+        built = len(builds)
+        assert built == len(m.gens) == 2  # this module's S and U, once each
+        krep.faithfulness_rank(m)
+        krep.is_irreducible(m)
+        assert len(builds) == built
+        builds.clear()
 
 
 def assert_sparse_product_is_dense(A, ring, rng):
@@ -295,7 +365,7 @@ def test_sparse_mat_vec_matches_dense_on_every_regular_module(p, f):
 
 
 def test_sparse_mat_vec_matches_dense_on_reductions_and_kronecker_operators():
-    # every reduction at theta over GF(25), and the operators faithfulness_rank spins under
+    # every reduction at theta over GF(25), and the Kronecker operators of the reference Burnside spin
     tower = build_tower(5, 1)
     ring = FieldRing(tower)
     rng = random.Random(5)
