@@ -2,7 +2,9 @@
 
 * ``SparsePoly``: the immutable sparse core of every polynomial class in
   the package, a dict from monomial keys to nonzero coefficients with the
-  ring operations and the product that adds exponent tuples.
+  ring operations and the product that adds exponent tuples.  Every
+  ring-operation result is built by one path, ``SparsePoly._new``, which
+  skips the public constructors but keeps each subclass's ``_clean``.
 * ``GroupRingElement``: Laurent polynomials Z[Lambda] in e^{(a,b)}, the
   K-side model.  Invariants under the swap s are generated by
   xi1 = e^{(1,0)} + e^{(0,1)} and xi2 = e^{(1,1)} (invertible); the ring
@@ -95,8 +97,9 @@ class SparsePoly:
     ``terms`` maps monomial keys to nonzero coefficients; zero
     coefficients are dropped on construction.  Keys are exponent tuples,
     and the product adds them.  ``HeckeElement`` keys are basis labels
-    instead, and it brings its own product.  A subclass with more state
-    than ``ring`` overrides ``_new``.
+    instead, and it brings its own product.  Ring operations build their
+    results through ``_new`` only; a subclass with more state than
+    ``ring`` extends it.
     """
 
     __slots__ = ("ring", "terms")
@@ -110,8 +113,14 @@ class SparsePoly:
         return {key: c for key, c in terms.items() if not c.is_zero()}
 
     def _new(self, terms: dict):
-        """An element of the same ring with the given terms."""
-        return type(self)(self.ring, terms)
+        """An element of the same class and ring with the given terms, the
+        one construction path of ring-operation results: it runs the class's
+        own ``_clean`` (zero coefficients and any subclass invariant), but
+        not the public constructors and their argument handling."""
+        new = object.__new__(type(self))
+        object.__setattr__(new, "ring", self.ring)
+        object.__setattr__(new, "terms", self._clean(terms))
+        return new
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -257,7 +266,7 @@ class GroupRingElement(SparsePoly):
     __mul__ = SparsePoly.__mul__
 
     def s_action(self) -> "GroupRingElement":
-        return GroupRingElement(self.ring, {(b, a): c for (a, b), c in self.terms.items()})
+        return self._new({(b, a): c for (a, b), c in self.terms.items()})
 
     def is_invariant(self) -> bool:
         return self.s_action() == self
@@ -336,7 +345,7 @@ class SymElement(SparsePoly):
         return max([0] + [-min(exp) for exp in self.terms])
 
     def s_action(self) -> "SymElement":
-        return SymElement(self.ring, {(j, i): c for (i, j), c in self.terms.items()})
+        return self._new({(j, i): c for (i, j), c in self.terms.items()})
 
     def is_invariant(self) -> bool:
         return self.s_action() == self
@@ -363,7 +372,7 @@ def demazure_ch(a: SymElement, variant: str = "D") -> SymElement:
     else:
         raise ValueError(f"unknown variant {variant!r}")
     # eta1 - eta2 = -eta2 * (1 - e^{(1,-1)}) with e^{(1,-1)} = eta1/eta2
-    return _divide_by_one_minus_alpha(SymElement(ring, {(i, j - 1): -c for (i, j), c in num.terms.items()}))
+    return _divide_by_one_minus_alpha(num._new({(i, j - 1): -c for (i, j), c in num.terms.items()}))
 
 
 def delta_ch(ring) -> SymElement:

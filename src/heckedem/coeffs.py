@@ -72,6 +72,12 @@ class GenericScalar:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return GenericScalar()
+        if len(a) == 1 or len(b) == 1:
+            # by a nonzero constant: no convolution, and nothing to trim
+            c, a = (a[0], b) if len(a) == 1 else (b[0], a)
+            new = object.__new__(GenericScalar)
+            object.__setattr__(new, "coeffs", tuple([c * x for x in a]))
+            return new
         out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             for j, cb in enumerate(b):

@@ -48,7 +48,9 @@ class HeckeElement(SparsePoly):
         super().__init__(ring, terms)
 
     def _new(self, terms: dict) -> "HeckeElement":
-        return HeckeElement(self.flavor, self.ring, terms)
+        new = SparsePoly._new(self, terms)
+        object.__setattr__(new, "flavor", self.flavor)
+        return new
 
     # constructors -------------------------------------------------------
     @staticmethod
@@ -116,11 +118,11 @@ class HeckeElement(SparsePoly):
                 k = k1 + k2
                 for v, factor in entry:
                     if k:
-                        v = WeylElement(v.n1 + k, v.n2 + k, v.finite)
+                        v = v.shift(k)
                     key = (i, v) if h2 else v
                     add = c * factor
                     out[key] = out[key] + add if key in out else add
-        return HeckeElement(flavor, ring, out)
+        return self._new(out)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -144,10 +146,10 @@ class HeckeElement(SparsePoly):
 
 
 def _term_sort_key(key):
-    if isinstance(key, tuple) and len(key) == 2 and isinstance(key[0], int):
-        i, w = key
-        return (i, w.n1, w.n2, w.finite)
-    return (0, key.n1, key.n2, key.finite)
+    if isinstance(key, WeylElement):
+        return (0, *key)
+    i, w = key
+    return (i, *w)
 
 
 # The product table: (flavor, ring) -> {w': {w2': T_{w'} T_{w2'} as a tuple of
@@ -284,7 +286,7 @@ def zeta2_split(w: WeylElement) -> tuple[int, WeylElement]:
     finite part of w.
     """
     k = min(w.n1, w.n2)
-    return k, WeylElement(w.n1 - k, w.n2 - k, w.finite) if k else w
+    return k, w.shift(-k) if k else w
 
 
 def _translation_word(w: WeylElement) -> tuple[str, ...]:
@@ -365,9 +367,6 @@ class ZRingElement(SparsePoly):
     @staticmethod
     def _clean(terms: dict) -> dict:
         return {key: c for key, c in terms.items() if c and not (key[0] > 0 and key[1] > 0)}  # XY = 0
-
-    def _new(self, terms: dict) -> "ZRingElement":
-        return ZRingElement(terms)
 
     @staticmethod
     def const(n: int) -> "ZRingElement":

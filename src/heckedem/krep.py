@@ -151,7 +151,8 @@ def represent(rep: Demazure, x: HeckeElement):
                     key = (a + shift, b + shift)
                     add = c * v
                     out[key] = out[key] + add if key in out else add
-    return tuple(tuple(rep.cls(ring, terms) for terms in row) for row in acc)
+    new = rep.cls.zero(ring)._new
+    return tuple(tuple(map(new, row)) for row in acc)
 
 
 def rep_A(x: HeckeElement):
@@ -247,13 +248,14 @@ class FiniteModule:
     def validate(self):
         """Check the defining relations at q = 0: U^2 = zeta2, S^2 = -S on
         the iwahori flavor and S^2 = 0 otherwise, and e1^2 = e1 on h2;
-        raises ValueError."""
+        raises ValueError.  Each product is compared entry by entry."""
         *e1, S, U = self.gens
-        if linalg.mat_mul(U, U) != linalg.mat_scale(linalg.mat_identity(self.ring, self.dim), self.zeta2):
+        U2 = linalg.mat_mul(U, U)
+        if not all(x == self.zeta2 if i == j else x.is_zero() for i, row in enumerate(U2) for j, x in enumerate(row)):
             raise ValueError("U^2 != zeta2")
         S2 = linalg.mat_mul(S, S)
         if self.flavor == "iwahori":
-            if S2 != linalg.mat_scale(S, -self.ring.one):
+            if not all((x + s).is_zero() for row2, row in zip(S2, S) for x, s in zip(row2, row)):
                 raise ValueError("S^2 != -S at q = 0")
         elif any(not x.is_zero() for row in S2 for x in row):
             raise ValueError("S^2 != 0 at q = 0")

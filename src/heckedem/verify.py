@@ -50,8 +50,9 @@ from .weyl import WeylElement, length, length_bfs
 
 
 def random_weyl(rng: random.Random, max_len: int = 6) -> WeylElement:
+    # the same draws as randint(-4, 4) twice and choice(("e", "s")), in fewer calls
     while True:
-        w = WeylElement(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice(("e", "s")))
+        w = WeylElement(rng.randrange(9) - 4, rng.randrange(9) - 4, ("e", "s")[rng.randrange(2)])
         if length(w) <= max_len:
             return w
 

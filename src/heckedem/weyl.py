@@ -15,36 +15,51 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 
 
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    n1: int
-    n2: int
-    finite: str  # "e" or "s"
+class WeylElement(tuple):
+    """e^{(n1,n2)} w as the tuple (n1, n2, finite), hashed and compared in C
+    like ``linalg.Matrix``.  The constructor checks the finite part; the
+    group law, ``inverse`` and ``shift`` build results from valid parts."""
 
-    def __post_init__(self):
-        if self.finite not in ("e", "s"):
-            raise ValueError(f"finite part must be 'e' or 's', got {self.finite!r}")
+    __slots__ = ()
+
+    def __new__(cls, n1: int, n2: int, finite: str):
+        if finite not in ("e", "s"):
+            raise ValueError(f"finite part must be 'e' or 's', got {finite!r}")
+        return _tuple_new(cls, (n1, n2, finite))
+
+    n1 = property(itemgetter(0))
+    n2 = property(itemgetter(1))
+    finite = property(itemgetter(2))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         # (e^a w)(e^b w') = e^{a + w.b} (w w')
-        if self.finite == "e":
-            b1, b2 = other.n1, other.n2
-        else:
-            b1, b2 = other.n2, other.n1
-        finite = "e" if self.finite == other.finite else "s"
-        return WeylElement(self.n1 + b1, self.n2 + b2, finite)
+        n1, n2, f = self
+        b1, b2, g = other
+        if f == "s":
+            b1, b2 = b2, b1
+        return _tuple_new(WeylElement, (n1 + b1, n2 + b2, "e" if f == g else "s"))
 
     def inverse(self) -> "WeylElement":
-        if self.finite == "e":
-            return WeylElement(-self.n1, -self.n2, "e")
-        return WeylElement(-self.n2, -self.n1, "s")
+        n1, n2, f = self
+        return _tuple_new(WeylElement, (-n1, -n2, f) if f == "e" else (-n2, -n1, f))
+
+    def shift(self, k: int) -> "WeylElement":
+        """e^{(k,k)} w: the same finite part, both exponents moved by k."""
+        n1, n2, f = self
+        return _tuple_new(WeylElement, (n1 + k, n2 + k, f))
+
+    def __repr__(self) -> str:
+        return f"WeylElement(n1={self[0]!r}, n2={self[1]!r}, finite={self[2]!r})"
 
     def to_json(self) -> list:
-        return [self.n1, self.n2, self.finite]
+        return list(self)
 
+
+_tuple_new = tuple.__new__
 
 E = WeylElement(0, 0, "e")
 S = WeylElement(0, 0, "s")
@@ -58,9 +73,8 @@ if S0 != U * S * U.inverse():
 
 def length(w: WeylElement) -> int:
     """Coxeter length, inflated to W via l|_Omega = 0."""
-    if w.finite == "e":
-        return abs(w.n1 - w.n2)
-    return abs(w.n1 - w.n2 - 1)
+    n1, n2, finite = w
+    return abs(n1 - n2) if finite == "e" else abs(n1 - n2 - 1)
 
 
 def length_bfs(w: WeylElement, bound: int = 12) -> int:

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from heckedem import verify
 from heckedem.charrings import (
     ZQ,
     FieldRing,
     ZqRing,
     GroupRingElement,
+    SparsePoly,
     SymElement,
     decompose_ch,
     decompose_k,
@@ -21,6 +23,7 @@ from heckedem.charrings import (
 )
 from heckedem.coeffs import ZQ_ONE, ZQ_Q, ZQ_ZERO, build_tower
 from heckedem.verify import random_group_ring, random_sym
+from heckedem.weyl import WeylElement
 
 
 def mono(a, b, ring=ZQ):
@@ -189,3 +192,41 @@ def test_xi_poly_ch_roundtrip():
             term = SymElement(ring, term.terms, denom=term.denom - k)
         rebuilt = rebuilt + term
     assert rebuilt == a
+
+
+@pytest.mark.parametrize("cls", [GroupRingElement, SymElement])
+def test_products_that_cancel_drop_the_cancelled_key(cls):
+    # (e^a + e^b)(e^a - e^b) = e^{2a} - e^{2b} over GF(9): the e^{a+b} terms cancel
+    ring = FieldRing(build_tower(3, 2))
+    a, b = cls.monomial(ring, 1, 0), cls.monomial(ring, 0, 1)
+    product = (a + b) * (a - b)
+    assert product.terms == {(2, 0): ring.one, (0, 2): -ring.one}
+    assert type(product) is cls and product.ring == ring
+    assert (product - product).terms == {} and product.s_action() == -product
+
+
+def test_suites_build_ring_results_without_the_public_constructors(fresh_tables, monkeypatch):
+    # a warm suite_relations(0, 500) plus suite_chowrep(0, 100): ring
+    # operations build their results by SparsePoly._new and Weyl group
+    # products by the trusted tuple path, so the public constructors and the
+    # finite-part check run only on what the suites draw or name themselves
+    verify.suite_relations(0, 500)
+    verify.suite_chowrep(0, n_random=100)
+    counts = {"SparsePoly.__init__": 0, "WeylElement.__new__": 0}
+    init, new = SparsePoly.__init__, vars(WeylElement)["__new__"].__func__
+
+    def counting_init(self, *args, **kwargs):
+        counts["SparsePoly.__init__"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_new(cls, *args):
+        counts["WeylElement.__new__"] += 1
+        return new(cls, *args)
+
+    monkeypatch.setattr(SparsePoly, "__init__", counting_init)
+    monkeypatch.setattr(WeylElement, "__new__", staticmethod(counting_new))
+    relations = verify.suite_relations(0, 500)
+    chowrep = verify.suite_chowrep(0, n_random=100)
+    assert (relations["passed"], relations["checks"]) == (True, 618)
+    assert (chowrep["passed"], chowrep["checks"]) == (True, 662)
+    assert counts == {"SparsePoly.__init__": 4524, "WeylElement.__new__": 3317}

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -291,3 +292,26 @@ SMALL_TOWERS = [(p, f) for p in ODD_PRIMES for f in (1, 2, 3, 4) if p ** (2 * f)
 def test_generator_search_matches_order_test(p, f):
     t = build_tower(p, f)
     assert t.generator == order_search_generator(t)
+
+
+def convolution(a, b):
+    """The product of two coefficient tuples by the general convolution, trimmed."""
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def test_products_by_a_constant_match_the_convolution():
+    rng = random.Random(0)
+    for _ in range(1000):
+        c = GenericScalar.const(rng.randint(-3, 3))  # zero included
+        x = GenericScalar([rng.randint(-3, 3) for _ in range(rng.randint(0, 4))])
+        for left, right in ((c, x), (x, c)):
+            product = left * right
+            assert product.coeffs == convolution(left.coeffs, right.coeffs)
+            assert product == GenericScalar(convolution(left.coeffs, right.coeffs))
+            assert not product.coeffs or product.coeffs[-1] != 0

@@ -197,3 +197,61 @@ def test_hecke_json():
     x = basis(WeylElement(1, 0, "e"))
     data = x.to_json()
     assert isinstance(data, dict)
+
+
+def test_term_order_of_repr_and_json_on_mixed_keys():
+    W, G = weyl.WeylElement, GenericScalar
+    x = HeckeElement(
+        "h2",
+        ZQ,
+        {
+            (2, W(0, 0, "e")): G((1,)),
+            (1, W(1, -1, "s")): G((0, 2)),
+            (1, W(-1, 0, "e")): G((-3,)),
+            (2, W(-2, 3, "s")): G((1, 1)),
+            (1, W(-1, 0, "s")): G((5,)),
+        },
+    )
+    assert repr(x) == (
+        "(-3)*T[(1, WeylElement(n1=-1, n2=0, finite='e'))]"
+        " + (5)*T[(1, WeylElement(n1=-1, n2=0, finite='s'))]"
+        " + (2*q)*T[(1, WeylElement(n1=1, n2=-1, finite='s'))]"
+        " + (1 + q)*T[(2, WeylElement(n1=-2, n2=3, finite='s'))]"
+        " + (1)*T[(2, WeylElement(n1=0, n2=0, finite='e'))]"
+    )
+    assert [(t["idem"], t["w"]) for t in x.to_json()["terms"]] == [
+        (1, [-1, 0, "e"]),
+        (1, [-1, 0, "s"]),
+        (1, [1, -1, "s"]),
+        (2, [-2, 3, "s"]),
+        (2, [0, 0, "e"]),
+    ]
+    y = HeckeElement("iwahori", ZQ, {W(0, 0, "s"): G((1,)), W(-1, 2, "e"): G((2,)), W(-1, -3, "s"): G((0, -1))})
+    assert repr(y) == (
+        "(-1*q)*T[WeylElement(n1=-1, n2=-3, finite='s')]"
+        " + (2)*T[WeylElement(n1=-1, n2=2, finite='e')]"
+        " + (1)*T[WeylElement(n1=0, n2=0, finite='s')]"
+    )
+
+
+def test_ring_operation_results_keep_their_class_invariants():
+    # sums and products are built by SparsePoly._new, which still runs each
+    # class's _clean: zero coefficients drop, XY = 0, zeta1 stays a polynomial
+    for flavor in ("iwahori", "h2"):
+        x = T_S(flavor, ZQ) + T_U(flavor, ZQ)
+        total = x + T_S(flavor, ZQ).scale(GenericScalar.const(-1))
+        assert total == T_U(flavor, ZQ) and total.terms.keys() == T_U(flavor, ZQ).terms.keys()
+        assert type(total) is HeckeElement and total.flavor == flavor and total.ring == ZQ
+        assert (x - x).terms == {}
+    product = ZRingElement.gen("X") * ZRingElement.gen("Y")
+    assert product.terms == {} and type(product) is ZRingElement and product.ring is None
+    assert ZRingElement.gen("X") * ZRingElement.gen("Y", 2) + ZRingElement.gen("z2") == ZRingElement.gen("z2")
+    with pytest.raises(ValueError, match="zeta1 is not invertible"):
+        CenterElement.zero(ZQ)._new({(-1, 0): ZQ.one})
+
+
+def test_public_constructor_still_checks_the_flavor():
+    with pytest.raises(ValueError, match="unknown flavor 'bogus'"):
+        HeckeElement("bogus", ZQ, {weyl.E: ZQ.one})
+    with pytest.raises(ValueError, match="unknown flavor"):
+        HeckeElement.zero("bogus", ZQ)

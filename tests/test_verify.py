@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from heckedem import chowrep, krep, linalg, verify
 from heckedem.coeffs import build_tower
-from heckedem.weyl import WeylElement
+from heckedem.weyl import WeylElement, length
 
 
 def test_tally_counts_checks_and_builds_payloads_only_on_failure():
@@ -150,3 +152,18 @@ def test_chowrep_reports_one_counterexample_per_failed_block_check(monkeypatch):
     assert len(failed) == len(result["counterexamples"]) == 152
     # each failure is a nonzero part sent to a zero block: one counterexample names both conditions
     assert all(cx[3] == {"decomposes": False, "injective": False} for cx in result["counterexamples"])
+
+
+def randint_random_weyl(rng, max_len=6):
+    """The draw of ``verify.random_weyl`` written with randint and choice."""
+    while True:
+        w = WeylElement(rng.randint(-4, 4), rng.randint(-4, 4), rng.choice(("e", "s")))
+        if length(w) <= max_len:
+            return w
+
+
+def test_random_weyl_draws_the_randint_and_choice_stream():
+    for seed in range(300):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert [verify.random_weyl(rng) for _ in range(200)] == [randint_random_weyl(reference) for _ in range(200)]
+        assert rng.random() == reference.random()

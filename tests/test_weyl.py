@@ -109,3 +109,52 @@ def test_omega_powers():
         acc = acc * U
         assert acc == weyl._u_power(k)
         assert length(acc) == 0
+
+
+def group_law(a, b):
+    # (e^a w)(e^b w') = e^{a + w.b} (w w'), from the parts
+    b1, b2 = (b.n1, b.n2) if a.finite == "e" else (b.n2, b.n1)
+    return WeylElement(a.n1 + b1, a.n2 + b2, "e" if a.finite == b.finite else "s")
+
+
+def test_constructor_rejects_a_bad_finite_part():
+    with pytest.raises(ValueError, match="finite part must be 'e' or 's', got 'x'"):
+        WeylElement(0, 0, "x")
+
+
+@given(elements, elements, st.integers(min_value=-5, max_value=5))
+def test_elements_from_every_path_compare_and_hash_as_constructed(a, b, k):
+    inverse = WeylElement(-a.n1, -a.n2, "e") if a.finite == "e" else WeylElement(-a.n2, -a.n1, "s")
+    built = {
+        a * b: group_law(a, b),
+        a.inverse(): inverse,
+        a.shift(k): WeylElement(a.n1 + k, a.n2 + k, a.finite),
+    }
+    for w, expected in built.items():
+        assert type(w) is WeylElement
+        assert w == expected and hash(w) == hash(expected)
+        assert {expected: 1}[w] == 1
+    assert a.shift(k) == WeylElement(k, k, "e") * a == a * WeylElement(k, k, "e")
+
+
+def test_product_is_the_group_law_not_tuple_repetition():
+    assert S * S == E
+    assert U * U == WeylElement(1, 1, "e") and len(U * U) == 3
+    assert S0 * U == WeylElement(1, -1, "s") * WeylElement(1, 0, "s") == WeylElement(1, 0, "e")
+
+
+def test_elements_are_immutable():
+    w = WeylElement(1, -1, "s")
+    with pytest.raises(AttributeError):
+        w.n1 = 2
+    with pytest.raises(AttributeError):
+        w.finite = "e"
+    with pytest.raises(AttributeError):
+        w.extra = 0
+    assert (w.n1, w.n2, w.finite) == (1, -1, "s")
+
+
+def test_repr_and_json():
+    assert repr(WeylElement(1, -1, "s")) == "WeylElement(n1=1, n2=-1, finite='s')"
+    assert str(E) == "WeylElement(n1=0, n2=0, finite='e')"
+    assert WeylElement(-2, 3, "e").to_json() == [-2, 3, "e"]
