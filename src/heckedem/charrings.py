@@ -4,7 +4,8 @@
   the package, a dict from monomial keys to nonzero coefficients with the
   ring operations and the product that adds exponent tuples.  Every
   ring-operation result is built by one path, ``SparsePoly._new``, which
-  skips the public constructors but keeps each subclass's ``_clean``.
+  skips the public constructors but keeps each subclass's ``_clean``.  It
+  also holds the two rings' constructors, ``xi1``, ``xi2`` and ``s_action``.
 * ``GroupRingElement``: Laurent polynomials Z[Lambda] in e^{(a,b)}, the
   K-side model.  Invariants under the swap s are generated by
   xi1 = e^{(1,0)} + e^{(0,1)} and xi2 = e^{(1,1)} (invertible); the ring
@@ -13,7 +14,7 @@
   the Chow-side model.  Since eta1^{-1} = eta2 * xi2'^{-1}, this is the
   full Laurent ring in eta1, eta2.  Invariants are generated by
   xi1' = eta1 + eta2 and xi2'; basis {1, (eta1 - eta2)/2} over the
-  invariants (2 must be invertible).
+  invariants (``half``: 2 must be invertible).
 
 All Demazure quotients are computed by exact division with the remainder
 checked to vanish; no rational-function arithmetic.
@@ -125,7 +126,7 @@ class SparsePoly:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    # constructors of the two-variable Laurent rings ----------------------
+    # the two-variable Laurent rings: constructors, xi1, xi2 and s -------
     @classmethod
     def zero(cls, ring):
         return cls(ring, {})
@@ -141,6 +142,23 @@ class SparsePoly:
     @classmethod
     def from_scalar(cls, ring, c):
         return cls(ring, {(0, 0): c})
+
+    @classmethod
+    def xi1(cls, ring):
+        """The first invariant, e^{(1,0)} + e^{(0,1)} (eta1 + eta2 on the Chow side)."""
+        return cls(ring, {(1, 0): ring.one, (0, 1): ring.one})
+
+    @classmethod
+    def xi2(cls, ring, power: int = 1):
+        """A power of the second invariant, e^{(1,1)} (eta1*eta2 on the Chow side)."""
+        return cls.monomial(ring, power, power)
+
+    def s_action(self):
+        """The swap s of the two exponents."""
+        return self._new({(b, a): c for (a, b), c in self.terms.items()})
+
+    def is_invariant(self) -> bool:
+        return self.s_action() == self
 
     # ring operations ---------------------------------------------------
     def is_zero(self) -> bool:
@@ -206,7 +224,7 @@ def to_xi_poly(a: SparsePoly) -> dict:
     if not a.is_invariant():
         raise ValueError("to_xi_poly needs an s-invariant element")
     cls, ring = type(a), a.ring
-    zero, x1 = cls.zero(ring), cls(ring, {(1, 0): ring.one, (0, 1): ring.one})
+    zero, x1 = cls.zero(ring), cls.xi1(ring)
     rest = a
     out: dict = {}
     while not rest.is_zero():
@@ -216,7 +234,7 @@ def to_xi_poly(a: SparsePoly) -> dict:
         c = rest.terms[(i, j)]
         key = (i - j, j)
         out[key] = out[key] + c if key in out else c
-        rest = rest - eval_laurent({key: c}, zero, x1, lambda k: cls.monomial(ring, k, k))
+        rest = rest - eval_laurent({key: c}, zero, x1, lambda k: cls.xi2(ring, k))
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
@@ -265,20 +283,11 @@ class GroupRingElement(SparsePoly):
     # its own entry, so that perfbench/tracer.py can wrap this class's product
     __mul__ = SparsePoly.__mul__
 
-    def s_action(self) -> "GroupRingElement":
-        return self._new({(b, a): c for (a, b), c in self.terms.items()})
-
-    def is_invariant(self) -> bool:
-        return self.s_action() == self
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         parts = [f"({c})*e^{exp}" for exp, c in sorted(self.terms.items())]
         return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return {f"({a},{b})": list(c.coeffs) for (a, b), c in sorted(self.terms.items())}
 
 
 def demazure_k(a: GroupRingElement, variant: str = "D") -> GroupRingElement:
@@ -300,21 +309,14 @@ def decompose_k(a: GroupRingElement) -> tuple[GroupRingElement, GroupRingElement
     return _check_invariant_parts(a - d, d * GroupRingElement.monomial(a.ring, 1, 0), "decompose_k")
 
 
-def xi1_k(ring) -> GroupRingElement:
-    return GroupRingElement(ring, {(1, 0): ring.one, (0, 1): ring.one})
-
-
-def xi2_k(ring, power: int = 1) -> GroupRingElement:
-    return GroupRingElement.monomial(ring, power, power)
-
-
 def xi_plus(ring, poly: dict) -> GroupRingElement:
     """Substitute xi1 for e^{(1,0)} and xi2 for e^{(1,1)}.
 
     ``poly`` maps (m, k) to a coefficient, encoding the Laurent monomial
     e^{(1,0)}^m * e^{(1,1)}^k with m >= 0 and k arbitrary.
     """
-    return eval_laurent(poly, GroupRingElement.zero(ring), xi1_k(ring), lambda k: xi2_k(ring, k))
+    cls = GroupRingElement
+    return eval_laurent(poly, cls.zero(ring), cls.xi1(ring), lambda k: cls.xi2(ring, k))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +346,6 @@ class SymElement(SparsePoly):
     def denom(self) -> int:
         return max([0] + [-min(exp) for exp in self.terms])
 
-    def s_action(self) -> "SymElement":
-        return self._new({(j, i): c for (i, j), c in self.terms.items()})
-
-    def is_invariant(self) -> bool:
-        return self.s_action() == self
-
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
@@ -375,30 +371,22 @@ def demazure_ch(a: SymElement, variant: str = "D") -> SymElement:
     return _divide_by_one_minus_alpha(num._new({(i, j - 1): -c for (i, j), c in num.terms.items()}))
 
 
+def half(ring):
+    """1/2 in ``ring``; ValueError unless it is a field of odd characteristic."""
+    if ring.is_field:
+        two = ring.from_int(2)
+        if not two.is_zero():
+            return two.inverse()
+    raise ValueError(f"1/2 needs a coefficient field of odd characteristic, not {ring}")
+
+
 def delta_ch(ring) -> SymElement:
-    """The basis element (eta1 - eta2)/2; needs 2 invertible."""
-    half = _half(ring)
-    return SymElement(ring, {(1, 0): half, (0, 1): -half})
-
-
-def _half(ring):
-    two = ring.from_int(2)
-    if not ring.is_field:
-        raise ValueError("decomposition basis needs 2 invertible in the coefficient ring")
-    if two.is_zero():
-        raise ValueError("coefficient ring has characteristic 2")
-    return two.inverse()
+    """The basis element (eta1 - eta2)/2."""
+    h = half(ring)
+    return SymElement(ring, {(1, 0): h, (0, 1): -h})
 
 
 def decompose_ch(a: SymElement) -> tuple[SymElement, SymElement]:
     """Write a = a0 + a1*(eta1-eta2)/2 with a0, a1 invariant."""
     a1 = demazure_ch(a, "D")
     return _check_invariant_parts(a - a1 * delta_ch(a.ring), a1, "decompose_ch")
-
-
-def xi1_ch(ring) -> SymElement:
-    return SymElement(ring, {(1, 0): ring.one, (0, 1): ring.one})
-
-
-def xi2_ch(ring, power: int = 1) -> SymElement:
-    return SymElement.monomial(ring, power, power)

@@ -12,15 +12,14 @@ from functools import cache
 
 from . import chowrep, galois, krep, verify
 from .charrings import FieldRing
-from .coeffs import FieldElement, FieldTower, build_tower, discrete_log
+from .coeffs import FieldElement, FieldTower, build_tower
 from .hecke import component_iso, orbits
 
 
 def _field_str(x: FieldElement) -> str:
-    if x.is_zero():
-        return "0"
-    k = discrete_log(x)
-    return "1" if k == 0 else f"g^{k}"
+    """The element's repr ("0" or g^k), except that 1 prints as "1"."""
+    text = repr(x)
+    return "1" if text == "g^0" else text
 
 
 def _parse_field(tower: FieldTower, text: str) -> FieldElement:

@@ -15,8 +15,10 @@ element of every code, the map from coefficient vectors to codes, and the
 Zech table, Z(n) with 1 + g^n = g^Z(n) (Lidl-Niederreiter, *Finite
 Fields*, 2.5).  Products, inverses, powers, Frobenius and discrete logs are
 then index arithmetic mod q^2 - 1, and a sum is one Zech lookup; each
-returns one of the tower's interned elements.  Polynomial multiplication
-modulo the modulus runs only while a tower is built.
+returns one of the tower's interned elements.  GF(p)[x] arithmetic runs
+only while a tower is built: one remainder modulo a monic polynomial
+(``_poly_rem``) reduces the products that list the powers of g and
+trial-divides the candidate moduli.
 
 Everything is immutable and deterministic.
 """
@@ -138,26 +140,26 @@ def _digits(n: int, p: int, count: int) -> list:
     return out
 
 
+def _poly_rem(a, modulus, p: int) -> tuple:
+    """The remainder of a GF(p) polynomial modulo a monic one, trimmed."""
+    n = len(modulus) - 1
+    out = list(a)
+    for i in range(len(out) - 1, n - 1, -1):
+        c = out[i]
+        if c:
+            for j in range(n):
+                out[i - n + j] = (out[i - n + j] - c * modulus[j]) % p
+    return _trim(out[:n])
+
+
 def _poly_mod_mul(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
     """Multiply two GF(p) polynomials and reduce mod a monic modulus."""
-    n = len(modulus) - 1
     out = [0] * (len(a) + len(b) - 1) if a and b else []
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
                 out[i + j] = (out[i + j] + ca * cb) % p
-    # reduce degree down to < n
-    for i in range(len(out) - 1, n - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(n):
-                out[i - n + j] = (out[i - n + j] - c * modulus[j]) % p
-    while len(out) > n:
-        out.pop()
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _poly_rem(out, modulus, p)
 
 
 def _poly_is_irreducible(modulus: tuple, p: int) -> bool:
@@ -167,28 +169,9 @@ def _poly_is_irreducible(modulus: tuple, p: int) -> bool:
         return False
     for d in range(1, deg // 2 + 1):
         for idx in range(p**d):
-            if _poly_divides(_digits(idx, p, d) + [1], modulus, p):
+            if not _poly_rem(modulus, _digits(idx, p, d) + [1], p):
                 return False
     return True
-
-
-def _poly_divides(div: list, target: tuple, p: int) -> bool:
-    rem = list(target)
-    dd = len(div) - 1
-    inv_lead = pow(div[-1], p - 2, p)
-    while len(rem) - 1 >= dd:
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        factor = rem[-1] * inv_lead % p
-        shift = len(rem) - 1 - dd
-        for i, c in enumerate(div):
-            rem[shift + i] = (rem[shift + i] - factor * c) % p
-        rem.pop()
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return not rem
 
 
 def _lowest_lex_irreducible(p: int, deg: int) -> tuple:

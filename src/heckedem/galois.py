@@ -48,15 +48,10 @@ class GaloisParam:
 
 
 def exponent_set(rho: GaloisParam) -> set:
-    """{h, h'} in [1, q^2-1]: the exponent of y and of its conjugate."""
-    n = rho.tower.q**2 - 1
-
-    def norm(k):
-        k %= n
-        return k if k != 0 else n
-
-    h = norm(discrete_log(rho.y))
-    return {h, norm(h * rho.tower.q)}
+    """{h, h'} in [1, q^2-2]: the exponent of y and of its conjugate y^q,
+    neither 0 since y lies outside GF(q)."""
+    h = discrete_log(rho.y)
+    return {h, h * rho.tower.q % (rho.tower.q**2 - 1)}
 
 
 @dataclass(frozen=True)
@@ -70,8 +65,7 @@ def normalize_twist(rho: GaloisParam) -> NormalizedExponent:
     y or of y^q mod q^2 - 1, 1 <= h <= q-1.  Such an h + i(q+1) lies in
     [1, q^2 - 3], so it is the exponent itself, read off by one divmod."""
     q = rho.tower.q
-    n = q * q - 1
-    pairs = [divmod(e % n, q + 1) for e in exponent_set(rho)]
+    pairs = [divmod(e, q + 1) for e in exponent_set(rho)]
     valid = [(i, h) for i, h in pairs if 0 < h < q]
     if not valid:
         raise RuntimeError("twisting normalization failed; exponent lemma violated")

@@ -33,8 +33,6 @@ from .charrings import (
     decompose_k,
     eval_laurent,
     to_xi_poly,
-    xi1_k,
-    xi2_k,
 )
 from .hecke import HeckeElement, T_S, T_U, normal_form_over_center, specialize_q0, zeta2_split
 from .weyl import act_on_index
@@ -64,7 +62,7 @@ def rep_A0_S(ring):
 def rep_A_U(ring):
     """The matrix of A(q)(U): [[xi1, e^{(-1,-1)}xi1^2 - 1], [-xi2, -xi1]]."""
     one = ring.one
-    x1 = xi1_k(ring)
+    x1 = GroupRingElement.xi1(ring)
     # e^{(-1,-1)} * xi1^2 - 1 = e^{(1,-1)} + 1 + e^{(-1,1)}
     b = GroupRingElement(ring, {(1, -1): one, (0, 0): one, (-1, 1): one})
     c = GroupRingElement(ring, {(1, 1): -one})
@@ -96,7 +94,7 @@ class Demazure:
 
 
 # S and U are looked up at call time, so a patched rep_A_U reaches the table
-A_Q = Demazure("iwahori", GroupRingElement, lambda ring: rep_A0_S(ring), lambda ring: rep_A_U(ring), xi1_k, 1)
+A_Q = Demazure("iwahori", GroupRingElement, lambda r: rep_A0_S(r), lambda r: rep_A_U(r), GroupRingElement.xi1, 1)
 
 
 def rep_over_center(rep: Demazure, x: HeckeElement):
@@ -180,8 +178,7 @@ def check_theorem_constraints(ring) -> dict:
     MU = rep_A_U(ring)
     a, b = MU[0]
     c, d = MU[1]
-    x1 = xi1_k(ring)
-    x2 = xi2_k(ring)
+    x1, x2 = GroupRingElement.xi1(ring), GroupRingElement.xi2(ring)
     q = GroupRingElement.from_scalar(ring, ring.q)
     one = GroupRingElement.one(ring)
     shift = GroupRingElement.monomial(ring, -1, -1)  # e^{(-1,-1)}

@@ -301,11 +301,6 @@ def quotient_action(gens, big, small) -> list:
     return out
 
 
-def subspace_eq(a, b) -> bool:
-    """Equality of subspaces given as RREF (rows, pivots) pairs."""
-    return a[0] == b[0]
-
-
 def hom_space(gens1, gens2, ring):
     """Basis of {X : X A = B X for every generator pair (A, B)}.
 

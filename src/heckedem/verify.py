@@ -23,8 +23,6 @@ from .charrings import (
     delta_ch,
     demazure_ch,
     demazure_k,
-    xi1_ch,
-    xi2_ch,
 )
 from .coeffs import GenericScalar, build_tower
 from .hecke import (
@@ -130,6 +128,26 @@ class Tally:
 
 
 # ---------------------------------------------------------------------------
+# the checks that several suites make
+
+
+def _check_multiplicative(t: Tally, rep, draw, n: int, label: str) -> None:
+    """rep(xy) = rep(x) rep(y) on n pairs, each drawn x first, then y."""
+    for _ in range(n):
+        x = draw()
+        y = draw()
+        t.check(rep(x * y) == linalg.mat_mul(rep(x), rep(y)), lambda: (label, x.to_json(), y.to_json()))
+
+
+def _check_roundtrips(t: Tally, draw, n: int, *label) -> None:
+    """The normal form over the center recomposes to x, on n drawn x."""
+    for _ in range(n):
+        x = draw()
+        coords = normal_form_over_center(x)
+        t.check(recompose_from_center(coords, x.flavor, x.ring) == x, lambda: (*label, x.to_json()))
+
+
+# ---------------------------------------------------------------------------
 # suites
 
 
@@ -206,14 +224,7 @@ def suite_center(seed: int = 0) -> dict:
             for g in (T_S(flavor, ZQ), T_U(flavor, ZQ)):
                 t.check(z * g == g * z, (flavor, "center commutation"))
         t.check(z2 == T_U(flavor, ZQ) * T_U(flavor, ZQ), (flavor, "zeta2 != U^2"))
-        # normal-form roundtrip
-        for _ in range(50):
-            x = random_hecke(rng, flavor)
-            coords = normal_form_over_center(x)
-            t.check(
-                recompose_from_center(coords, flavor, ZQ) == x,
-                lambda: (flavor, "normal form roundtrip", x.to_json()),
-            )
+        _check_roundtrips(t, lambda: random_hecke(rng, flavor), 50, flavor, "normal form roundtrip")
         # central elements have coordinates (c, 0, 0, 0)
         coords = normal_form_over_center(z1)
         t.check(
@@ -287,14 +298,7 @@ def suite_krep(seed: int = 0) -> dict:
     for at_q0, label in ((False, "generic"), (True, "q=0")):
         det = krep.independence_determinant(krep.A_Q, ZQ, at_q0)
         t.check(not det.is_zero(), f"{label} independence determinant vanishes")
-    # ring homomorphism on random pairs
-    for _ in range(40):
-        x = random_hecke(rng, "iwahori")
-        y = random_hecke(rng, "iwahori")
-        t.check(
-            krep.rep_A(x * y) == linalg.mat_mul(krep.rep_A(x), krep.rep_A(y)),
-            lambda: ("rep_A not multiplicative", x.to_json(), y.to_json()),
-        )
+    _check_multiplicative(t, krep.rep_A, lambda: random_hecke(rng, "iwahori"), 40, "rep_A not multiplicative")
     # matrix action matches operator action through decompose_k
     for _ in range(10):
         x = random_hecke(rng, "iwahori", n_terms=1)
@@ -363,7 +367,7 @@ def suite_obstruction(primes=(3, 5, 7)) -> dict:
         MS = chowrep.rep_A0nil_S(ring)
         MU = chowrep.rep_Anil_U(ring)
         ident = krep.identity2(SymElement, ring)
-        x1, x2 = xi1_ch(ring), xi2_ch(ring)
+        x1, x2 = SymElement.xi1(ring), SymElement.xi2(ring)
         # condition 1: S^2 = 0 at q = 0
         t.check(all(e.is_zero() for row in linalg.mat_mul(MS, MS) for e in row), (p, "S^2 != 0"))
         # condition 2: U^2 = xi2^2 Id
@@ -383,29 +387,11 @@ def suite_chowrep(seed: int = 0, n_random: int = 500) -> dict:
     ring = FieldRing(build_tower(3, 1))
     t = Tally("chowrep")
     t.check(not krep.independence_determinant(chowrep.A_NIL, ring).is_zero(), "nil independence determinant vanishes")
-    # Anil ring homomorphism
-    for _ in range(60):
-        x = random_hecke(rng, "nil", ring)
-        y = random_hecke(rng, "nil", ring)
-        t.check(
-            chowrep.rep_Anil(x * y) == linalg.mat_mul(chowrep.rep_Anil(x), chowrep.rep_Anil(y)),
-            lambda: ("rep_Anil not multiplicative", x.to_json(), y.to_json()),
-        )
-    # nil freeness roundtrip
-    for _ in range(30):
-        x = random_hecke(rng, "nil", ring)
-        coords = normal_form_over_center(x)
-        t.check(
-            recompose_from_center(coords, "nil", ring) == x,
-            lambda: ("nil normal form roundtrip", x.to_json()),
-        )
-    # A2 ring homomorphism on randomized pairs
-    for _ in range(n_random):
-        x = random_hecke(rng, "h2", ring, n_terms=2)
-        y = random_hecke(rng, "h2", ring, n_terms=2)
-        lhs = chowrep.rep_A2(x * y)
-        rhs = linalg.mat_mul(chowrep.rep_A2(x), chowrep.rep_A2(y))
-        t.check(lhs == rhs, lambda: ("rep_A2 not multiplicative", x.to_json(), y.to_json()))
+    nil = lambda: random_hecke(rng, "nil", ring)
+    _check_multiplicative(t, chowrep.rep_Anil, nil, 60, "rep_Anil not multiplicative")
+    _check_roundtrips(t, nil, 30, "nil normal form roundtrip")  # nil freeness
+    h2 = lambda: random_hecke(rng, "h2", ring, n_terms=2)
+    _check_multiplicative(t, chowrep.rep_A2, h2, n_random, "rep_A2 not multiplicative")
     # A2 sends the identity to the identity and e_i to block projectors
     mat = chowrep.rep_A2(HeckeElement.one("h2", ring))
     expected = [[SymElement.zero(ring)] * 4 for _ in range(4)]
@@ -468,13 +454,9 @@ def suite_h2_model(seed: int = 0) -> dict:
     # e1 + e2 -> Id
     one_mat = hecke.h2_matrix_model(HeckeElement.one("h2", ZQ))
     t.check(one_mat == ((Z.const(1), Z()), (Z(), Z.const(1))), "1 does not map to Id")
-    # multiplicativity on random q = 0 pairs
-    for _ in range(60):
-        x = _random_h2_q0(rng)
-        y = _random_h2_q0(rng)
-        lhs = hecke.h2_matrix_model(hecke.specialize_q0(x * y))
-        rhs = linalg.mat_mul(hecke.h2_matrix_model(x), hecke.h2_matrix_model(y))
-        t.check(lhs == rhs, lambda: ("model not multiplicative", x.to_json(), y.to_json()))
+    # multiplicativity on random q = 0 pairs: specialize_q0 leaves them unchanged
+    model = lambda x: hecke.h2_matrix_model(hecke.specialize_q0(x))
+    _check_multiplicative(t, model, lambda: _random_h2_q0(rng), 60, "model not multiplicative")
     # nonzero generic q rejected
     try:
         hecke.h2_matrix_model(T_S("h2", ZQ).scale(ZQ.q))

@@ -130,11 +130,8 @@ class ReducedWord:
         return acc
 
 
-@lru_cache(maxsize=None)
 def reduced_word(w: WeylElement) -> ReducedWord:
-    """Greedy reduced word: peel descents from the left, preferring s0.
-
-    Memoised: Hecke products expand the same elements over and over."""
+    """Greedy reduced word: peel descents from the left, preferring s0."""
     letters = []
     x = w
     while length(x) > 0:

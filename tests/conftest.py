@@ -5,7 +5,7 @@ results: every ``lru_cache`` defined in ``krep``, ``chowrep``, ``hecke``
 and ``weyl`` (the one table ``krep.word_image`` of Demazure word images,
 shared by A(q) and Anil, the table ``krep._theta_images`` of S and U as
 xi-polynomials, one entry per (record, flavor, ring), from which both
-reductions at theta are made, the reduced words, ...), found by scanning
+reductions at theta are made, ...), found by scanning
 those modules, so that a new table cannot be missed; and the Hecke
 product table ``hecke._PRODUCTS``, a plain dict of plain dicts.  A test that patches an input of
 one of them takes the ``fresh_tables`` fixture before ``monkeypatch``, so

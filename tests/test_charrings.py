@@ -17,8 +17,6 @@ from heckedem.charrings import (
     demazure_ch,
     demazure_k,
     to_xi_poly,
-    xi1_k,
-    xi2_k,
     xi_plus,
 )
 from heckedem.coeffs import ZQ_ONE, ZQ_Q, ZQ_ZERO, build_tower
@@ -77,8 +75,8 @@ def test_demazure_k_division_remainder_detected():
 def test_decompose_k_frozen():
     # e^{(1,0)} = xi1 - xi2 e^{(-1,0)}
     a0, a1 = decompose_k(mono(1, 0))
-    assert a0 == xi1_k(ZQ)
-    assert a1 == -xi2_k(ZQ)
+    assert a0 == GroupRingElement.xi1(ZQ)
+    assert a1 == -GroupRingElement.xi2(ZQ)
     assert a0 + a1 * mono(-1, 0) == mono(1, 0)
 
 

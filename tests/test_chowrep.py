@@ -4,7 +4,7 @@ import pytest
 from conftest import dense_mat_vec, dense_nullspace, dense_rref
 
 from heckedem import chowrep, krep, linalg, verify, weyl
-from heckedem.charrings import FieldRing, SymElement, xi1_ch, xi2_ch
+from heckedem.charrings import FieldRing, SymElement
 from heckedem.coeffs import build_tower
 from heckedem.hecke import HeckeElement, zeta1_embedded, zeta2_embedded
 from heckedem.verify import random_hecke
@@ -33,7 +33,7 @@ def test_nil_theorem_conditions():
         MS = chowrep.rep_A0nil_S(ring)
         MU = chowrep.rep_Anil_U(ring)
         ident = krep.identity2(SymElement, ring)
-        x1, x2 = xi1_ch(ring), xi2_ch(ring)
+        x1, x2 = SymElement.xi1(ring), SymElement.xi2(ring)
         # U^2 = xi2^2 Id
         assert linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, x2 * x2)
         # US + SU = -xi1 Id
@@ -49,8 +49,8 @@ def test_nil_theorem_conditions():
 def test_nil_center_images():
     _, ring = rings()
     ident = krep.identity2(SymElement, ring)
-    assert chowrep.rep_Anil(zeta1_embedded("nil", ring)) == linalg.mat_scale(ident, -xi1_ch(ring))
-    x2 = xi2_ch(ring)
+    assert chowrep.rep_Anil(zeta1_embedded("nil", ring)) == linalg.mat_scale(ident, -SymElement.xi1(ring))
+    x2 = SymElement.xi2(ring)
     assert chowrep.rep_Anil(zeta2_embedded("nil", ring)) == linalg.mat_scale(ident, x2 * x2)
 
 

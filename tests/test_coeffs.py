@@ -294,6 +294,36 @@ def test_generator_search_matches_order_test(p, f):
     assert t.generator == order_search_generator(t)
 
 
+def lowest_irreducible(p, n):
+    """The monic irreducible of degree n over GF(p) with the smallest
+    little-endian encoding, by trial long division by every monic
+    polynomial of degree 1 to n // 2."""
+
+    def remainder(a, d):  # a mod the monic d, trailing zeros dropped
+        a = list(a)
+        while len(a) >= len(d):
+            top = a.pop()
+            for i, c in enumerate(d[:-1]):
+                a[len(a) - len(d) + 1 + i] = (a[len(a) - len(d) + 1 + i] - top * c) % p
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    def monic(deg):
+        for idx in range(p**deg):
+            yield [idx // p**i % p for i in range(deg)] + [1]
+
+    for cand in monic(n):
+        if all(remainder(cand, d) for k in range(1, n // 2 + 1) for d in monic(k)):
+            return tuple(cand)
+
+
+@pytest.mark.parametrize("p,f", SMALL_TOWERS)
+def test_field_modulus_is_the_lowest_irreducible(p, f):
+    # the modulus fixes which element is g, so every g^k label printed
+    assert build_tower(p, f).modulus_2f == lowest_irreducible(p, 2 * f)
+
+
 def convolution(a, b):
     """The product of two coefficient tuples by the general convolution, trimmed."""
     out = [0] * (len(a) + len(b) - 1) if a and b else []

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from heckedem import chowrep, krep, linalg
-from heckedem.charrings import ZQ, FieldRing, GroupRingElement, xi1_k, xi2_k
+from heckedem.charrings import ZQ, FieldRing, GroupRingElement
 from heckedem.coeffs import build_tower
 from heckedem.hecke import zeta1_embedded, zeta2_embedded
 from heckedem.verify import random_group_ring, random_hecke
@@ -23,24 +23,24 @@ def test_frozen_generator_matrices():
     # upper-right entry: q * xi1 * e^{(-1,-1)} = q(e^{(0,-1)} + e^{(-1,0)})
     assert MS[0][1] == (mono(0, -1) + mono(-1, 0)).scale(q)
     MU = krep.rep_A_U(ZQ)
-    assert MU[0][0] == xi1_k(ZQ)
+    assert MU[0][0] == GroupRingElement.xi1(ZQ)
     assert MU[0][1] == mono(1, -1) + mono(0, 0) + mono(-1, 1)
     assert MU[1][0] == -mono(1, 1)
-    assert MU[1][1] == -xi1_k(ZQ)
+    assert MU[1][1] == -GroupRingElement.xi1(ZQ)
 
 
 def test_theorem_identities_symbolic():
     MS, MU = krep.rep_A0_S(ZQ), krep.rep_A_U(ZQ)
     ident = krep.identity2(GroupRingElement, ZQ)
     # U^2 = xi2 Id
-    assert linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, xi2_k(ZQ))
+    assert linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, GroupRingElement.xi2(ZQ))
     # US + (1-q)U + SU = xi1 Id
     one_minus_q = GroupRingElement.from_scalar(ZQ, ZQ.one - ZQ.q)
     lhs = linalg.mat_add(
         linalg.mat_add(linalg.mat_mul(MU, MS), linalg.mat_scale(MU, one_minus_q)),
         linalg.mat_mul(MS, MU),
     )
-    assert lhs == linalg.mat_scale(ident, xi1_k(ZQ))
+    assert lhs == linalg.mat_scale(ident, GroupRingElement.xi1(ZQ))
     # det A(U) = -e^{(1,1)}
     assert linalg.det(MU) == -mono(1, 1)
 
@@ -68,8 +68,8 @@ def test_rep_A_is_ring_homomorphism():
 def test_rep_A_center_scalars():
     # central elements act as scalar matrices: zeta1 -> xi1, zeta2 -> xi2
     ident = krep.identity2(GroupRingElement, ZQ)
-    assert krep.rep_A(zeta1_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, xi1_k(ZQ))
-    assert krep.rep_A(zeta2_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, xi2_k(ZQ))
+    assert krep.rep_A(zeta1_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, GroupRingElement.xi1(ZQ))
+    assert krep.rep_A(zeta2_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, GroupRingElement.xi2(ZQ))
 
 
 def test_matrix_action_matches_decomposition():

@@ -1,9 +1,12 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
-from heckedem import chowrep, krep, linalg, verify
+from heckedem import chowrep, hecke, krep, linalg, verify
 from heckedem.coeffs import build_tower
+from heckedem.hecke import HeckeElement
 from heckedem.weyl import WeylElement, length
 
 
@@ -167,3 +170,133 @@ def test_random_weyl_draws_the_randint_and_choice_stream():
         rng, reference = random.Random(seed), random.Random(seed)
         assert [verify.random_weyl(rng) for _ in range(200)] == [randint_random_weyl(reference) for _ in range(200)]
         assert rng.random() == reference.random()
+
+
+# ---------------------------------------------------------------------------
+# the payloads of the multiplicativity and normal-form round-trip checks
+
+
+def shifted(right):
+    """x -> right(x + 1), not multiplicative: (R(x) + 1)(R(y) + 1) = R(xy) + 1
+    only when R(x) + R(y) = 0."""
+    return lambda x: right(x + HeckeElement.one(x.flavor, x.ring))
+
+
+def label(payload):
+    return payload if isinstance(payload, str) else payload[0]
+
+
+NOT_MULTIPLICATIVE = [
+    (
+        krep,
+        "rep_A",
+        lambda: verify.suite_krep(0),
+        59,
+        {"rep_A not multiplicative": 40, "matrix action incompatible with composition": 10},
+        [
+            "rep_A not multiplicative",
+            {
+                "flavor": "iwahori",
+                "terms": [{"w": [0, 3, "s"], "coeff": [-2, 1, -2]}, {"w": [2, -4, "s"], "coeff": [0, 0, 3]}],
+            },
+            {
+                "flavor": "iwahori",
+                "terms": [{"w": [-2, -3, "s"], "coeff": [2, 3, 1]}, {"w": [-2, 0, "e"], "coeff": [-3, 3, 2]}],
+            },
+        ],
+    ),
+    (
+        chowrep,
+        "rep_Anil",
+        lambda: verify.suite_chowrep(0, n_random=20),
+        602,
+        {"rep_Anil not multiplicative": 60, "A2 block": 392},
+        [
+            "rep_Anil not multiplicative",
+            {"flavor": "nil", "terms": [{"w": [2, -4, "s"], "coeff": [2, 1]}, {"w": [2, 0, "s"], "coeff": [1, 2]}]},
+            {"flavor": "nil", "terms": []},
+        ],
+    ),
+    (
+        chowrep,
+        "rep_A2",
+        lambda: verify.suite_chowrep(0, n_random=20),
+        602,
+        {"rep_A2 not multiplicative": 19, "A2(1) != Id": 1, "A2 block": 196},
+        [
+            "rep_A2 not multiplicative",
+            {"flavor": "h2", "terms": [{"idem": 2, "w": [-1, 4, "e"], "coeff": [2, 2]}]},
+            {"flavor": "h2", "terms": [{"idem": 1, "w": [2, -3, "e"], "coeff": [0, 1]}]},
+        ],
+    ),
+    (
+        hecke,
+        "h2_matrix_model",
+        lambda: verify.suite_h2_model(0),
+        71,
+        {
+            "zeta1 image": 1,
+            "zeta2 image": 1,
+            "S^2 image nonzero": 1,
+            "1 does not map to Id": 1,
+            "model not multiplicative": 60,
+        },
+        [
+            "model not multiplicative",
+            {
+                "flavor": "h2",
+                "terms": [{"idem": 1, "w": [-2, -3, "s"], "coeff": [1]}, {"idem": 2, "w": [2, 0, "s"], "coeff": [-1]}],
+            },
+            {
+                "flavor": "h2",
+                "terms": [{"idem": 1, "w": [0, -3, "e"], "coeff": [3]}, {"idem": 2, "w": [3, 4, "e"], "coeff": [-1]}],
+            },
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "module,name,suite,checks,labels,first", NOT_MULTIPLICATIVE, ids=[case[1] for case in NOT_MULTIPLICATIVE]
+)
+def test_multiplicativity_checks_report_each_pair(monkeypatch, module, name, suite, checks, labels, first):
+    monkeypatch.setattr(module, name, shifted(getattr(module, name)))
+    result = suite()
+    found = result["counterexamples"]
+    assert (result["checks"], len(found), dict(Counter(map(label, found)))) == (checks, sum(labels.values()), labels)
+    # the first pair of the family, as drawn: (label, x.to_json(), y.to_json())
+    assert json.loads(json.dumps(next(p for p in found if label(p) == first[0]))) == first
+
+
+def test_normal_form_roundtrips_report_each_element(monkeypatch):
+    right = verify.recompose_from_center
+    wrong = lambda coords, flavor, ring: right(coords, flavor, ring) + HeckeElement.one(flavor, ring)
+    monkeypatch.setattr(verify, "recompose_from_center", wrong)
+    center = verify.suite_center(0)
+    assert (center["checks"], len(center["counterexamples"])) == (112, 100)
+    assert Counter(p[:2] for p in center["counterexamples"]) == {
+        ("iwahori", "normal form roundtrip"): 50,
+        ("nil", "normal form roundtrip"): 50,
+    }
+    assert json.loads(json.dumps(center["counterexamples"][0])) == [
+        "iwahori",
+        "normal form roundtrip",
+        {
+            "flavor": "iwahori",
+            "terms": [{"w": [0, 3, "s"], "coeff": [-2, 1, -2]}, {"w": [2, -4, "s"], "coeff": [0, 0, 3]}],
+        },
+    ]
+    nil = verify.suite_chowrep(0, n_random=20)
+    assert (nil["checks"], len(nil["counterexamples"])) == (602, 30)
+    assert all(p[0] == "nil normal form roundtrip" and len(p) == 2 for p in nil["counterexamples"])
+    assert json.loads(json.dumps(nil["counterexamples"][0])) == [
+        "nil normal form roundtrip",
+        {
+            "flavor": "nil",
+            "terms": [
+                {"w": [-3, -3, "e"], "coeff": [1]},
+                {"w": [0, 1, "s"], "coeff": [1, 2]},
+                {"w": [4, 2, "e"], "coeff": [1, 2]},
+            ],
+        },
+    ]
