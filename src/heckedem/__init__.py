@@ -3,7 +3,7 @@ algebra, its supersingular modules, and their bijection with tame Galois
 parameters at small q."""
 
 from .coeffs import GenericScalar, FieldTower, FieldElement, build_tower, discrete_log
-from .weyl import WeylElement, length, reduced_word, act_on_index
+from .weyl import WeylElement, length, act_on_index
 from .charrings import GroupRingElement, SymElement, ZQ, FieldRing, demazure_k, demazure_ch
 from .hecke import HeckeElement, CenterElement, normal_form_over_center, orbits, idempotent
 from .krep import FiniteModule, reduce_at_theta, standard_module, is_isomorphic
@@ -18,7 +18,6 @@ __all__ = [
     "discrete_log",
     "WeylElement",
     "length",
-    "reduced_word",
     "act_on_index",
     "GroupRingElement",
     "SymElement",

@@ -123,6 +123,15 @@ def cmd_orbits(args) -> int:
     return 0
 
 
+COMMANDS = {
+    "verify-relations": cmd_verify_relations,
+    "module": cmd_module,
+    "bijection": cmd_bijection,
+    "obstruction": cmd_obstruction,
+    "orbits": cmd_orbits,
+}
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use: every parse
@@ -137,24 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--b", type=str, default=None, help="theta(zeta2) for the regular component")
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument("--out", type=str, default=None, help="write the JSON report to this path")
-    parser.add_argument(
-        "command",
-        choices=("verify-relations", "module", "bijection", "obstruction", "orbits"),
-    )
+    parser.add_argument("command", choices=tuple(COMMANDS))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "verify-relations": cmd_verify_relations,
-        "module": cmd_module,
-        "bijection": cmd_bijection,
-        "obstruction": cmd_obstruction,
-        "orbits": cmd_orbits,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

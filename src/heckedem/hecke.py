@@ -8,12 +8,13 @@ quadratic relation and the idempotent bookkeeping:
 * ``h2``:      the nil algebra twisted by the rank-1 idempotents e_1, e_2,
                with (e_i x T_w)(e_i' x T_w') = 0 unless i' = w^{-1}.i.
 
-The engine folds the reduced word of w2 into T_w letter by letter
-(``_basis_product``).  A product writes each term as T_w = zeta2^k T_{w'}
-with w' translation-free (``zeta2_split``), folds each pair (w', w2')
-once per flavor and ring into a process-wide product table, and reads
-T_w T_{w2} off it with every key shifted by e^{(k1 + k2, k1 + k2)}: zeta2
-is central of length 0, so the shifted fold is the fold itself.
+The engine folds the S/U word of w2 (``_translation_word``) into T_w
+letter by letter (``_basis_product``).  A product writes each term as
+T_w = zeta2^k T_{w'} with w' translation-free (``zeta2_split``), folds
+each pair (w', w2') once per flavor and ring into a process-wide product
+table, and reads T_w T_{w2} off it with every key shifted by
+e^{(k1 + k2, k1 + k2)}: zeta2 is central of length 0, so the shifted fold
+is the fold itself.
 
 Distinguished elements S = T_s, U = T_u, S0 = T_{s0} = U S U^{-1}, and the
 central pair zeta1, zeta2.  The algebra is free over its center on the
@@ -27,7 +28,7 @@ from __future__ import annotations
 from . import linalg, weyl
 from .charrings import SparsePoly, eval_laurent
 from .coeffs import FieldTower, GenericScalar
-from .weyl import WeylElement, act_on_index, length, reduced_word
+from .weyl import WeylElement, act_on_index, length
 
 FLAVORS = ("iwahori", "nil", "h2")
 
@@ -155,51 +156,45 @@ def _term_sort_key(key):
 # The product table: (flavor, ring) -> {w': {w2': T_{w'} T_{w2'} as a tuple of
 # (v, c) pairs}} for translation-free w', w2', filled on a miss by the letter
 # fold (``_basis_product``) and kept for the whole process: whoever patches an
-# input of the fold (``reduced_word``, ``length``) must ``_PRODUCTS.clear()``,
+# input of the fold (``_translation_word``, ``length``) must ``_PRODUCTS.clear()``,
 # before and after, or read stale products.
 _PRODUCTS: dict = {}
 
 
 def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:
-    """T_w * T_{w2} as a map WeylElement -> coefficient.
+    """T_w * T_{w2} as a map WeylElement -> coefficient, for a
+    translation-free w2.
 
-    Expands w2 into a reduced word and folds one letter at a time:
-    ascent gives T_{wg}; descent applies the flavor's quadratic relation;
-    the Omega part acts freely on the right.
+    Folds the letters of ``_translation_word(w2)`` one at a time: U has
+    length 0 and moves every key; at S, an ascent gives T_{vs} and a
+    descent applies the flavor's quadratic relation.
 
     ``HeckeElement.__mul__`` calls it once per translation-free pair
     (w', w2') and flavor and ring, on a miss of the product table, and
-    reads T_w T_{w2} for T_w = zeta2^k1 T_{w'}, T_{w2} = zeta2^k2 T_{w2'}
-    off T_{w'} T_{w2'} with every key shifted by (k1 + k2, k1 + k2).
-    zeta2 = e^{(1,1)} is central in W and of length 0, so the fold of
-    (w, w2) takes the same letters and the same steps as that of
-    (w', w2'), moved by the translation; only the Omega power of w2's
-    word grows by 2 k2.  The shifted product is the fold's, term for
-    term.  The table is never filled by a closed form or a length-additive
+    shifts every key by (k1 + k2, k1 + k2): zeta2 is central of length 0.
+    The table is never filled by a closed form or a length-additive
     shortcut: the braid checks in ``verify.suite_relations`` would then
     hold by construction.
     """
-    word = reduced_word(w2)
     state = {w: ring.one}
     q = ring.q
     q_minus_1 = q - ring.one
-    for letter in word.letters:
-        gen = weyl.S0 if letter == "s0" else weyl.S
+    for letter in _translation_word(w2):
+        if letter == "U":
+            state = {v * weyl.U: c for v, c in state.items()}
+            continue
         new: dict = {}
         for v, c in state.items():
-            vg = v * gen
-            if length(vg) > length(v):
-                new[vg] = new[vg] + c if vg in new else c
+            vs = v * weyl.S
+            if length(vs) > length(v):
+                new[vs] = new[vs] + c if vs in new else c
             else:
                 if flavor == "iwahori":
                     add = c * q_minus_1
                     new[v] = new[v] + add if v in new else add
                 add = c * q
-                new[vg] = new[vg] + add if vg in new else add
+                new[vs] = new[vs] + add if vs in new else add
         state = {v: c for v, c in new.items() if not c.is_zero()}
-    if word.omega_power:
-        u_pow = weyl._u_power(word.omega_power)
-        state = {v * u_pow: c for v, c in state.items()}
     return state
 
 
@@ -393,11 +388,8 @@ _ZM_S = (
     (ZRingElement.gen("z2", -1) * ZRingElement.gen("X"), ZRingElement()),
 )
 _ZM_U = ((ZRingElement(), ZRingElement.gen("z2")), (ZRingElement.const(1), ZRingElement()))
-_ZM_U_INV = ((ZRingElement(), ZRingElement.const(1)), (ZRingElement.gen("z2", -1), ZRingElement()))
 _ZM_E1 = ((ZRingElement.const(1), ZRingElement()), (ZRingElement(), ZRingElement()))
 _ZM_E2 = ((ZRingElement(), ZRingElement()), (ZRingElement(), ZRingElement.const(1)))
-# s0 = u s u^{-1}
-_ZM_S0 = linalg.mat_mul(linalg.mat_mul(_ZM_U, _ZM_S), _ZM_U_INV)
 
 
 def specialize_q0(x: SparsePoly) -> SparsePoly:
@@ -408,7 +400,9 @@ def specialize_q0(x: SparsePoly) -> SparsePoly:
 def h2_matrix_model(x: HeckeElement):
     """The 2x2 matrix model of the h2 flavor at q = 0, over Z[X,Y,z2^{+-1}]/(XY).
 
-    Only specialized coefficients are accepted: every coefficient must be
+    e_i T_w = zeta2^k e_i T_{w'} (``zeta2_split``) maps to E_i times the
+    matrices of the S/U word of w' (``_translation_word``) times z2^k,
+    since U^2 = z2 Id in the model.  Only specialized coefficients are accepted: every coefficient must be
     a constant in q (the model's quadratic relation S^2 = 0 holds at q = 0
     only).
     """
@@ -420,14 +414,11 @@ def h2_matrix_model(x: HeckeElement):
         if len(c.coeffs) > 1:
             raise ValueError("matrix model requires q = 0; coefficient has positive q-degree")
         n = c.coeffs[0] if c.coeffs else 0
-        word = reduced_word(w)
+        k, w0 = zeta2_split(w)
         m = _ZM_E1 if i == 1 else _ZM_E2
-        for letter in word.letters:
-            m = linalg.mat_mul(m, _ZM_S if letter == "s" else _ZM_S0)
-        step = _ZM_U if word.omega_power >= 0 else _ZM_U_INV
-        for _ in range(abs(word.omega_power)):
-            m = linalg.mat_mul(m, step)
-        out = linalg.mat_add(out, linalg.mat_scale(m, ZRingElement.const(n)))
+        for letter in _translation_word(w0):
+            m = linalg.mat_mul(m, _ZM_S if letter == "S" else _ZM_U)
+        out = linalg.mat_add(out, linalg.mat_scale(m, ZRingElement({(0, 0, k): n})))
     return out
 
 

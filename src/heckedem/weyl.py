@@ -13,7 +13,6 @@ Length is given by a closed formula validated against a BFS oracle.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 from types import MappingProxyType
@@ -112,44 +111,6 @@ def bfs_distances(bound: int = 12) -> MappingProxyType:
                 else:
                     dq.append(y)
     return MappingProxyType(dist)
-
-
-@dataclass(frozen=True)
-class ReducedWord:
-    letters: tuple[str, ...]  # entries "s0" or "s"
-    omega_power: int
-
-    def evaluate(self) -> WeylElement:
-        acc = E
-        for letter in self.letters:
-            acc = acc * (S0 if letter == "s0" else S)
-        k = self.omega_power
-        step = U if k >= 0 else U_INV
-        for _ in range(abs(k)):
-            acc = acc * step
-        return acc
-
-
-def reduced_word(w: WeylElement) -> ReducedWord:
-    """Greedy reduced word: peel descents from the left, preferring s0."""
-    letters = []
-    x = w
-    while length(x) > 0:
-        for letter, gen in (("s0", S0), ("s", S)):
-            if length(gen * x) < length(x):
-                letters.append(letter)
-                x = gen * x
-                break
-        else:
-            raise RuntimeError(f"no descent found at {x}, length {length(x)}")
-    # x is now in Omega: x = u^k
-    k = 2 * x.n1 - 1 if x.finite == "s" else 2 * x.n1
-    if x != _u_power(k):
-        raise RuntimeError(f"length-zero remainder {x} is not a power of u")
-    word = ReducedWord(tuple(letters), k)
-    if word.evaluate() != w:
-        raise RuntimeError(f"reduced word {word} does not evaluate to {w}")
-    return word
 
 
 def _u_power(k: int) -> WeylElement:

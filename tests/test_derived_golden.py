@@ -19,7 +19,10 @@ The hashes are SHA-256 of a canonical text dump:
 * the structure report of ``chowrep.semisimplify`` (dims, chain,
   all_factors_standard, semisimple, eigenvectors_in_4dim_stage) of the
   8-dimensional module for every b in GF(q^2)^x, at (p, f) = (3, 1),
-  (5, 1) and (3, 2).
+  (5, 1) and (3, 2);
+* the images ``repr(h2_matrix_model(e_i T_w))`` of the 2x2 matrix model
+  of the h2 flavor at q = 0 over Z[q], for i in {1, 2} and the same 162 T_w
+  (324 images).
 
 They pin these constructions against any change in how they are computed.
 """
@@ -32,7 +35,7 @@ import pytest
 from heckedem import chowrep, krep
 from heckedem.charrings import ZQ, FieldRing
 from heckedem.coeffs import build_tower
-from heckedem.hecke import T_w, normal_form_over_center
+from heckedem.hecke import HeckeElement, T_w, h2_matrix_model, normal_form_over_center
 from heckedem.weyl import WeylElement
 
 NORMAL_FORM_GOLDEN = {
@@ -188,3 +191,17 @@ def test_reductions_at_theta_match_golden(p, f):
 @pytest.mark.parametrize("p,f", sorted(STRUCTURE_GOLDEN))
 def test_regular_module_structure_matches_golden(p, f):
     assert digest(structure_lines(p, f)) == STRUCTURE_GOLDEN[(p, f)]
+
+
+H2_MODEL_GOLDEN = "2654e705ee05937a72e947ba7292079cfe7ff60a205d60b781583563a922f80c"
+
+
+def h2_model_lines():
+    for i in (1, 2):
+        for n1, n2, finite in box():
+            x = HeckeElement.basis("h2", ZQ, WeylElement(n1, n2, finite), i)
+            yield f"{i} {n1} {n2} {finite} " + repr(h2_matrix_model(x))
+
+
+def test_h2_matrix_model_matches_golden():
+    assert digest(h2_model_lines()) == H2_MODEL_GOLDEN

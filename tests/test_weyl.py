@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckedem import weyl
+from heckedem.hecke import _translation_word, zeta2_split
 from heckedem.weyl import (
     E,
     S,
@@ -12,7 +13,6 @@ from heckedem.weyl import (
     act_on_index,
     length,
     length_bfs,
-    reduced_word,
 )
 
 elements = st.builds(
@@ -59,10 +59,20 @@ def test_group_axioms(a, b, c):
 
 
 @given(elements)
-def test_reduced_word_roundtrip(w):
-    word = reduced_word(w)
-    assert len(word.letters) == length(w)
-    assert word.evaluate() == w
+def test_translation_word_is_a_length_additive_word_for_w(w):
+    """w = e^{(k,k)} w' with w' the product of the S/U letters, S counting
+    the length: every prefix is length-additive, so T_{w'} is the product
+    of the letters' basis elements."""
+    k, w0 = zeta2_split(w)
+    word = _translation_word(w0)
+    acc, s_letters = E, 0
+    for letter in word:
+        acc = acc * {"S": S, "U": U}[letter]
+        s_letters += letter == "S"
+        assert length(acc) == s_letters, (w, word)
+    assert acc == w0
+    assert w0 * WeylElement(k, k, "e") == w
+    assert word.count("S") == length(w)
 
 
 @given(elements, elements)
