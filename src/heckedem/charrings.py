@@ -4,8 +4,10 @@
   the package, a dict from monomial keys to nonzero coefficients with the
   ring operations and the product that adds exponent tuples.  Every
   ring-operation result is built by one path, ``SparsePoly._new``, which
-  skips the public constructors but keeps each subclass's ``_clean``.  It
-  also holds the two rings' constructors, ``xi1``, ``xi2`` and ``s_action``.
+  skips the public constructors but keeps each subclass's ``_clean``.
+* ``LaurentPoly``: the base of the two rings below, on keys (a, b) in
+  Z^2, and the one holder of their constructors, the swap ``s_action``
+  (with ``is_invariant``) and the invariants ``xi1``, ``xi2``.
 * ``GroupRingElement``: Laurent polynomials Z[Lambda] in e^{(a,b)}, the
   K-side model.  Invariants under the swap s are generated by
   xi1 = e^{(1,0)} + e^{(0,1)} and xi2 = e^{(1,1)} (invertible); the ring
@@ -100,7 +102,7 @@ class SparsePoly:
     and the product adds them.  ``HeckeElement`` keys are basis labels
     instead, and it brings its own product.  Ring operations build their
     results through ``_new`` only; a subclass with more state than
-    ``ring`` extends it.
+    ``ring`` extends it.  Named constructors, s, xi1 and xi2 are on ``LaurentPoly``.
     """
 
     __slots__ = ("ring", "terms")
@@ -125,40 +127,6 @@ class SparsePoly:
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    # the two-variable Laurent rings: constructors, xi1, xi2 and s -------
-    @classmethod
-    def zero(cls, ring):
-        return cls(ring, {})
-
-    @classmethod
-    def one(cls, ring):
-        return cls(ring, {(0, 0): ring.one})
-
-    @classmethod
-    def monomial(cls, ring, a: int, b: int, coeff=None):
-        return cls(ring, {(a, b): coeff if coeff is not None else ring.one})
-
-    @classmethod
-    def from_scalar(cls, ring, c):
-        return cls(ring, {(0, 0): c})
-
-    @classmethod
-    def xi1(cls, ring):
-        """The first invariant, e^{(1,0)} + e^{(0,1)} (eta1 + eta2 on the Chow side)."""
-        return cls(ring, {(1, 0): ring.one, (0, 1): ring.one})
-
-    @classmethod
-    def xi2(cls, ring, power: int = 1):
-        """A power of the second invariant, e^{(1,1)} (eta1*eta2 on the Chow side)."""
-        return cls.monomial(ring, power, power)
-
-    def s_action(self):
-        """The swap s of the two exponents."""
-        return self._new({(b, a): c for (a, b), c in self.terms.items()})
-
-    def is_invariant(self) -> bool:
-        return self.s_action() == self
 
     # ring operations ---------------------------------------------------
     def is_zero(self) -> bool:
@@ -199,6 +167,47 @@ class SparsePoly:
         return hash(frozenset(self.terms.items()))
 
 
+class LaurentPoly(SparsePoly):
+    """The base of the two Laurent rings of the dual side, keys (a, b) in
+    Z^2: their constructors, the swap s of the two exponents and the
+    invariants xi1, xi2, which mean nothing on the other sparse classes."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, ring):
+        return cls(ring, {})
+
+    @classmethod
+    def one(cls, ring):
+        return cls(ring, {(0, 0): ring.one})
+
+    @classmethod
+    def monomial(cls, ring, a: int, b: int, coeff=None):
+        return cls(ring, {(a, b): coeff if coeff is not None else ring.one})
+
+    @classmethod
+    def from_scalar(cls, ring, c):
+        return cls(ring, {(0, 0): c})
+
+    @classmethod
+    def xi1(cls, ring):
+        """The first invariant, e^{(1,0)} + e^{(0,1)} (eta1 + eta2 on the Chow side)."""
+        return cls(ring, {(1, 0): ring.one, (0, 1): ring.one})
+
+    @classmethod
+    def xi2(cls, ring, power: int = 1):
+        """A power of the second invariant, e^{(1,1)} (eta1*eta2 on the Chow side)."""
+        return cls.monomial(ring, power, power)
+
+    def s_action(self):
+        """The swap s of the two exponents."""
+        return self._new({(b, a): c for (a, b), c in self.terms.items()})
+
+    def is_invariant(self) -> bool:
+        return self.s_action() == self
+
+
 def eval_laurent(poly: dict, zero, x1, x2_power):
     """Evaluate sum c * x1^m * x2^k over poly = {(m, k): c}, m >= 0.
 
@@ -214,7 +223,7 @@ def eval_laurent(poly: dict, zero, x1, x2_power):
     return out
 
 
-def to_xi_poly(a: SparsePoly) -> dict:
+def to_xi_poly(a: LaurentPoly) -> dict:
     """Express an s-invariant element of either character ring as a
     Laurent polynomial {(m, k): coeff} in xi1, xi2 (xi1', xi2').
 
@@ -238,7 +247,7 @@ def to_xi_poly(a: SparsePoly) -> dict:
     return {key: c for key, c in out.items() if not c.is_zero()}
 
 
-def _divide_by_one_minus_alpha(num: SparsePoly) -> SparsePoly:
+def _divide_by_one_minus_alpha(num: LaurentPoly) -> LaurentPoly:
     """Exact division by (1 - e^{(1,-1)}) in a two-variable Laurent ring.
 
     Multiplication by e^{(1,-1)} preserves the level n = a + b, so the
@@ -275,7 +284,7 @@ def _check_invariant_parts(a0, a1, name: str):
 # K-side: the group ring Z[Lambda]
 
 
-class GroupRingElement(SparsePoly):
+class GroupRingElement(LaurentPoly):
     """Finite sum of c * e^{(a,b)} with coefficients in a fixed ring."""
 
     __slots__ = ()
@@ -309,21 +318,11 @@ def decompose_k(a: GroupRingElement) -> tuple[GroupRingElement, GroupRingElement
     return _check_invariant_parts(a - d, d * GroupRingElement.monomial(a.ring, 1, 0), "decompose_k")
 
 
-def xi_plus(ring, poly: dict) -> GroupRingElement:
-    """Substitute xi1 for e^{(1,0)} and xi2 for e^{(1,1)}.
-
-    ``poly`` maps (m, k) to a coefficient, encoding the Laurent monomial
-    e^{(1,0)}^m * e^{(1,1)}^k with m >= 0 and k arbitrary.
-    """
-    cls = GroupRingElement
-    return eval_laurent(poly, cls.zero(ring), cls.xi1(ring), lambda k: cls.xi2(ring, k))
-
-
 # ---------------------------------------------------------------------------
 # Chow side: Sym(Lambda) localized at xi2' = eta1*eta2
 
 
-class SymElement(SparsePoly):
+class SymElement(LaurentPoly):
     """Laurent polynomial in eta1, eta2.
 
     terms: map (i, j) -> coeff of eta1^i * eta2^j, exponents of any sign.

@@ -42,8 +42,11 @@ def _matrix_json(M) -> list:
 def _emit(report: dict, out_path: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # a path the caller cannot write is a usage error, not a failed check
+            raise ValueError(f"cannot write --out: {exc}") from exc
     print(text)
 
 

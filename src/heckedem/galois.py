@@ -116,21 +116,13 @@ def _y_class_reps(tower: FieldTower) -> list:
     return [tower.gen_power(h) for h in range(n) if h < h * tower.q % n]
 
 
-def enumerate_classes(tower: FieldTower) -> list:
-    """All equivalence classes of parameters: b in E^x, y in E \\ GF(q)
-    modulo conjugation.  Returns one representative per class, b outer
-    and y inner."""
-    y_reps = _y_class_reps(tower)
-    return [GaloisParam(tower, tower.gen_power(k), y) for k in range(tower.q**2 - 1) for y in y_reps]
-
-
 def bijection_check(tower: FieldTower) -> dict:
     """Exhaustively verify that rho -> (orbit, theta) is a bijection from
     parameter classes onto (W0-orbit, b in E^x) pairs, E = GF(q^2).
 
     The orbit reads only y, so it is computed once per y-class; the tags
-    (orbit, b) are still made one per class, b outer and y inner as in
-    ``enumerate_classes``, and the first repeated tag is the collision."""
+    (orbit, b) are still made one per class, b outer (in order of
+    exponent) and y inner, and the first repeated tag is the collision."""
     q = tower.q
     units = [tower.gen_power(k) for k in range(q * q - 1)]
     y_reps = _y_class_reps(tower)

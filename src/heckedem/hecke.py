@@ -309,11 +309,11 @@ def normal_form_over_center(x: HeckeElement) -> tuple:
     flavor, ring = x.flavor, x.ring
     if flavor not in ("iwahori", "nil"):
         raise ValueError("normal form over the center is defined for iwahori and nil flavors")
-    zero = CenterElement.zero(ring)
+    zero = CenterElement(ring)
     q, q1 = ring.q, ring.q - ring.one if flavor == "iwahori" else ring.zero
     # q vanishes over a field, and q - 1 in the nil flavor: skip those products
     times = lambda e, c: zero if c.is_zero() else e.scale(c)
-    zeta1, zeta2 = CenterElement.monomial(ring, 1, 0), CenterElement.monomial(ring, 0, 1)
+    zeta1, zeta2 = CenterElement(ring, {(1, 0): ring.one}), CenterElement(ring, {(0, 1): ring.one})
     right_mul = {
         "S": lambda a, b, c, d: (
             times(b, q) + zeta1 * c,
@@ -326,7 +326,7 @@ def normal_form_over_center(x: HeckeElement) -> tuple:
     total = (zero,) * 4
     for key, c in x.terms.items():
         k, w0 = zeta2_split(key)
-        coords = (CenterElement.monomial(ring, 0, k, c), zero, zero, zero)
+        coords = (CenterElement(ring, {(0, k): c}), zero, zero, zero)
         for letter in _translation_word(w0):
             coords = right_mul[letter](*coords)
         total = tuple(t + v for t, v in zip(total, coords))

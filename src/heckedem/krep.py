@@ -244,8 +244,9 @@ class FiniteModule:
 
     def validate(self):
         """Check the defining relations at q = 0: U^2 = zeta2, S^2 = -S on
-        the iwahori flavor and S^2 = 0 otherwise, and e1^2 = e1 on h2;
-        raises ValueError.  Each product is compared entry by entry."""
+        the iwahori flavor and S^2 = 0 otherwise, and on h2 e1^2 = e1 and
+        e1 X = X e2 for X = S, U, as e1 X + X e1 = X; raises ValueError.
+        Each product is compared entry by entry."""
         *e1, S, U = self.gens
         U2 = linalg.mat_mul(U, U)
         if not all(x == self.zeta2 if i == j else x.is_zero() for i, row in enumerate(U2) for j, x in enumerate(row)):
@@ -256,8 +257,12 @@ class FiniteModule:
                 raise ValueError("S^2 != -S at q = 0")
         elif any(not x.is_zero() for row in S2 for x in row):
             raise ValueError("S^2 != 0 at q = 0")
-        if e1 and linalg.mat_mul(e1[0], e1[0]) != e1[0]:
-            raise ValueError("e1 is not idempotent")
+        for E in e1:
+            if linalg.mat_mul(E, E) != E:
+                raise ValueError("e1 is not idempotent")
+            for name, X in (("S", S), ("U", U)):
+                if linalg.mat_add(linalg.mat_mul(E, X), linalg.mat_mul(X, E)) != X:
+                    raise ValueError(f"e1 {name} != {name} e2")
         return self
 
 

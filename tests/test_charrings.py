@@ -9,6 +9,7 @@ from heckedem.charrings import (
     FieldRing,
     ZqRing,
     GroupRingElement,
+    LaurentPoly,
     SparsePoly,
     SymElement,
     decompose_ch,
@@ -16,16 +17,25 @@ from heckedem.charrings import (
     delta_ch,
     demazure_ch,
     demazure_k,
+    eval_laurent,
     to_xi_poly,
-    xi_plus,
 )
 from heckedem.coeffs import ZQ_ONE, ZQ_Q, ZQ_ZERO, build_tower
+from heckedem.hecke import CenterElement, HeckeElement, T_S, ZRingElement
 from heckedem.verify import random_group_ring, random_sym
 from heckedem.weyl import WeylElement
 
 
 def mono(a, b, ring=ZQ):
     return GroupRingElement.monomial(ring, a, b)
+
+
+def xi_plus(ring, poly: dict) -> GroupRingElement:
+    """The reference inverse of ``to_xi_poly`` on the K side: substitute
+    xi1 for e^{(1,0)} and xi2 for e^{(1,1)} in poly = {(m, k): coeff},
+    the monomial e^{(1,0)}^m * e^{(1,1)}^k with m >= 0 and k arbitrary."""
+    cls = GroupRingElement
+    return eval_laurent(poly, cls.zero(ring), cls.xi1(ring), lambda k: cls.xi2(ring, k))
 
 
 def test_every_zq_ring_is_the_same_ring():
@@ -201,6 +211,26 @@ def test_products_that_cancel_drop_the_cancelled_key(cls):
     assert product.terms == {(2, 0): ring.one, (0, 2): -ring.one}
     assert type(product) is cls and product.ring == ring
     assert (product - product).terms == {} and product.s_action() == -product
+
+
+LAURENT_NAMES = ("zero", "one", "monomial", "from_scalar", "xi1", "xi2", "s_action", "is_invariant")
+
+
+def test_only_the_two_laurent_rings_carry_the_swap_and_the_invariants():
+    # s, xi1 and xi2 mean something on Z[Lambda] and Sym(Lambda) only; every
+    # name is defined once, on LaurentPoly, and HeckeElement's own zero and
+    # one take a flavor
+    def owner(cls, name):
+        return next((k for k in cls.__mro__ if name in vars(k)), None)
+
+    for cls in (GroupRingElement, SymElement):
+        assert {name: owner(cls, name) for name in LAURENT_NAMES} == dict.fromkeys(LAURENT_NAMES, LaurentPoly)
+    for cls, own in ((SparsePoly, ()), (HeckeElement, ("zero", "one")), (CenterElement, ()), (ZRingElement, ())):
+        expected = {name: cls if name in own else None for name in LAURENT_NAMES}
+        assert {name: owner(cls, name) for name in LAURENT_NAMES} == expected
+    for call in (lambda: T_S("iwahori", ZQ).s_action(), lambda: HeckeElement.xi1(ZQ), lambda: CenterElement.xi1(ZQ)):
+        with pytest.raises(AttributeError):
+            call()
 
 
 def test_suites_build_ring_results_without_the_public_constructors(fresh_tables, monkeypatch):

@@ -167,6 +167,21 @@ def regular_module(b_power=1, p=3):
     return m8, b, ring
 
 
+def projector(ring, n, support):
+    return tuple(tuple(ring.one if r == c and r in support else ring.zero for c in range(n)) for r in range(n))
+
+
+@pytest.mark.parametrize("support", [range(8), (), (0, 2, 4, 6), (0, 1, 4, 5)], ids=["Id", "0", "0246", "0145"])
+def test_validate_rejects_an_e1_that_does_not_swap_with_s_and_u(support):
+    # each wrong e1 is idempotent, so only e1 S = S e2 and e1 U = U e2 catch it
+    m8, b, ring = regular_module()
+    e1 = projector(ring, 8, support)
+    assert linalg.mat_mul(e1, e1) == e1
+    with pytest.raises(ValueError, match=r"e1 [SU] != [SU] e2"):
+        krep.FiniteModule("h2", ring, (e1,) + m8.gens[1:], m8.zeta2).validate()
+    assert projector(ring, 8, range(4)) == m8.gens[0]
+
+
 def test_regular_module_shape():
     m8, b, ring = regular_module()
     assert m8.dim == 8

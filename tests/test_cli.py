@@ -62,6 +62,15 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text()) == json.loads(out)
 
 
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "no" / "such" / "x.json"
+    assert main(["orbits", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: cannot write --out: ") and str(path) in captured.err
+    assert not path.parent.exists()
+
+
 def test_deterministic_output(capsys):
     _, out1 = run(capsys, "orbits", "--p", "5")
     _, out2 = run(capsys, "orbits", "--p", "5")

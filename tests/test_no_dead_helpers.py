@@ -19,8 +19,6 @@ CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_ac
 
 ALLOWED = {
     ("galois", "module_of"): "ROADMAP item 1 replaces it by a builder on the component of the orbit",
-    ("charrings", "xi_plus"): "the reference inverse that the ROADMAP keeps for the xi-polynomial tests",
-    ("galois", "enumerate_classes"): "the (b, y) classes in the order bijection_check tags them; tests read it",
 }
 
 
