@@ -183,8 +183,8 @@ class LaurentPoly(SparsePoly):
         return cls(ring, {(0, 0): ring.one})
 
     @classmethod
-    def monomial(cls, ring, a: int, b: int, coeff=None):
-        return cls(ring, {(a, b): coeff if coeff is not None else ring.one})
+    def monomial(cls, ring, a: int, b: int):
+        return cls(ring, {(a, b): ring.one})
 
     @classmethod
     def from_scalar(cls, ring, c):

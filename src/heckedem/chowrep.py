@@ -179,10 +179,6 @@ def a2_block(mat, i: int, j: int):
     return tuple(tuple(mat[2 * (i - 1) + r][2 * (j - 1) + s] for s in range(2)) for r in range(2))
 
 
-def a2_is_zero(mat) -> bool:
-    return all(entry.is_zero() for row in mat for entry in row)
-
-
 # ---------------------------------------------------------------------------
 # the 8-dimensional supersingular reduction
 
@@ -206,7 +202,7 @@ def explicit_chain(m: FiniteModule) -> list:
     """The preferred composition chain 0 < V2 < V4 < V6 < V8 from the
     basis vectors: V2 = <1_1, x1_2>, V4 = A1_1 + A1_2, V6 = V4 + <d1_1,
     xd1_2>, V8 everything.  Returned as RREF (rows, pivots) pairs."""
-    e = linalg.mat_identity(m.ring, 8)
+    e = linalg.mat_identity(m.ring.one, 8)
     chains = [
         [e[0], e[6]],
         [e[0], e[2], e[4], e[6]],

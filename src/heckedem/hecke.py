@@ -59,15 +59,14 @@ class HeckeElement(SparsePoly):
         return HeckeElement(flavor, ring, {})
 
     @staticmethod
-    def basis(flavor: str, ring, w: WeylElement, idem: int | None = None, coeff=None) -> "HeckeElement":
-        c = coeff if coeff is not None else ring.one
+    def basis(flavor: str, ring, w: WeylElement, idem: int | None = None) -> "HeckeElement":
         if flavor == "h2":
             if idem not in (1, 2):
                 raise ValueError("h2 basis elements need an idempotent index in {1, 2}")
-            return HeckeElement(flavor, ring, {(idem, w): c})
+            return HeckeElement(flavor, ring, {(idem, w): ring.one})
         if idem is not None:
             raise ValueError(f"flavor {flavor!r} has no idempotent index")
-        return HeckeElement(flavor, ring, {w: c})
+        return HeckeElement(flavor, ring, {w: ring.one})
 
     @staticmethod
     def one(flavor: str, ring) -> "HeckeElement":

@@ -42,12 +42,6 @@ from .weyl import act_on_index
 # generic 2x2 matrices over the group ring
 
 
-def identity2(cls, ring):
-    """The 2x2 identity matrix over the group or symmetric ring ``cls``."""
-    one, zero = cls.one(ring), cls.zero(ring)
-    return ((one, zero), (zero, one))
-
-
 def rep_A0_S(ring):
     """The matrix of A0(q)(S) = -D_s(q) on the basis {1, e^{(-1,0)}}."""
     q = ring.q
@@ -90,7 +84,7 @@ class Demazure:
     def basis(self, ring) -> tuple:
         """{Id, MS, MU, MS MU}: the images of the basis {1, S, U, SU}."""
         MS, MU = self.S(ring), self.U(ring)
-        return (identity2(self.cls, ring), MS, MU, linalg.mat_mul(MS, MU))
+        return (linalg.mat_identity(self.cls.one(ring), 2), MS, MU, linalg.mat_mul(MS, MU))
 
 
 # S and U are looked up at call time, so a patched rep_A_U reaches the table
@@ -234,7 +228,7 @@ class FiniteModule:
         *e1, S, U = self.gens
         d = {}
         if e1:
-            ident = linalg.mat_identity(self.ring, self.dim)
+            ident = linalg.mat_identity(self.ring.one, self.dim)
             d["e1"], d["e2"] = e1[0], linalg.mat_add(ident, linalg.mat_scale(e1[0], -self.ring.one))
         d["S"], d["U"], d["Uinv"] = S, U, linalg.mat_scale(U, self.zeta2.inverse())
         return d
@@ -255,7 +249,7 @@ class FiniteModule:
         if self.flavor == "iwahori":
             if not all((x + s).is_zero() for row2, row in zip(S2, S) for x, s in zip(row2, row)):
                 raise ValueError("S^2 != -S at q = 0")
-        elif any(not x.is_zero() for row in S2 for x in row):
+        elif not linalg.is_zero(S2):
             raise ValueError("S^2 != 0 at q = 0")
         for E in e1:
             if linalg.mat_mul(E, E) != E:

@@ -7,9 +7,9 @@ Module builders (``krep._rank2_module``, ``quotient_action``) return
 Matrix objects; ``pattern`` is the one reader, through which ``mat_mul``,
 ``spin``, ``algebra_dim``, ``quotient_action`` and ``hom_space`` take
 patterns, and it makes any other tuple a Matrix first.  The matrix
-helpers (identity, sum, scaling, product, determinant) work over any ring
-whose elements support +, - and * and have ``is_zero``; ``mat_mul``
-multiplies only the nonzero entries of its left factor.
+helpers (identity, zero test, sum, scaling, product, determinant) work
+over any ring whose elements support +, - and * and have ``is_zero``;
+``mat_mul`` multiplies only the nonzero entries of its left factor.
 
 Row reduction, rank, remainders against an echelon basis, spinning, the
 dimension of the algebra that matrices generate, the action induced on a
@@ -29,9 +29,14 @@ deterministic and exact.
 from __future__ import annotations
 
 
-def mat_identity(ring, n: int):
-    one, zero = ring.one, ring.zero
+def mat_identity(one, n: int):
+    """The n x n identity over the ring of ``one``, for any entry type; its zero is 1 - 1."""
+    zero = one - one
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def is_zero(A) -> bool:
+    return all(a.is_zero() for row in A for a in row)
 
 
 def mat_add(A, B):

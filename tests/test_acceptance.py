@@ -43,7 +43,7 @@ def test_criterion_02_length_oracle(capsys):
 def test_criterion_03_extension_theorem(capsys):
     def run():
         MS, MU = krep.rep_A0_S(ZQ), krep.rep_A_U(ZQ)
-        ident = krep.identity2(GroupRingElement, ZQ)
+        ident = linalg.mat_identity(GroupRingElement.one(ZQ), 2)
         ok = linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, GroupRingElement.xi2(ZQ))
         one_minus_q = GroupRingElement.from_scalar(ZQ, ZQ.one - ZQ.q)
         lhs = linalg.mat_add(
@@ -80,7 +80,7 @@ def test_criterion_05_theta_reductions(capsys):
 
 
 def test_criterion_06_obstruction(capsys):
-    result, elapsed = timed(lambda: verify.suite_obstruction(primes=(3, 5, 7)))
+    result, elapsed = timed(lambda: verify.suite_obstruction())
     ok = result["passed"]
     report(capsys, 6, "square-root obstruction and Anil(U) conditions, p in {3,5,7}", ok, elapsed)
     assert ok, result["counterexamples"]

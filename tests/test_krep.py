@@ -31,7 +31,7 @@ def test_frozen_generator_matrices():
 
 def test_theorem_identities_symbolic():
     MS, MU = krep.rep_A0_S(ZQ), krep.rep_A_U(ZQ)
-    ident = krep.identity2(GroupRingElement, ZQ)
+    ident = linalg.mat_identity(GroupRingElement.one(ZQ), 2)
     # U^2 = xi2 Id
     assert linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, GroupRingElement.xi2(ZQ))
     # US + (1-q)U + SU = xi1 Id
@@ -67,7 +67,7 @@ def test_rep_A_is_ring_homomorphism():
 
 def test_rep_A_center_scalars():
     # central elements act as scalar matrices: zeta1 -> xi1, zeta2 -> xi2
-    ident = krep.identity2(GroupRingElement, ZQ)
+    ident = linalg.mat_identity(GroupRingElement.one(ZQ), 2)
     assert krep.rep_A(zeta1_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, GroupRingElement.xi1(ZQ))
     assert krep.rep_A(zeta2_embedded("iwahori", ZQ)) == linalg.mat_scale(ident, GroupRingElement.xi2(ZQ))
 
@@ -225,7 +225,7 @@ def test_faithfulness_rank_is_rank_of_basis_images():
         for tau2 in tower.ext_elements()[1:]:
             mod = krep.reduce_at_theta((tau1, tau2), ring)
             d = mod.gen_dict()
-            images = (linalg.mat_identity(ring, 2), d["S"], d["U"], linalg.mat_mul(d["S"], d["U"]))
+            images = (linalg.mat_identity(ring.one, 2), d["S"], d["U"], linalg.mat_mul(d["S"], d["U"]))
             old_rank = linalg.rank([tuple(x for row in M for x in row) for M in images])
             assert krep.faithfulness_rank(mod) == old_rank, (tau1, tau2)
 
@@ -240,7 +240,7 @@ def test_gen_dict_reads_off_the_inverse_of_U_and_e2():
         names = ["e1", "e2", "S", "U", "Uinv"] if m.flavor == "h2" else ["S", "U", "Uinv"]
         assert list(d) == names
         assert m.generator_matrices() == tuple(d[name] for name in names if name not in ("e2", "Uinv"))
-        ident = linalg.mat_identity(ring, m.dim)
+        ident = linalg.mat_identity(ring.one, m.dim)
         assert linalg.mat_mul(d["U"], d["Uinv"]) == ident
         if m.flavor == "h2":
             assert linalg.mat_add(d["e1"], d["e2"]) == ident

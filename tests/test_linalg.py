@@ -260,7 +260,7 @@ def test_spins_over_plain_tuples_and_fresh_operators_match_restart_spin():
     # equal but distinct copies of M8's matrices, as plain tuples
     copies = [tuple(tuple(list(row)) for row in M) for M in A]
     assert copies == list(A) and all(type(c) is tuple and c is not M for c, M in zip(copies, A))
-    unit = linalg.mat_identity(ring, 8)
+    unit = linalg.mat_identity(ring.one, 8)
     for i, j in itertools.combinations(range(8), 2):
         v = tuple(x + g * y for x, y in zip(unit[i], unit[j]))
         assert linalg.spin([v], copies, ring) == linalg.spin([v], A, ring) == restart_spin([v], copies)
@@ -282,7 +282,7 @@ def test_a_spin_that_spans_everything_stops_at_full_span(monkeypatch):
     # the reference result with fewer than rows x operators applications
     tower = build_tower(3, 1)
     ring = FieldRing(tower)
-    unit = linalg.mat_identity(ring, 8)
+    unit = linalg.mat_identity(ring.one, 8)
     witness = tuple(x + y for x, y in zip(unit[1], unit[5]))
     applications = []
     mat_vec = linalg.mat_vec

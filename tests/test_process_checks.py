@@ -74,7 +74,7 @@ from heckedem.krep import FiniteModule
 
 assert False, "python -O strips this assert; without -O the script fails here"
 ring = FieldRing(build_tower(3, 1), "ext")
-one = linalg.mat_identity(ring, 2)
+one = linalg.mat_identity(ring.one, 2)
 # S = -1 and U = 1 act by scalars, so End(M) is all of M2(E): dimension 4
 m = FiniteModule("iwahori", ring, (linalg.mat_scale(one, -ring.one), one), ring.one).validate()
 try:
@@ -100,7 +100,7 @@ from heckedem.coeffs import build_tower
 assert False, "python -O strips this assert; without -O the script fails here"
 ring = FieldRing(build_tower(3, 1), "ext")
 m8 = chowrep.reduce_regular_at_theta((ring.zero, ring.one), ring)
-line = linalg.rref([linalg.mat_identity(ring, 8)[1]])  # <d1_1> is not invariant: S d1_1 = -1_2
+line = linalg.rref([linalg.mat_identity(ring.one, 8)[1]])  # <d1_1> is not invariant: S d1_1 = -1_2
 try:
     chowrep.quotient_module(m8, line, ((), []))
 except ArithmeticError as exc:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 
 from heckedem import chowrep, hecke, krep, linalg, verify
+from heckedem.charrings import SymElement
 from heckedem.coeffs import build_tower
 from heckedem.hecke import HeckeElement
 from heckedem.weyl import WeylElement, length
@@ -54,6 +56,7 @@ def test_length_oracle_reports_every_mismatch(monkeypatch):
         (lambda: verify.suite_regular_reduction(7), "regular-reduction", 288),
         (lambda: verify.suite_regular_reduction(3, 2), "regular-reduction", 480),
         (lambda: verify.suite_krep_theta(7), "krep-theta", 4944),
+        (verify.suite_obstruction, "obstruction", 91),
     ],
 )
 def test_suite_check_counts(suite, name, checks):
@@ -76,6 +79,17 @@ def test_krep_suite_names_a_violated_extension_constraint(fresh_tables, monkeypa
     assert result["checks"] == 59
     named = [cx[1] for cx in result["counterexamples"] if cx[0] == "A(q)(U) violates an extension constraint"]
     assert named == ["a_eq_minus_d"]
+
+
+def test_obstruction_checks_anil_through_its_record(fresh_tables, monkeypatch):
+    # zeta1 -> xi1 in place of -xi1: S, U and zeta2 are unchanged, so only
+    # US + SU = zeta1 fails, once per prime
+    monkeypatch.setattr(chowrep, "A_NIL", dataclasses.replace(chowrep.A_NIL, zeta1=SymElement.xi1))
+    result = verify.suite_obstruction()
+    assert (result["checks"], result["counterexamples"]) == (
+        91,
+        [(p, "US + SU - (q-1)U != zeta1") for p in (3, 5, 7)],
+    )
 
 
 def test_regular_reduction_reports_each_raising_b(monkeypatch):

@@ -33,7 +33,7 @@ def reference_rep_A2(x):
     ring = x.ring
     out = [[SymElement.zero(ring)] * 4 for _ in range(4)]
     for (i, w), c in x.terms.items():
-        N = reference_rep_Anil(HeckeElement.basis("nil", ring, w, coeff=c))
+        N = reference_rep_Anil(HeckeElement.basis("nil", ring, w).scale(c))
         j = weyl.act_on_index(w, i)
         for r in range(2):
             for s in range(2):
