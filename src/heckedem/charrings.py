@@ -3,8 +3,9 @@
 * ``SparsePoly``: the immutable sparse core of every polynomial class in
   the package, a dict from monomial keys to nonzero coefficients with the
   ring operations and the product that adds exponent tuples.  Every
-  ring-operation result is built by one path, ``SparsePoly._new``, which
-  skips the public constructors but keeps each subclass's ``_clean``.
+  ring-operation result is built in one pass: an operation drops a
+  coefficient where its sum cancels, and ``SparsePoly._new`` then runs only
+  the subclass's ``_clean`` invariant, not the public constructors.
 * ``LaurentPoly``: the base of the two rings below, on keys (a, b) in
   Z^2, and the one holder of their constructors, the swap ``s_action``
   (with ``is_invariant``) and the invariants ``xi1``, ``xi2``.
@@ -25,6 +26,7 @@ checked to vanish; no rational-function arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add
 
 from .coeffs import FieldTower, GenericScalar, ZQ_ONE, ZQ_Q, ZQ_ZERO
@@ -94,32 +96,51 @@ class FieldRing:
 # the sparse core
 
 
+def accumulate(out: dict, key, c) -> None:
+    """Add the nonzero c into ``out[key]``, deleting the key where the sum
+    cancels: the one place a sum of terms drops a zero, so no result needs
+    a second pass.  A product of nonzero terms is nonzero, as every
+    coefficient ring here (Z[q], GF(q^2), Z) is a domain."""
+    if key not in out:
+        out[key] = c
+    elif (total := out[key] + c).is_zero():
+        del out[key]
+    else:
+        out[key] = total
+
+
 class SparsePoly:
     """Immutable finite sum of coefficient * monomial.
 
-    ``terms`` maps monomial keys to nonzero coefficients; zero
-    coefficients are dropped on construction.  Keys are exponent tuples,
-    and the product adds them.  ``HeckeElement`` keys are basis labels
-    instead, and it brings its own product.  Ring operations build their
-    results through ``_new`` only; a subclass with more state than
-    ``ring`` extends it.  Named constructors, s, xi1 and xi2 are on ``LaurentPoly``.
+    ``terms`` maps monomial keys to nonzero coefficients: the public
+    constructor drops the zeros of its input, and each ring operation
+    deletes a key where its sum cancels.  Negation, the swap s and scaling
+    by a nonzero c keep every coefficient nonzero, since each coefficient
+    ring here (Z[q], GF(q^2), Z) is a domain; only ``map_coeffs`` filters.
+    Keys are exponent tuples, and the product adds them.  ``HeckeElement``
+    keys are basis labels instead, and it brings its own product.  Ring
+    operations build their results through ``_new`` only; a subclass with
+    more state than ``ring`` extends it.  Named constructors, s, xi1 and
+    xi2 are on ``LaurentPoly``.
     """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms: dict | None = None):
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", self._clean(terms) if terms else {})
+        terms = {key: c for key, c in terms.items() if not c.is_zero()} if terms else {}
+        object.__setattr__(self, "terms", self._clean(terms))
 
     @staticmethod
     def _clean(terms: dict) -> dict:
-        return {key: c for key, c in terms.items() if not c.is_zero()}
+        """The class invariant on terms that hold no zero coefficient: none here."""
+        return terms
 
     def _new(self, terms: dict):
-        """An element of the same class and ring with the given terms, the
-        one construction path of ring-operation results: it runs the class's
-        own ``_clean`` (zero coefficients and any subclass invariant), but
-        not the public constructors and their argument handling."""
+        """An element of the same class and ring with the given terms, which
+        hold no zero coefficient: the one construction path of ring-operation
+        results.  It runs only the class's ``_clean`` invariant, not the
+        public constructors."""
         new = object.__new__(type(self))
         object.__setattr__(new, "ring", self.ring)
         object.__setattr__(new, "terms", self._clean(terms))
@@ -135,7 +156,7 @@ class SparsePoly:
     def __add__(self, other):
         out = dict(self.terms)
         for key, c in other.terms.items():
-            out[key] = out[key] + c if key in out else c
+            accumulate(out, key, c)
         return self._new(out)
 
     def __neg__(self):
@@ -148,17 +169,18 @@ class SparsePoly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(map(add, e1, e2))
-                prod = c1 * c2
-                out[exp] = out[exp] + prod if exp in out else prod
+                accumulate(out, tuple(map(add, e1, e2)), c1 * c2)
         return self._new(out)
 
     def scale(self, c):
+        if c.is_zero():
+            return self._new({})
         return self._new({key: c * v for key, v in self.terms.items()})
 
     def map_coeffs(self, fn):
-        """Apply ``fn`` to every coefficient, e.g. a specialization of q."""
-        return self._new({key: fn(c) for key, c in self.terms.items()})
+        """Apply ``fn`` to every coefficient, e.g. a specialization of q; a
+        coefficient mapped to zero drops."""
+        return self._new({key: d for key, c in self.terms.items() if not (d := fn(c)).is_zero()})
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.ring == other.ring and self.terms == other.terms
@@ -242,9 +264,9 @@ def to_xi_poly(a: LaurentPoly) -> dict:
             raise ArithmeticError("invariant element has no dominant term; bug")
         c = rest.terms[(i, j)]
         key = (i - j, j)
-        out[key] = out[key] + c if key in out else c
+        accumulate(out, key, c)
         rest = rest - eval_laurent({key: c}, zero, x1, lambda k: cls.xi2(ring, k))
-    return {key: c for key, c in out.items() if not c.is_zero()}
+    return out
 
 
 def _divide_by_one_minus_alpha(num: LaurentPoly) -> LaurentPoly:
@@ -370,8 +392,10 @@ def demazure_ch(a: SymElement, variant: str = "D") -> SymElement:
     return _divide_by_one_minus_alpha(num._new({(i, j - 1): -c for (i, j), c in num.terms.items()}))
 
 
+@lru_cache(maxsize=None)
 def half(ring):
-    """1/2 in ``ring``; ValueError unless it is a field of odd characteristic."""
+    """1/2 in ``ring``, once per ring; ValueError unless it is a field of
+    odd characteristic (a raise is not cached)."""
     if ring.is_field:
         two = ring.from_int(2)
         if not two.is_zero():

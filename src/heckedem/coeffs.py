@@ -75,8 +75,11 @@ class GenericScalar:
         if not a or not b:
             return GenericScalar()
         if len(a) == 1 or len(b) == 1:
-            # by a nonzero constant: no convolution, and nothing to trim
-            c, a = (a[0], b) if len(a) == 1 else (b[0], a)
+            # by a nonzero constant: no convolution, and nothing to trim;
+            # by 1, the other factor itself, which is immutable
+            c, a, rest = (a[0], b, other) if len(a) == 1 else (b[0], a, self)
+            if c == 1:
+                return rest
             new = object.__new__(GenericScalar)
             object.__setattr__(new, "coeffs", tuple([c * x for x in a]))
             return new

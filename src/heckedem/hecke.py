@@ -26,8 +26,8 @@ multiplication table.
 from __future__ import annotations
 
 from . import linalg, weyl
-from .charrings import SparsePoly, eval_laurent
-from .coeffs import FieldTower, GenericScalar
+from .charrings import SparsePoly, accumulate, eval_laurent
+from .coeffs import FieldTower, GenericScalar, ZQ_ONE
 from .weyl import WeylElement, act_on_index, length
 
 FLAVORS = ("iwahori", "nil", "h2")
@@ -119,9 +119,8 @@ class HeckeElement(SparsePoly):
                 for v, factor in entry:
                     if k:
                         v = v.shift(k)
-                    key = (i, v) if h2 else v
-                    add = c * factor
-                    out[key] = out[key] + add if key in out else add
+                    # c and the table's factors are nonzero, so is their product
+                    accumulate(out, (i, v) if h2 else v, c * factor)
         return self._new(out)
 
     def __repr__(self) -> str:
@@ -240,7 +239,7 @@ class CenterElement(SparsePoly):
     def _clean(terms: dict) -> dict:
         if any(m < 0 for m, _ in terms):
             raise ValueError("zeta1 is not invertible")
-        return SparsePoly._clean(terms)
+        return terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -310,14 +309,14 @@ def normal_form_over_center(x: HeckeElement) -> tuple:
         raise ValueError("normal form over the center is defined for iwahori and nil flavors")
     zero = CenterElement(ring)
     q, q1 = ring.q, ring.q - ring.one if flavor == "iwahori" else ring.zero
-    # q vanishes over a field, and q - 1 in the nil flavor: skip those products
-    times = lambda e, c: zero if c.is_zero() else e.scale(c)
+    # q vanishes over a field, and q - 1 in the nil flavor: scale by zero
+    # returns zero at once
     zeta1, zeta2 = CenterElement(ring, {(1, 0): ring.one}), CenterElement(ring, {(0, 1): ring.one})
     right_mul = {
         "S": lambda a, b, c, d: (
-            times(b, q) + zeta1 * c,
-            a + times(b, q1) + zeta1 * d,
-            times(c, q1) - times(d, q),
+            b.scale(q) + zeta1 * c,
+            a + b.scale(q1) + zeta1 * d,
+            c.scale(q1) - d.scale(q),
             -c,
         ),
         "U": lambda a, b, c, d: (zeta2 * c, zeta2 * d, a, b),
@@ -350,7 +349,9 @@ def recompose_from_center(coords, flavor: str, ring) -> HeckeElement:
 class ZRingElement(SparsePoly):
     """Element of Z[X, Y, z2^{+-1}] / (XY) with integer coefficients.
 
-    terms: map (dx, dy, dz) -> int with dx, dy >= 0 and dx*dy = 0.
+    terms: map (dx, dy, dz) -> nonzero integer, as a constant
+    ``GenericScalar`` (so the sparse core's ``is_zero`` applies), with
+    dx, dy >= 0 and dx*dy = 0.
     """
 
     __slots__ = ()
@@ -360,20 +361,20 @@ class ZRingElement(SparsePoly):
 
     @staticmethod
     def _clean(terms: dict) -> dict:
-        return {key: c for key, c in terms.items() if c and not (key[0] > 0 and key[1] > 0)}  # XY = 0
+        return {key: c for key, c in terms.items() if not (key[0] > 0 and key[1] > 0)}  # XY = 0
 
     @staticmethod
     def const(n: int) -> "ZRingElement":
-        return ZRingElement({(0, 0, 0): n})
+        return ZRingElement({(0, 0, 0): GenericScalar.const(n)})
 
     @staticmethod
     def gen(name: str, power: int = 1) -> "ZRingElement":
         if name == "X":
-            return ZRingElement({(power, 0, 0): 1})
+            return ZRingElement({(power, 0, 0): ZQ_ONE})
         if name == "Y":
-            return ZRingElement({(0, power, 0): 1})
+            return ZRingElement({(0, power, 0): ZQ_ONE})
         if name == "z2":
-            return ZRingElement({(0, 0, power): 1})
+            return ZRingElement({(0, 0, power): ZQ_ONE})
         raise ValueError(name)
 
     def __repr__(self):
@@ -412,12 +413,11 @@ def h2_matrix_model(x: HeckeElement):
     for (i, w), c in x.terms.items():
         if len(c.coeffs) > 1:
             raise ValueError("matrix model requires q = 0; coefficient has positive q-degree")
-        n = c.coeffs[0] if c.coeffs else 0
         k, w0 = zeta2_split(w)
         m = _ZM_E1 if i == 1 else _ZM_E2
         for letter in _translation_word(w0):
             m = linalg.mat_mul(m, _ZM_S if letter == "S" else _ZM_U)
-        out = linalg.mat_add(out, linalg.mat_scale(m, ZRingElement({(0, 0, k): n})))
+        out = linalg.mat_add(out, linalg.mat_scale(m, ZRingElement({(0, 0, k): c})))
     return out
 
 
@@ -430,10 +430,8 @@ def group_algebra_mul(x: dict, y: dict, q: int) -> dict:
     n = q - 1
     for (a1, a2), c1 in x.items():
         for (b1, b2), c2 in y.items():
-            key = ((a1 + b1) % n, (a2 + b2) % n)
-            prod = c1 * c2
-            out[key] = out[key] + prod if key in out else prod
-    return {k: c for k, c in out.items() if not c.is_zero()}
+            accumulate(out, ((a1 + b1) % n, (a2 + b2) % n), c1 * c2)
+    return out
 
 
 def idempotent(tower: FieldTower, labels) -> dict:
@@ -457,9 +455,8 @@ def idempotent(tower: FieldTower, labels) -> dict:
             for a2 in range(n):
                 # lambda(t)^{-1} = g0^{-(a1 m1 + a2 m2)}
                 c = tower.gen_power((q + 1) * (-(a1 * m1 + a2 * m2) % n)) * inv_size
-                key = (a1, a2)
-                elt[key] = elt[key] + c if key in elt else c
-    return dict(sorted((k, c) for k, c in elt.items() if not c.is_zero()))
+                accumulate(elt, (a1, a2), c)
+    return dict(sorted(elt.items()))
 
 
 def orbits(tower: FieldTower) -> list:

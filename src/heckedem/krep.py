@@ -30,6 +30,7 @@ from . import linalg
 from .charrings import (
     FieldRing,
     GroupRingElement,
+    accumulate,
     decompose_k,
     eval_laurent,
     to_xi_poly,
@@ -140,9 +141,7 @@ def represent(rep: Demazure, x: HeckeElement):
         for acc_row, row in zip(rows, word_image(rep, ring, w0)):
             for out, entry in zip(acc_row[col : col + 2], row):
                 for (a, b), v in entry.terms.items():
-                    key = (a + shift, b + shift)
-                    add = c * v
-                    out[key] = out[key] + add if key in out else add
+                    accumulate(out, (a + shift, b + shift), c * v)
     new = rep.cls.zero(ring)._new
     return tuple(tuple(map(new, row)) for row in acc)
 

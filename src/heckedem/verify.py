@@ -25,6 +25,7 @@ from .charrings import (
     FieldRing,
     GroupRingElement,
     SymElement,
+    accumulate,
     decompose_ch,
     decompose_k,
     delta_ch,
@@ -55,9 +56,11 @@ from .weyl import WeylElement, length, length_bfs
 
 
 def random_weyl(rng: random.Random, max_len: int = 6) -> WeylElement:
-    # the same draws as randint(-4, 4) twice and choice(("e", "s")), in fewer calls
+    # the same draws as randint(-4, 4) twice and choice(("e", "s")): both
+    # reach Random._randbelow, which this calls directly
+    below = rng._randbelow
     while True:
-        w = WeylElement(rng.randrange(9) - 4, rng.randrange(9) - 4, ("e", "s")[rng.randrange(2)])
+        w = WeylElement(below(9) - 4, below(9) - 4, ("e", "s")[below(2)])
         if length(w) <= max_len:
             return w
 
@@ -534,8 +537,7 @@ def suite_idempotents(p: int, f: int = 1) -> dict:
     total: dict = {}
     for e in idems.values():
         for k, c in e.items():
-            total[k] = total[k] + c if k in total else c
-    total = {k: c for k, c in total.items() if not c.is_zero()}
+            accumulate(total, k, c)
     t.check(total == {(0, 0): tower.one()}, "idempotents do not sum to the identity")
     orbs = orbits(tower)
     t.check(len(orbs) == (q * q - q) // 2, ("orbit count", len(orbs)))

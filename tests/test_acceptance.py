@@ -4,9 +4,10 @@ Every check is exact (integer / finite-field / symbolic Laurent
 arithmetic); the stated time budgets are asserted as well.
 """
 
+import dataclasses
 import time
 
-from heckedem import krep, linalg, verify
+from heckedem import krep, verify
 from heckedem.charrings import ZQ, GroupRingElement
 
 
@@ -40,24 +41,25 @@ def test_criterion_02_length_oracle(capsys):
     assert elapsed < 1.0
 
 
-def test_criterion_03_extension_theorem(capsys):
-    def run():
-        MS, MU = krep.rep_A0_S(ZQ), krep.rep_A_U(ZQ)
-        ident = linalg.mat_identity(GroupRingElement.one(ZQ), 2)
-        ok = linalg.mat_mul(MU, MU) == linalg.mat_scale(ident, GroupRingElement.xi2(ZQ))
-        one_minus_q = GroupRingElement.from_scalar(ZQ, ZQ.one - ZQ.q)
-        lhs = linalg.mat_add(
-            linalg.mat_add(linalg.mat_mul(MU, MS), linalg.mat_scale(MU, one_minus_q)),
-            linalg.mat_mul(MS, MU),
-        )
-        ok = ok and lhs == linalg.mat_scale(ident, GroupRingElement.xi1(ZQ))
-        ok = ok and linalg.det(MU) == GroupRingElement(ZQ, {(1, 1): -ZQ.one})
-        constraints = krep.check_theorem_constraints(ZQ)
-        return ok and len(constraints) == 3 and all(constraints.values())
+def extension_theorem_holds() -> bool:
+    """Criterion 3: A(q)'s relations, read through the record ``krep.A_Q``
+    (looked up at call time), and the extension theorem's constraints."""
+    t = verify.Tally("criterion 3")
+    verify._check_record(t, krep.A_Q, ZQ, "A(q)")
+    constraints = krep.check_theorem_constraints(ZQ)
+    return t.report()["passed"] and t.checks == 4 and len(constraints) == 3 and all(constraints.values())
 
-    ok, elapsed = timed(run)
+
+def test_criterion_03_extension_theorem(capsys):
+    ok, elapsed = timed(extension_theorem_holds)
     report(capsys, 3, "A(U) identities and determinant, generic q", ok, elapsed)
     assert ok
+
+
+def test_criterion_03_sees_a_wrong_record(monkeypatch):
+    wrong = dataclasses.replace(krep.A_Q, zeta1=lambda r: -GroupRingElement.xi1(r))
+    monkeypatch.setattr(krep, "A_Q", wrong)
+    assert not extension_theorem_holds()
 
 
 def test_criterion_04_symbolic_independence(capsys):

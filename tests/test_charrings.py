@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from heckedem import verify
+from heckedem import chowrep, verify
 from heckedem.charrings import (
     ZQ,
     FieldRing,
@@ -20,7 +20,7 @@ from heckedem.charrings import (
     eval_laurent,
     to_xi_poly,
 )
-from heckedem.coeffs import ZQ_ONE, ZQ_Q, ZQ_ZERO, build_tower
+from heckedem.coeffs import ZQ_ONE, ZQ_Q, ZQ_ZERO, GenericScalar, build_tower
 from heckedem.hecke import CenterElement, HeckeElement, T_S, ZRingElement
 from heckedem.verify import random_group_ring, random_sym
 from heckedem.weyl import WeylElement
@@ -211,6 +211,48 @@ def test_products_that_cancel_drop_the_cancelled_key(cls):
     assert product.terms == {(2, 0): ring.one, (0, 2): -ring.one}
     assert type(product) is cls and product.ring == ring
     assert (product - product).terms == {} and product.s_action() == -product
+
+
+def test_scale_by_zero_and_coefficients_mapped_to_zero_drop_their_keys():
+    x = GroupRingElement(ZQ, {(1, 0): ZQ_Q, (0, 1): ZQ_ONE + ZQ_Q})
+    assert x.map_coeffs(lambda c: GenericScalar.const(c.evaluate(0))).terms == {(0, 1): ZQ_ONE}
+    assert x.map_coeffs(lambda c: ZQ_ZERO).terms == {}
+    for y in (x, SymElement.xi1(ZQ), T_S("h2", ZQ)):
+        zeroed = y.scale(ZQ_ZERO)
+        assert zeroed.terms == {} and type(zeroed) is type(y) and zeroed.ring == ZQ
+    assert T_S("h2", ZQ).scale(ZQ_ZERO).flavor == "h2"
+
+
+def test_the_public_constructors_drop_zero_coefficients():
+    assert GroupRingElement(ZQ, {(1, 0): ZQ_ZERO, (0, 1): ZQ_ONE}).terms == {(0, 1): ZQ_ONE}
+    assert SparsePoly(ZQ, {(1,): ZQ_ZERO}).is_zero() and ZRingElement.const(0).is_zero()
+
+
+def test_ring_operations_leave_no_zero_coefficient(fresh_tables, monkeypatch):
+    # each ring operation drops a coefficient where its sum cancels, so
+    # SparsePoly._new, which filters nothing, must never be handed a zero:
+    # watch every result of the suites, cold and then warm
+    runs = (
+        lambda: verify.suite_relations(0, 500)["passed"],
+        lambda: verify.suite_chowrep(0, n_random=100)["passed"],
+        lambda: verify.suite_demazure(0)["passed"],
+        lambda: verify.suite_center(0)["passed"],
+        lambda: verify.suite_h2_model(0)["passed"],
+        lambda: chowrep.check_naive_obstruction()["solvable"] is False,
+    )
+    new, zeros = SparsePoly._new, []
+
+    def watching_new(self, terms):
+        result = new(self, terms)
+        if any(c.is_zero() for c in result.terms.values()):
+            zeros.append((type(result).__name__, result.terms))
+        return result
+
+    monkeypatch.setattr(SparsePoly, "_new", watching_new)
+    for run in runs * 2:
+        passed = run()
+        assert zeros == []
+        assert passed
 
 
 LAURENT_NAMES = ("zero", "one", "monomial", "from_scalar", "xi1", "xi2", "s_action", "is_invariant")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from heckedem import hecke, weyl
-from heckedem.charrings import ZQ
+from heckedem.charrings import ZQ, FieldRing
 from heckedem.coeffs import GenericScalar, build_tower
 from heckedem.hecke import (
     CenterElement,
@@ -248,6 +248,17 @@ def test_ring_operation_results_keep_their_class_invariants():
     assert ZRingElement.gen("X") * ZRingElement.gen("Y", 2) + ZRingElement.gen("z2") == ZRingElement.gen("z2")
     with pytest.raises(ValueError, match="zeta1 is not invertible"):
         CenterElement(ZQ)._new({(-1, 0): ZQ.one})
+
+
+def test_hecke_products_over_gf9_drop_the_cancelled_key():
+    # at q = 0, S^2 = -S in the iwahori flavor: (S + 1)S = 0 and
+    # (S + 1)(S + U) = SU + U, the two S terms cancelling
+    ring = FieldRing(build_tower(3, 1))
+    S, U, one = T_S("iwahori", ring), T_U("iwahori", ring), HeckeElement.one("iwahori", ring)
+    assert ((S + one) * S).terms == {}
+    product = (S + one) * (S + U)
+    assert product.terms == {weyl.S * weyl.U: ring.one, weyl.U: ring.one}
+    assert type(product) is HeckeElement and product.flavor == "iwahori" and product.ring == ring
 
 
 def test_public_constructor_still_checks_the_flavor():

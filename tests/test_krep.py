@@ -6,7 +6,7 @@ import pytest
 from heckedem import chowrep, krep, linalg
 from heckedem.charrings import ZQ, FieldRing, GroupRingElement
 from heckedem.coeffs import build_tower
-from heckedem.hecke import zeta1_embedded, zeta2_embedded
+from heckedem.hecke import HeckeElement, T_S, zeta1_embedded, zeta2_embedded
 from heckedem.verify import random_group_ring, random_hecke
 
 
@@ -63,6 +63,15 @@ def test_rep_A_is_ring_homomorphism():
     for _ in range(30):
         x, y = random_hecke(rng, "iwahori"), random_hecke(rng, "iwahori")
         assert krep.rep_A(x * y) == linalg.mat_mul(krep.rep_A(x), krep.rep_A(y))
+
+
+def test_represent_drops_an_entry_term_that_cancels():
+    # A(q)(S) has -1 at (1, 1) and A(q)(1) is the identity: the two terms of
+    # T_S + 1 cancel there, and represent leaves no zero coefficient
+    x = T_S("iwahori", ZQ) + HeckeElement.one("iwahori", ZQ)
+    image = krep.represent(krep.A_Q, x)
+    assert image == linalg.mat_add(krep.rep_A0_S(ZQ), linalg.mat_identity(GroupRingElement.one(ZQ), 2))
+    assert image[1][1].terms == {} and image[0][0].terms == {(0, 0): ZQ.q + ZQ.one}
 
 
 def test_rep_A_center_scalars():
