@@ -4,7 +4,8 @@
   the package, a dict from monomial keys to nonzero coefficients with the
   ring operations and the product that adds exponent tuples.  Every
   ring-operation result is built in one pass: an operation drops a
-  coefficient where its sum cancels, and ``SparsePoly._new`` then runs only
+  coefficient where its sum cancels (``linalg.accumulate``, the one
+  sparse-sum rule of the package), and ``SparsePoly._new`` then runs only
   the subclass's ``_clean`` invariant, not the public constructors.
 * ``LaurentPoly``: the base of the two rings below, on keys (a, b) in
   Z^2, and the one holder of their constructors, the swap ``s_action``
@@ -30,6 +31,7 @@ from functools import lru_cache
 from operator import add
 
 from .coeffs import FieldTower, GenericScalar, ZQ_ONE, ZQ_Q, ZQ_ZERO
+from .linalg import accumulate
 
 
 # ---------------------------------------------------------------------------
@@ -94,19 +96,6 @@ class FieldRing:
 
 # ---------------------------------------------------------------------------
 # the sparse core
-
-
-def accumulate(out: dict, key, c) -> None:
-    """Add the nonzero c into ``out[key]``, deleting the key where the sum
-    cancels: the one place a sum of terms drops a zero, so no result needs
-    a second pass.  A product of nonzero terms is nonzero, as every
-    coefficient ring here (Z[q], GF(q^2), Z) is a domain."""
-    if key not in out:
-        out[key] = c
-    elif (total := out[key] + c).is_zero():
-        del out[key]
-    else:
-        out[key] = total
 
 
 class SparsePoly:

@@ -26,8 +26,9 @@ multiplication table.
 from __future__ import annotations
 
 from . import linalg, weyl
-from .charrings import SparsePoly, accumulate, eval_laurent
+from .charrings import SparsePoly, eval_laurent
 from .coeffs import FieldTower, GenericScalar, ZQ_ONE
+from .linalg import accumulate
 from .weyl import WeylElement, act_on_index, length
 
 FLAVORS = ("iwahori", "nil", "h2")
@@ -181,18 +182,18 @@ def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:
         if letter == "U":
             state = {v * weyl.U: c for v, c in state.items()}
             continue
+        # a key takes at most two terms per letter: one that cancels never comes back, so keys keep their order
         new: dict = {}
         for v, c in state.items():
             vs = v * weyl.S
             if length(vs) > length(v):
-                new[vs] = new[vs] + c if vs in new else c
+                accumulate(new, vs, c)
             else:
                 if flavor == "iwahori":
-                    add = c * q_minus_1
-                    new[v] = new[v] + add if v in new else add
-                add = c * q
-                new[vs] = new[vs] + add if vs in new else add
-        state = {v: c for v, c in new.items() if not c.is_zero()}
+                    accumulate(new, v, c * q_minus_1)
+                if not q.is_zero():  # q = 0 over a field
+                    accumulate(new, vs, c * q)
+        state = new
     return state
 
 
@@ -216,11 +217,6 @@ def T_U(flavor: str, ring, power: int = 1) -> HeckeElement:
 
 def T_S0(flavor: str, ring) -> HeckeElement:
     return T_w(flavor, ring, weyl.S0)
-
-
-def idem_element(ring, i: int) -> HeckeElement:
-    """The idempotent e_i of the h2 flavor."""
-    return HeckeElement("h2", ring, {(i, weyl.E): ring.one})
 
 
 # ---------------------------------------------------------------------------

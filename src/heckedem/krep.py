@@ -30,12 +30,12 @@ from . import linalg
 from .charrings import (
     FieldRing,
     GroupRingElement,
-    accumulate,
     decompose_k,
     eval_laurent,
     to_xi_poly,
 )
 from .hecke import HeckeElement, T_S, T_U, normal_form_over_center, specialize_q0, zeta2_split
+from .linalg import accumulate
 from .weyl import act_on_index
 
 

@@ -17,7 +17,10 @@ quotient, Hom spaces between modules and isomorphism from a Hom space of
 dimension at most 1 need a field.  They share one sparse echelon core:
 vectors and echelon rows are {column: nonzero entry} dicts (``sparse``),
 every echelon form is grown by one insertion step (``_insert``), and a
-row operation touches only the entries of the row it subtracts.
+row operation touches only the entries of the row it subtracts.  Every
+sparse sum of the package (echelon rows, and the term dicts of
+``charrings``, ``hecke``, ``krep`` and ``verify``) goes through
+``accumulate``, kept here as this module imports nothing from the package.
 ``mat_vec`` applies an operator through its pattern, summing only over
 the support of the vector.  ``spin`` and ``algebra_dim`` share one
 spinning loop (``_span``), which stops once the span is the whole space;
@@ -27,6 +30,20 @@ deterministic and exact.
 """
 
 from __future__ import annotations
+
+
+def accumulate(out: dict, key, c) -> None:
+    """Add the nonzero c into ``out[key]``, deleting the key where the sum
+    cancels: the one place a sum of terms drops a zero, so no result needs
+    a second pass.  A product of nonzero terms is nonzero, as every
+    coefficient ring here (Z[q], GF(q^2), Z) is a domain."""
+    x = out.get(key)
+    if x is None:
+        out[key] = c
+    elif (x := x + c).is_zero():
+        del out[key]
+    else:
+        out[key] = x
 
 
 def mat_identity(one, n: int):
@@ -90,15 +107,7 @@ def mat_vec(C, v) -> dict:
     out = {}
     for j, x in v.items():
         for i, a in C[j]:
-            y = out.get(i)
-            if y is None:
-                out[i] = a * x
-            else:
-                y = y + a * x
-                if y.is_zero():
-                    del out[i]
-                else:
-                    out[i] = y
+            accumulate(out, i, a * x)
     return out
 
 
@@ -130,6 +139,8 @@ def rref(rows):
     ``_insert``; returns (rows, pivot column list)."""
     basis, pivots = [], []
     for v in rows:
+        if isinstance(v, dict):
+            raise ValueError("rref takes tuple rows: a dict row carries no width")
         _insert(basis, pivots, sparse(v))
     if not basis:
         return (), pivots
@@ -167,15 +178,7 @@ def _clear(v, p, row) -> None:
     m = -v.pop(p)
     for j, y in row.items():
         if j != p:
-            x = v.get(j)
-            if x is None:
-                v[j] = m * y
-            else:
-                x = x + m * y
-                if x.is_zero():
-                    del v[j]
-                else:
-                    v[j] = x
+            accumulate(v, j, m * y)
 
 
 def _reduce(rows, pivots, v) -> dict:
@@ -327,11 +330,10 @@ def hom_space(gens1, gens2, ring):
         # less (B X)[i][j] = sum_k B[i][k] x[k][j]
         for k, terms in enumerate(B_cols):
             for i, b in terms:
+                nb = -b
                 for j in range(n1):
-                    row = block[i * n1 + j]
-                    x = row.get(k * n1 + j)
-                    row[k * n1 + j] = -b if x is None else x - b
-        rows += ({c: x for c, x in row.items() if not x.is_zero()} for row in block)
+                    accumulate(block[i * n1 + j], k * n1 + j, nb)
+        rows += block
     zero = ring.zero
     return [
         tuple(tuple(v.get(i * n1 + j, zero) for j in range(n1)) for i in range(n2))

@@ -1,12 +1,12 @@
 """Shared fixtures.
 
 ``clear_tables`` empties the process-wide tables that memoise derived
-results: every ``lru_cache`` defined in ``krep``, ``chowrep``, ``hecke``
-and ``weyl`` (the one table ``krep.word_image`` of Demazure word images,
-shared by A(q) and Anil, the table ``krep._theta_images`` of S and U as
-xi-polynomials, one entry per (record, flavor, ring), from which both
-reductions at theta are made, ...), found by scanning
-those modules, so that a new table cannot be missed; and the Hecke
+results: every ``lru_cache`` defined in a module of the package (the one
+table ``krep.word_image`` of Demazure word images, shared by A(q) and
+Anil, the table ``krep._theta_images`` of S and U as xi-polynomials, one
+entry per (record, flavor, ring), from which both reductions at theta are
+made, ``charrings.half``, ...), found by scanning every module that
+``pkgutil`` lists, so that a new table cannot be missed; and the Hecke
 product table ``hecke._PRODUCTS``, a plain dict of plain dicts.  A test that patches an input of
 one of them takes the ``fresh_tables`` fixture before ``monkeypatch``, so
 the tables are emptied before the patch and again after it is undone: no
@@ -18,9 +18,13 @@ references of the tests for products, row reduction and kernels: they run
 over every entry, zeros included, and share no code with ``linalg``.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
-from heckedem import chowrep, hecke, krep, weyl
+import heckedem
+from heckedem import hecke
 
 
 def dense_mat_vec(A, v):
@@ -75,7 +79,8 @@ def dense_nullspace(R, pivots, ncols, ring):
 
 
 def clear_tables():
-    for module in (chowrep, hecke, krep, weyl):
+    for info in pkgutil.iter_modules(heckedem.__path__):
+        module = importlib.import_module(f"heckedem.{info.name}")
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__:
                 obj.cache_clear()

@@ -299,4 +299,4 @@ def test_suites_build_ring_results_without_the_public_constructors(fresh_tables,
     chowrep = verify.suite_chowrep(0, n_random=100)
     assert (relations["passed"], relations["checks"]) == (True, 618)
     assert (chowrep["passed"], chowrep["checks"]) == (True, 662)
-    assert counts == {"SparsePoly.__init__": 4516, "WeylElement.__new__": 3317}
+    assert counts == {"SparsePoly.__init__": 4140, "WeylElement.__new__": 3317}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckedem import hecke, weyl
+from heckedem import hecke, verify, weyl
 from heckedem.charrings import ZQ, FieldRing
 from heckedem.coeffs import GenericScalar, build_tower
 from heckedem.hecke import (
@@ -16,7 +16,6 @@ from heckedem.hecke import (
     component_iso,
     group_algebra_mul,
     h2_matrix_model,
-    idem_element,
     idempotent,
     normal_form_over_center,
     orbits,
@@ -66,7 +65,8 @@ def test_h2_idempotent_twist():
     y = HeckeElement("h2", ZQ, {(2, weyl.S): ZQ.one})
     assert x * y == HeckeElement("h2", ZQ, {(1, weyl.E): ZQ.q})
     # e_1 + e_2 = 1
-    assert idem_element(ZQ, 1) + idem_element(ZQ, 2) == HeckeElement.one("h2", ZQ)
+    e1, e2 = (HeckeElement.basis("h2", ZQ, weyl.E, i) for i in (1, 2))
+    assert e1 + e2 == HeckeElement.one("h2", ZQ)
 
 
 def test_center_embeddings():
@@ -266,3 +266,11 @@ def test_public_constructor_still_checks_the_flavor():
         HeckeElement("bogus", ZQ, {weyl.E: ZQ.one})
     with pytest.raises(ValueError, match="unknown flavor"):
         HeckeElement.zero("bogus", ZQ)
+
+
+def test_the_product_table_holds_no_zero_coefficient(fresh_tables):
+    verify.suite_chowrep(0, n_random=100)
+    verify.suite_relations(0, 500)
+    entries = [entry for rows in hecke._PRODUCTS.values() for row in rows.values() for entry in row.values()]
+    assert entries
+    assert [(v, c) for entry in entries for v, c in entry if c.is_zero()] == []

@@ -424,3 +424,55 @@ def test_mat_mul_with_a_zero_row_and_a_non_square_shape():
     B = tuple(tuple(rng.choice(elements) for _ in range(4)) for _ in range(3))
     assert_mat_mul_is_dense(A, B)
     assert_mat_mul_is_dense(B[:2], tuple(zip(*B)))
+
+
+def test_accumulate_stores_sums_deletes_a_cancelled_key_and_adds_it_again():
+    tower = build_tower(3, 1)
+    one, g = tower.one(), tower.gen_power(1)
+    out = {}
+    linalg.accumulate(out, "a", g)  # a new key
+    assert out == {"a": g}
+    linalg.accumulate(out, "a", one)  # a sum
+    assert out == {"a": g + one}
+    linalg.accumulate(out, "b", one)
+    linalg.accumulate(out, "a", -(g + one))  # the sum cancels: the key goes
+    assert out == {"b": one}
+    linalg.accumulate(out, "a", g)  # and comes back after the keys that stayed
+    assert list(out.items()) == [("b", one), ("a", g)]
+
+
+def test_mat_vec_drops_a_row_whose_products_cancel():
+    ring = FieldRing(build_tower(3, 1))
+    one, zero = ring.one, ring.zero
+    A = ((one, one), (one, zero))
+    v = {0: one, 1: -one}  # row 0 is 1 - 1
+    assert linalg.mat_vec(linalg.pattern(A), v) == {1: one}
+    assert dense_mat_vec(A, (one, -one)) == (zero, one)
+
+
+def test_hom_space_of_two_scalar_modules_is_everything_and_its_rows_hold_no_zero(monkeypatch):
+    # X (g Id) - (g Id) X = 0 for every X: each constraint row cancels to nothing
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    n = 3
+    scalar = linalg.mat_scale(linalg.mat_identity(ring.one, n), tower.gen_power(1))
+    kernel, rows = linalg._kernel, []
+
+    def watched(vectors, ncols, ring):
+        vectors = list(vectors)
+        rows.extend(vectors)
+        return kernel(vectors, ncols, ring)
+
+    monkeypatch.setattr(linalg, "_kernel", watched)
+    assert len(linalg.hom_space([scalar], [scalar], ring)) == n * n
+    assert len(rows) == n * n
+    assert [x for row in rows for x in row.values() if x.is_zero()] == []
+
+
+def test_rref_refuses_a_dict_row():
+    # a dict row has no width: rref read it off the first row and cut the others short
+    ring = FieldRing(build_tower(3, 1))
+    with pytest.raises(ValueError, match="tuple rows"):
+        linalg.rref([{0: ring.one}, {3: ring.one}])
+    e = linalg.mat_identity(ring.one, 4)
+    assert linalg.rref([e[0], e[3]]) == ((e[0], e[3]), [0, 3])
