@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
-from .coeffs import FieldTower, GenericScalar, ZQ_ONE, ZQ_Q, ZQ_ZERO
+from .coeffs import FieldTower, ZQ_ONE, ZQ_Q, ZQ_ZERO
 from .linalg import accumulate
 
 
@@ -47,9 +47,6 @@ class ZqRing:
     zero = ZQ_ZERO
     one = ZQ_ONE
     q = ZQ_Q
-
-    def from_int(self, n: int):
-        return GenericScalar.const(n)
 
     def __repr__(self):
         return "Z[q]"
@@ -252,6 +249,8 @@ def to_xi_poly(a: LaurentPoly) -> dict:
         if i < j:
             raise ArithmeticError("invariant element has no dominant term; bug")
         c = rest.terms[(i, j)]
+        if c.is_zero():
+            raise ArithmeticError("zero coefficient in a sparse element; peeling it makes no progress")
         key = (i - j, j)
         accumulate(out, key, c)
         rest = rest - eval_laurent({key: c}, zero, x1, lambda k: cls.xi2(ring, k))

@@ -23,7 +23,7 @@ from itertools import product
 
 from .charrings import FieldRing
 from .coeffs import FieldElement, FieldTower, discrete_log
-from .hecke import orbits as torus_orbits
+from .hecke import orbit, orbits as torus_orbits
 from .krep import FiniteModule, reduce_at_theta
 from .chowrep import composition_series, reduce_regular_at_theta
 
@@ -42,9 +42,7 @@ class GaloisParam:
 
     def class_key(self):
         """Canonical key of the equivalence class (b, {y, y^q})."""
-        h = discrete_log(self.y)
-        hc = (h * self.tower.q) % (self.tower.q**2 - 1)
-        return (self.b, min(h, hc))
+        return (self.b, min(exponent_set(self)))
 
 
 def exponent_set(rho: GaloisParam) -> set:
@@ -54,36 +52,29 @@ def exponent_set(rho: GaloisParam) -> set:
     return {h, h * rho.tower.q % (rho.tower.q**2 - 1)}
 
 
-@dataclass(frozen=True)
-class NormalizedExponent:
-    h: int  # in [1, q-1]
-    i: int  # in [0, q-2]
-
-
-def normalize_twist(rho: GaloisParam) -> NormalizedExponent:
-    """Smallest (i, then h) with h + i(q+1) congruent to the exponent of
-    y or of y^q mod q^2 - 1, 1 <= h <= q-1.  Such an h + i(q+1) lies in
-    [1, q^2 - 3], so it is the exponent itself, read off by one divmod."""
+def normalize_twist(rho: GaloisParam) -> tuple:
+    """(h, i), 1 <= h <= q-1, 0 <= i <= q-2, smallest in (i, then h) with
+    h + i(q+1) congruent to the exponent of y or of y^q mod q^2 - 1.  That
+    sum lies in [1, q^2 - 3], so it is the exponent itself: one divmod."""
     q = rho.tower.q
     pairs = [divmod(e, q + 1) for e in exponent_set(rho)]
     valid = [(i, h) for i, h in pairs if 0 < h < q]
     if not valid:
         raise RuntimeError("twisting normalization failed; exponent lemma violated")
     i, h = min(valid)
-    return NormalizedExponent(h, i)
+    return h, i
 
 
 def character_of(rho: GaloisParam) -> tuple:
     """The torus character exponent pair lambda(rho) = (h-1+i, i) mod q-1."""
-    ne = normalize_twist(rho)
+    h, i = normalize_twist(rho)
     n = rho.tower.q - 1
-    return ((ne.h - 1 + ne.i) % n, ne.i % n)
+    return ((h - 1 + i) % n, i % n)
 
 
 def orbit_of(rho: GaloisParam) -> tuple:
     """The W0-orbit of lambda(rho)."""
-    m1, m2 = character_of(rho)
-    return tuple(sorted({(m1, m2), (m2, m1)}))
+    return orbit(character_of(rho))
 
 
 def theta_of(rho: GaloisParam) -> tuple:

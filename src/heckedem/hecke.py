@@ -430,23 +430,21 @@ def group_algebra_mul(x: dict, y: dict, q: int) -> dict:
     return out
 
 
-def idempotent(tower: FieldTower, labels) -> dict:
-    """e_lambda (single exponent pair) or e_gamma (several) in E[T], T =
-    (GF(q)^x)^2, stored by discrete logs.
+def idempotent(tower: FieldTower, gamma) -> dict:
+    """e_gamma, the sum of e_lambda over the labels of an orbit gamma, in
+    E[T], T = (GF(q)^x)^2, stored by discrete logs.
 
     e_lambda = |T|^{-1} sum_t lambda(t)^{-1} T_t, with lambda the character
     (t1, t2) -> t1^{m1} t2^{m2}.  The result maps (a1, a2) in (Z/(q-1))^2
     to the coefficient of T_t for t = (g0^a1, g0^a2), g0 the fixed
     generator of GF(q)^x inside GF(q^2), in sorted order.
     """
-    if isinstance(labels[0], int):
-        labels = (labels,)
     q = tower.q
     n = q - 1
     size = n * n  # |T|
     inv_size = tower.from_int(size).inverse()
     elt: dict = {}
-    for m1, m2 in labels:
+    for m1, m2 in gamma:
         for a1 in range(n):
             for a2 in range(n):
                 # lambda(t)^{-1} = g0^{-(a1 m1 + a2 m2)}
@@ -455,20 +453,17 @@ def idempotent(tower: FieldTower, labels) -> dict:
     return dict(sorted(elt.items()))
 
 
+def orbit(lam) -> tuple:
+    """The W0-orbit of a character lam = (m1, m2): its swap labels, sorted."""
+    m1, m2 = lam
+    return tuple(sorted({(m1, m2), (m2, m1)}))
+
+
 def orbits(tower: FieldTower) -> list:
-    """W0-orbits on the character group of T: pairs (m1, m2) mod q-1 up to swap."""
+    """W0-orbits on the character group of T (pairs mod q-1 up to swap),
+    one per label m1 <= m2, in order of that label."""
     n = tower.q - 1
-    seen = set()
-    out = []
-    for m1 in range(n):
-        for m2 in range(n):
-            lam = (m1, m2)
-            if lam in seen:
-                continue
-            orb = tuple(sorted({lam, (m2, m1)}))
-            seen.update(orb)
-            out.append(orb)
-    return out
+    return [orbit((m1, m2)) for m1 in range(n) for m2 in range(m1, n)]
 
 
 def component_iso(gamma) -> dict:

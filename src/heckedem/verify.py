@@ -515,7 +515,7 @@ def suite_idempotents(p: int, f: int = 1) -> dict:
     n = q - 1
     t = Tally(f"idempotents-q{q}")
     lambdas = [(m1, m2) for m1 in range(n) for m2 in range(n)]
-    idems = {lam: idempotent(tower, lam) for lam in lambdas}
+    idems = {lam: idempotent(tower, (lam,)) for lam in lambdas}
     for lam, e in idems.items():
         t.check(group_algebra_mul(e, e, q) == e, (lam, "not idempotent"))
     for lam in lambdas:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from test_process_checks import run_python
+
 from heckedem import chowrep, verify
 from heckedem.charrings import (
     ZQ,
@@ -121,6 +123,28 @@ def test_xi_plus_rejects_negative_xi1_power():
 def test_to_xi_poly_rejects_non_invariant():
     with pytest.raises(ValueError):
         to_xi_poly(mono(1, 0))
+
+
+ZERO_TERM_TO_XI = """
+from heckedem.charrings import FieldRing, GroupRingElement, to_xi_poly
+from heckedem.coeffs import build_tower
+ring = FieldRing(build_tower(3, 1))
+# _new skips the constructor's zero filter, so a zero coefficient stays in terms
+a = GroupRingElement.one(ring)._new({(0, 0): ring.one, (1, 1): ring.zero})
+try:
+    to_xi_poly(a)
+except ArithmeticError:
+    print("raised")
+"""
+
+
+def test_to_xi_poly_raises_on_a_zero_coefficient():
+    """Peeling a zero coefficient leaves the rest unchanged, so the call
+    must raise instead of looping; it runs in a child process with a short
+    timeout, so a hang fails this test instead of stalling the suite."""
+    proc = run_python("-c", ZERO_TERM_TO_XI, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "raised"
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ from heckedem.coeffs import build_tower
 from heckedem.hecke import orbits as torus_orbits
 from heckedem.galois import (
     GaloisParam,
-    NormalizedExponent,
     bijection_check,
     character_of,
     exponent_set,
@@ -40,10 +39,10 @@ def test_exponent_sets_q3():
 
 
 def test_normalized_twists_q3():
-    assert normalize_twist(param(1)) == NormalizedExponent(1, 0)
-    assert normalize_twist(param(2)) == NormalizedExponent(2, 0)
-    assert normalize_twist(param(3)) == NormalizedExponent(1, 0)
-    assert normalize_twist(param(5)) == NormalizedExponent(1, 1)
+    assert normalize_twist(param(1)) == (1, 0)
+    assert normalize_twist(param(2)) == (2, 0)
+    assert normalize_twist(param(3)) == (1, 0)
+    assert normalize_twist(param(5)) == (1, 1)
 
 
 def normalize_twist_by_search(rho):
@@ -55,7 +54,7 @@ def normalize_twist_by_search(rho):
     for i in range(q - 1):
         for h in range(1, q):
             if (h + i * (q + 1)) % n in targets:
-                return NormalizedExponent(h, i)
+                return (h, i)
     raise RuntimeError("no normalized exponent")
 
 

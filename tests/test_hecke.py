@@ -160,7 +160,7 @@ def test_toral_idempotents_q3():
     tower = build_tower(3, 1)
     q = tower.q
     lams = [(m1, m2) for m1 in range(q - 1) for m2 in range(q - 1)]
-    idems = {lam: idempotent(tower, lam) for lam in lams}
+    idems = {lam: idempotent(tower, (lam,)) for lam in lams}
     for lam, e in idems.items():
         assert group_algebra_mul(e, e, q) == e
     for lam in lams:
@@ -183,6 +183,29 @@ def test_orbits_q3():
     assert sizes == [1, 1, 2]
     flavors = sorted(component_iso(o)["flavor"] for o in orbs)
     assert flavors == ["h2", "iwahori", "iwahori"]
+
+
+def orbits_by_seen_set(tower):
+    """The reference: scan every label (m1, m2), m1 outer, and start a new
+    orbit at each label no earlier orbit holds."""
+    n = tower.q - 1
+    seen = set()
+    out = []
+    for m1 in range(n):
+        for m2 in range(n):
+            lam = (m1, m2)
+            if lam in seen:
+                continue
+            orb = tuple(sorted({lam, (m2, m1)}))
+            seen.update(orb)
+            out.append(orb)
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1), (5, 2)])
+def test_orbits_keep_the_seen_set_order(p, f):
+    tower = build_tower(p, f)
+    assert orbits(tower) == orbits_by_seen_set(tower)
 
 
 def test_orbits_q5():

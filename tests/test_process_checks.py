@@ -15,9 +15,9 @@ import heckedem
 SRC = str(Path(heckedem.__file__).resolve().parent.parent)
 
 
-def run_python(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, timeout: float = 120) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_import_does_not_load_sympy():
