@@ -11,10 +11,10 @@ quadratic relation and the idempotent bookkeeping:
 The engine folds the S/U word of w2 (``_translation_word``) into T_w
 letter by letter (``_basis_product``).  A product writes each term as
 T_w = zeta2^k T_{w'} with w' translation-free (``zeta2_split``), folds
-each pair (w', w2') once per flavor and ring into a process-wide product
-table, and reads T_w T_{w2} off it with every key shifted by
-e^{(k1 + k2, k1 + k2)}: zeta2 is central of length 0, so the shifted fold
-is the fold itself.
+each pair (w', w2') once per quadratic relation and ring into a
+process-wide product table, and reads T_w T_{w2} off it with every key
+shifted by e^{(k1 + k2, k1 + k2)}: zeta2 is central of length 0, so the
+shifted fold is the fold itself.
 
 Distinguished elements S = T_s, U = T_u, S0 = T_{s0} = U S U^{-1}, and the
 central pair zeta1, zeta2.  The algebra is free over its center on the
@@ -32,6 +32,12 @@ from .linalg import accumulate
 from .weyl import WeylElement, act_on_index, length
 
 FLAVORS = ("iwahori", "nil", "h2")
+
+
+def q_minus_1(flavor: str, ring):
+    """The (q-1) of T_g^2 = (q-1) T_g + q at an affine generator g: q - 1 on
+    iwahori, 0 on nil and h2 (T_g^2 = q); the one home of that choice."""
+    return ring.q - ring.one if flavor == "iwahori" else ring.zero
 
 
 class HeckeElement(SparsePoly):
@@ -95,10 +101,10 @@ class HeckeElement(SparsePoly):
 
         Each factor's terms are split once (``zeta2_split``); the pair
         (w, w2) reads T_{w'} T_{w2'} from ``_PRODUCTS`` and shifts every
-        key by the summed zeta2 powers."""
+        key by the summed zeta2 powers; nil and h2 share one table."""
         self._check_compatible(other)
         flavor, ring = self.flavor, self.ring
-        rows = _PRODUCTS.setdefault((flavor, ring), {})
+        rows = _PRODUCTS.setdefault((flavor == "iwahori", ring), {})
         h2 = flavor == "h2"
         right: dict = {}  # idempotent index (None outside h2) -> [(k2, w2', c2)]
         for key2, c2 in other.terms.items():
@@ -114,7 +120,7 @@ class HeckeElement(SparsePoly):
             for k2, w2, c2 in pairs:
                 entry = row.get(w2)
                 if entry is None:
-                    entry = row[w2] = tuple(_basis_product(w1, w2, flavor, ring).items())
+                    entry = row[w2] = tuple(_basis_product(w1, w2, q_minus_1(flavor, ring), ring).items())
                 c = c1 * c2
                 k = k1 + k2
                 for v, factor in entry:
@@ -152,24 +158,24 @@ def _term_sort_key(key):
     return (i, *w)
 
 
-# The product table: (flavor, ring) -> {w': {w2': T_{w'} T_{w2'} as a tuple of
-# (v, c) pairs}} for translation-free w', w2', filled on a miss by the letter
-# fold (``_basis_product``) and kept for the whole process: whoever patches an
-# input of the fold (``_translation_word``, ``length``) must ``_PRODUCTS.clear()``,
-# before and after, or read stale products.
+# The product table: (relation has a (q-1) T_g term, ring) -> {w': {w2':
+# T_{w'} T_{w2'} as a tuple of (v, c) pairs}} for translation-free w', w2',
+# filled on a miss by the letter fold (``_basis_product``) and kept for the
+# whole process: whoever patches an input of the fold (``_translation_word``,
+# ``length``, ``q_minus_1``) must ``_PRODUCTS.clear()``, before and after.
 _PRODUCTS: dict = {}
 
 
-def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:
+def _basis_product(w: WeylElement, w2: WeylElement, q1, ring) -> dict:
     """T_w * T_{w2} as a map WeylElement -> coefficient, for a
-    translation-free w2.
+    translation-free w2, under T_S^2 = q1 T_S + q with q1 = ``q_minus_1``.
 
     Folds the letters of ``_translation_word(w2)`` one at a time: U has
     length 0 and moves every key; at S, an ascent gives T_{vs} and a
-    descent applies the flavor's quadratic relation.
+    descent applies the quadratic relation.
 
     ``HeckeElement.__mul__`` calls it once per translation-free pair
-    (w', w2') and flavor and ring, on a miss of the product table, and
+    (w', w2') and relation and ring, on a miss of the product table, and
     shifts every key by (k1 + k2, k1 + k2): zeta2 is central of length 0.
     The table is never filled by a closed form or a length-additive
     shortcut: the braid checks in ``verify.suite_relations`` would then
@@ -177,7 +183,6 @@ def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:
     """
     state = {w: ring.one}
     q = ring.q
-    q_minus_1 = q - ring.one
     for letter in _translation_word(w2):
         if letter == "U":
             state = {v * weyl.U: c for v, c in state.items()}
@@ -189,8 +194,8 @@ def _basis_product(w: WeylElement, w2: WeylElement, flavor: str, ring) -> dict:
             if length(vs) > length(v):
                 accumulate(new, vs, c)
             else:
-                if flavor == "iwahori":
-                    accumulate(new, v, c * q_minus_1)
+                if not q1.is_zero():  # 0 on nil and h2
+                    accumulate(new, v, c * q1)
                 if not q.is_zero():  # q = 0 over a field
                     accumulate(new, vs, c * q)
         state = new
@@ -244,12 +249,10 @@ class CenterElement(SparsePoly):
 
 
 def zeta1_embedded(flavor: str, ring) -> HeckeElement:
-    """zeta1 = U(S - (q-1)) + SU (iwahori) or US + SU (nil/h2)."""
+    """zeta1 = U(S - (q-1)) + SU, with the (q-1) of ``q_minus_1``: US + SU
+    on nil and h2."""
     S, U = T_S(flavor, ring), T_U(flavor, ring)
-    if flavor == "iwahori":
-        q_minus_1 = ring.q - ring.one
-        return U * S - U.scale(q_minus_1) + S * U
-    return U * S + S * U
+    return U * S - U.scale(q_minus_1(flavor, ring)) + S * U
 
 
 def zeta2_embedded(flavor: str, ring) -> HeckeElement:
@@ -298,13 +301,13 @@ def normal_form_over_center(x: HeckeElement) -> tuple:
     letters in from the right, acting on the coordinates (a, b, c, d) of
     a + bS + cU + dSU by the multiplication table of the basis:
     S^2 = (q-1)S + q, US = zeta1 - SU + (q-1)U and SUS = zeta1 S - qU,
-    U^2 = zeta2.  The (q-1) terms belong to the iwahori flavor only.
+    U^2 = zeta2, with the (q-1) of ``q_minus_1``.
     """
     flavor, ring = x.flavor, x.ring
     if flavor not in ("iwahori", "nil"):
         raise ValueError("normal form over the center is defined for iwahori and nil flavors")
     zero = CenterElement(ring)
-    q, q1 = ring.q, ring.q - ring.one if flavor == "iwahori" else ring.zero
+    q, q1 = ring.q, q_minus_1(flavor, ring)
     # q vanishes over a field, and q - 1 in the nil flavor: scale by zero
     # returns zero at once
     zeta1, zeta2 = CenterElement(ring, {(1, 0): ring.one}), CenterElement(ring, {(0, 1): ring.one})

@@ -34,7 +34,7 @@ from .charrings import (
     eval_laurent,
     to_xi_poly,
 )
-from .hecke import HeckeElement, T_S, T_U, normal_form_over_center, specialize_q0, zeta2_split
+from .hecke import HeckeElement, T_S, T_U, normal_form_over_center, q_minus_1, specialize_q0, zeta2_split
 from .linalg import accumulate
 from .weyl import act_on_index
 
@@ -236,20 +236,17 @@ class FiniteModule:
         return self.gens
 
     def validate(self):
-        """Check the defining relations at q = 0: U^2 = zeta2, S^2 = -S on
-        the iwahori flavor and S^2 = 0 otherwise, and on h2 e1^2 = e1 and
-        e1 X = X e2 for X = S, U, as e1 X + X e1 = X; raises ValueError.
-        Each product is compared entry by entry."""
+        """Check the defining relations at q = 0: U^2 = zeta2, S^2 = (q-1)S
+        with the (q-1) of ``hecke.q_minus_1`` (S^2 = -S on iwahori, 0 on nil
+        and h2), and on h2 e1^2 = e1 and e1 X = X e2 for X = S, U, as
+        e1 X + X e1 = X; raises ValueError.  Each product is compared entry
+        by entry."""
         *e1, S, U = self.gens
         U2 = linalg.mat_mul(U, U)
         if not all(x == self.zeta2 if i == j else x.is_zero() for i, row in enumerate(U2) for j, x in enumerate(row)):
             raise ValueError("U^2 != zeta2")
-        S2 = linalg.mat_mul(S, S)
-        if self.flavor == "iwahori":
-            if not all((x + s).is_zero() for row2, row in zip(S2, S) for x, s in zip(row2, row)):
-                raise ValueError("S^2 != -S at q = 0")
-        elif not linalg.is_zero(S2):
-            raise ValueError("S^2 != 0 at q = 0")
+        if linalg.mat_mul(S, S) != linalg.mat_scale(S, q_minus_1(self.flavor, self.ring)):
+            raise ValueError("S^2 != (q-1)S at q = 0")
         for E in e1:
             if linalg.mat_mul(E, E) != E:
                 raise ValueError("e1 is not idempotent")

@@ -163,13 +163,12 @@ def _check_roundtrips(t: Tally, draw, n: int, *label) -> None:
 def _check_record(t: Tally, rep: krep.Demazure, ring, *label) -> None:
     """The presentation of the algebra on the record's own S and U over
     ring: S^2 = (q-1)S + q, U^2 = zeta2, US + SU - (q-1)U = zeta1 and det
-    U = -zeta2, the center mapped as the record maps it.  The (q-1) terms
-    belong to the iwahori flavor only, as in ``normal_form_over_center``;
-    over a field q = 0."""
+    U = -zeta2, the center mapped as the record maps it, with the (q-1) of
+    ``hecke.q_minus_1``; over a field q = 0."""
     mul, add, scale = linalg.mat_mul, linalg.mat_add, linalg.mat_scale
     S, U, one = rep.S(ring), rep.U(ring), rep.cls.one(ring)
     ident, q = linalg.mat_identity(one, 2), rep.cls.from_scalar(ring, ring.q)
-    q1 = q - one if rep.flavor == "iwahori" else one - one
+    q1 = rep.cls.from_scalar(ring, hecke.q_minus_1(rep.flavor, ring))
     z1, z2 = rep.zeta1(ring), rep.cls.xi2(ring, rep.zeta2_degree)
     t.check(mul(S, S) == add(scale(S, q1), scale(ident, q)), (*label, "S^2 != (q-1)S + q"))
     t.check(mul(U, U) == scale(ident, z2), (*label, "U^2 != zeta2"))

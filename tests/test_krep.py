@@ -256,6 +256,22 @@ def test_gen_dict_reads_off_the_inverse_of_U_and_e2():
             assert linalg.mat_mul(d["e2"], d["e2"]) == d["e2"]
 
 
+@pytest.mark.parametrize(
+    "flavor,gens",
+    [
+        # U^2 = 1, but S^2 = S != -S
+        ("iwahori", (((1, 0), (0, 0)), ((0, 1), (1, 0)))),
+        # e1 = diag(1, 0) swaps with S = U, U^2 = 1, but S^2 = 1 != 0
+        ("h2", (((1, 0), (0, 0)), ((0, 1), (1, 0)), ((0, 1), (1, 0)))),
+    ],
+)
+def test_validate_rejects_an_S_that_breaks_the_quadratic_relation(flavor, gens):
+    ring = FieldRing(build_tower(3, 1))
+    gens = tuple(tuple(tuple(ring.from_int(x) for x in row) for row in M) for M in gens)
+    with pytest.raises(ValueError, match=r"S\^2"):
+        krep.FiniteModule(flavor, ring, gens, ring.one).validate()
+
+
 def intertwiner_by_projective_scan(gens1, gens2, ring):
     """The exhaustive reference: the first invertible combination of the Hom
     space basis, over all projective coordinates (first nonzero one is 1)."""

@@ -1,9 +1,10 @@
 """Hecke products read each translation-free pair from a product table.
 
 ``HeckeElement.__mul__`` writes T_w = zeta2^k T_{w'} (``zeta2_split``),
-reads T_{w'} T_{w2'} from a table per flavor and ring, and shifts every
-key by the summed zeta2 powers.  The reference below is the path it
-replaces: the letter fold of every pair of terms, as a test-local copy.
+reads T_{w'} T_{w2'} from a table per quadratic relation and ring (nil and
+h2 share one), and shifts every key by the summed zeta2 powers.  The
+reference below is the path it replaces: the letter fold of every pair of
+terms, as a test-local copy.
 """
 
 import random
@@ -100,12 +101,14 @@ def test_table_path_matches_the_per_pair_fold(fresh_tables, ring_name):
 
 
 def test_table_holds_one_entry_per_translation_free_pair(fresh_tables, monkeypatch):
+    """One table per (relation has the (q - 1) term, ring): a pair is folded
+    once across nil and h2 together, with the (q - 1) of the relation."""
     fold = hecke._basis_product
     folds = []
 
-    def counted(w, w2, flavor, ring):
-        folds.append((flavor, ring, w, w2))
-        return fold(w, w2, flavor, ring)
+    def counted(w, w2, q1, ring):
+        folds.append((not q1.is_zero(), ring, w, w2))
+        return fold(w, w2, q1, ring)
 
     monkeypatch.setattr(hecke, "_basis_product", counted)
     rng = random.Random("one entry per pair")
@@ -113,22 +116,24 @@ def test_table_holds_one_entry_per_translation_free_pair(fresh_tables, monkeypat
     for ring_name in sorted(RINGS):
         ring = RINGS[ring_name]()
         for flavor in hecke.FLAVORS:
-            used.add((flavor, ring))
+            used.add((flavor == "iwahori", ring))
             for _ in range(20):
                 random_element(rng, flavor, ring) * random_element(rng, flavor, ring)
-    assert set(hecke._PRODUCTS) == used
+    assert set(hecke._PRODUCTS) == used and len(used) == 2 * len(RINGS)
     entries = {
-        (flavor, ring, w, w2): entry
-        for (flavor, ring), rows in hecke._PRODUCTS.items()
+        (iwahori, ring, w, w2): entry
+        for (iwahori, ring), rows in hecke._PRODUCTS.items()
         for w, row in rows.items()
         for w2, entry in row.items()
     }
     assert all(min(w.n1, w.n2) == 0 and min(w2.n1, w2.n2) == 0 for _, _, w, w2 in entries)
     assert len(folds) == len(set(folds)) == len(entries)
     assert set(folds) == set(entries)
-    # each entry is the plain tuple of the fold's (v, c) pairs, in the fold's order
-    for (flavor, ring, w, w2), entry in entries.items():
-        assert entry == tuple(reference_basis_product(w, w2, flavor, ring).items())
+    # each entry is the plain tuple of the fold's (v, c) pairs, in the fold's
+    # order, and the nil fold is the h2 fold
+    for (iwahori, ring, w, w2), entry in entries.items():
+        flavors = ("iwahori",) if iwahori else ("nil", "h2")
+        assert all(entry == tuple(reference_basis_product(w, w2, f, ring).items()) for f in flavors)
 
 
 def test_relations_suite_sees_a_dropped_letter_through_the_table(fresh_tables, monkeypatch):

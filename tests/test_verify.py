@@ -1,10 +1,13 @@
 import dataclasses
+import importlib
 import json
+import pkgutil
 import random
 from collections import Counter
 
 import pytest
 
+import heckedem
 from heckedem import chowrep, hecke, krep, linalg, verify
 from heckedem.charrings import SymElement
 from heckedem.coeffs import build_tower
@@ -90,6 +93,28 @@ def test_obstruction_checks_anil_through_its_record(fresh_tables, monkeypatch):
         91,
         [(p, "US + SU - (q-1)U != zeta1") for p in (3, 5, 7)],
     )
+
+
+@pytest.mark.parametrize(
+    "wrong,other_suite",
+    [
+        # the (q - 1) term on every flavor: nil and h2 get it too
+        (lambda flavor, ring: ring.q - ring.one, verify.suite_obstruction),
+        # no (q - 1) term on any flavor: iwahori loses it
+        (lambda flavor, ring: ring.zero, verify.suite_krep),
+    ],
+)
+def test_a_wrong_quadratic_relation_fails_counted_checks(fresh_tables, monkeypatch, wrong, other_suite):
+    """Every module that binds ``hecke.q_minus_1`` reads the wrong one; the
+    suites count the failures and raise nothing."""
+    right = hecke.q_minus_1
+    for info in pkgutil.iter_modules(heckedem.__path__):
+        module = importlib.import_module(f"heckedem.{info.name}")
+        if vars(module).get("q_minus_1") is right:
+            monkeypatch.setattr(module, "q_minus_1", wrong)
+    for result in (verify.suite_relations(0), other_suite()):
+        assert result["passed"] is False
+        assert result["counterexamples"]
 
 
 def test_regular_reduction_reports_each_raising_b(monkeypatch):
