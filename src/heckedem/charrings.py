@@ -105,9 +105,10 @@ class SparsePoly:
     ring here (Z[q], GF(q^2), Z) is a domain; only ``map_coeffs`` filters.
     Keys are exponent tuples, and the product adds them.  ``HeckeElement``
     keys are basis labels instead, and it brings its own product.  Ring
-    operations build their results through ``_new`` only; a subclass with
-    more state than ``ring`` extends it.  Named constructors, s, xi1 and
-    xi2 are on ``LaurentPoly``.
+    operations build their results through ``_new`` only, and normal forms
+    and random draws through ``_of``; a subclass with more state than
+    ``ring`` extends both.  Named constructors, s, xi1 and xi2 are on
+    ``LaurentPoly``.
     """
 
     __slots__ = ("ring", "terms")
@@ -122,15 +123,21 @@ class SparsePoly:
         """The class invariant on terms that hold no zero coefficient: none here."""
         return terms
 
-    def _new(self, terms: dict):
-        """An element of the same class and ring with the given terms, which
-        hold no zero coefficient: the one construction path of ring-operation
-        results.  It runs only the class's ``_clean`` invariant, not the
+    @classmethod
+    def _of(cls, ring, terms: dict):
+        """An element of cls over ring with the given terms, which hold no
+        zero coefficient: the one construction path of ring-operation
+        results, of normal forms over the center and of the random draws of
+        ``verify``.  It runs only the class's ``_clean`` invariant, not the
         public constructors."""
-        new = object.__new__(type(self))
-        object.__setattr__(new, "ring", self.ring)
-        object.__setattr__(new, "terms", self._clean(terms))
+        new = object.__new__(cls)
+        object.__setattr__(new, "ring", ring)
+        object.__setattr__(new, "terms", cls._clean(terms))
         return new
+
+    def _new(self, terms: dict):
+        """``_of`` in the class and ring of self."""
+        return self._of(self.ring, terms)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -219,14 +226,17 @@ class LaurentPoly(SparsePoly):
 def eval_laurent(poly: dict, zero, x1, x2_power):
     """Evaluate sum c * x1^m * x2^k over poly = {(m, k): c}, m >= 0.
 
-    ``x2_power(k)`` returns x2^k for any sign of k (x2 is a unit)."""
-    out = zero
+    ``x2_power(k)`` returns x2^k for any sign of k (x2 is a unit); each
+    power x1^m is formed once per call."""
+    out, powers = zero, [x1]  # powers[m - 1] = x1^m
     for (m, k), c in poly.items():
         if m < 0:
             raise ValueError("the first variable is not invertible")
         term = x2_power(k)
-        for _ in range(m):
-            term = term * x1
+        if m:
+            while len(powers) < m:
+                powers.append(powers[-1] * x1)
+            term = term * powers[m - 1]
         out = out + term.scale(c)
     return out
 

@@ -19,8 +19,12 @@ shifted fold is the fold itself.
 Distinguished elements S = T_s, U = T_u, S0 = T_{s0} = U S U^{-1}, and the
 central pair zeta1, zeta2.  The algebra is free over its center on the
 basis {1, S, U, SU}; ``normal_form_over_center`` computes coordinates in
-one pass, multiplying the letters of each T_w into that basis by its
-multiplication table.
+one pass, multiplying the letters of each T_w into that basis by one rule
+table, ``RIGHT_MUL``: per letter and target coordinate, the source
+coordinates with their coefficient (1, -1, q, -q or q - 1) and the shift
+that zeta1 or zeta2 makes in a (m, k) key.  The coordinates stay term
+dicts {(m, k): coefficient} of zeta1^m zeta2^k until the end, so a
+central factor moves a key and a zero q or q - 1 adds no term.
 """
 
 from __future__ import annotations
@@ -55,10 +59,14 @@ class HeckeElement(SparsePoly):
         object.__setattr__(self, "flavor", flavor)
         super().__init__(ring, terms)
 
-    def _new(self, terms: dict) -> "HeckeElement":
-        new = SparsePoly._new(self, terms)
-        object.__setattr__(new, "flavor", self.flavor)
+    @classmethod
+    def _of(cls, ring, terms: dict, flavor: str) -> "HeckeElement":
+        new = super()._of(ring, terms)
+        object.__setattr__(new, "flavor", flavor)
         return new
+
+    def _new(self, terms: dict) -> "HeckeElement":
+        return self._of(self.ring, terms, self.flavor)
 
     # constructors -------------------------------------------------------
     @staticmethod
@@ -294,40 +302,67 @@ def _translation_word(w: WeylElement) -> tuple[str, ...]:
     return ("U", "S") * (m - 1) + ("U",) if m >= 1 else ("S", "U") * -m + ("S",)
 
 
+# Right multiplication of a + bS + cU + dSU by a letter, written as data:
+# per letter and target coordinate (1, S, U, SU), the terms (source
+# coordinate, coefficient, shift of the (m, k) key of zeta1^m zeta2^k).
+# From S^2 = (q-1)S + q, US = zeta1 - SU + (q-1)U, SUS = zeta1 S - qU
+# and U^2 = zeta2:
+#   (a, b, c, d) S = (q b + zeta1 c, a + (q-1) b + zeta1 d, (q-1) c - q d, -c)
+#   (a, b, c, d) U = (zeta2 c, zeta2 d, a, b)
+RIGHT_MUL = {
+    "S": (
+        ((1, "q", (0, 0)), (2, "1", (1, 0))),
+        ((0, "1", (0, 0)), (1, "q-1", (0, 0)), (3, "1", (1, 0))),
+        ((2, "q-1", (0, 0)), (3, "-q", (0, 0))),
+        ((2, "-1", (0, 0)),),
+    ),
+    "U": (
+        ((2, "1", (0, 1)),),
+        ((3, "1", (0, 1)),),
+        ((0, "1", (0, 0)),),
+        ((1, "1", (0, 0)),),
+    ),
+}
+
+
 def normal_form_over_center(x: HeckeElement) -> tuple:
     """Coordinates (c_1, c_S, c_U, c_SU) of x over the center.
 
     Writes each T_w as zeta2^k times a word in S, U and multiplies the
-    letters in from the right, acting on the coordinates (a, b, c, d) of
-    a + bS + cU + dSU by the multiplication table of the basis:
-    S^2 = (q-1)S + q, US = zeta1 - SU + (q-1)U and SUS = zeta1 S - qU,
-    U^2 = zeta2, with the (q-1) of ``q_minus_1``.
+    letters in from the right by the rule ``RIGHT_MUL``, with the (q-1) of
+    ``q_minus_1``.  The coordinates are term dicts {(m, k): coefficient}
+    of zeta1^m zeta2^k summed by ``accumulate``: zeta1 and zeta2 move a
+    key, a coefficient 1 multiplies nothing and a zero q or q - 1 adds
+    nothing; a ``CenterElement`` is built only for each final coordinate.
     """
     flavor, ring = x.flavor, x.ring
     if flavor not in ("iwahori", "nil"):
         raise ValueError("normal form over the center is defined for iwahori and nil flavors")
-    zero = CenterElement(ring)
-    q, q1 = ring.q, q_minus_1(flavor, ring)
-    # q vanishes over a field, and q - 1 in the nil flavor: scale by zero
-    # returns zero at once
-    zeta1, zeta2 = CenterElement(ring, {(1, 0): ring.one}), CenterElement(ring, {(0, 1): ring.one})
-    right_mul = {
-        "S": lambda a, b, c, d: (
-            b.scale(q) + zeta1 * c,
-            a + b.scale(q1) + zeta1 * d,
-            c.scale(q1) - d.scale(q),
-            -c,
-        ),
-        "U": lambda a, b, c, d: (zeta2 * c, zeta2 * d, a, b),
+    q = ring.q
+    coeff = {"1": None, "-1": -ring.one, "q": q, "-q": -q, "q-1": q_minus_1(flavor, ring)}
+    # None stands for 1; a zero q (over a field) or q - 1 (on nil) drops its term
+    rule = {
+        letter: [
+            [(src, f, shift) for src, name, shift in terms if (f := coeff[name]) is None or not f.is_zero()]
+            for terms in targets
+        ]
+        for letter, targets in RIGHT_MUL.items()
     }
-    total = (zero,) * 4
+    total = ({}, {}, {}, {})
     for key, c in x.terms.items():
         k, w0 = zeta2_split(key)
-        coords = (CenterElement(ring, {(0, k): c}), zero, zero, zero)
+        coords = ({(0, k): c}, {}, {}, {})
         for letter in _translation_word(w0):
-            coords = right_mul[letter](*coords)
-        total = tuple(t + v for t, v in zip(total, coords))
-    return total
+            new = ({}, {}, {}, {})
+            for out, terms in zip(new, rule[letter]):
+                for src, f, (dm, dk) in terms:
+                    for (m, n), v in coords[src].items():
+                        accumulate(out, (m + dm, n + dk), v if f is None else v * f)
+            coords = new
+        for out, part in zip(total, coords):
+            for mk, v in part.items():
+                accumulate(out, mk, v)
+    return tuple(CenterElement._of(ring, out) for out in total)
 
 
 def recompose_from_center(coords, flavor: str, ring) -> HeckeElement:

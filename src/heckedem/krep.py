@@ -126,7 +126,9 @@ def represent(rep: Demazure, x: HeckeElement):
     ``rep.zeta2_degree``.  On the h2 flavor, the twisted form of a nil
     representation, the matrix is 4x4 in 2x2 blocks, one per pair of
     components: e_i T_w goes to block (i, j), j the component that perm(w)
-    routes into i.  The caller checks that x's flavor and ring suit rep."""
+    routes into i.  Every zero entry of the result is one shared element,
+    ``rep.cls.zero(ring)``.  The caller checks that x's flavor and ring
+    suit rep."""
     ring, h2 = x.ring, x.flavor == "h2"
     n = 4 if h2 else 2
     acc = [[{} for _ in range(n)] for _ in range(n)]
@@ -142,8 +144,8 @@ def represent(rep: Demazure, x: HeckeElement):
             for out, entry in zip(acc_row[col : col + 2], row):
                 for (a, b), v in entry.terms.items():
                     accumulate(out, (a + shift, b + shift), c * v)
-    new = rep.cls.zero(ring)._new
-    return tuple(tuple(map(new, row)) for row in acc)
+    zero = rep.cls.zero(ring)
+    return tuple(tuple(zero._new(d) if d else zero for d in row) for row in acc)
 
 
 def rep_A(x: HeckeElement):

@@ -9,7 +9,7 @@ Matrix objects; ``pattern`` is the one reader, through which ``mat_mul``,
 patterns, and it makes any other tuple a Matrix first.  The matrix
 helpers (identity, zero test, sum, scaling, product, determinant) work
 over any ring whose elements support +, - and * and have ``is_zero``;
-``mat_mul`` multiplies only the nonzero entries of its left factor.
+``mat_mul`` multiplies only the nonzero entries of both factors.
 
 Row reduction, rank, remainders against an echelon basis, spinning, the
 dimension of the algebra that matrices generate, the action induced on a
@@ -87,15 +87,29 @@ def pattern(A) -> list:
 
 
 def mat_mul(A, B):
-    """A B, over the nonzero entries of A only: row i is the sum of A[i][t]
-    B[t] over the nonzero A[i][t], in order of t, or A[i][0] B[0] (zeros of
-    the ring's own element type) when there is none."""
-    out = [None] * len(A)
-    for Bt, terms in zip(B, pattern(A)):
-        for i, a in terms:
-            row = out[i]
-            out[i] = [a * b for b in Bt] if row is None else [x + a * b for x, b in zip(row, Bt)]
-    return tuple(tuple(row or (A[i][0] * b for b in B[0])) for i, row in enumerate(out))
+    """A B, over the nonzero entries of both factors: entry (i, j) is the
+    sum of A[i][t] B[t][j] over the t, in order, at which both are nonzero,
+    found by walking column j of ``pattern(B)`` and column t of
+    ``pattern(A)``.  An entry with no such t is a zero entry of the
+    factors: A[i][0] when that is zero, else B[0][j], which then is.  So no
+    product of a zero is formed.  A product of nonzero entries may still
+    be zero, as in Z[X, Y]/(XY), and is kept as it comes."""
+    A_cols, cols = pattern(A), []
+    for terms in pattern(B):
+        col = [None] * len(A)
+        for t, b in terms:
+            for i, a in A_cols[t]:
+                x = col[i]
+                col[i] = a * b if x is None else x + a * b
+        cols.append(col)
+    out = []
+    for Ai, row in zip(A, zip(*cols)):
+        zero = Ai[0]
+        if zero.is_zero():
+            out.append(tuple(zero if x is None else x for x in row))
+        else:
+            out.append(tuple(B[0][j] if x is None else x for j, x in enumerate(row)))
+    return tuple(out)
 
 
 def mat_vec(C, v) -> dict:

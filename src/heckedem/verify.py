@@ -84,7 +84,7 @@ def random_hecke(rng: random.Random, flavor: str, ring=ZQ, n_terms: int = 3) -> 
         w = random_weyl(rng)  # drawn before the idempotent index
         return ((rng.choice((1, 2)), w) if flavor == "h2" else w), _random_coeff(rng, ring)
 
-    return HeckeElement(flavor, ring, _draw_terms(rng, n_terms, draw))
+    return HeckeElement._of(ring, _draw_terms(rng, n_terms, draw), flavor)
 
 
 def _random_coeff(rng: random.Random, ring):
@@ -99,7 +99,7 @@ def _random_laurent_terms(rng: random.Random, ring, lo: int, hi: int) -> dict:
 
 
 def random_group_ring(rng: random.Random, ring=ZQ) -> GroupRingElement:
-    return GroupRingElement(ring, _random_laurent_terms(rng, ring, -3, 3))
+    return GroupRingElement._of(ring, _random_laurent_terms(rng, ring, -3, 3))
 
 
 def random_sym(rng: random.Random, ring=ZQ) -> SymElement:
@@ -451,7 +451,7 @@ def suite_h2_model(seed: int = 0) -> dict:
 
 def _random_h2_q0(rng: random.Random) -> HeckeElement:
     draw = lambda: ((rng.choice((1, 2)), random_weyl(rng, 4)), GenericScalar.const(rng.randint(-3, 3)))
-    return HeckeElement("h2", ZQ, _draw_terms(rng, 3, draw))
+    return HeckeElement._of(ZQ, _draw_terms(rng, 3, draw), "h2")
 
 
 def suite_regular_reduction(p: int = 3, f: int = 1) -> dict:

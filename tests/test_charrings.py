@@ -301,9 +301,11 @@ def test_only_the_two_laurent_rings_carry_the_swap_and_the_invariants():
 
 def test_suites_build_ring_results_without_the_public_constructors(fresh_tables, monkeypatch):
     # a warm suite_relations(0, 500) plus suite_chowrep(0, 100): ring
-    # operations build their results by SparsePoly._new and Weyl group
-    # products by the trusted tuple path, so the public constructors and the
-    # finite-part check run only on what the suites draw or name themselves
+    # operations build their results by SparsePoly._new, normal forms and
+    # random Hecke draws by SparsePoly._of and Weyl group products by the
+    # trusted tuple path, so the public constructors run only on what the
+    # suites name themselves, and the finite-part check on what they draw
+    # or name
     verify.suite_relations(0, 500)
     verify.suite_chowrep(0, n_random=100)
     counts = {"SparsePoly.__init__": 0, "WeylElement.__new__": 0}
@@ -323,4 +325,4 @@ def test_suites_build_ring_results_without_the_public_constructors(fresh_tables,
     chowrep = verify.suite_chowrep(0, n_random=100)
     assert (relations["passed"], relations["checks"]) == (True, 618)
     assert (chowrep["passed"], chowrep["checks"]) == (True, 662)
-    assert counts == {"SparsePoly.__init__": 4140, "WeylElement.__new__": 3317}
+    assert counts == {"SparsePoly.__init__": 3366, "WeylElement.__new__": 3317}

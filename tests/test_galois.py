@@ -3,7 +3,7 @@ import pytest
 from heckedem import galois
 from heckedem.charrings import FieldRing
 from heckedem.coeffs import build_tower
-from heckedem.hecke import orbits as torus_orbits
+from heckedem.hecke import orbit, orbits as torus_orbits
 from heckedem.galois import (
     GaloisParam,
     bijection_check,
@@ -231,3 +231,48 @@ def test_orbits_are_computed_once_per_y_class(monkeypatch):
     assert report["classes"] == 1008
     assert len(calls) == 21
     assert len({rho.class_key()[1] for rho in calls}) == 21
+
+
+PIN_TOWERS = [(3, 1), (5, 1), (7, 1), (3, 2), (11, 1)]  # q = 3, 5, 7, 9, 11
+
+
+def bijection_pin_failures(tower) -> list:
+    """Which correspondence ``orbit_of`` is: for y = g^e both labels (m1, m2)
+    have m1 + m2 = e - 1 mod q - 1 (the determinant), twisting y by
+    g^{k(q+1)} shifts the orbit by (k, k), and y = g maps to {(0, 0)}.
+    Returns the failures, one tuple per failed relation and input."""
+    q, n = tower.q, tower.q - 1
+    one, failures = tower.one(), []
+    for e in range(q * q - 1):
+        y = tower.gen_power(e)
+        if y.in_base_field():
+            continue
+        orb = orbit_of(GaloisParam(tower, one, y))
+        if any((m1 + m2 - (e - 1)) % n for m1, m2 in orb):
+            failures.append(("determinant", e))
+        for k in range(n):
+            twisted = orbit_of(GaloisParam(tower, one, y * tower.gen_power(k * (q + 1))))
+            if twisted != orbit(((orb[0][0] + k) % n, (orb[0][1] + k) % n)):
+                failures.append(("twist", e, k))
+    if orbit_of(GaloisParam(tower, one, tower.gen())) != ((0, 0),):
+        failures.append(("anchor", 1))
+    return failures
+
+
+@pytest.mark.parametrize("p,f", PIN_TOWERS)
+def test_orbit_of_respects_determinant_twists_and_its_anchor(p, f):
+    assert bijection_pin_failures(build_tower(p, f)) == []
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("shift", ["one", "quadratic"])
+def test_a_diagonally_shifted_character_fails_the_pins(monkeypatch, p, shift):
+    # both shifts permute the orbits, so the tag check still reports a bijection
+    tower = build_tower(p, 1)
+    n = tower.q - 1
+    c = 1 if shift == "one" else n // 2
+    character = galois.character_of
+    monkeypatch.setattr(galois, "character_of", lambda rho: tuple((m + c) % n for m in character(rho)))
+    assert bijection_check(tower)["bijective"] is True
+    kinds = {failure[0] for failure in bijection_pin_failures(tower)}
+    assert kinds == ({"determinant", "anchor"} if shift == "one" else {"anchor"})

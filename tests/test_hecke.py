@@ -112,6 +112,54 @@ def test_normal_form_roundtrip_random():
             assert recompose_from_center(coords, flavor, ZQ) == x
 
 
+def normal_form_by_center_elements(x):
+    """The reference fold: the coordinates (a, b, c, d) of a + bS + cU + dSU
+    are CenterElements, and each letter multiplies them in by the table of
+    the basis through CenterElement arithmetic, zeta1 and zeta2 included."""
+    ring = x.ring
+    zero = CenterElement(ring)
+    q = ring.q
+    q1 = q - ring.one if x.flavor == "iwahori" else ring.zero
+    zeta1, zeta2 = CenterElement(ring, {(1, 0): ring.one}), CenterElement(ring, {(0, 1): ring.one})
+    right_mul = {
+        "S": lambda a, b, c, d: (
+            b.scale(q) + zeta1 * c,
+            a + b.scale(q1) + zeta1 * d,
+            c.scale(q1) - d.scale(q),
+            -c,
+        ),
+        "U": lambda a, b, c, d: (zeta2 * c, zeta2 * d, a, b),
+    }
+    total = (zero,) * 4
+    for key, c in x.terms.items():
+        k, w0 = hecke.zeta2_split(key)
+        coords = (CenterElement(ring, {(0, k): c}), zero, zero, zero)
+        for letter in hecke._translation_word(w0):
+            coords = right_mul[letter](*coords)
+        total = tuple(t + v for t, v in zip(total, coords))
+    return total
+
+
+NORMAL_FORM_RINGS = [ZQ, FieldRing(build_tower(3, 1)), FieldRing(build_tower(5, 1))]
+
+
+@pytest.mark.parametrize("ring", NORMAL_FORM_RINGS, ids=repr)
+@pytest.mark.parametrize("flavor", ["iwahori", "nil"])
+def test_normal_form_matches_the_center_element_fold(flavor, ring):
+    # every T_w with w = e^{(k,k)} w', w' translation-free, |n1 - n2| <= 8, |k| <= 2
+    for d in range(-8, 9):
+        for fp in ("e", "s"):
+            for k in range(-2, 3):
+                x = HeckeElement.basis(flavor, ring, WeylElement(max(d, 0), max(-d, 0), fp).shift(k))
+                assert normal_form_over_center(x) == normal_form_by_center_elements(x)
+    rng = random.Random(31)
+    for _ in range(300):
+        x = random_hecke(rng, flavor, ring)
+        assert normal_form_over_center(x) == normal_form_by_center_elements(x)
+    with pytest.raises(ValueError):
+        normal_form_over_center(T_S("h2", ring))
+
+
 def test_center_embed_multiplicative():
     rng = random.Random(9)
     for flavor in ("iwahori", "nil"):

@@ -426,6 +426,88 @@ def test_mat_mul_with_a_zero_row_and_a_non_square_shape():
     assert_mat_mul_is_dense(B[:2], tuple(zip(*B)))
 
 
+class CountedEntry:
+    """A matrix entry that logs each product it forms and refuses a product
+    with a zero operand."""
+
+    def __init__(self, x, log: list):
+        self.x, self.log = x, log
+
+    def is_zero(self) -> bool:
+        return self.x.is_zero()
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            raise ArithmeticError("a product with a zero operand")
+        self.log.append(1)
+        return CountedEntry(self.x * other.x, self.log)
+
+    def __add__(self, other):
+        return CountedEntry(self.x + other.x, self.log)
+
+    def __eq__(self, other):
+        return type(other) is CountedEntry and self.x == other.x
+
+    __hash__ = None
+
+
+def assert_sparse_mat_mul(A, B):
+    """mat_mul on counted entries equals the dense product, forms one product
+    per pair of nonzero factors A[i][t], B[t][j], and fills every other
+    entry with an entry of the factors' own type."""
+    log: list = []
+    counted = lambda M: tuple(tuple(CountedEntry(x, log) for x in row) for row in M)  # noqa: E731
+    got = linalg.mat_mul(counted(A), counted(B))
+    assert all(type(x) is CountedEntry for row in got for x in row)
+    assert tuple(tuple(x.x for x in row) for row in got) == dense_mat_mul(A, B)
+    pairs = sum(
+        not A[i][t].is_zero() and not B[t][j].is_zero()
+        for i in range(len(A))
+        for t in range(len(B))
+        for j in range(len(B[0]))
+    )
+    assert len(log) == pairs
+
+
+def sparse_factors(rng, draw, zero):
+    """Block-diagonal and block-triangular 6 x 6 factors, factors with an
+    all-zero row and an all-zero column, and a 3 x 5 by 5 x 2 pair, with
+    entries from ``draw``."""
+    n = 6
+    block = lambda i, j: (i < 3) == (j < 3)  # noqa: E731
+    diagonal = tuple(tuple(draw() if block(i, j) else zero for j in range(n)) for i in range(n))
+    triangular = tuple(tuple(draw() if i <= j or block(i, j) else zero for j in range(n)) for i in range(n))
+    r, c = rng.randrange(n), rng.randrange(n)
+    holes = tuple(tuple(zero if i == r or j == c else draw() for j in range(n)) for i in range(n))
+    yield from itertools.product((diagonal, triangular, holes), repeat=2)
+    yield tuple(tuple(draw() for _ in range(5)) for _ in range(3)), tuple(tuple(draw() for _ in range(2)) for _ in range(5))
+
+
+def test_mat_mul_forms_no_product_with_a_zero_factor_over_gf9():
+    tower = build_tower(3, 1)
+    rng = random.Random(17)
+    elements = tower.ext_elements()
+    draw = lambda: rng.choice(elements) if rng.random() < 0.6 else tower.zero()  # noqa: E731
+    for _ in range(30):
+        for A, B in sparse_factors(rng, draw, tower.zero()):
+            assert_sparse_mat_mul(A, B)
+
+
+def test_mat_mul_keeps_a_zero_product_of_nonzero_entries_in_z_xy():
+    # XY = 0 in Z[X, Y, z2^{+-1}]/(XY): nonzero entries can multiply to zero
+    Z = hecke.ZRingElement
+    X, Y, z2 = Z.gen("X"), Z.gen("Y"), Z.gen("z2")
+    values = [Z(), X, Y, X * X, Y + Z.const(1), X * z2, Z.const(-1), Y * Z.gen("z2", -1)]
+    rng = random.Random(23)
+    draw = lambda: rng.choice(values)  # noqa: E731
+    for _ in range(30):
+        for A, B in sparse_factors(rng, draw, Z()):
+            assert_sparse_mat_mul(A, B)
+    # every product of nonzero factors here is X Y = 0, so the entry is that zero
+    assert_sparse_mat_mul(((X, Z()), (Z(), X)), ((Y, Y), (Z(), Y)))
+    assert linalg.mat_mul(((X,),), ((Y,),)) == ((Z(),),)
+
+
 def test_accumulate_stores_sums_deletes_a_cancelled_key_and_adds_it_again():
     tower = build_tower(3, 1)
     one, g = tower.one(), tower.gen_power(1)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import pkgutil
@@ -9,7 +10,7 @@ import pytest
 
 import heckedem
 from heckedem import chowrep, hecke, krep, linalg, verify
-from heckedem.charrings import SymElement
+from heckedem.charrings import ZQ, FieldRing, SymElement
 from heckedem.coeffs import build_tower
 from heckedem.hecke import HeckeElement
 from heckedem.weyl import WeylElement, length
@@ -209,6 +210,33 @@ def test_random_weyl_draws_the_randint_and_choice_stream():
         rng, reference = random.Random(seed), random.Random(seed)
         assert [verify.random_weyl(rng) for _ in range(200)] == [randint_random_weyl(reference) for _ in range(200)]
         assert rng.random() == reference.random()
+
+
+def describe_draw(x) -> str:
+    terms = sorted((repr(key), repr(c)) for key, c in x.terms.items())
+    return f"{type(x).__name__} {getattr(x, 'flavor', '-')} {x.ring!r} {terms}"
+
+
+# the digest of the draws below as first recorded, when random_hecke,
+# random_group_ring and _random_h2_q0 still built through the public
+# constructors
+DRAWS_DIGEST = "84bb24c28af1fd71ef4ee4a7c06d768df7ff61b5151cd291b39f6571f25c47f6"
+
+
+def test_random_draws_keep_their_elements_and_their_stream():
+    rings = (ZQ, FieldRing(build_tower(3, 1)))
+    lines = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        for ring in rings:
+            drawn = [verify.random_hecke(rng, flavor, ring) for flavor in ("iwahori", "nil", "h2")]
+            drawn += [verify.random_group_ring(rng, ring), verify.random_sym(rng, ring)]
+            assert all(not c.is_zero() for x in drawn for c in x.terms.values())
+            lines += map(describe_draw, drawn)
+        lines.append(describe_draw(verify._random_h2_q0(rng)))
+        lines.append(repr(rng.random()))
+    assert len(lines) == 3600
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DRAWS_DIGEST
 
 
 # ---------------------------------------------------------------------------
