@@ -13,7 +13,10 @@ down the module M(rho).
 The orbit reads only y.  Classes are enumerated as the product of E^x
 (b outer) with one representative y per class {y, y^q} (y inner), and
 ``bijection_check`` computes the orbit once per y-class but still makes
-one tag (orbit, b) per class.
+one tag per class.  The tag is the integer ``b.code * stride + id``: id
+is the orbit's index in ``hecke.orbits``, or the next free id for an
+orbit outside that list, and ``stride`` is the number of ids, so equal
+tags mean equal (orbit, b) pairs.
 """
 
 from __future__ import annotations
@@ -111,23 +114,32 @@ def bijection_check(tower: FieldTower) -> dict:
     """Exhaustively verify that rho -> (orbit, theta) is a bijection from
     parameter classes onto (W0-orbit, b in E^x) pairs, E = GF(q^2).
 
-    The orbit reads only y, so it is computed once per y-class; the tags
-    (orbit, b) are still made one per class, b outer (in order of
-    exponent) and y inner, and the first repeated tag is the collision."""
+    The orbit reads only y, so it is computed once per y-class and given
+    an integer id: its index in ``torus_orbits``, or, for an orbit outside
+    that list, the next free id.  The tag of the class (b, y) is the
+    integer ``b.code * stride + id``, with ``stride`` the number of ids
+    once every y-class is read, so two tags are equal exactly when their
+    (orbit, b) pairs are.  The tags are made one per class, b outer (in
+    order of exponent) and y inner, and the first repeated tag is the
+    collision."""
     q = tower.q
     units = [tower.gen_power(k) for k in range(q * q - 1)]
     y_reps = _y_class_reps(tower)
     one = tower.one()
-    y_orbits = [(y, orbit_of(GaloisParam(tower, one, y))) for y in y_reps]
+    all_orbits = torus_orbits(tower)
+    ids = {orb: i for i, orb in enumerate(all_orbits)}
+    y_ids = [(y, ids.setdefault(orbit_of(GaloisParam(tower, one, y)), len(ids))) for y in y_reps]
+    stride = len(ids)
+    bases = [(b, b.code * stride) for b in units]
     image = {}
     collision = None
-    for b, (y, orb) in product(units, y_orbits):
-        first = image.setdefault((orb, b.code), y)
+    for (b, base), (y, i) in product(bases, y_ids):
+        first = image.setdefault(base + i, y)
         if first is not y:  # the tag holds b, so the earlier class has this b too
             collision = (GaloisParam(tower, b, first), GaloisParam(tower, b, y))
             break
-    all_orbits = torus_orbits(tower)
-    target_tags = {(orb, b.code) for orb in all_orbits for b in units}
+    target_ids = [ids[orb] for orb in all_orbits]
+    target_tags = {base + i for _, base in bases for i in target_ids}
     classes = len(units) * len(y_reps)
     surjective = collision is None and image.keys() == target_tags
     regular = sum(1 for orb in all_orbits if len(orb) == 2)

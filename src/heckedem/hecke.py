@@ -268,10 +268,13 @@ def zeta2_embedded(flavor: str, ring) -> HeckeElement:
     return T_U(flavor, ring, 2)
 
 
-def center_embed(z: CenterElement, flavor: str, ring) -> HeckeElement:
-    """Expand a zeta-polynomial into the T_w basis."""
-    zero, zeta1 = HeckeElement.zero(flavor, ring), zeta1_embedded(flavor, ring)
-    return eval_laurent(z.terms, zero, zeta1, lambda k: T_U(flavor, ring, 2 * k))
+def center_embed(z: CenterElement, flavor: str, ring, *, zeta1: HeckeElement | None = None) -> HeckeElement:
+    """Expand a zeta-polynomial into the T_w basis.  ``zeta1``, when given,
+    is ``zeta1_embedded(flavor, ring)`` already built, so that a caller
+    expanding several polynomials builds it once."""
+    if zeta1 is None:
+        zeta1 = zeta1_embedded(flavor, ring)
+    return eval_laurent(z.terms, HeckeElement.zero(flavor, ring), zeta1, lambda k: T_U(flavor, ring, 2 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -366,13 +369,15 @@ def normal_form_over_center(x: HeckeElement) -> tuple:
 
 
 def recompose_from_center(coords, flavor: str, ring) -> HeckeElement:
-    """Inverse of normal_form_over_center: sum c_w * T-basis word."""
+    """Inverse of normal_form_over_center: sum c_w * T-basis word, with
+    zeta1 built once for all four coordinates."""
     S, U = T_S(flavor, ring), T_U(flavor, ring)
     basis = [HeckeElement.one(flavor, ring), S, U, S * U]
+    zeta1 = zeta1_embedded(flavor, ring)
     out = HeckeElement.zero(flavor, ring)
     for cz, elt in zip(coords, basis):
         if not cz.is_zero():
-            out = out + center_embed(cz, flavor, ring) * elt
+            out = out + center_embed(cz, flavor, ring, zeta1=zeta1) * elt
     return out
 
 

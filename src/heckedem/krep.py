@@ -245,7 +245,7 @@ class FiniteModule:
         by entry."""
         *e1, S, U = self.gens
         U2 = linalg.mat_mul(U, U)
-        if not all(x == self.zeta2 if i == j else x.is_zero() for i, row in enumerate(U2) for j, x in enumerate(row)):
+        if not all([x == self.zeta2 if i == j else x.is_zero() for i, row in enumerate(U2) for j, x in enumerate(row)]):
             raise ValueError("U^2 != zeta2")
         if linalg.mat_mul(S, S) != linalg.mat_scale(S, q_minus_1(self.flavor, self.ring)):
             raise ValueError("S^2 != (q-1)S at q = 0")

@@ -31,6 +31,8 @@ deterministic and exact.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 
 def accumulate(out: dict, key, c) -> None:
     """Add the nonzero c into ``out[key]``, deleting the key where the sum
@@ -106,9 +108,9 @@ def mat_mul(A, B):
     for Ai, row in zip(A, zip(*cols)):
         zero = Ai[0]
         if zero.is_zero():
-            out.append(tuple(zero if x is None else x for x in row))
+            out.append(tuple([zero if x is None else x for x in row]))
         else:
-            out.append(tuple(B[0][j] if x is None else x for j, x in enumerate(row)))
+            out.append(tuple([B[0][j] if x is None else x for j, x in enumerate(row)]))
     return tuple(out)
 
 
@@ -228,8 +230,9 @@ def _insert(rows, pivots, v) -> bool:
 
     Rows and v are {column: entry} dicts.  A nonzero remainder of v,
     scaled to a leading 1, is cleared from the other rows at its pivot
-    column and inserted in pivot order.  Returns False, changing nothing,
-    when v is already in the span.
+    column and inserted in pivot order, found by bisecting the pivots,
+    which stay sorted.  Returns False, changing nothing, when v is already
+    in the span.
     """
     r = _reduce(rows, pivots, v)
     if not r:
@@ -240,7 +243,7 @@ def _insert(rows, pivots, v) -> bool:
     for row in rows:
         if c in row:
             _clear(row, c, r)
-    at = sum(p < c for p in pivots)
+    at = bisect_left(pivots, c)
     rows.insert(at, r)
     pivots.insert(at, c)
     return True

@@ -1,4 +1,4 @@
-"""Byte-exact golden hashes of CLI stdout at q = 3, 5 and 9.
+"""Byte-exact golden hashes of CLI stdout at q = 3, 5, 9, 25 and 27.
 
 The hashes are SHA-256 of everything `main(argv)` prints. They pin the
 `module` reports (matrices, filtrations, irreducibility) as well as
@@ -6,6 +6,8 @@ The hashes are SHA-256 of everything `main(argv)` prints. They pin the
 random streams through the suites), so that refactors of the rings,
 matrices and modules underneath cannot change any output silently.  The `--p 3 --f 2` entries (q = 9) pin the
 f > 1 tower path, where GF(q^2) = GF(81) has a degree-4 modulus over GF(3).
+The `--p 5 --f 2` (q = 25) and `--p 3 --f 3` (q = 27) `bijection` entries
+pin criterion 9 at scale: 187200 and 255528 parameter classes.
 """
 
 import hashlib
@@ -28,6 +30,8 @@ GOLDEN = {
     "--p 5 obstruction": "12d8878a79b1598d686d7fd80cd21fa601a58afa7e21eefffefc60f58f16d323",
     "--p 5 orbits": "f5d26ab333f6c47ec02402f1490d0a8513619d3ecf4f393a9888b8970351d5eb",
     "--p 3 --f 2 bijection": "1286dd5d8d92c6177743f21cb4792c28125f8461efb8ed81e0fd55a4e3d6787e",
+    "--p 5 --f 2 bijection": "de37a7bbdae6994477b3a5554259822f65bc469d50cd6fae4586a175e722365d",
+    "--p 3 --f 3 bijection": "de55bb85f0a13cf92c6ad8207dcf737e87366971fb8c509c5ce55429cb8db770",
     "--p 3 --f 2 orbits": "ed81e2a28aeaaf4829e860f7bf8ce9628d3a0a844eb999a44abe49448c7a6083",
     "--p 3 --f 2 module --theta 0,g^10": "664348f931c7e6da2910c4303286ffff7c3266cfd57ee9bb2569e1ebfc4a031c",
     "--p 3 --f 2 module --theta g,g^2": "a10e4c644a79a2fb50d2cffa48ff9a8b8126e8a69c8a32407b2dcee28ef7d512",

@@ -222,6 +222,23 @@ def test_a_non_injective_orbit_map_gives_the_same_collision(monkeypatch, p, coll
     assert report == bijection_by_classes(tower)
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_an_orbit_outside_the_target_gets_its_own_tag(monkeypatch, p):
+    """An injective orbit map whose orbits all lie outside ``torus_orbits``:
+    every label shifted by q - 1.  Each such orbit gets an id of its own,
+    so the check finds no collision but no bijection either."""
+    tower = build_tower(p, 1)
+    orbit = galois.orbit_of
+    fake = lambda rho: tuple((m1 + p - 1, m2 + p - 1) for m1, m2 in orbit(rho))  # noqa: E731
+    one = tower.one()
+    assert not {fake(GaloisParam(tower, one, y)) for y in galois._y_class_reps(tower)} & set(torus_orbits(tower))
+    monkeypatch.setattr(galois, "orbit_of", fake)
+    report = bijection_check(tower)
+    assert report["bijective"] is False
+    assert "collision" not in report
+    assert report == bijection_by_classes(tower)
+
+
 def test_orbits_are_computed_once_per_y_class(monkeypatch):
     # q = 7: (q^2 - q) / 2 = 21 y-classes, 48 * 21 = 1008 classes
     calls = []

@@ -335,6 +335,27 @@ def test_multiplicativity_checks_report_each_pair(monkeypatch, module, name, sui
     assert json.loads(json.dumps(next(p for p in found if label(p) == first[0]))) == first
 
 
+@pytest.mark.parametrize("flavor", ["iwahori", "nil"])
+def test_a_recomposition_builds_zeta1_at_most_once(monkeypatch, flavor):
+    builds, per_recomposition = [], []
+    zeta1 = hecke.zeta1_embedded
+    monkeypatch.setattr(hecke, "zeta1_embedded", lambda *args: builds.append(args) or zeta1(*args))
+    recompose = verify.recompose_from_center
+
+    def counted(*args):
+        before = len(builds)
+        out = recompose(*args)
+        per_recomposition.append(len(builds) - before)
+        return out
+
+    monkeypatch.setattr(verify, "recompose_from_center", counted)
+    t, rng = verify.Tally("roundtrips"), random.Random(0)
+    verify._check_roundtrips(t, lambda: verify.random_hecke(rng, flavor), 30, flavor)
+    assert (t.checks, t.failures) == (30, [])
+    assert len(per_recomposition) == 30
+    assert max(per_recomposition) <= 1
+
+
 def test_normal_form_roundtrips_report_each_element(monkeypatch):
     right = verify.recompose_from_center
     wrong = lambda coords, flavor, ring: right(coords, flavor, ring) + HeckeElement.one(flavor, ring)
