@@ -201,15 +201,12 @@ def reduce_regular_at_theta(theta, field_ring: FieldRing) -> FiniteModule:
 def explicit_chain(m: FiniteModule) -> list:
     """The preferred composition chain 0 < V2 < V4 < V6 < V8 from the
     basis vectors: V2 = <1_1, x1_2>, V4 = A1_1 + A1_2, V6 = V4 + <d1_1,
-    xd1_2>, V8 everything.  Returned as RREF (rows, pivots) pairs."""
+    xd1_2>, V8 everything.  Returned as RREF (rows, pivots) pairs, written
+    directly: unit vectors in index order are their own RREF, pivoted at
+    their indices.  ``quotient_module`` proves each member invariant."""
     e = linalg.mat_identity(m.ring.one, 8)
-    chains = [
-        [e[0], e[6]],
-        [e[0], e[2], e[4], e[6]],
-        [e[0], e[2], e[4], e[6], e[1], e[7]],
-        e,
-    ]
-    return [linalg.rref(rows) for rows in chains]
+    members = ([0, 6], [0, 2, 4, 6], [0, 1, 2, 4, 6, 7], list(range(8)))
+    return [(tuple(e[i] for i in pivots), pivots) for pivots in members]
 
 
 def quotient_module(m: FiniteModule, big, small) -> FiniteModule:

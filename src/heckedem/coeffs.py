@@ -17,8 +17,8 @@ Fields*, 2.5).  Products, inverses, powers, Frobenius and discrete logs are
 then index arithmetic mod q^2 - 1, and a sum is one Zech lookup; each
 returns one of the tower's interned elements.  GF(p)[x] arithmetic runs
 only while a tower is built: one remainder modulo a monic polynomial
-(``_poly_rem``) reduces the products that list the powers of g and
-trial-divides the candidate moduli.
+(``_poly_rem``) reduces the products that list the powers of g, test the
+order of each generator candidate and trial-divide the candidate moduli.
 
 Everything is immutable and deterministic.
 """
@@ -123,15 +123,16 @@ ZQ_ONE = GenericScalar((1,))
 ZQ_Q = GenericScalar((0, 1))
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n, ascending, by trial division; none for n < 2."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    return True
+    return out + [n] if n > 1 else out
 
 
 def _digits(n: int, p: int, count: int) -> list:
@@ -266,7 +267,8 @@ class FieldElement:
     The code is 0 for zero and k + 1 for g^k.  Products, inverses and
     powers add or scale logs mod q^2 - 1; a sum is one Zech lookup,
     g^a + g^b = g^(a + Z(b - a)) with g^Z(n) = 1 + g^n.  Every result is
-    one of the tower's interned elements.
+    one of the tower's interned elements.  The hash is the code: equal
+    towers fix the same generator, so equal elements have equal codes.
     """
 
     __slots__ = ("tower", "coeffs", "code")
@@ -345,7 +347,7 @@ class FieldElement:
         )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return self.code
 
     def __repr__(self) -> str:
         return "0" if self.is_zero() else f"g^{discrete_log(self)}"
@@ -354,13 +356,29 @@ class FieldElement:
         return list(self.coeffs)
 
 
+def _poly_mod_pow(a: tuple, k: int, modulus: tuple, p: int) -> tuple:
+    """a^k modulo a monic modulus over GF(p), k >= 0, by square-and-multiply."""
+    out = (1,)
+    while k:
+        if k & 1:
+            out = _poly_mod_mul(out, a, modulus, p)
+        k >>= 1
+        if k:
+            a = _poly_mod_mul(a, a, modulus, p)
+    return out
+
+
 @lru_cache(maxsize=None)
 def build_tower(p: int, f: int) -> FieldTower:
     """Construct GF(p^2f) deterministically: the lowest-lexicographic
-    modulus and the smallest generator."""
+    modulus and the smallest generator.
+
+    A candidate is rejected by its order before any table is built: it
+    generates E^x exactly when x^((q^2 - 1)/l) != 1 for each prime l
+    dividing q^2 - 1.  The tower's own power loop stays the final check."""
     if p % 2 == 0:
         raise ValueError("p must be odd")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ValueError(f"p = {p} is not prime")
     if f < 1:
         raise ValueError("f must be positive")
@@ -371,13 +389,13 @@ def build_tower(p: int, f: int) -> FieldTower:
     modulus_2f = _lowest_lex_irreducible(p, 2 * f)
 
     # generator: the element with the smallest integer encoding that has
-    # full multiplicative order q^2 - 1, searched on coefficient vectors;
-    # a tower raises ValueError on any other candidate
+    # full multiplicative order q^2 - 1, searched on coefficient vectors
+    order = q * q - 1
+    cofactors = [order // ell for ell in _prime_factors(order)]
     for idx in range(1, q * q):
-        try:
-            return FieldTower(p, f, modulus_2f, _trim(_digits(idx, p, 2 * f)))
-        except ValueError:
-            continue
+        cand = _trim(_digits(idx, p, 2 * f))
+        if all(_poly_mod_pow(cand, k, modulus_2f, p) != (1,) for k in cofactors):
+            return FieldTower(p, f, modulus_2f, cand)
     raise RuntimeError("no multiplicative generator found")
 
 

@@ -16,8 +16,12 @@ dimension of the algebra that matrices generate, the action induced on a
 quotient, Hom spaces between modules and isomorphism from a Hom space of
 dimension at most 1 need a field.  They share one sparse echelon core:
 vectors and echelon rows are {column: nonzero entry} dicts (``sparse``),
-every echelon form is grown by one insertion step (``_insert``), and a
-row operation touches only the entries of the row it subtracts.  Every
+every echelon form is grown by one insertion step (``_insert``), and
+every row operation is one loop (``_reduce``) that subtracts pivot rows
+from a dict in place, touching only the entries of the rows it
+subtracts.  ``_insert`` reduces the vector it is given in place, so
+``_span`` queues remainders, and ``remainder`` and ``spin`` work on
+copies, so no caller's vector changes.  Every
 sparse sum of the package (echelon rows, and the term dicts of
 ``charrings``, ``hecke``, ``krep`` and ``verify``) goes through
 ``accumulate``, kept here as this module imports nothing from the package.
@@ -139,15 +143,23 @@ def det(M):
 
 
 def sparse(v) -> dict:
-    """v as {column: nonzero entry}; a dict is taken to be in that form already."""
+    """v as a new {column: nonzero entry} dict; a dict is taken to be in
+    that form already and is copied, so reducing the result in place
+    leaves v as it was."""
     if isinstance(v, dict):
-        return v
+        return dict(v)
     return {j: x for j, x in enumerate(v) if not x.is_zero()}
 
 
 def _dense(rows, n, zero) -> tuple:
-    cols = range(n)
-    return tuple(tuple([row.get(j, zero) for j in cols]) for row in rows)
+    """The sparse rows as length-n tuples: a row of ``zero`` filled in from each row's entries."""
+    out = []
+    for row in rows:
+        dense = [zero] * n
+        for j, x in row.items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return tuple(out)
 
 
 def rref(rows):
@@ -170,7 +182,8 @@ def rank(rows) -> int:
 
 def _kernel(vectors, ncols, ring) -> list:
     """Basis of {v : r . v = 0 for every given row r}, rows and basis
-    vectors as {column: entry} dicts: one basis vector per free column."""
+    vectors as {column: entry} dicts: one basis vector per free column.
+    The rows are consumed by ``_insert``."""
     rows, pivots = [], []
     for v in vectors:
         _insert(rows, pivots, v)
@@ -188,23 +201,17 @@ def is_invertible(A) -> bool:
     return rank(A) == len(A)
 
 
-def _clear(v, p, row) -> None:
-    """Subtract v[p] times row from v in place, over the entries of row,
-    where row is 1 at its pivot p; entries that cancel are dropped."""
-    m = -v.pop(p)
-    for j, y in row.items():
-        if j != p:
-            accumulate(v, j, m * y)
-
-
-def _reduce(rows, pivots, v) -> dict:
-    """v minus its multiples of the RREF rows, taken at their pivot columns,
-    as a new dict; rows and v are {column: entry} dicts."""
-    v = dict(v)
+def _reduce(rows, pivots, v) -> None:
+    """Subtract from v, in place, its multiples of the RREF rows, taken at
+    their pivot columns: the one row-operation loop of the echelon core.
+    Rows and v are {column: entry} dicts; each row is 1 at its pivot, and
+    only the entries of the rows that v meets at their pivots are read."""
     for row, p in zip(rows, pivots):
         if p in v:
-            _clear(v, p, row)
-    return v
+            m = -v.pop(p)
+            for j, y in row.items():
+                if j != p:
+                    accumulate(v, j, m * y)
 
 
 def remainder(basis_rref, v) -> dict:
@@ -213,11 +220,14 @@ def remainder(basis_rref, v) -> dict:
 
     Rows (all of one kind) and v may be tuples or {column: entry} dicts;
     tuple rows are converted once, on entry.  The remainder is a new dict
-    of its nonzero entries."""
+    of its nonzero entries, reduced from a ``sparse`` copy of v, so v is
+    left as it was."""
     rows, pivots = basis_rref
     if rows and not isinstance(rows[0], dict):
         rows = [sparse(row) for row in rows]
-    return _reduce(rows, pivots, sparse(v))
+    v = sparse(v)
+    _reduce(rows, pivots, v)
+    return v
 
 
 def row_space_contains(basis_rref, v) -> bool:
@@ -228,21 +238,22 @@ def row_space_contains(basis_rref, v) -> bool:
 def _insert(rows, pivots, v) -> bool:
     """Extend the RREF basis held in the lists (rows, pivots) by v in place.
 
-    Rows and v are {column: entry} dicts.  A nonzero remainder of v,
-    scaled to a leading 1, is cleared from the other rows at its pivot
-    column and inserted in pivot order, found by bisecting the pivots,
-    which stay sorted.  Returns False, changing nothing, when v is already
-    in the span.
+    Rows and v are {column: entry} dicts, and v is consumed: ``_reduce``
+    leaves its remainder against the rows in it.  A nonzero remainder,
+    scaled to a leading 1 as a new row, is cleared from the other rows at
+    its pivot column by the same ``_reduce`` and inserted in pivot order,
+    found by bisecting the pivots, which stay sorted.  Returns False,
+    leaving rows and pivots as they were, when v is already in the span.
     """
-    r = _reduce(rows, pivots, v)
-    if not r:
+    _reduce(rows, pivots, v)
+    if not v:
         return False
-    c = min(r)
-    inv = r[c].inverse()
-    r = {j: x * inv for j, x in r.items()}
+    c = min(v)
+    inv = v[c].inverse()
+    r = {j: x * inv for j, x in v.items()}
     for row in rows:
         if c in row:
-            _clear(row, c, r)
+            _reduce((r,), (c,), row)
     at = bisect_left(pivots, c)
     rows.insert(at, r)
     pivots.insert(at, c)
@@ -252,11 +263,15 @@ def _insert(rows, pivots, v) -> bool:
 def _span(seeds, patterns, n) -> tuple:
     """The smallest subspace of E^n containing the sparse seeds and stable
     under the operators given by their patterns, as sparse RREF (rows,
-    pivots).
+    pivots).  The seeds are consumed.
 
-    Every vector that ``_insert`` adds to the echelon basis is queued for
-    the operators.  The spin stops once the basis has n rows: the span is
-    then all of E^n, whose RREF is unique, so stopping changes nothing."""
+    Each vector that ``_insert`` adds to the echelon basis is queued for
+    the operators as the remainder that ``_insert`` leaves in it.  A
+    remainder differs from the vector by an element of the span built so
+    far, so the queued vectors span the same space and the closure and its
+    RREF do not change.  The spin stops once the basis has n rows: the
+    span is then all of E^n, whose RREF is unique, so stopping changes
+    nothing."""
     rows, pivots = [], []
     queue = [v for v in seeds if _insert(rows, pivots, v)]
     while queue and len(rows) < n:
@@ -273,9 +288,12 @@ def _span(seeds, patterns, n) -> tuple:
 def spin(seeds, operators, ring):
     """Smallest subspace containing the seeds and stable under the operators.
 
-    Returns the subspace in RREF form: (rows, pivots), spun by ``_span``
-    with the operators applied through their patterns."""
-    n = len(seeds[0]) if seeds else 0
+    Seeds are tuples or {column: entry} dicts; the width n is that of the
+    n x n operators, or of a tuple seed when there are none.  Returns the
+    subspace in RREF form: (rows, pivots), spun by ``_span`` from a
+    ``sparse`` copy of each seed, so no seed changes, with the operators
+    applied through their patterns."""
+    n = len(operators[0]) if operators else len(seeds[0]) if seeds else 0
     rows, pivots = _span(map(sparse, seeds), [pattern(A) for A in operators], n)
     return _dense(rows, n, ring.zero), pivots
 

@@ -206,6 +206,21 @@ def test_regular_filtration_and_factors():
             assert krep.is_isomorphic(factor, krep.standard_module_h2(b, ring))
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_explicit_chain_is_the_rref_of_its_unit_vectors(p):
+    # written directly, the chain equals the rref of the unit vectors that
+    # span each member, rows and pivots alike, with the pivots as lists
+    tower = build_tower(p, 1)
+    ring = FieldRing(tower)
+    e = linalg.mat_identity(ring.one, 8)
+    members = [[0, 6], [0, 2, 4, 6], [0, 2, 4, 6, 1, 7], range(8)]
+    for k in range(tower.q**2 - 1):
+        m8 = chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(k)), ring)
+        chain = chowrep.explicit_chain(m8)
+        assert chain == [linalg.rref([e[i] for i in ids]) for ids in members]
+        assert all(type(pivots) is list for _, pivots in chain)
+
+
 def test_regular_module_not_semisimple():
     m8, b, ring = regular_module()
     result = chowrep.semisimplify(m8, b)

@@ -142,6 +142,16 @@ def test_elements_of_equal_towers_built_apart_compare_equal():
     assert t.one() != build_tower(5, 1).one()  # same coefficients, other field
 
 
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_elements_of_an_equal_tower_hash_by_their_code(p, f):
+    t = build_tower(p, f)
+    u = FieldTower(p, f, t.modulus_2f, t.generator)  # equal, built apart
+    assert u is not t and u == t
+    for x in t.ext_elements():
+        y = u.element(x.coeffs)
+        assert y is not x and y == x and hash(y) == hash(x) == x.code
+
+
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (3, 2)])
 def test_q_is_set_once_and_copied_by_replace(p, f):
     t = build_tower(p, f)
@@ -220,7 +230,7 @@ def test_every_element_matches_schoolbook(p, f):
 
     for a in vectors:
         x = FieldElement(t, a)
-        assert x == t.element(a) and x.coeffs == a and hash(x) == hash(a)
+        assert x == t.element(a) and x.coeffs == a and hash(x) == hash(t.element(a)) == x.code
         assert -x is t.element(neg(a))
         assert x.frobenius() is t.element(power(a, q))
         if not a:
@@ -292,6 +302,31 @@ SMALL_TOWERS = [(p, f) for p in ODD_PRIMES for f in (1, 2, 3, 4) if p ** (2 * f)
 def test_generator_search_matches_order_test(p, f):
     t = build_tower(p, f)
     assert t.generator == order_search_generator(t)
+
+
+# (p, f): (modulus, generator), as the search over every candidate's
+# power table found them; (3, 5) has q^2 = 59049
+PINNED_TOWERS = {
+    (3, 1): ((1, 0, 1), (1, 1)),
+    (5, 1): ((2, 0, 1), (1, 1)),
+    (7, 1): ((1, 0, 1), (2, 1)),
+    (11, 1): ((1, 0, 1), (4, 1)),
+    (3, 2): ((2, 1, 0, 0, 1), (0, 1)),
+    (7, 2): ((1, 1, 0, 0, 1), (5, 1)),
+    (5, 3): ((2, 1, 0, 0, 0, 0, 1), (0, 1)),
+    (3, 5): ((1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1), (1, 2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("p,f", list(PINNED_TOWERS))
+def test_build_tower_pins_modulus_and_generator_and_builds_one_table(p, f, fresh_tables, monkeypatch):
+    # a candidate that fails the order test builds no power table
+    built = []
+    post_init = FieldTower.__post_init__
+    monkeypatch.setattr(FieldTower, "__post_init__", lambda self: built.append(self.generator) or post_init(self))
+    t = build_tower(p, f)
+    assert (t.modulus_2f, t.generator) == PINNED_TOWERS[(p, f)]
+    assert built == [t.generator]
 
 
 def lowest_irreducible(p, n):

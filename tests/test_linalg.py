@@ -558,3 +558,111 @@ def test_rref_refuses_a_dict_row():
         linalg.rref([{0: ring.one}, {3: ring.one}])
     e = linalg.mat_identity(ring.one, 4)
     assert linalg.rref([e[0], e[3]]) == ((e[0], e[3]), [0, 3])
+
+
+# ---------------------------------------------------------------------------
+# the echelon core reduces in place, but never a caller's vector
+
+
+def test_remainder_leaves_a_dict_and_a_tuple_vector_as_they_were():
+    tower = build_tower(3, 1)
+    rng = random.Random(7)
+    for A in reference_matrices(tower, rng):
+        basis = linalg.rref(A)
+        for v in random_vectors(rng, tower, len(A[0])) + A:
+            d = support(v)
+            kept_d, kept_v = dict(d), tuple(v)
+            r = linalg.remainder(basis, d)
+            assert d == kept_d and r is not d
+            linalg.remainder(basis, v)
+            assert v == kept_v
+
+
+def test_spin_leaves_a_dict_seed_as_it_was():
+    # the witness d1_1 + d1_2 of criterion 8, as a dict and as a tuple
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    ops = chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(1)), ring).generator_matrices()
+    e = linalg.mat_identity(ring.one, 8)
+    for i, j in itertools.combinations(range(8), 2):
+        v = tuple(x + y for x, y in zip(e[i], e[j]))
+        seed = {i: ring.one, j: ring.one}
+        assert linalg.spin([seed], ops, ring) == linalg.spin([v], ops, ring) == restart_spin([v], ops)
+        assert seed == {i: ring.one, j: ring.one}
+
+
+def test_insert_of_a_vector_in_the_span_changes_no_row_or_pivot():
+    tower = build_tower(5, 1)
+    rng = random.Random(11)
+    for A in reference_matrices(tower, rng):
+        rows, pivots = [], []
+        for v in A:
+            linalg._insert(rows, pivots, support(v))
+        kept = [dict(row) for row in rows], list(pivots)
+        # every row of A, and sums of two of them, lie in the span
+        for v in A + [tuple(x + y for x, y in zip(a, b)) for a, b in zip(A, A[1:])]:
+            assert linalg._insert(rows, pivots, support(v)) is False
+            assert ([dict(row) for row in rows], pivots) == kept
+
+
+def copying_spin(seeds, operators, zero):
+    """Spinning by the echelon step that reduces a copy of each vector and
+    queues every image it accepts as it came: the reference for the
+    in-place ``_insert``, which queues remainders."""
+
+    def reduce(rows, pivots, v):
+        v = dict(v)
+        for row, p in zip(rows, pivots):
+            if p in v:
+                m = -v.pop(p)
+                for j, y in row.items():
+                    if j != p:
+                        linalg.accumulate(v, j, m * y)
+        return v
+
+    def insert(rows, pivots, v):
+        r = reduce(rows, pivots, v)
+        if not r:
+            return False
+        c = min(r)
+        inv = r[c].inverse()
+        r = {j: x * inv for j, x in r.items()}
+        for i, row in enumerate(rows):
+            rows[i] = reduce([r], [c], row)
+        at = sum(p < c for p in pivots)
+        rows.insert(at, r)
+        pivots.insert(at, c)
+        return True
+
+    n = len(seeds[0])
+    patterns = [linalg.pattern(A) for A in operators]
+    rows, pivots = [], []
+    queue = [v for v in map(support, seeds) if insert(rows, pivots, v)]
+    while queue and len(rows) < n:
+        v = queue.pop()
+        for C in patterns:
+            w = linalg.mat_vec(C, v)
+            if insert(rows, pivots, w):
+                queue.append(w)
+                if len(rows) == n:
+                    break
+    return tuple(tuple(row.get(j, zero) for j in range(n)) for row in rows), pivots
+
+
+def test_spin_of_every_reduced_criterion_8_seed_matches_the_copying_spin():
+    # the 232 seeds of criterion 8 at b = g^3 over GF(9): the unit vectors
+    # and every e_i + c e_j with i < j and c != 0
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    unit = linalg.mat_identity(ring.one, 8)
+    seeds = list(unit)
+    for i, j in itertools.combinations(range(8), 2):
+        seeds += [unit[i][:j] + (c,) + unit[i][j + 1 :] for c in tower.ext_elements()[1:]]
+    assert len(seeds) == 232
+    ops = chowrep.reduce_regular_at_theta((ring.zero, tower.gen_power(3)), ring).generator_matrices()
+    dims = set()
+    for v in seeds:
+        rows, pivots = linalg.spin([v], ops, ring)
+        assert (rows, pivots) == copying_spin([v], ops, ring.zero)
+        dims.add(len(rows))
+    assert {2, 8} <= dims
