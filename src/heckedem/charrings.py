@@ -26,7 +26,6 @@ checked to vanish; no rational-function arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 
@@ -38,15 +37,27 @@ from .linalg import accumulate
 # coefficient-ring adapters
 
 
-@dataclass(frozen=True)
 class ZqRing:
     """Z[q] viewed as a coefficient ring.  It has no fields, so all
-    instances are equal and hash alike."""
+    instances are equal and hash alike; it is immutable."""
+
+    __slots__ = ()
 
     is_field = False
     zero = ZQ_ZERO
     one = ZQ_ONE
     q = ZQ_Q
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ZqRing is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
 
     def __repr__(self):
         return "Z[q]"
@@ -55,22 +66,34 @@ class ZqRing:
 ZQ = ZqRing()
 
 
-@dataclass(frozen=True)
 class FieldRing:
     """The field E = GF(q^2) of a tower as a coefficient ring.
 
     The deformation variable q specializes to 0 here: q = p^f vanishes
     in characteristic p.  ``level`` accepts only "ext": E is the one field.
+    Immutable; rings compare and hash by (tower, level).
     """
 
-    tower: FieldTower
-    level: str = "ext"
+    __slots__ = ("tower", "level")
 
     is_field = True
 
-    def __post_init__(self):
-        if self.level != "ext":
-            raise ValueError(f"unknown field level {self.level!r}; GF(q^2) is the only field")
+    def __init__(self, tower: FieldTower, level: str = "ext"):
+        if level != "ext":
+            raise ValueError(f"unknown field level {level!r}; GF(q^2) is the only field")
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldRing is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.tower, self.level) == (other.tower, other.level)
+
+    def __hash__(self) -> int:
+        return hash((self.tower, self.level))
 
     @property
     def zero(self):

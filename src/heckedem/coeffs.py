@@ -25,9 +25,8 @@ Everything is immutable and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
 MAX_Q_SQUARED = 1 << 20
 
@@ -187,30 +186,32 @@ def _lowest_lex_irreducible(p: int, deg: int) -> tuple:
     raise RuntimeError("no irreducible polynomial found")
 
 
-@dataclass(frozen=True)
 class FieldTower:
     """E = GF(q^2) over GF(p) with a fixed generator g of E^x.
 
     Construction builds the element tables, indexed by code (0 is zero,
     k + 1 is g^k): the interned elements, the coefficient-vector-to-code
     map, and the Zech table.  Raises ValueError when ``generator`` does
-    not generate E^x.
+    not generate E^x.  Immutable; towers compare and hash by
+    (p, f, modulus_2f, generator), and ``q`` = p^f is derived.
     """
 
-    p: int
-    f: int
-    modulus_2f: tuple
-    generator: tuple  # coefficient vector in GF(q^2), little-endian over GF(p)
-    q: int = field(init=False, compare=False)  # p**f
-    # built in __post_init__, so dataclasses.replace copies get their own
-    _elements: tuple = field(init=False, repr=False, compare=False)  # by code
-    _powers: tuple = field(init=False, repr=False, compare=False)  # g^k, 0 <= k < 2(q^2 - 1)
-    _codes: dict = field(init=False, repr=False, compare=False)  # coefficient vector -> code
-    _zech: tuple = field(init=False, repr=False, compare=False)  # n -> code of 1 + g^n
-    _neg: tuple = field(init=False, repr=False, compare=False)  # code -> code of its negative
+    __slots__ = ("p", "f", "modulus_2f", "generator", "q", "_hash", "_elements", "_powers", "_codes", "_zech", "_neg")
+
+    def __init__(self, p: int, f: int, modulus_2f: tuple, generator: tuple):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "modulus_2f", modulus_2f)
+        object.__setattr__(self, "generator", generator)  # coefficient vector in GF(q^2), little-endian over GF(p)
+        object.__setattr__(self, "q", p**f)
+        object.__setattr__(self, "_hash", hash((p, f, modulus_2f, generator)))
+        self.__post_init__()
 
     def __post_init__(self):
-        object.__setattr__(self, "q", self.p**self.f)
+        """Build the tables from the fields ``__init__`` set: ``_elements``
+        by code, ``_powers`` g^k for 0 <= k < 2(q^2 - 1), ``_codes`` from
+        coefficient vector to code, ``_zech`` from n to the code of 1 + g^n
+        and ``_neg`` from a code to that of its negative."""
         p = self.p
         order = self.q**2 - 1
         one = (1,)
@@ -231,6 +232,21 @@ class FieldTower:
         tables = {"_elements": elements, "_powers": elements[1:] * 2, "_codes": codes, "_zech": zech, "_neg": neg}
         for name, table in tables.items():
             object.__setattr__(self, name, table)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FieldTower is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        mine = (self.p, self.f, self.modulus_2f, self.generator)
+        return self is other or mine == (other.p, other.f, other.modulus_2f, other.generator)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"FieldTower(p={self.p}, f={self.f}, modulus_2f={self.modulus_2f}, generator={self.generator})"
 
     def zero(self) -> "FieldElement":
         return self._elements[0]
@@ -339,7 +355,7 @@ class FieldElement:
         return self.frobenius() == self
 
     def __eq__(self, other) -> bool:
-        # code first: comparing the tower dataclass is the costly part
+        # code first: comparing two towers built apart is the costly part
         return (
             isinstance(other, FieldElement)
             and self.code == other.code

@@ -21,7 +21,6 @@ tags mean equal (orbit, b) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .charrings import FieldRing
@@ -31,17 +30,35 @@ from .krep import FiniteModule, reduce_at_theta
 from .chowrep import composition_series, reduce_regular_at_theta
 
 
-@dataclass(frozen=True)
 class GaloisParam:
-    tower: FieldTower
-    b: FieldElement
-    y: FieldElement
+    """A tame parameter (b, y) over the tower's field E: b in E^x and y in
+    E \\ GF(q).  Immutable; parameters compare and hash by (tower, b, y),
+    and ``class_key`` names the class up to y ~ y^q."""
 
-    def __post_init__(self):
-        if self.b.is_zero():
+    __slots__ = ("tower", "b", "y")
+
+    def __init__(self, tower: FieldTower, b: FieldElement, y: FieldElement):
+        if b.is_zero():
             raise ValueError("b must be nonzero")
-        if self.y.is_zero() or self.y.in_base_field():
+        if y.is_zero() or y.in_base_field():
             raise ValueError("y must lie outside GF(q) (irreducibility)")
+        object.__setattr__(self, "tower", tower)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "y", y)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaloisParam is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.tower, self.b, self.y) == (other.tower, other.b, other.y)
+
+    def __hash__(self) -> int:
+        return hash((self.tower, self.b, self.y))
+
+    def __repr__(self) -> str:
+        return f"GaloisParam(tower={self.tower!r}, b={self.b!r}, y={self.y!r})"
 
     def class_key(self):
         """Canonical key of the equivalence class (b, {y, y^q})."""

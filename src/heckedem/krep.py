@@ -22,9 +22,8 @@ Pittie-Steinberg basis {1, e^{(0,1)}}, and Anil's A2 the 8-dimensional one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 from functools import lru_cache
-from typing import Callable
 
 from . import linalg
 from .charrings import (
@@ -64,7 +63,6 @@ def rep_A_U(ring):
     return ((x1, b), (c, -x1))
 
 
-@dataclass(frozen=True, eq=False)
 class Demazure:
     """A rank-2 Demazure representation, given on the basis {1, S, U, SU}
     of its flavor over the center.
@@ -73,14 +71,24 @@ class Demazure:
     ``SymElement``); ``S`` and ``U`` build the images of S and U over a
     coefficient ring; the center maps by zeta1 -> ``zeta1(ring)`` and
     zeta2 -> the monomial of exponent (d, d), d = ``zeta2_degree``.  The
-    record hashes by identity, since it keys ``word_image``."""
+    record is immutable and compares and hashes by identity, since it
+    keys ``word_image``."""
 
-    flavor: str
-    cls: type
-    S: Callable
-    U: Callable
-    zeta1: Callable
-    zeta2_degree: int
+    __slots__ = ("flavor", "cls", "S", "U", "zeta1", "zeta2_degree")
+
+    def __init__(self, flavor: str, cls: type, S: Callable, U: Callable, zeta1: Callable, zeta2_degree: int):
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "cls", cls)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "U", U)
+        object.__setattr__(self, "zeta1", zeta1)
+        object.__setattr__(self, "zeta2_degree", zeta2_degree)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Demazure is immutable")
+
+    def __repr__(self) -> str:
+        return f"Demazure(flavor={self.flavor!r}, cls={self.cls.__name__}, zeta2_degree={self.zeta2_degree})"
 
     def basis(self, ring) -> tuple:
         """{Id, MS, MU, MS MU}: the images of the basis {1, S, U, SU}."""
@@ -201,23 +209,41 @@ def independence_determinant(rep: Demazure, ring, at_q0: bool = False):
 # finite modules
 
 
-@dataclass(frozen=True)
 class FiniteModule:
     """A finite-dimensional module over one algebra flavor, fixed by how
     the algebra's generators act and by the scalar U^2 acts by.
 
     ``gens`` holds the dim x dim generator matrices over the field ring in
     canonical order: e1 (h2 only), S, U; ``dim`` is read off them, and U^2
-    acts by ``zeta2``.  Nothing derived from them is stored: U^-1 =
-    zeta2^-1 U and e2 = 1 - e1 add nothing to spinning or isomorphism
-    tests, since a subspace (or intertwiner) compatible with U and e1 is
-    compatible with them, and ``gen_dict`` reads them off for display.
+    acts by ``zeta2``, a field element.  Nothing derived from them is
+    stored: U^-1 = zeta2^-1 U and e2 = 1 - e1 add nothing to spinning or
+    isomorphism tests, since a subspace (or intertwiner) compatible with U
+    and e1 is compatible with them, and ``gen_dict`` reads them off for
+    display.  Immutable; modules compare and hash by
+    (flavor, ring, gens, zeta2).
     """
 
-    flavor: str
-    ring: FieldRing
-    gens: tuple  # e1 (h2 only), S, U
-    zeta2: object  # the field element U^2 acts by
+    __slots__ = ("flavor", "ring", "gens", "zeta2")
+
+    def __init__(self, flavor: str, ring: FieldRing, gens: tuple, zeta2):
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "zeta2", zeta2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FiniteModule is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.flavor, self.ring, self.gens, self.zeta2) == (other.flavor, other.ring, other.gens, other.zeta2)
+
+    def __hash__(self) -> int:
+        return hash((self.flavor, self.ring, self.gens, self.zeta2))
+
+    def __repr__(self) -> str:
+        return f"FiniteModule(flavor={self.flavor!r}, ring={self.ring!r}, dim={self.dim}, zeta2={self.zeta2!r})"
 
     @property
     def dim(self) -> int:

@@ -53,11 +53,13 @@ from .weyl import WeylElement, length, length_bfs
 
 # ---------------------------------------------------------------------------
 # random generators
+#
+# Every draw calls Random._randbelow directly: randint(a, b) is
+# a + _randbelow(b - a + 1), randrange(n) is _randbelow(n) and choice(seq)
+# is seq[_randbelow(len(seq))], so the stream and the elements are the same.
 
 
 def random_weyl(rng: random.Random, max_len: int = 6) -> WeylElement:
-    # the same draws as randint(-4, 4) twice and choice(("e", "s")): both
-    # reach Random._randbelow, which this calls directly
     below = rng._randbelow
     while True:
         w = WeylElement(below(9) - 4, below(9) - 4, ("e", "s")[below(2)])
@@ -66,13 +68,14 @@ def random_weyl(rng: random.Random, max_len: int = 6) -> WeylElement:
 
 
 def random_scalar(rng: random.Random) -> GenericScalar:
-    return GenericScalar([rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+    below = rng._randbelow
+    return GenericScalar([below(7) - 3 for _ in range(1 + below(3))])
 
 
 def _draw_terms(rng: random.Random, n: int, draw) -> dict:
     """One to n draws of (key, coefficient), summed; a zero draw is skipped."""
     terms: dict = {}
-    for _ in range(rng.randint(1, n)):
+    for _ in range(1 + rng._randbelow(n)):
         key, c = draw()
         if not c.is_zero():
             accumulate(terms, key, c)
@@ -82,7 +85,7 @@ def _draw_terms(rng: random.Random, n: int, draw) -> dict:
 def random_hecke(rng: random.Random, flavor: str, ring=ZQ, n_terms: int = 3) -> HeckeElement:
     def draw():
         w = random_weyl(rng)  # drawn before the idempotent index
-        return ((rng.choice((1, 2)), w) if flavor == "h2" else w), _random_coeff(rng, ring)
+        return ((1 + rng._randbelow(2), w) if flavor == "h2" else w), _random_coeff(rng, ring)
 
     return HeckeElement._of(ring, _draw_terms(rng, n_terms, draw), flavor)
 
@@ -90,12 +93,14 @@ def random_hecke(rng: random.Random, flavor: str, ring=ZQ, n_terms: int = 3) -> 
 def _random_coeff(rng: random.Random, ring):
     if ring is ZQ:
         return random_scalar(rng)
-    return ring.tower.element([rng.randrange(ring.tower.p) for _ in range(2 * ring.tower.f)])
+    below, p = rng._randbelow, ring.tower.p
+    return ring.tower.element([below(p) for _ in range(2 * ring.tower.f)])
 
 
 def _random_laurent_terms(rng: random.Random, ring, lo: int, hi: int) -> dict:
     """One to four terms with both exponents in [lo, hi]."""
-    return _draw_terms(rng, 4, lambda: ((rng.randint(lo, hi), rng.randint(lo, hi)), _random_coeff(rng, ring)))
+    below, width = rng._randbelow, hi - lo + 1
+    return _draw_terms(rng, 4, lambda: ((lo + below(width), lo + below(width)), _random_coeff(rng, ring)))
 
 
 def random_group_ring(rng: random.Random, ring=ZQ) -> GroupRingElement:
@@ -103,7 +108,7 @@ def random_group_ring(rng: random.Random, ring=ZQ) -> GroupRingElement:
 
 
 def random_sym(rng: random.Random, ring=ZQ) -> SymElement:
-    return SymElement(ring, _random_laurent_terms(rng, ring, 0, 4), denom=rng.randint(0, 1))
+    return SymElement(ring, _random_laurent_terms(rng, ring, 0, 4), denom=rng._randbelow(2))
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +455,8 @@ def suite_h2_model(seed: int = 0) -> dict:
 
 
 def _random_h2_q0(rng: random.Random) -> HeckeElement:
-    draw = lambda: ((rng.choice((1, 2)), random_weyl(rng, 4)), GenericScalar.const(rng.randint(-3, 3)))
+    below = rng._randbelow
+    draw = lambda: ((1 + below(2), random_weyl(rng, 4)), GenericScalar.const(below(7) - 3))
     return HeckeElement._of(ZQ, _draw_terms(rng, 3, draw), "h2")
 
 

@@ -4,7 +4,6 @@ Every check is exact (integer / finite-field / symbolic Laurent
 arithmetic); the stated time budgets are asserted as well.
 """
 
-import dataclasses
 import time
 
 from heckedem import krep, verify
@@ -57,7 +56,8 @@ def test_criterion_03_extension_theorem(capsys):
 
 
 def test_criterion_03_sees_a_wrong_record(monkeypatch):
-    wrong = dataclasses.replace(krep.A_Q, zeta1=lambda r: -GroupRingElement.xi1(r))
+    A = krep.A_Q
+    wrong = krep.Demazure(A.flavor, A.cls, A.S, A.U, lambda r: -GroupRingElement.xi1(r), A.zeta2_degree)
     monkeypatch.setattr(krep, "A_Q", wrong)
     assert not extension_theorem_holds()
 

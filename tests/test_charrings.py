@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -45,7 +44,7 @@ def test_every_zq_ring_is_the_same_ring():
     assert other == ZQ and hash(other) == hash(ZQ) and other != FieldRing(build_tower(3, 1))
     assert repr(other) == repr(ZQ) == "Z[q]"
     assert (other.zero, other.one, other.q, other.is_field) == (ZQ_ZERO, ZQ_ONE, ZQ_Q, False)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         ZQ.one = ZQ_Q
 
 

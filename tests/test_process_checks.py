@@ -26,6 +26,19 @@ def test_import_does_not_load_sympy():
     assert proc.stdout.strip() == "False"
 
 
+IMPORT_GUARD = """
+import heckedem, heckedem.cli, heckedem.verify, sys
+print(sorted(name for name in ("dataclasses", "inspect", "typing") if name in sys.modules))
+"""
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site-packages (and what their .pth files import) out of the count
+    proc = run_python("-S", "-c", IMPORT_GUARD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 OBSTRUCTION_WITHOUT_SYMPY = """
 import sys
 sys.modules["sympy"] = None  # any import of sympy now raises ImportError

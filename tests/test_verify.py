@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import json
@@ -88,7 +87,8 @@ def test_krep_suite_names_a_violated_extension_constraint(fresh_tables, monkeypa
 def test_obstruction_checks_anil_through_its_record(fresh_tables, monkeypatch):
     # zeta1 -> xi1 in place of -xi1: S, U and zeta2 are unchanged, so only
     # US + SU = zeta1 fails, once per prime
-    monkeypatch.setattr(chowrep, "A_NIL", dataclasses.replace(chowrep.A_NIL, zeta1=SymElement.xi1))
+    A = chowrep.A_NIL
+    monkeypatch.setattr(chowrep, "A_NIL", krep.Demazure(A.flavor, A.cls, A.S, A.U, SymElement.xi1, A.zeta2_degree))
     result = verify.suite_obstruction()
     assert (result["checks"], result["counterexamples"]) == (
         91,
