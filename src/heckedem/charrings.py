@@ -29,7 +29,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import add
 
-from .coeffs import FieldTower, ZQ_ONE, ZQ_Q, ZQ_ZERO
+from .coeffs import FieldTower, Frozen, ZQ_ONE, ZQ_Q, ZQ_ZERO
 from .linalg import accumulate
 
 
@@ -37,9 +37,9 @@ from .linalg import accumulate
 # coefficient-ring adapters
 
 
-class ZqRing:
+class ZqRing(Frozen):
     """Z[q] viewed as a coefficient ring.  It has no fields, so all
-    instances are equal and hash alike; it is immutable."""
+    instances are equal and hash alike."""
 
     __slots__ = ()
 
@@ -48,16 +48,8 @@ class ZqRing:
     one = ZQ_ONE
     q = ZQ_Q
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ZqRing is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(())
+    def _key(self) -> tuple:
+        return ()
 
     def __repr__(self):
         return "Z[q]"
@@ -66,12 +58,12 @@ class ZqRing:
 ZQ = ZqRing()
 
 
-class FieldRing:
+class FieldRing(Frozen):
     """The field E = GF(q^2) of a tower as a coefficient ring.
 
     The deformation variable q specializes to 0 here: q = p^f vanishes
     in characteristic p.  ``level`` accepts only "ext": E is the one field.
-    Immutable; rings compare and hash by (tower, level).
+    Rings compare and hash by (tower, level).
     """
 
     __slots__ = ("tower", "level")
@@ -84,16 +76,8 @@ class FieldRing:
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "level", level)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldRing is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or (self.tower, self.level) == (other.tower, other.level)
-
-    def __hash__(self) -> int:
-        return hash((self.tower, self.level))
+    def _key(self) -> tuple:
+        return (self.tower, self.level)
 
     @property
     def zero(self):
@@ -118,7 +102,7 @@ class FieldRing:
 # the sparse core
 
 
-class SparsePoly:
+class SparsePoly(Frozen):
     """Immutable finite sum of coefficient * monomial.
 
     ``terms`` maps monomial keys to nonzero coefficients: the public
@@ -161,9 +145,6 @@ class SparsePoly:
     def _new(self, terms: dict):
         """``_of`` in the class and ring of self."""
         return self._of(self.ring, terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     # ring operations ---------------------------------------------------
     def is_zero(self) -> bool:

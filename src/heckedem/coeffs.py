@@ -20,7 +20,9 @@ only while a tower is built: one remainder modulo a monic polynomial
 (``_poly_rem``) reduces the products that list the powers of g, test the
 order of each generator candidate and trial-divide the candidate moduli.
 
-Everything is immutable and deterministic.
+Everything is immutable and deterministic.  ``Frozen`` is the one base
+of the package's immutable values: it refuses assignment, and a value
+compares and hashes by its ``_key()``.
 """
 
 from __future__ import annotations
@@ -38,16 +40,32 @@ def _trim(coeffs: Sequence[int]) -> tuple[int, ...]:
     return tuple(cs)
 
 
-class GenericScalar:
+class Frozen:
+    """An immutable value: constructors set their slots by
+    ``object.__setattr__``, assignment raises AttributeError, and two values
+    of one class are equal, and hash alike, when their ``_key()`` is."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class GenericScalar(Frozen):
     """Polynomial in q over Z, little-endian coefficient tuple."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[int] = ()):
         object.__setattr__(self, "coeffs", _trim(coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GenericScalar is immutable")
 
     @staticmethod
     def const(n: int) -> "GenericScalar":
@@ -186,14 +204,16 @@ def _lowest_lex_irreducible(p: int, deg: int) -> tuple:
     raise RuntimeError("no irreducible polynomial found")
 
 
-class FieldTower:
+class FieldTower(Frozen):
     """E = GF(q^2) over GF(p) with a fixed generator g of E^x.
 
     Construction builds the element tables, indexed by code (0 is zero,
-    k + 1 is g^k): the interned elements, the coefficient-vector-to-code
-    map, and the Zech table.  Raises ValueError when ``generator`` does
-    not generate E^x.  Immutable; towers compare and hash by
-    (p, f, modulus_2f, generator), and ``q`` = p^f is derived.
+    k + 1 is g^k): ``_elements``, the interned elements; ``_powers``, g^k
+    for 0 <= k < 2(q^2 - 1); ``_codes``, from coefficient vector to code;
+    ``_zech``, from n to the code of 1 + g^n; and ``_neg``, from a code to
+    that of its negative.  Raises ValueError when ``generator`` does not
+    generate E^x.  Towers compare by (p, f, modulus_2f, generator), with
+    the hash cached, and ``q`` = p^f is derived.
     """
 
     __slots__ = ("p", "f", "modulus_2f", "generator", "q", "_hash", "_elements", "_powers", "_codes", "_zech", "_neg")
@@ -204,23 +224,15 @@ class FieldTower:
         object.__setattr__(self, "modulus_2f", modulus_2f)
         object.__setattr__(self, "generator", generator)  # coefficient vector in GF(q^2), little-endian over GF(p)
         object.__setattr__(self, "q", p**f)
-        object.__setattr__(self, "_hash", hash((p, f, modulus_2f, generator)))
-        self.__post_init__()
-
-    def __post_init__(self):
-        """Build the tables from the fields ``__init__`` set: ``_elements``
-        by code, ``_powers`` g^k for 0 <= k < 2(q^2 - 1), ``_codes`` from
-        coefficient vector to code, ``_zech`` from n to the code of 1 + g^n
-        and ``_neg`` from a code to that of its negative."""
-        p = self.p
+        object.__setattr__(self, "_hash", hash(self._key()))
         order = self.q**2 - 1
         one = (1,)
         vectors = [one]  # vectors[k] is g^k
         x = one
         for k in range(1, order + 1):
-            x = _poly_mod_mul(x, self.generator, self.modulus_2f, p)
+            x = _poly_mod_mul(x, generator, modulus_2f, p)
             if (x == one) != (k == order):  # g must have order exactly q^2 - 1
-                raise ValueError(f"{self.generator} does not generate GF({order + 1})^x")
+                raise ValueError(f"{generator} does not generate GF({order + 1})^x")
             vectors.append(x)
         vectors.pop()  # g^order = 1 again
         codes = {(): 0}
@@ -233,14 +245,8 @@ class FieldTower:
         for name, table in tables.items():
             object.__setattr__(self, name, table)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldTower is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        mine = (self.p, self.f, self.modulus_2f, self.generator)
-        return self is other or mine == (other.p, other.f, other.modulus_2f, other.generator)
+    def _key(self) -> tuple:
+        return (self.p, self.f, self.modulus_2f, self.generator)
 
     def __hash__(self) -> int:
         return self._hash
@@ -277,7 +283,7 @@ class FieldTower:
         return list(self._elements)
 
 
-class FieldElement:
+class FieldElement(Frozen):
     """Element of GF(q^2): its GF(p)-coefficient vector and its code.
 
     The code is 0 for zero and k + 1 for g^k.  Products, inverses and
@@ -302,9 +308,6 @@ class FieldElement:
         object.__setattr__(x, "coeffs", coeffs)
         object.__setattr__(x, "code", code)
         return x
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
 
     def is_zero(self) -> bool:
         return not self.code

@@ -24,16 +24,16 @@ from __future__ import annotations
 from itertools import product
 
 from .charrings import FieldRing
-from .coeffs import FieldElement, FieldTower, discrete_log
+from .coeffs import FieldElement, FieldTower, Frozen, discrete_log
 from .hecke import orbit, orbits as torus_orbits
 from .krep import FiniteModule, reduce_at_theta
 from .chowrep import composition_series, reduce_regular_at_theta
 
 
-class GaloisParam:
+class GaloisParam(Frozen):
     """A tame parameter (b, y) over the tower's field E: b in E^x and y in
-    E \\ GF(q).  Immutable; parameters compare and hash by (tower, b, y),
-    and ``class_key`` names the class up to y ~ y^q."""
+    E \\ GF(q).  Parameters compare and hash by (tower, b, y), and
+    ``class_key`` names the class up to y ~ y^q."""
 
     __slots__ = ("tower", "b", "y")
 
@@ -46,16 +46,8 @@ class GaloisParam:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "y", y)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaloisParam is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.tower, self.b, self.y) == (other.tower, other.b, other.y)
-
-    def __hash__(self) -> int:
-        return hash((self.tower, self.b, self.y))
+    def _key(self) -> tuple:
+        return (self.tower, self.b, self.y)
 
     def __repr__(self) -> str:
         return f"GaloisParam(tower={self.tower!r}, b={self.b!r}, y={self.y!r})"

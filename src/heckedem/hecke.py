@@ -268,15 +268,6 @@ def zeta2_embedded(flavor: str, ring) -> HeckeElement:
     return T_U(flavor, ring, 2)
 
 
-def center_embed(z: CenterElement, flavor: str, ring, *, zeta1: HeckeElement | None = None) -> HeckeElement:
-    """Expand a zeta-polynomial into the T_w basis.  ``zeta1``, when given,
-    is ``zeta1_embedded(flavor, ring)`` already built, so that a caller
-    expanding several polynomials builds it once."""
-    if zeta1 is None:
-        zeta1 = zeta1_embedded(flavor, ring)
-    return eval_laurent(z.terms, HeckeElement.zero(flavor, ring), zeta1, lambda k: T_U(flavor, ring, 2 * k))
-
-
 # ---------------------------------------------------------------------------
 # normal form over the center
 
@@ -369,15 +360,16 @@ def normal_form_over_center(x: HeckeElement) -> tuple:
 
 
 def recompose_from_center(coords, flavor: str, ring) -> HeckeElement:
-    """Inverse of normal_form_over_center: sum c_w * T-basis word, with
-    zeta1 built once for all four coordinates."""
+    """Inverse of normal_form_over_center: sum c_w * T-basis word, each
+    c_w expanded in the T_w basis at zeta1 and zeta2 = U^2, with zeta1 and
+    the zero built once for all four coordinates."""
     S, U = T_S(flavor, ring), T_U(flavor, ring)
     basis = [HeckeElement.one(flavor, ring), S, U, S * U]
-    zeta1 = zeta1_embedded(flavor, ring)
-    out = HeckeElement.zero(flavor, ring)
+    zero = HeckeElement.zero(flavor, ring)
+    zeta1, out = zeta1_embedded(flavor, ring), zero
     for cz, elt in zip(coords, basis):
         if not cz.is_zero():
-            out = out + center_embed(cz, flavor, ring, zeta1=zeta1) * elt
+            out = out + eval_laurent(cz.terms, zero, zeta1, lambda k: T_U(flavor, ring, 2 * k)) * elt
     return out
 
 

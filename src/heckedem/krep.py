@@ -33,6 +33,7 @@ from .charrings import (
     eval_laurent,
     to_xi_poly,
 )
+from .coeffs import Frozen
 from .hecke import HeckeElement, T_S, T_U, normal_form_over_center, q_minus_1, specialize_q0, zeta2_split
 from .linalg import accumulate
 from .weyl import act_on_index
@@ -63,7 +64,7 @@ def rep_A_U(ring):
     return ((x1, b), (c, -x1))
 
 
-class Demazure:
+class Demazure(Frozen):
     """A rank-2 Demazure representation, given on the basis {1, S, U, SU}
     of its flavor over the center.
 
@@ -84,8 +85,7 @@ class Demazure:
         object.__setattr__(self, "zeta1", zeta1)
         object.__setattr__(self, "zeta2_degree", zeta2_degree)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Demazure is immutable")
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __repr__(self) -> str:
         return f"Demazure(flavor={self.flavor!r}, cls={self.cls.__name__}, zeta2_degree={self.zeta2_degree})"
@@ -209,7 +209,7 @@ def independence_determinant(rep: Demazure, ring, at_q0: bool = False):
 # finite modules
 
 
-class FiniteModule:
+class FiniteModule(Frozen):
     """A finite-dimensional module over one algebra flavor, fixed by how
     the algebra's generators act and by the scalar U^2 acts by.
 
@@ -219,8 +219,7 @@ class FiniteModule:
     stored: U^-1 = zeta2^-1 U and e2 = 1 - e1 add nothing to spinning or
     isomorphism tests, since a subspace (or intertwiner) compatible with U
     and e1 is compatible with them, and ``gen_dict`` reads them off for
-    display.  Immutable; modules compare and hash by
-    (flavor, ring, gens, zeta2).
+    display.  Modules compare and hash by (flavor, ring, gens, zeta2).
     """
 
     __slots__ = ("flavor", "ring", "gens", "zeta2")
@@ -231,16 +230,8 @@ class FiniteModule:
         object.__setattr__(self, "gens", gens)
         object.__setattr__(self, "zeta2", zeta2)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteModule is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.flavor, self.ring, self.gens, self.zeta2) == (other.flavor, other.ring, other.gens, other.zeta2)
-
-    def __hash__(self) -> int:
-        return hash((self.flavor, self.ring, self.gens, self.zeta2))
+    def _key(self) -> tuple:
+        return (self.flavor, self.ring, self.gens, self.zeta2)
 
     def __repr__(self) -> str:
         return f"FiniteModule(flavor={self.flavor!r}, ring={self.ring!r}, dim={self.dim}, zeta2={self.zeta2!r})"

@@ -321,8 +321,8 @@ PINNED_TOWERS = {
 def test_build_tower_pins_modulus_and_generator_and_builds_one_table(p, f, fresh_tables, monkeypatch):
     # a candidate that fails the order test builds no power table
     built = []
-    post_init = FieldTower.__post_init__
-    monkeypatch.setattr(FieldTower, "__post_init__", lambda self: built.append(self.generator) or post_init(self))
+    init = FieldTower.__init__
+    monkeypatch.setattr(FieldTower, "__init__", lambda self, *args: init(self, *args) or built.append(self.generator))
     t = build_tower(p, f)
     assert (t.modulus_2f, t.generator) == PINNED_TOWERS[(p, f)]
     assert built == [t.generator]

@@ -1,19 +1,22 @@
-"""Value semantics of the six immutable records: ``FieldTower``,
-``ZqRing``, ``FieldRing``, ``Demazure``, ``FiniteModule`` and
-``GaloisParam``.
+"""Value semantics of the nine immutable classes, which all derive from
+``coeffs.Frozen``: the six records ``FieldTower``, ``ZqRing``,
+``FieldRing``, ``Demazure``, ``FiniteModule`` and ``GaloisParam``, and the
+arithmetic values ``GenericScalar``, ``FieldElement`` and ``SparsePoly``.
 
-Each compares and hashes by its fields (``Demazure`` by identity, since
-it keys ``word_image``), keeps its constructor's errors, and refuses
-assignment to any field with AttributeError.
+Each record compares and hashes by its fields (``Demazure`` by identity,
+since it keys ``word_image``) and keeps its constructor's errors.  Every
+class refuses assignment to any field with AttributeError, and comparing
+values of two classes returns False without raising.
 """
 
 import pytest
 
 from heckedem import krep
-from heckedem.charrings import ZQ, FieldRing, ZqRing
-from heckedem.coeffs import FieldTower, build_tower
+from heckedem.charrings import ZQ, FieldRing, GroupRingElement, SparsePoly, ZqRing
+from heckedem.coeffs import FieldElement, FieldTower, Frozen, GenericScalar, build_tower
 from heckedem.galois import GaloisParam
-from heckedem.krep import FiniteModule
+from heckedem.hecke import T_S
+from heckedem.krep import Demazure, FiniteModule
 
 
 def test_records_compare_and_hash_by_their_fields_and_refuse_assignment():
@@ -67,3 +70,31 @@ def test_records_compare_and_hash_by_their_fields_and_refuse_assignment():
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
+
+
+def test_every_immutable_class_refuses_assignment_and_compares_across_classes():
+    assert all(issubclass(cls, Frozen) for cls in (GenericScalar, FieldTower, FieldElement, ZqRing, FieldRing))
+    assert all(issubclass(cls, Frozen) for cls in (SparsePoly, Demazure, FiniteModule, GaloisParam))
+    t = build_tower(3, 1)
+    ring = FieldRing(t)
+    x = GroupRingElement.xi1(ZQ)
+    hecke_s = T_S("iwahori", ZQ)
+    values = [
+        (GenericScalar((1, 2)), "coeffs"),
+        (t.gen(), "code"),
+        (x, "terms"),
+        (SparsePoly(ZQ, {(0,): ZQ.one}), "terms"),
+        (hecke_s, "flavor"),
+    ]
+    for value, name in values:
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(AttributeError):
+        t.gen().extra = 1  # no slot and no instance dict
+
+    m = krep.standard_module(t.gen(), t.gen_power(3), ring)
+    rho = GaloisParam(t, t.gen_power(2), t.gen())
+    assert (t == 3) is False and (t != 3) is True
+    assert (m == rho) is False and (rho == m) is False and m != rho
+    assert (ring == t) is False and (ZQ == 0) is False and (krep.A_Q == m) is False
+    assert GenericScalar((1,)) != ZQ.one.coeffs and t.one() != 1 and x != hecke_s
