@@ -366,10 +366,12 @@ def recompose_from_center(coords, flavor: str, ring) -> HeckeElement:
     S, U = T_S(flavor, ring), T_U(flavor, ring)
     basis = [HeckeElement.one(flavor, ring), S, U, S * U]
     zero = HeckeElement.zero(flavor, ring)
-    zeta1, out = zeta1_embedded(flavor, ring), zero
+    zeta1 = zeta1_embedded(flavor, ring)
+    zeta2_power = lambda k: T_U(flavor, ring, 2 * k)
+    out = zero
     for cz, elt in zip(coords, basis):
         if not cz.is_zero():
-            out = out + eval_laurent(cz.terms, zero, zeta1, lambda k: T_U(flavor, ring, 2 * k)) * elt
+            out = out + eval_laurent(cz.terms, zero, zeta1, zeta2_power) * elt
     return out
 
 

@@ -322,7 +322,7 @@ def test_build_tower_pins_modulus_and_generator_and_builds_one_table(p, f, fresh
     # a candidate that fails the order test builds no power table
     built = []
     init = FieldTower.__init__
-    monkeypatch.setattr(FieldTower, "__init__", lambda self, *args: init(self, *args) or built.append(self.generator))
+    monkeypatch.setattr(FieldTower, "__init__", lambda self, *args: built.append(args[3]) or init(self, *args))
     t = build_tower(p, f)
     assert (t.modulus_2f, t.generator) == PINNED_TOWERS[(p, f)]
     assert built == [t.generator]
