@@ -63,10 +63,11 @@ class FieldRing(Frozen):
 
     The deformation variable q specializes to 0 here: q = p^f vanishes
     in characteristic p.  ``level`` accepts only "ext": E is the one field.
-    Rings compare and hash by (tower, level).
+    Rings compare and hash by (tower, level); zero, one and q are read
+    from the tower once, at construction.
     """
 
-    __slots__ = ("tower", "level")
+    __slots__ = ("tower", "level", "zero", "one", "q")
 
     is_field = True
 
@@ -75,21 +76,12 @@ class FieldRing(Frozen):
             raise ValueError(f"unknown field level {level!r}; GF(q^2) is the only field")
         object.__setattr__(self, "tower", tower)
         object.__setattr__(self, "level", level)
+        object.__setattr__(self, "zero", tower.zero())
+        object.__setattr__(self, "one", tower.one())
+        object.__setattr__(self, "q", tower.zero())
 
     def _key(self) -> tuple:
         return (self.tower, self.level)
-
-    @property
-    def zero(self):
-        return self.tower.zero()
-
-    @property
-    def one(self):
-        return self.tower.one()
-
-    @property
-    def q(self):
-        return self.tower.zero()
 
     def from_int(self, n: int):
         return self.tower.from_int(n)

@@ -12,16 +12,13 @@ down the module M(rho).
 
 The orbit reads only y.  Classes are enumerated as the product of E^x
 (b outer) with one representative y per class {y, y^q} (y inner), and
-``bijection_check`` computes the orbit once per y-class but still makes
-one tag per class.  The tag is the integer ``b.code * stride + id``: id
-is the orbit's index in ``hecke.orbits``, or the next free id for an
-orbit outside that list, and ``stride`` is the number of ids, so equal
-tags mean equal (orbit, b) pairs.
+``bijection_check`` computes the orbit once per y-class but still checks
+each class once.  Two classes share an image (orbit, theta) only when
+they share b, so each class is checked against the orbits already taken
+under its own b, and the check keeps no store with an entry per class.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .charrings import FieldRing
 from .coeffs import FieldElement, FieldTower, Frozen, discrete_log
@@ -125,12 +122,11 @@ def bijection_check(tower: FieldTower) -> dict:
 
     The orbit reads only y, so it is computed once per y-class and given
     an integer id: its index in ``torus_orbits``, or, for an orbit outside
-    that list, the next free id.  The tag of the class (b, y) is the
-    integer ``b.code * stride + id``, with ``stride`` the number of ids
-    once every y-class is read, so two tags are equal exactly when their
-    (orbit, b) pairs are.  The tags are made one per class, b outer (in
-    order of exponent) and y inner, and the first repeated tag is the
-    collision."""
+    that list, the next free id.  The classes are walked b outer (in order
+    of exponent) and y inner.  ``image`` maps each id taken under the
+    current b to its y, at most one entry per id, so the first id taken
+    twice under one b is the collision.  The map is onto when every b
+    takes exactly the ids of ``torus_orbits``."""
     q = tower.q
     units = [tower.gen_power(k) for k in range(q * q - 1)]
     y_reps = _y_class_reps(tower)
@@ -138,26 +134,27 @@ def bijection_check(tower: FieldTower) -> dict:
     all_orbits = torus_orbits(tower)
     ids = {orb: i for i, orb in enumerate(all_orbits)}
     y_ids = [(y, ids.setdefault(orbit_of(GaloisParam(tower, one, y)), len(ids))) for y in y_reps]
-    stride = len(ids)
-    bases = [(b, b.code * stride) for b in units]
-    image = {}
-    collision = None
-    for (b, base), (y, i) in product(bases, y_ids):
-        first = image.setdefault(base + i, y)
-        if first is not y:  # the tag holds b, so the earlier class has this b too
-            collision = (GaloisParam(tower, b, first), GaloisParam(tower, b, y))
+    target = set(range(len(all_orbits)))
+    modules, surjective, collision = 0, True, None
+    for b in units:
+        image = {}
+        for y, i in y_ids:
+            first = image.setdefault(i, y)
+            if first is not y:
+                collision = (GaloisParam(tower, b, first), GaloisParam(tower, b, y))
+                break
+        modules += len(image)
+        surjective = surjective and image.keys() == target
+        if collision is not None:
             break
-    target_ids = [ids[orb] for orb in all_orbits]
-    target_tags = {base + i for _, base in bases for i in target_ids}
     classes = len(units) * len(y_reps)
-    surjective = collision is None and image.keys() == target_tags
     regular = sum(1 for orb in all_orbits if len(orb) == 2)
     report = {
         "q": q,
         "E": f"GF({q * q})",
         "classes": classes,
-        "modules": len(image),
-        "bijective": bool(collision is None and surjective and classes == len(target_tags)),
+        "modules": modules,
+        "bijective": collision is None and surjective and classes == len(units) * len(all_orbits),
         "orbit_counts": {
             "nonregular": len(all_orbits) - regular,
             "regular": regular,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from heckedem import galois
@@ -197,6 +199,20 @@ def test_bijection_check_matches_the_per_class_reference(p, f):
     report = bijection_check(tower)
     assert report == bijection_by_classes(tower)
     assert report["bijective"] is True
+
+
+def test_bijection_check_keeps_no_state_that_grows_with_the_classes():
+    # q = 25: 624 values of b times 300 y-classes.  A store of one entry per
+    # class (187200 of them) would peak at tens of MB.
+    tower = build_tower(5, 2)
+    tracemalloc.start()
+    try:
+        report = bijection_check(tower)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report["classes"] == 187200 and report["bijective"] is True
+    assert peak < 1_000_000
 
 
 def merge_last_orbit_into_first(tower):

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 import heckedem
-from heckedem import chowrep, hecke, krep, linalg, verify
+from heckedem import chowrep, galois, hecke, krep, linalg, verify
 from heckedem.charrings import ZQ, FieldRing, SymElement
 from heckedem.coeffs import build_tower
 from heckedem.hecke import HeckeElement
@@ -65,6 +65,32 @@ def test_length_oracle_reports_every_mismatch(monkeypatch):
 def test_suite_check_counts(suite, name, checks):
     result = suite()
     assert result == {"name": name, "passed": True, "checks": checks, "counterexamples": []}
+
+
+@pytest.mark.parametrize("p,classes", [(3, 24), (5, 240), (7, 1008)])
+def test_suite_bijection_counts_one_check_per_class(p, classes):
+    result = verify.suite_bijection(p)
+    assert (result["name"], result["passed"], result["checks"]) == (f"bijection-q{p}", True, classes)
+    assert result["report"]["classes"] == result["report"]["modules"] == classes
+
+
+def test_suite_bijection_fails_when_the_orbit_map_collapses(monkeypatch):
+    monkeypatch.setattr(galois, "orbit_of", lambda rho: ((0, 0),))
+    result = verify.suite_bijection(5)
+    assert (result["passed"], result["checks"]) == (False, 240)
+    assert result["report"]["bijective"] is False
+    assert len(result["report"]["collision"]) == 2
+
+
+def test_relation_suites_run_each_suite_by_its_current_name(monkeypatch):
+    names = ("length_oracle", "relations", "center", "demazure", "krep", "h2_model", "obstruction", "chowrep")
+    calls = []
+    for name in names:
+        stub = lambda *args, name=name, **kwargs: calls.append((name, args, kwargs)) or {"passed": True}  # noqa: E731
+        monkeypatch.setattr(verify, f"suite_{name}", stub)
+    assert verify.run_relation_suites(seed=7) == {"passed": True, "suites": [{"passed": True}] * len(names)}
+    assert [name for name, _, _ in calls] == list(names)
+    assert calls[1] == ("relations", (7,), {}) and calls[-1] == ("chowrep", (7,), {"n_random": 100})
 
 
 def test_krep_suite_names_a_violated_extension_constraint(fresh_tables, monkeypatch):
