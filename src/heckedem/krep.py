@@ -15,9 +15,12 @@ once per (record, ring, w') through its normal form over the center, and
 the image of c T_w is c times it with every exponent shifted by (k, k),
 since xi2^k = e^{(k,k)} (by (2k, 2k) for Anil).  Both records specialize
 at a central character theta = (tau1, tau2) through one table
-(``_theta_images``), one evaluator (``specialize``) and one builder
-(``_rank2_module``): A(q) gives the finite 2-dimensional modules, in the
-Pittie-Steinberg basis {1, e^{(0,1)}}, and Anil's A2 the 8-dimensional one.
+(``_theta_images``) of flat terms, compiled once per (record, flavor,
+ring), one evaluator (``specialize``) that only multiplies and adds them,
+and one builder (``_rank2_module``) that checks the relations column by
+column (``FiniteModule.validate``): A(q) gives the finite 2-dimensional
+modules, in the Pittie-Steinberg basis {1, e^{(0,1)}}, and Anil's A2 the
+8-dimensional one.
 """
 
 from __future__ import annotations
@@ -258,57 +261,81 @@ class FiniteModule(Frozen):
         """Check the defining relations at q = 0: U^2 = zeta2, S^2 = (q-1)S
         with the (q-1) of ``hecke.q_minus_1`` (S^2 = -S on iwahori, 0 on nil
         and h2), and on h2 e1^2 = e1 and e1 X = X e2 for X = S, U, as
-        e1 X + X e1 = X; raises ValueError.  Each product is compared entry
-        by entry."""
-        *e1, S, U = self.gens
-        U2 = linalg.mat_mul(U, U)
-        if not all([x == self.zeta2 if i == j else x.is_zero() for i, row in enumerate(U2) for j, x in enumerate(row)]):
+        e1 X + X e1 = X; raises ValueError.  Each relation is checked on
+        every column: column j of ``linalg.pattern(X)`` is X e_j, to which
+        ``linalg.mat_vec`` applies the other factor, and the two sides are
+        compared as sparse columns, which hold only nonzero entries, so
+        equal columns are equal entry by entry."""
+        mat_vec, z = linalg.mat_vec, self.zeta2
+        *e1, S, U = map(linalg.pattern, self.gens)
+        Sc, Uc = [dict(col) for col in S], [dict(col) for col in U]
+        if any(mat_vec(U, u) != ({} if z.is_zero() else {j: z}) for j, u in enumerate(Uc)):
             raise ValueError("U^2 != zeta2")
-        if linalg.mat_mul(S, S) != linalg.mat_scale(S, q_minus_1(self.flavor, self.ring)):
+        c = q_minus_1(self.flavor, self.ring)
+        if any(mat_vec(S, s) != _times(c, s) for s in Sc):
             raise ValueError("S^2 != (q-1)S at q = 0")
         for E in e1:
-            if linalg.mat_mul(E, E) != E:
+            Ec = [dict(col) for col in E]
+            if any(mat_vec(E, e) != e for e in Ec):
                 raise ValueError("e1 is not idempotent")
-            for name, X in (("S", S), ("U", U)):
-                if linalg.mat_add(linalg.mat_mul(E, X), linalg.mat_mul(X, E)) != X:
+            for name, X, Xc in (("S", S, Sc), ("U", U, Uc)):
+                if any(_plus(mat_vec(E, x), mat_vec(X, e)) != x for x, e in zip(Xc, Ec)):
                     raise ValueError(f"e1 {name} != {name} e2")
         return self
+
+
+def _times(c, v: dict) -> dict:
+    """The sparse column c v: empty when c is 0, as a product of nonzero field elements is not."""
+    return {i: c * x for i, x in v.items()} if not c.is_zero() else {}
+
+
+def _plus(v: dict, w: dict) -> dict:
+    """v + w for sparse columns, summed into v."""
+    for i, x in w.items():
+        accumulate(v, i, x)
+    return v
 
 
 @lru_cache(maxsize=None)
 def _theta_images(rep: Demazure, flavor: str, ring: FieldRing) -> tuple:
     """``represent(rep, T_S)`` and ``represent(rep, T_U)`` on ``flavor`` over
-    the field, where q = 0, each entry a polynomial in xi1, xi2.
+    the field, where q = 0, compiled for ``specialize``: per image, its
+    dimension n over E and its terms (row, col, m, j, c), each adding
+    c xi1^m u2^j to entry (row, col) at theta.
 
-    They do not depend on theta, so each (rep, flavor, ring) computes them
-    once; like ``word_image``, the table keeps the images of the S and U
-    builders for the whole process."""
-    return tuple(
-        tuple(tuple(map(to_xi_poly, row)) for row in represent(rep, x)) for x in (T_S(flavor, ring), T_U(flavor, ring))
-    )
+    Each entry of an image is a polynomial in xi1, xi2, over A = E[x]/(x^d
+    - u2), x = xi2 and d = ``rep.zeta2_degree``: xi2^k sends x^u to u2^j
+    x^t for k + u = d j + t, and x^t times the record's basis vector r sits
+    at 2d (r // 2) + 2t + r % 2.  For d = 1 that is the record's own basis;
+    for the 4x4 h2 images at d = 2 it is [1_1, d1_1, x1_1, xd1_1, 1_2, d1_2,
+    x1_2, xd1_2], with d = delta.  None of this depends on theta, so each
+    (rep, flavor, ring) compiles it once; like ``word_image``, the table
+    keeps the images of the S and U builders for the whole process."""
+    d = rep.zeta2_degree
+    pos = lambda r, t: 2 * d * (r // 2) + 2 * t + r % 2
+    out = []
+    for x in (T_S(flavor, ring), T_U(flavor, ring)):
+        image, terms = represent(rep, x), []
+        for r, row in enumerate(image):
+            for s, entry in enumerate(row):
+                for (m, k), c in to_xi_poly(entry).items():
+                    for u in range(d):
+                        j, t = divmod(k + u, d)
+                        terms.append((pos(r, t), pos(s, u), m, j, c))
+        out.append((d * len(image), tuple(terms)))
+    return tuple(out)
 
 
 def specialize(rep: Demazure, flavor: str, ring: FieldRing, x1, u2) -> tuple:
-    """The matrices of S and U at xi1 = x1, over A = E[x]/(x^d - u2), x =
-    xi2 and d = ``rep.zeta2_degree``, read from ``_theta_images``.
-
-    xi2^k sends x^u to u2^j x^t for k + u = d j + t; x^t times the record's
-    basis vector r sits at 2d (r // 2) + 2t + r % 2.  For d = 1 that is the
-    record's own basis; for the 4x4 h2 images at d = 2 it is [1_1, d1_1,
-    x1_1, xd1_1, 1_2, d1_2, x1_2, xd1_2], with d = delta."""
-    d, zero = rep.zeta2_degree, ring.zero
-    pos = lambda r, t: 2 * d * (r // 2) + 2 * t + r % 2
-    out = []
-    for image in _theta_images(rep, flavor, ring):
-        n = d * len(image)
+    """The matrices of S and U at xi1 = x1 and x^d = u2, summed from the
+    terms that ``_theta_images`` compiled."""
+    zero, out = ring.zero, []
+    for n, terms in _theta_images(rep, flavor, ring):
         M = [[zero] * n for _ in range(n)]
-        for r, row in enumerate(image):
-            for s, poly in enumerate(row):
-                for (m, k), c in poly.items():
-                    c = c * x1**m if m else c
-                    for u in range(d):
-                        j, t = divmod(k + u, d)
-                        M[pos(r, t)][pos(s, u)] += c * u2**j
+        for r, s, m, j, c in terms:
+            if m:
+                c = c * x1**m
+            M[r][s] += c * u2**j if j else c
         out.append(tuple(map(tuple, M)))
     return tuple(out)
 

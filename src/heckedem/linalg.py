@@ -5,8 +5,9 @@ rows of the RREF (rows, pivots) pairs returned.  A ``Matrix`` is such a
 tuple that keeps its nonzero pattern by column (``nonzeros``) once read.
 Module builders (``krep._rank2_module``, ``quotient_action``) return
 Matrix objects; ``pattern`` is the one reader, through which ``mat_mul``,
-``spin``, ``algebra_dim``, ``quotient_action`` and ``hom_space`` take
-patterns, and it makes any other tuple a Matrix first.  The matrix
+``spin``, ``algebra_dim``, ``quotient_action``, ``hom_space`` and the
+builders' relation checks (``krep.FiniteModule.validate``) take patterns,
+and it makes any other tuple a Matrix first.  The matrix
 helpers (identity, zero test, sum, scaling, product, determinant) work
 over any ring whose elements support +, - and * and have ``is_zero``;
 ``mat_mul`` multiplies only the nonzero entries of both factors.

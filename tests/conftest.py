@@ -3,9 +3,9 @@
 ``clear_tables`` empties the process-wide tables that memoise derived
 results: every ``lru_cache`` defined in a module of the package (the one
 table ``krep.word_image`` of Demazure word images, shared by A(q) and
-Anil, the table ``krep._theta_images`` of S and U as xi-polynomials, one
-entry per (record, flavor, ring), from which both reductions at theta are
-made, ``charrings.half``, ...), found by scanning every module that
+Anil, the table ``krep._theta_images`` of S and U compiled into flat
+(row, col, m, j, c) terms, one entry per (record, flavor, ring), from which
+both reductions at theta are made, ``charrings.half``, ...), found by scanning every module that
 ``pkgutil`` lists, so that a new table cannot be missed; and the Hecke
 product table ``hecke._PRODUCTS``, a plain dict of plain dicts.  A test that patches an input of
 one of them takes the ``fresh_tables`` fixture before ``monkeypatch``, so

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from heckedem import chowrep, krep, linalg
-from heckedem.charrings import ZQ, FieldRing, GroupRingElement
+from heckedem.charrings import ZQ, FieldRing, GroupRingElement, to_xi_poly
 from heckedem.coeffs import build_tower
-from heckedem.hecke import HeckeElement, T_S, zeta1_embedded, zeta2_embedded
+from heckedem.hecke import HeckeElement, T_S, T_U, zeta1_embedded, zeta2_embedded
 from heckedem.verify import random_group_ring, random_hecke
 
 
@@ -270,6 +270,105 @@ def test_validate_rejects_an_S_that_breaks_the_quadratic_relation(flavor, gens):
     gens = tuple(tuple(tuple(ring.from_int(x) for x in row) for row in M) for M in gens)
     with pytest.raises(ValueError, match=r"S\^2"):
         krep.FiniteModule(flavor, ring, gens, ring.one).validate()
+
+
+def test_validate_rejects_an_e1_that_is_not_idempotent():
+    # L's U and S pass, and e1 = diag(g, 0) squares to diag(g^2, 0)
+    tower = build_tower(3, 1)
+    ring = FieldRing(tower)
+    L = krep.standard_module_h2(tower.gen_power(1), ring)
+    e1 = ((tower.gen_power(1), ring.zero), (ring.zero, ring.zero))
+    with pytest.raises(ValueError, match="e1 is not idempotent"):
+        krep.FiniteModule("h2", ring, (e1,) + L.gens[1:], L.zeta2).validate()
+
+
+@pytest.mark.parametrize("flavor", ["iwahori", "h2"])
+@pytest.mark.parametrize("U", [((1, 1), (0, 1)), ((1, 0), (0, 2))], ids=["off-diagonal", "diagonal"])
+def test_validate_checks_U_squared_on_every_column(flavor, U):
+    # U^2 e_0 = e_0 = zeta2 e_0, but U^2 e_1 is (2, 1) or (0, 4), not e_1
+    ring = FieldRing(build_tower(5, 1))
+    U = tuple(tuple(ring.from_int(x) for x in row) for row in U)
+    zero = ((ring.zero, ring.zero), (ring.zero, ring.zero))
+    e1 = ((ring.one, ring.zero), (ring.zero, ring.zero))
+    U2 = linalg.mat_mul(U, U)
+    assert (U2[0][0], U2[1][0]) == (ring.one, ring.zero) and (U2[0][1], U2[1][1]) != (ring.zero, ring.one)
+    gens = (e1, zero, U) if flavor == "h2" else (zero, U)
+    with pytest.raises(ValueError, match=r"U\^2 != zeta2"):
+        krep.FiniteModule(flavor, ring, gens, ring.one).validate()
+
+
+def evaluate_at_theta(rep, flavor, ring, x1, u2):
+    """S and U at xi1 = x1 over A = E[x]/(x^d - u2), d = ``rep.zeta2_degree``,
+    by evaluating each xi-polynomial entry p(xi1, xi2) of the images as the
+    element p(x1, x) of A, a list of d coefficients, and multiplying it
+    into each basis vector x^u of A.  The rows and columns run over the
+    basis of the docstring of ``krep._theta_images``: per component, 1 and
+    delta, then x and x delta."""
+    d, one, zero = rep.zeta2_degree, ring.one, ring.zero
+
+    def times_x(a, k):
+        # x^k a: x^d wraps to u2, and x^-1 = u2^-1 x^(d-1)
+        for _ in range(abs(k)):
+            a = [a[-1] * u2] + a[:-1] if k > 0 else a[1:] + [a[0] * u2.inverse()]
+        return a
+
+    out = []
+    for image in krep.represent(rep, T_S(flavor, ring)), krep.represent(rep, T_U(flavor, ring)):
+        n = len(image)
+        order = [(2 * i + r, t) for i in range(n // 2) for t in range(d) for r in range(2)]
+        M = [[zero] * (n * d) for _ in range(n * d)]
+        for col, (s, u) in enumerate(order):
+            for row, (r, t) in enumerate(order):
+                acc = [zero] * d
+                for (m, k), c in to_xi_poly(image[r][s]).items():
+                    for _ in range(m):
+                        c = c * x1
+                    unit = [one if i == u else zero for i in range(d)]
+                    acc = [a + c * b for a, b in zip(acc, times_x(unit, k))]
+                M[row][col] = acc[t]
+        out.append(tuple(map(tuple, M)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_specialize_matches_direct_evaluation_of_the_xi_polynomials(p):
+    ring = FieldRing(build_tower(p, 1))
+    elements = ring.tower.ext_elements()
+    for tau1, tau2 in itertools.product(elements, elements[1:]):
+        assert krep.specialize(krep.A_Q, "iwahori", ring, tau1, tau2) == evaluate_at_theta(
+            krep.A_Q, "iwahori", ring, tau1, tau2
+        )
+    for b in elements[1:]:
+        assert krep.specialize(chowrep.A_NIL, "h2", ring, ring.zero, b) == evaluate_at_theta(
+            chowrep.A_NIL, "h2", ring, ring.zero, b
+        )
+
+
+def test_module_builders_multiply_no_matrices_and_compile_each_table_once(fresh_tables, monkeypatch):
+    ring = FieldRing(build_tower(3, 1))
+    elements = ring.tower.ext_elements()
+    products = []
+    mat_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul", lambda A, B: products.append(1) or mat_mul(A, B))
+    builders = {
+        "reduce_at_theta": [(krep.reduce_at_theta, (t, ring)) for t in itertools.product(elements, elements[1:])],
+        "standard_module": [(krep.standard_module, (*t, ring)) for t in itertools.product(elements, elements[1:])],
+        "standard_module_h2": [(krep.standard_module_h2, (b, ring)) for b in elements[1:]],
+        "reduce_regular_at_theta": [(chowrep.reduce_regular_at_theta, ((ring.zero, b), ring)) for b in elements[1:]],
+    }
+    # the first reduction of each record compiles its table, whose images are products
+    images = krep._theta_images
+    for build, args in builders["reduce_at_theta"][0], builders["reduce_regular_at_theta"][0]:
+        build(*args)
+    assert products and images.cache_info().misses == images.cache_info().currsize == 2
+    counts = {}
+    for name, calls in builders.items():
+        products.clear()
+        for build, args in calls:
+            build(*args)
+        counts[name] = len(products)
+    assert counts == dict.fromkeys(builders, 0)
+    assert (images.cache_info().misses, images.cache_info().currsize) == (2, 2)
 
 
 def intertwiner_by_projective_scan(gens1, gens2, ring):

@@ -228,8 +228,11 @@ def test_criterion_8_induces_one_matrix_per_generator_on_each_quotient(monkeypat
     assert len(induced) == 5 * 3
     # 12 quotient basis vectors under 3 generators, and the witness spin's
     # 4 x 3: the fourth vector it takes from the queue gives its eighth row,
-    # and the spin stops there, since 8 rows span all of M8
-    assert tracer.calls["linalg.mat_vec"] == 12 * 3 + 4 * 3
+    # and the spin stops there, since 8 rows span all of M8; and the
+    # builders' relation checks on M8 and on L, one application per column
+    # of U^2, S^2 and e1^2 and two per column of e1 S + S e1 and e1 U + U e1:
+    # 7 x 8 and 7 x 2
+    assert tracer.calls["linalg.mat_vec"] == 12 * 3 + 4 * 3 + 7 * 8 + 7 * 2
 
 
 def test_a_second_spin_builds_no_pattern_and_traces_every_operator_application(monkeypatch):
