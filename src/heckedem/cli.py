@@ -10,7 +10,7 @@ import json
 import sys
 from functools import cache
 
-from . import chowrep, galois, krep, verify
+from . import chowrep, krep, verify
 from .charrings import FieldRing
 from .coeffs import FieldElement, FieldTower, build_tower
 from .hecke import component_iso, orbits
@@ -95,9 +95,9 @@ def cmd_module(args) -> int:
 
 
 def cmd_bijection(args) -> int:
-    report = galois.bijection_check(build_tower(args.p, args.f))
-    _emit(report, args.out)
-    return 0 if report["bijective"] else 1
+    suite = verify.suite_bijection(args.p, args.f)
+    _emit(suite["report"], args.out)
+    return 0 if suite["passed"] else 1
 
 
 def cmd_obstruction(args) -> int:

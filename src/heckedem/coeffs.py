@@ -324,12 +324,7 @@ class FieldElement(Frozen):
         return self.tower._elements[self.tower._neg[self.code]]
 
     def __sub__(self, other: "FieldElement") -> "FieldElement":
-        t = self.tower
-        a, b = self.code, t._neg[other.code]
-        if not a or not b:
-            return t._elements[a or b]
-        z = t._zech[b - a]
-        return t._powers[a + z - 2] if z else t._elements[0]
+        return self + (-other)
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         a, b = self.code, other.code

@@ -10,12 +10,12 @@ torus character has exponent pair (h-1+i mod q-1, i), whose W0-orbit
 together with the supersingular central character theta = (0, b) pins
 down the module M(rho).
 
-The orbit reads only y.  Classes are enumerated as the product of E^x
-(b outer) with one representative y per class {y, y^q} (y inner), and
-``bijection_check`` computes the orbit once per y-class but still checks
-each class once.  Two classes share an image (orbit, theta) only when
-they share b, so each class is checked against the orbits already taken
-under its own b, and the check keeps no store with an entry per class.
+The orbit reads only y, and the image of a class (b, y) is
+(orbit(y), (0, b)): two classes share an image only when they share b,
+and then exactly when their y-classes share an orbit.  So
+``bijection_check`` decides the y-class -> orbit map once, with one
+``orbit_of`` per y-class, and counts the classes as the product of E^x
+with the y-classes.
 """
 
 from __future__ import annotations
@@ -117,44 +117,36 @@ def _y_class_reps(tower: FieldTower) -> list:
 
 
 def bijection_check(tower: FieldTower) -> dict:
-    """Exhaustively verify that rho -> (orbit, theta) is a bijection from
-    parameter classes onto (W0-orbit, b in E^x) pairs, E = GF(q^2).
+    """Verify that rho -> (orbit, theta) is a bijection from parameter
+    classes onto (W0-orbit, b in E^x) pairs, E = GF(q^2).
 
-    The orbit reads only y, so it is computed once per y-class and given
-    an integer id: its index in ``torus_orbits``, or, for an orbit outside
-    that list, the next free id.  The classes are walked b outer (in order
-    of exponent) and y inner.  ``image`` maps each id taken under the
-    current b to its y, at most one entry per id, so the first id taken
-    twice under one b is the collision.  The map is onto when every b
-    takes exactly the ids of ``torus_orbits``."""
+    The image of (b, y) is (orbit(y), (0, b)), so the map is a bijection
+    exactly when y-class -> orbit is injective and onto ``torus_orbits``.
+    Each y-class gets its orbit's integer id: its index in
+    ``torus_orbits``, or, for an orbit outside that list, the next free id.
+    ``image`` maps each id taken to its y, so the first id taken twice is
+    the collision, reported under b = 1, and ``modules`` counts the images
+    found before it.  Without a collision every b takes the same ids."""
     q = tower.q
-    units = [tower.gen_power(k) for k in range(q * q - 1)]
+    units = q * q - 1
     y_reps = _y_class_reps(tower)
     one = tower.one()
     all_orbits = torus_orbits(tower)
     ids = {orb: i for i, orb in enumerate(all_orbits)}
-    y_ids = [(y, ids.setdefault(orbit_of(GaloisParam(tower, one, y)), len(ids))) for y in y_reps]
-    target = set(range(len(all_orbits)))
-    modules, surjective, collision = 0, True, None
-    for b in units:
-        image = {}
-        for y, i in y_ids:
-            first = image.setdefault(i, y)
-            if first is not y:
-                collision = (GaloisParam(tower, b, first), GaloisParam(tower, b, y))
-                break
-        modules += len(image)
-        surjective = surjective and image.keys() == target
-        if collision is not None:
+    image, collision = {}, None
+    for y in y_reps:
+        i = ids.setdefault(orbit_of(GaloisParam(tower, one, y)), len(ids))
+        first = image.setdefault(i, y)
+        if first is not y:
+            collision = (GaloisParam(tower, one, first), GaloisParam(tower, one, y))
             break
-    classes = len(units) * len(y_reps)
     regular = sum(1 for orb in all_orbits if len(orb) == 2)
     report = {
         "q": q,
         "E": f"GF({q * q})",
-        "classes": classes,
-        "modules": modules,
-        "bijective": collision is None and surjective and classes == len(units) * len(all_orbits),
+        "classes": units * len(y_reps),
+        "modules": len(image) if collision else units * len(image),
+        "bijective": collision is None and image.keys() == set(range(len(all_orbits))),
         "orbit_counts": {
             "nonregular": len(all_orbits) - regular,
             "regular": regular,

@@ -346,6 +346,7 @@ def _check_reduction(t: Tally, tau1, tau2, ring) -> None:
     zero, one = ring.zero, ring.one
     mod = krep.reduce_at_theta((tau1, tau2), ring)
     faithful = krep.faithfulness_rank(mod) == 4  # = dim^2: also krep.is_irreducible(mod), read once
+    std = krep.standard_module(tau1, tau2, ring)
     if tau1.is_zero():  # the supersingular display
         d = mod.gen_dict()
         t.check(d["S"] == ((zero, zero), (zero, -one)), lambda: ("PS matrix S", str(tau2)))
@@ -353,14 +354,10 @@ def _check_reduction(t: Tally, tau1, tau2, ring) -> None:
         S0 = linalg.mat_mul(linalg.mat_mul(d["U"], d["S"]), d["Uinv"])
         t.check(S0 == ((-one, zero), (zero, zero)), lambda: ("PS matrix S0", str(tau2)))
         t.check(faithful, lambda: ("supersingular reduction reducible", str(tau2)))
-        t.check(
-            krep.is_isomorphic(mod, krep.standard_module(zero, tau2, ring)),
-            lambda: ("reduction != standard module", str(tau2)),
-        )
+        t.check(krep.is_isomorphic(mod, std), lambda: ("reduction != standard module", str(tau2)))
     simple = tau1 * tau1 != tau2
     t.check(faithful == simple, lambda: ("faithfulness criterion", str(tau1), str(tau2)))
     # standard module reducible iff tau1^2 = tau2
-    std = krep.standard_module(tau1, tau2, ring)
     t.check(krep.is_irreducible(std) == simple, lambda: ("irreducibility criterion", str(tau1), str(tau2)))
 
 

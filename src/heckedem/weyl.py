@@ -76,25 +76,28 @@ def length(w: WeylElement) -> int:
     return abs(n1 - n2) if finite == "e" else abs(n1 - n2 - 1)
 
 
-def length_bfs(w: WeylElement, bound: int = 12) -> int:
+BFS_BOUND = 12  # targets with |n_i| <= 12; the search box adds a margin of 2
+
+
+def length_bfs(w: WeylElement) -> int:
     """BFS oracle: minimal number of {s0, s}-letters over all products of
     s0, s, u, u^{-1} reaching w; u-steps are free.
 
-    Looked up in the distance table of ``bfs_distances(bound)``.
+    Looked up in the distance table of ``bfs_distances()``.
     """
-    if max(abs(w.n1), abs(w.n2)) > bound:
+    if max(abs(w.n1), abs(w.n2)) > BFS_BOUND:
         raise ValueError("target outside the BFS search box")
     try:
-        return bfs_distances(bound)[w]
+        return bfs_distances()[w]
     except KeyError:
         raise RuntimeError("BFS exhausted without reaching the target") from None
 
 
 @lru_cache(maxsize=None)
-def bfs_distances(bound: int = 12) -> MappingProxyType:
-    """0-1 BFS from the identity over the box |n_i| <= bound + 2, run to
-    completion once per bound: the {s0, s}-letter distance of every
-    element reached, with u-steps free."""
+def bfs_distances() -> MappingProxyType:
+    """0-1 BFS from the identity over the box |n_i| <= BFS_BOUND + 2, run
+    to completion once: the {s0, s}-letter distance of every element
+    reached, with u-steps free."""
     dist = {E: 0}
     dq = deque([E])
     while dq:
@@ -102,7 +105,7 @@ def bfs_distances(bound: int = 12) -> MappingProxyType:
         d = dist[x]
         for gen, cost in ((S0, 1), (S, 1), (U, 0), (U_INV, 0)):
             y = x * gen
-            if max(abs(y.n1), abs(y.n2)) > bound + 2:
+            if max(abs(y.n1), abs(y.n2)) > BFS_BOUND + 2:
                 continue
             if y not in dist or dist[y] > d + cost:
                 dist[y] = d + cost

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from heckedem import galois
 from heckedem.cli import build_parser, main
+from heckedem.coeffs import build_tower
 
 
 def run(capsys, *argv):
@@ -46,6 +48,22 @@ def test_bijection_q3(capsys):
     report = json.loads(out)
     assert report["bijective"] is True
     assert report["classes"] == 24
+
+
+def test_bijection_exits_by_the_suite_verdict(monkeypatch, capsys):
+    """Without the last orbit and its y-class the map is still a bijection
+    onto what is left, but the closed-form class and orbit counts fail."""
+    tower = build_tower(5, 1)
+    *kept, last = galois.torus_orbits(tower)
+    one = tower.one()
+    y_reps = [y for y in galois._y_class_reps(tower) if galois.orbit_of(galois.GaloisParam(tower, one, y)) != last]
+    monkeypatch.setattr(galois, "torus_orbits", lambda t: kept)
+    monkeypatch.setattr(galois, "_y_class_reps", lambda t: y_reps)
+    code, out = run(capsys, "--p", "5", "bijection")
+    report = json.loads(out)
+    assert code == 1
+    assert report["bijective"] is True
+    assert (report["classes"], report["orbit_counts"]["total"]) == (24 * 9, 9)
 
 
 def test_obstruction(capsys):

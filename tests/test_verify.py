@@ -3,6 +3,7 @@ import importlib
 import json
 import pkgutil
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -80,6 +81,17 @@ def test_suite_bijection_fails_when_the_orbit_map_collapses(monkeypatch):
     assert (result["passed"], result["checks"]) == (False, 240)
     assert result["report"]["bijective"] is False
     assert len(result["report"]["collision"]) == 2
+
+
+def test_criterion_9_at_q121_takes_under_2_s():
+    # 14640 values of b times 7260 y-classes: a walk over the classes, or
+    # over b with the y-classes inside, takes several seconds here
+    tower = build_tower(11, 2)
+    start = time.perf_counter()
+    report = galois.bijection_check(tower)
+    elapsed = time.perf_counter() - start
+    assert (report["classes"], report["bijective"]) == (106286400, True)
+    assert elapsed < 2.0
 
 
 def test_relation_suites_run_each_suite_by_its_current_name(monkeypatch):
@@ -172,6 +184,17 @@ def scaled_first_entry(right):
         return ((a.scale(ring.tower.gen()) if ring.is_field else a, b), (c, d))
 
     return scaled
+
+
+def test_krep_theta_builds_two_modules_per_theta(monkeypatch):
+    # q = 3: 72 thetas, each one reduction and one M2(tau1, tau2); at tau1 = 0
+    # the isomorphism check reuses that M2(0, tau2)
+    builds = []
+    build = krep._rank2_module
+    monkeypatch.setattr(krep, "_rank2_module", lambda *args: builds.append(args[0]) or build(*args))
+    result = verify.suite_krep_theta(3)
+    assert len(builds) == 2 * 72
+    assert result == {"name": "krep-theta", "passed": True, "checks": 184, "counterexamples": []}
 
 
 def test_krep_theta_counts_a_reduction_that_fails_its_relations(fresh_tables, monkeypatch):

@@ -102,12 +102,12 @@ def test_bfs_guards():
         length_bfs(WeylElement(30, 0, "e"))
 
 
-def test_bfs_distance_table_is_built_once_per_bound():
-    table = weyl.bfs_distances(4)
-    assert weyl.bfs_distances(4) is table
+def test_bfs_distance_table_is_built_once():
+    table = weyl.bfs_distances()
+    assert weyl.bfs_distances() is table
     assert table[E] == 0 and table[S] == 1 and table[U] == 0
-    # the table spans the box |n_i| <= bound + 2, both finite parts
-    assert len(table) == 2 * (2 * 6 + 1) ** 2
+    # the table spans the box |n_i| <= 12 + 2, both finite parts
+    assert len(table) == 2 * (2 * 14 + 1) ** 2
     with pytest.raises(TypeError):
         table[E] = 1
 
