@@ -9,9 +9,10 @@ xi2' = eta1*eta2, with respect to the basis {1, delta}, delta =
 
 The center maps by zeta1 -> -xi1, zeta2 -> xi2^2 = (eta1*eta2)^2.  Anil
 is the ``krep.Demazure`` record ``A_NIL``, read like ``krep.A_Q`` term by
-term from the one table ``krep.word_image`` of translation-free words:
-with T_w = zeta2^k T_{w'}, the image of c T_w is c times that of T_{w'}
-with every exponent shifted by (2k, 2k).
+term from the one table ``krep.word_image`` of translation-free words,
+each the product of Anil(S) and Anil(U) along its letters: with T_w =
+zeta2^k T_{w'}, the image of c T_w is c times that of T_{w'} with every
+exponent shifted by (2k, 2k).
 
 A naive extension with U^2 = xi2 is impossible: the constraint system,
 solved over ``SparsePoly``, forces a^2 = xi2 at xi1 = 0, which has no
@@ -35,7 +36,6 @@ from __future__ import annotations
 
 from . import krep, linalg
 from .charrings import ZQ, FieldRing, SparsePoly, SymElement, decompose_ch, delta_ch, half
-from .coeffs import build_tower
 from .hecke import HeckeElement
 from .krep import FiniteModule, is_isomorphic, standard_module_h2
 
@@ -153,10 +153,10 @@ def check_naive_obstruction() -> dict:
     }
 
 
-def square_has_even_extremes(coeff_exponents: dict, p: int) -> bool:
+def square_has_even_extremes(coeff_exponents: dict, ring: FieldRing) -> bool:
     """Oracle for the parity witness: square a Laurent polynomial in xi2
-    over GF(p) and check its support extremes are even."""
-    ring = FieldRing(build_tower(p, 1))
+    with integer coefficients over the field ring and check its support
+    extremes are even."""
     poly = SparsePoly(ring, {(k,): ring.from_int(c) for k, c in coeff_exponents.items()})
     support = [k for (k,) in (poly * poly).terms]
     return not support or (min(support) % 2 == 0 and max(support) % 2 == 0)

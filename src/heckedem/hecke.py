@@ -9,12 +9,13 @@ quadratic relation and the idempotent bookkeeping:
                with (e_i x T_w)(e_i' x T_w') = 0 unless i' = w^{-1}.i.
 
 The engine folds the S/U word of w2 (``_translation_word``) into T_w
-letter by letter (``_basis_product``).  A product writes each term as
-T_w = zeta2^k T_{w'} with w' translation-free (``zeta2_split``), folds
-each pair (w', w2') once per quadratic relation and ring into a
-process-wide product table, and reads T_w T_{w2} off it with every key
-shifted by e^{(k1 + k2, k1 + k2)}: zeta2 is central of length 0, so the
-shifted fold is the fold itself.
+letter by letter (``_basis_product``); ``word_matrix`` folds it over the
+matrices of S and U, for every matrix image of a T_w.  A product writes
+each term as T_w = zeta2^k T_{w'} with w' translation-free
+(``zeta2_split``), folds each pair (w', w2') once per quadratic relation
+and ring into a process-wide product table, and reads T_w T_{w2} off it
+with every key shifted by e^{(k1 + k2, k1 + k2)}: zeta2 is central of
+length 0, so the shifted fold is the fold itself.
 
 Distinguished elements S = T_s, U = T_u, S0 = T_{s0} = U S U^{-1}, and the
 central pair zeta1, zeta2.  The algebra is free over its center on the
@@ -296,6 +297,14 @@ def _translation_word(w: WeylElement) -> tuple[str, ...]:
     return ("U", "S") * (m - 1) + ("U",) if m >= 1 else ("S", "U") * -m + ("S",)
 
 
+def word_matrix(m, w: WeylElement, S, U):
+    """m times S or U for each letter of ``_translation_word(w)``: the
+    image of T_w, w translation-free, started from m (Id, or E_i on h2)."""
+    for letter in _translation_word(w):
+        m = linalg.mat_mul(m, S if letter == "S" else U)
+    return m
+
+
 # Right multiplication of a + bS + cU + dSU by a letter, written as data:
 # per letter and target coordinate (1, S, U, SU), the terms (source
 # coordinate, coefficient, shift of the (m, k) key of zeta1^m zeta2^k).
@@ -433,9 +442,9 @@ def specialize_q0(x: SparsePoly) -> SparsePoly:
 def h2_matrix_model(x: HeckeElement):
     """The 2x2 matrix model of the h2 flavor at q = 0, over Z[X,Y,z2^{+-1}]/(XY).
 
-    e_i T_w = zeta2^k e_i T_{w'} (``zeta2_split``) maps to E_i times the
-    matrices of the S/U word of w' (``_translation_word``) times z2^k,
-    since U^2 = z2 Id in the model.  Only specialized coefficients are accepted: every coefficient must be
+    e_i T_w = zeta2^k e_i T_{w'} (``zeta2_split``) maps to ``word_matrix``
+    of w' started from E_i, times z2^k, since U^2 = z2 Id in the model.
+    Only specialized coefficients are accepted: every coefficient must be
     a constant in q (the model's quadratic relation S^2 = 0 holds at q = 0
     only).
     """
@@ -447,9 +456,7 @@ def h2_matrix_model(x: HeckeElement):
         if len(c.coeffs) > 1:
             raise ValueError("matrix model requires q = 0; coefficient has positive q-degree")
         k, w0 = zeta2_split(w)
-        m = _ZM_E1 if i == 1 else _ZM_E2
-        for letter in _translation_word(w0):
-            m = linalg.mat_mul(m, _ZM_S if letter == "S" else _ZM_U)
+        m = word_matrix(_ZM_E1 if i == 1 else _ZM_E2, w0, _ZM_S, _ZM_U)
         out = linalg.mat_add(out, linalg.mat_scale(m, ZRingElement({(0, 0, k): c})))
     return out
 

@@ -10,17 +10,19 @@ The center acts by zeta1 -> xi1, zeta2 -> xi2.  A(q) is one ``Demazure``
 record (``A_Q``), as the Chow-side Anil is (``chowrep.A_NIL``), and both
 are read the same way: a general element is mapped term by term through
 one table of words (``word_image``): T_w = zeta2^k T_{w'} with w'
-translation-free (``hecke.zeta2_split``), the image of T_{w'} is computed
-once per (record, ring, w') through its normal form over the center, and
-the image of c T_w is c times it with every exponent shifted by (k, k),
-since xi2^k = e^{(k,k)} (by (2k, 2k) for Anil).  Both records specialize
-at a central character theta = (tau1, tau2) through one table
-(``_theta_images``) of flat terms, compiled once per (record, flavor,
-ring), one evaluator (``specialize``) that only multiplies and adds them,
-and one builder (``_rank2_module``) that checks the relations column by
-column (``FiniteModule.validate``): A(q) gives the finite 2-dimensional
-modules, in the Pittie-Steinberg basis {1, e^{(0,1)}}, and Anil's A2 the
-8-dimensional one.
+translation-free (``hecke.zeta2_split``), the image of T_{w'} is the
+record's S and U multiplied along its word (``hecke.word_matrix``), once
+per (record, ring, w'), and the image of c T_w is c times it with every
+exponent shifted by (k, k), since xi2^k = e^{(k,k)} (by (2k, 2k) for
+Anil).
+
+Both records specialize at a central character theta = (tau1, tau2)
+through one table (``_theta_images``) of flat terms, compiled once per
+(record, flavor, ring), one evaluator (``specialize``) that only
+multiplies and adds them, and one builder (``_rank2_module``) that
+checks the relations column by column (``FiniteModule.validate``): A(q)
+gives the finite 2-dimensional modules, in the Pittie-Steinberg basis
+{1, e^{(0,1)}}, and Anil's A2 the 8-dimensional one.
 """
 
 from __future__ import annotations
@@ -28,16 +30,10 @@ from __future__ import annotations
 from collections.abc import Callable
 from functools import lru_cache
 
-from . import linalg
-from .charrings import (
-    FieldRing,
-    GroupRingElement,
-    decompose_k,
-    eval_laurent,
-    to_xi_poly,
-)
+from . import linalg, weyl
+from .charrings import FieldRing, GroupRingElement, decompose_k, to_xi_poly
 from .coeffs import Frozen
-from .hecke import HeckeElement, T_S, T_U, normal_form_over_center, q_minus_1, specialize_q0, zeta2_split
+from .hecke import HeckeElement, T_S, T_U, q_minus_1, specialize_q0, word_matrix, zeta2_split
 from .linalg import accumulate
 from .weyl import act_on_index
 
@@ -68,8 +64,8 @@ def rep_A_U(ring):
 
 
 class Demazure(Frozen):
-    """A rank-2 Demazure representation, given on the basis {1, S, U, SU}
-    of its flavor over the center.
+    """A rank-2 Demazure representation, given on the generators S and U
+    of its flavor.
 
     ``cls`` is the matrix entries' ring (``GroupRingElement`` or
     ``SymElement``); ``S`` and ``U`` build the images of S and U over a
@@ -93,40 +89,22 @@ class Demazure(Frozen):
     def __repr__(self) -> str:
         return f"Demazure(flavor={self.flavor!r}, cls={self.cls.__name__}, zeta2_degree={self.zeta2_degree})"
 
-    def basis(self, ring) -> tuple:
-        """{Id, MS, MU, MS MU}: the images of the basis {1, S, U, SU}."""
-        MS, MU = self.S(ring), self.U(ring)
-        return (linalg.mat_identity(self.cls.one(ring), 2), MS, MU, linalg.mat_mul(MS, MU))
-
 
 # S and U are looked up at call time, so a patched rep_A_U reaches the table
 A_Q = Demazure("iwahori", GroupRingElement, lambda r: rep_A0_S(r), lambda r: rep_A_U(r), GroupRingElement.xi1, 1)
 
 
-def rep_over_center(rep: Demazure, x: HeckeElement):
-    """``rep`` on x through its normal form over the center.
-
-    Writes x = c_1 + c_S S + c_U U + c_SU SU over the center, maps each
-    central coordinate into ``rep.cls`` and sums against ``rep.basis``."""
-    ring, d = x.ring, rep.zeta2_degree
-    zero, zeta1 = rep.cls.zero(ring), rep.zeta1(ring)
-    zeta2_power = lambda k: rep.cls.monomial(ring, d * k, d * k)
-    out = ((zero, zero), (zero, zero))
-    for cz, mat in zip(normal_form_over_center(x), rep.basis(ring)):
-        if not cz.is_zero():
-            out = linalg.mat_add(out, linalg.mat_scale(mat, eval_laurent(cz.terms, zero, zeta1, zeta2_power)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def word_image(rep: Demazure, ring, w):
-    """rep(T_w) for a translation-free w, through its normal form over the
-    center; computed once per (rep, ring, w).
+    """rep(T_w) for a translation-free w: the record's S and U builders
+    multiplied along ``_translation_word(w)`` (``hecke.word_matrix``);
+    computed once per (rep, ring, w).  The center's images take no part:
+    ``verify._check_record`` checks them against these S and U.
 
     The table keeps the images of every representation's S and U builders
     for the whole process: whoever replaces one must also
     ``cache_clear()`` this table, before and after, or read stale images."""
-    return rep_over_center(rep, HeckeElement.basis(rep.flavor, ring, w))
+    return word_matrix(linalg.mat_identity(rep.cls.one(ring), 2), w, rep.S(ring), rep.U(ring))
 
 
 def represent(rep: Demazure, x: HeckeElement):
@@ -202,7 +180,8 @@ def independence_determinant(rep: Demazure, ring, at_q0: bool = False):
     The entries' ring is an integral domain, so a nonzero determinant
     proves linear independence over the invariant ring.
     """
-    rows = tuple((M[0][0], M[0][1], M[1][0], M[1][1]) for M in rep.basis(ring))
+    images = (word_image(rep, ring, w) for w in (weyl.E, weyl.S, weyl.U, weyl.S * weyl.U))
+    rows = tuple((a, b, c, d) for (a, b), (c, d) in images)
     if at_q0:
         rows = tuple(tuple(specialize_q0(x) for x in row) for row in rows)
     return linalg.det(rows)

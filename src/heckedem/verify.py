@@ -367,11 +367,11 @@ def suite_obstruction() -> dict:
     t = Tally("obstruction")
     t.check(not chowrep.check_naive_obstruction()["solvable"], "obstruction not refuted")
     for p in (3, 5, 7):
+        ring = FieldRing(build_tower(p, 1))
         # parity oracle on sample Laurent polynomials
         for support in [(a, c) for a in range(-2, 3) for c in range(-2, 3)]:
             cand = {support[0]: 1, support[1]: max(1, p - 1)}
-            t.check(chowrep.square_has_even_extremes(cand, p), ("square with odd extreme degree", p, support))
-        ring = FieldRing(build_tower(p, 1))
+            t.check(chowrep.square_has_even_extremes(cand, ring), ("square with odd extreme degree", p, support))
         _check_record(t, chowrep.A_NIL, ring, p)
         # cross-check: Anil(U) is multiplication by eta1^2 composed with s
         t.check(chowrep.eta1_squared_s_matrix(ring) == chowrep.A_NIL.U(ring), (p, "Anil(U) != eta1^2 * s"))

@@ -72,7 +72,7 @@ def test_naive_obstruction_refuted():
     assert report["solvable"] is False
     # squares in GF(p)[xi2^{+-1}] have even extreme degrees
     for p in (3, 5, 7):
-        assert chowrep.square_has_even_extremes({-1: 1, 2: p - 1}, p)
+        assert chowrep.square_has_even_extremes({-1: 1, 2: p - 1}, FieldRing(build_tower(p, 1)))
 
 
 ZERO, ONE, A, XI1 = chowrep._ZERO, chowrep._ONE, chowrep._A, chowrep._XI1

@@ -3,10 +3,13 @@
 ``krep.rep_A``, ``chowrep.rep_Anil`` and ``chowrep.rep_A2`` write
 T_w = zeta2^k T_{w'} with w' translation-free and shift the image of
 T_{w'} that ``krep.word_image`` holds for their record (``krep.A_Q`` or
-``chowrep.A_NIL``).  The reference below is the per-term path they
-replace: the normal form of the whole element over the center
-(``krep.rep_over_center``, which never reads the table), and A2 through
-one nil "shadow" element per term.
+``chowrep.A_NIL``): the product of the record's S and U along the letters
+of w' (``hecke.word_matrix``).  The reference below is a second derivation
+that never reads the table: the normal form of the whole element over the
+center (``rep_over_center``), whose coordinates are evaluated at the
+record's images of zeta1 and zeta2 and summed against the images of 1, S,
+U and SU, and A2 through one nil "shadow" element per term.  The two agree
+only when the record's center images are right.
 """
 
 import functools
@@ -14,19 +17,37 @@ import random
 
 import pytest
 
-from heckedem import chowrep, krep, verify, weyl
-from heckedem.charrings import ZQ, FieldRing, SymElement
+from heckedem import chowrep, krep, linalg, verify, weyl
+from heckedem.charrings import ZQ, FieldRing, GroupRingElement, SymElement, eval_laurent
 from heckedem.coeffs import GenericScalar, build_tower
-from heckedem.hecke import HeckeElement, T_S, T_U, _translation_word, zeta2_split
+from heckedem.hecke import HeckeElement, T_S, T_U, _translation_word, normal_form_over_center, zeta2_split
 from heckedem.weyl import WeylElement
 
 
+def rep_over_center(rep, x):
+    """``rep`` on x through its normal form over the center.
+
+    Writes x = c_1 + c_S S + c_U U + c_SU SU over the center, maps each
+    central coordinate into ``rep.cls`` by the record's zeta1 and zeta2
+    and sums against {Id, MS, MU, MS MU}."""
+    ring, d = x.ring, rep.zeta2_degree
+    MS, MU = rep.S(ring), rep.U(ring)
+    basis = (linalg.mat_identity(rep.cls.one(ring), 2), MS, MU, linalg.mat_mul(MS, MU))
+    zero, zeta1 = rep.cls.zero(ring), rep.zeta1(ring)
+    zeta2_power = lambda k: rep.cls.monomial(ring, d * k, d * k)
+    out = ((zero, zero), (zero, zero))
+    for cz, mat in zip(normal_form_over_center(x), basis):
+        if not cz.is_zero():
+            out = linalg.mat_add(out, linalg.mat_scale(mat, eval_laurent(cz.terms, zero, zeta1, zeta2_power)))
+    return out
+
+
 def reference_rep_A(x):
-    return krep.rep_over_center(krep.A_Q, x)
+    return rep_over_center(krep.A_Q, x)
 
 
 def reference_rep_Anil(x):
-    return krep.rep_over_center(chowrep.A_NIL, x)
+    return rep_over_center(chowrep.A_NIL, x)
 
 
 def reference_rep_A2(x):
@@ -81,6 +102,48 @@ def test_word_table_matches_the_per_term_path(flavor, rep, reference, ring):
     for _ in range(40):
         x = random_element(rng, flavor, ring)
         assert rep(x) == reference(x), x
+
+
+def translation_free_words(bound=12):
+    """Every translation-free w' with |n1 - n2| <= bound, both finite parts."""
+    for m in range(-bound, bound + 1):
+        for finite in "es":
+            yield WeylElement(max(m, 0), max(-m, 0), finite)
+
+
+@pytest.mark.parametrize(
+    "rep,ring",
+    [
+        (krep.A_Q, lambda: ZQ),
+        (krep.A_Q, lambda: field(3, 1)),
+        (chowrep.A_NIL, lambda: field(3, 1)),
+        (chowrep.A_NIL, lambda: field(3, 2)),
+    ],
+    ids=["A-Z[q]", "A-GF(9)", "Anil-GF(9)", "Anil-GF(81)"],
+)
+def test_every_short_word_image_matches_the_normal_form(rep, ring):
+    """The S/U fold and the normal form over the center agree on every
+    table entry with |n1 - n2| <= 12."""
+    ring = ring()
+    for w in translation_free_words():
+        assert krep.word_image(rep, ring, w) == rep_over_center(rep, HeckeElement.basis(rep.flavor, ring, w)), w
+
+
+def test_a_wrong_center_image_parts_the_table_from_the_reference(fresh_tables, monkeypatch):
+    """With zeta1 -> -xi1 in A(q)'s record, the table (which reads only S
+    and U) and the normal form (which reads zeta1) disagree, and
+    ``suite_krep`` counts the record's failed relation, not an exception."""
+    A = krep.A_Q
+    wrong = krep.Demazure(A.flavor, A.cls, A.S, A.U, lambda r: -GroupRingElement.xi1(r), A.zeta2_degree)
+    differ = [
+        w
+        for w in translation_free_words()
+        if krep.word_image(wrong, ZQ, w) != rep_over_center(wrong, HeckeElement.basis("iwahori", ZQ, w))
+    ]
+    assert differ
+    monkeypatch.setattr(krep, "A_Q", wrong)
+    result = verify.suite_krep(0)
+    assert result["counterexamples"] == [("A(q)", "US + SU - (q-1)U != zeta1")]
 
 
 def test_zeta2_split_and_translation_word_give_T_w():
