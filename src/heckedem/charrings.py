@@ -2,14 +2,15 @@
 
 * ``SparsePoly``: the immutable sparse core of every polynomial class in
   the package, a dict from monomial keys to nonzero coefficients with the
-  ring operations and the product that adds exponent tuples.  Every
+  ring operations and the product that adds exponent tuples of any
+  length; the two Laurent rings own a faster one, on pairs.  Every
   ring-operation result is built in one pass: an operation drops a
   coefficient where its sum cancels (``linalg.accumulate``, the one
   sparse-sum rule of the package), and ``SparsePoly._new`` then runs only
   the subclass's ``_clean`` invariant, not the public constructors.
 * ``LaurentPoly``: the base of the two rings below, on keys (a, b) in
-  Z^2, and the one holder of their constructors, the swap ``s_action``
-  (with ``is_invariant``) and the invariants ``xi1``, ``xi2``.
+  Z^2, and the one holder of their product, their constructors, the swap
+  ``s_action`` (with ``is_invariant``) and the invariants ``xi1``, ``xi2``.
 * ``GroupRingElement``: Laurent polynomials Z[Lambda] in e^{(a,b)}, the
   K-side model.  Invariants under the swap s are generated by
   xi1 = e^{(1,0)} + e^{(0,1)} and xi2 = e^{(1,1)} (invertible); the ring
@@ -102,8 +103,8 @@ class SparsePoly(Frozen):
     deletes a key where its sum cancels.  Negation, the swap s and scaling
     by a nonzero c keep every coefficient nonzero, since each coefficient
     ring here (Z[q], GF(q^2), Z) is a domain; only ``map_coeffs`` filters.
-    Keys are exponent tuples, and the product adds them.  ``HeckeElement``
-    keys are basis labels instead, and it brings its own product.  Ring
+    Keys are exponent tuples of any length, and the product adds them;
+    ``LaurentPoly`` (pairs) and ``HeckeElement`` (basis labels) own theirs.  Ring
     operations build their results through ``_new`` only, and normal forms
     and random draws through ``_of``; a subclass with more state than
     ``ring`` extends both.  Named constructors, s, xi1 and xi2 are on
@@ -180,10 +181,18 @@ class SparsePoly(Frozen):
 
 class LaurentPoly(SparsePoly):
     """The base of the two Laurent rings of the dual side, keys (a, b) in
-    Z^2: their constructors, the swap s of the two exponents and the
-    invariants xi1, xi2, which mean nothing on the other sparse classes."""
+    Z^2: their product, constructors, the swap s of the two exponents and
+    the invariants xi1, xi2, which mean nothing on the other sparse classes."""
 
     __slots__ = ()
+
+    def __mul__(self, other):
+        """``SparsePoly.__mul__`` on unpacked exponent pairs: no tuple(map) per pair."""
+        out: dict = {}
+        for (a1, b1), c1 in self.terms.items():
+            for (a2, b2), c2 in other.terms.items():
+                accumulate(out, (a1 + a2, b1 + b2), c1 * c2)
+        return self._new(out)
 
     @classmethod
     def zero(cls, ring):
@@ -306,7 +315,7 @@ class GroupRingElement(LaurentPoly):
     __slots__ = ()
 
     # its own entry, so that perfbench/tracer.py can wrap this class's product
-    __mul__ = SparsePoly.__mul__
+    __mul__ = LaurentPoly.__mul__
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -350,7 +359,7 @@ class SymElement(LaurentPoly):
     __slots__ = ()
 
     # its own entry, so that perfbench/tracer.py can wrap this class's product
-    __mul__ = SparsePoly.__mul__
+    __mul__ = LaurentPoly.__mul__
 
     def __init__(self, ring, terms: dict | None = None, denom: int = 0):
         if denom and terms:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
+from itertools import zip_longest
 
 MAX_Q_SQUARED = 1 << 20
 
@@ -75,11 +76,7 @@ class GenericScalar(Frozen):
         return not self.coeffs
 
     def __add__(self, other: "GenericScalar") -> "GenericScalar":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return GenericScalar(
-            tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-        )
+        return GenericScalar([x + y for x, y in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __neg__(self) -> "GenericScalar":
         return GenericScalar(tuple(-c for c in self.coeffs))

@@ -215,10 +215,11 @@ def _basis_product(w: WeylElement, w2: WeylElement, q1, ring) -> dict:
 
 
 def T_w(flavor: str, ring, w: WeylElement) -> HeckeElement:
-    """T_w, with both idempotent components e_1 T_w + e_2 T_w in the h2 flavor."""
-    if flavor == "h2":
-        return HeckeElement(flavor, ring, {(1, w): ring.one, (2, w): ring.one})
-    return HeckeElement.basis(flavor, ring, w)
+    """T_w, with both idempotent components e_1 T_w + e_2 T_w in the h2 flavor; 1 needs no zero filter."""
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    terms = {(1, w): ring.one, (2, w): ring.one} if flavor == "h2" else {w: ring.one}
+    return HeckeElement._of(ring, terms, flavor)
 
 
 def T_S(flavor: str, ring) -> HeckeElement:

@@ -12,9 +12,9 @@ are read the same way: a general element is mapped term by term through
 one table of words (``word_image``): T_w = zeta2^k T_{w'} with w'
 translation-free (``hecke.zeta2_split``), the image of T_{w'} is the
 record's S and U multiplied along its word (``hecke.word_matrix``), once
-per (record, ring, w'), and the image of c T_w is c times it with every
-exponent shifted by (k, k), since xi2^k = e^{(k,k)} (by (2k, 2k) for
-Anil).
+per (record, ring, w'), and compiled from there into flat terms (row,
+col, a, b, v) (``_word_terms``); ``represent`` adds c v at (a + k, b + k)
+per term of c T_w, since xi2^k = e^{(k,k)} (at (a + 2k, b + 2k) for Anil).
 
 Both records specialize at a central character theta = (tau1, tau2)
 through one table (``_theta_images``) of flat terms, compiled once per
@@ -101,39 +101,45 @@ def word_image(rep: Demazure, ring, w):
     computed once per (rep, ring, w).  The center's images take no part:
     ``verify._check_record`` checks them against these S and U.
 
-    The table keeps the images of every representation's S and U builders
-    for the whole process: whoever replaces one must also
-    ``cache_clear()`` this table, before and after, or read stale images."""
+    The table and ``_word_terms`` keep the images of every representation's
+    S and U builders for the whole process: whoever replaces one must
+    ``cache_clear()`` both, before and after, or read stale images."""
     return word_matrix(linalg.mat_identity(rep.cls.one(ring), 2), w, rep.S(ring), rep.U(ring))
 
 
+@lru_cache(maxsize=None)
+def _word_terms(rep: Demazure, ring, w) -> tuple:
+    """``word_image(rep, ring, w)`` as flat terms (row, col, a, b, v), each
+    v e^{(a, b)} in entry (row, col), compiled once per (rep, ring, w)."""
+    rows = enumerate(word_image(rep, ring, w))
+    return tuple((r, s, a, b, v) for r, row in rows for s, entry in enumerate(row) for (a, b), v in entry.terms.items())
+
+
 def represent(rep: Demazure, x: HeckeElement):
-    """``rep`` on x = sum c_w T_w, read term by term from ``word_image``.
+    """``rep`` on x = sum c_w T_w, read term by term from ``_word_terms``.
 
     Writes T_w = zeta2^k T_{w'} (``zeta2_split``): the image of c T_w is
     c times that of T_{w'} with every exponent shifted by (d k, d k), d =
-    ``rep.zeta2_degree``.  On the h2 flavor, the twisted form of a nil
-    representation, the matrix is 4x4 in 2x2 blocks, one per pair of
-    components: e_i T_w goes to block (i, j), j the component that perm(w)
-    routes into i.  Every zero entry of the result is one shared element,
-    ``rep.cls.zero(ring)``.  The caller checks that x's flavor and ring
-    suit rep."""
+    ``rep.zeta2_degree``, one ``accumulate`` per flat term.  On the h2
+    flavor, the twisted form of a nil representation, the matrix is 4x4 in
+    2x2 blocks, one per pair of components: e_i T_w goes to block (i, j),
+    j the component that perm(w) routes into i.  Every zero entry of the
+    result is one shared element, the empty element of ``rep.cls``.  The
+    caller checks that x's flavor and ring suit rep."""
     ring, h2 = x.ring, x.flavor == "h2"
     n = 4 if h2 else 2
     acc = [[{} for _ in range(n)] for _ in range(n)]
     for key, c in x.terms.items():
         if h2:
             i, w = key
-            rows, col = acc[2 * i - 2 : 2 * i], 2 * act_on_index(w, i) - 2
+            row0, col0 = 2 * i - 2, 2 * act_on_index(w, i) - 2
         else:
-            w, rows, col = key, acc, 0
+            w, row0, col0 = key, 0, 0
         k, w0 = zeta2_split(w)
         shift = rep.zeta2_degree * k
-        for acc_row, row in zip(rows, word_image(rep, ring, w0)):
-            for out, entry in zip(acc_row[col : col + 2], row):
-                for (a, b), v in entry.terms.items():
-                    accumulate(out, (a + shift, b + shift), c * v)
-    zero = rep.cls.zero(ring)
+        for r, s, a, b, v in _word_terms(rep, ring, w0):
+            accumulate(acc[row0 + r][col0 + s], (a + shift, b + shift), c * v)
+    zero = rep.cls._of(ring, {})
     return tuple(tuple(zero._new(d) if d else zero for d in row) for row in acc)
 
 

@@ -4,9 +4,12 @@
 results: every ``lru_cache`` defined in a module of the package (the one
 table ``krep.word_image`` of Demazure word images, shared by A(q) and
 Anil, each the product of its record's S and U along the word
-(``hecke.word_matrix``); the table ``krep._theta_images`` of S and U
-compiled into flat (row, col, m, j, c) terms, one entry per (record,
-flavor, ring), from which both reductions at theta are made;
+(``hecke.word_matrix``); the table ``krep._word_terms`` of those images
+compiled into flat (row, col, a, b, v) terms for ``krep.represent``, filled
+only from ``word_image``, at most one entry per word it holds; the table
+``krep._theta_images`` of S and U compiled into flat (row, col, m, j, c)
+terms, one entry per (record, flavor, ring), from which both reductions
+at theta are made;
 ``charrings.half``, ...), found by scanning every module that ``pkgutil``
 lists, so that a new table cannot be missed; and the Hecke product table
 ``hecke._PRODUCTS``, a plain dict of plain dicts.  A test that patches an

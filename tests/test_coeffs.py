@@ -1,8 +1,9 @@
 import itertools
 import random
+from operator import add, sub
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heckedem.charrings import FieldRing
 from heckedem.coeffs import (
@@ -379,3 +380,26 @@ def test_products_by_a_constant_match_the_convolution():
             assert product.coeffs == convolution(left.coeffs, right.coeffs)
             assert product == GenericScalar(convolution(left.coeffs, right.coeffs))
             assert not product.coeffs or product.coeffs[-1] != 0
+
+
+Q_VALUES = (-2, 0, 1, 3, 7)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_sums_and_differences_agree_with_evaluate(data):
+    # coefficient lists of unequal lengths, the longer on either side
+    n = data.draw(st.integers(0, 6))
+    m = data.draw(st.integers(0, 6).filter(lambda k: k != n))
+    a, b = (GenericScalar(data.draw(st.lists(st.integers(-9, 9), min_size=k, max_size=k))) for k in (n, m))
+    for x, y in ((a, b), (b, a)):
+        for result, op in ((x + y, add), (x - y, sub)):
+            assert all(result.evaluate(q) == op(x.evaluate(q), y.evaluate(q)) for q in Q_VALUES)
+            assert not result.coeffs or result.coeffs[-1] != 0
+
+
+def test_sums_trim_cancelled_top_coefficients():
+    assert (GenericScalar([1, 2, 3]) + GenericScalar([4, 5, -3])).coeffs == (5, 7)
+    assert (GenericScalar([1, 2, 3, 4]) - GenericScalar([0, 2, 3, 4])).coeffs == (1,)
+    assert GenericScalar([1, 2, 3]) + GenericScalar([-1, -2, -3]) == GenericScalar()
+    assert (GenericScalar([0, 5]) - GenericScalar([0, 5])).coeffs == ()

@@ -33,6 +33,8 @@ def test_clear_tables_empties_every_table():
     # A(q) fills the same table as Anil
     assert verify.suite_krep(0)["passed"]
     assert krep.word_image.cache_info().currsize > anil_entries
+    # represent reads its flat word terms, compiled from word_image entries only
+    assert 0 < krep._word_terms.cache_info().currsize <= krep.word_image.cache_info().currsize
     # each reduction at theta fills the one table of images at theta under
     # its own (record, flavor, ring) key: a second lookup there is a hit
     ring = FieldRing(build_tower(3, 1))
@@ -49,7 +51,7 @@ def test_clear_tables_empties_every_table():
         assert (images.cache_info().hits, images.cache_info().currsize) == (hits + 1, size + 1)
     tables = memo_tables()
     filled = {name for name, table in tables.items() if table.cache_info().currsize}
-    assert {"heckedem.krep.word_image", "heckedem.krep._theta_images"} <= filled
+    assert {"heckedem.krep.word_image", "heckedem.krep._word_terms", "heckedem.krep._theta_images"} <= filled
     assert hecke._PRODUCTS
     clear_tables()
     assert {name: table.cache_info().currsize for name, table in tables.items() if table.cache_info().currsize} == {}
